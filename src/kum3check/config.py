@@ -3,7 +3,11 @@
 The document is JSON with four packs of scalar entries plus one quadratic
 space.  Every scalar entry is an object {"value": "p/q", "source": text}
 whose value parses as an exact rational and whose source records where the
-number comes from.  Validation is strict: duplicate keys, malformed
+number comes from.  Scalar values and Gram cells share one wire format: a
+string ``n`` or ``p/q`` of ASCII digits with an optional leading minus,
+each integer at most 64 digits long.  JSON numbers, booleans, decimals and
+exponents are rejected, which also bounds the size of every integer the
+exact kernels see.  Validation is strict: duplicate keys, malformed
 rationals, missing required keys and unrecognised keys are all errors that
 name the offending key.
 """
@@ -11,12 +15,13 @@ name the offending key.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
 
-from .linalg import Matrix, rat
+from .linalg import Matrix
 
 FUJIKI_KEYS = (
     "C(1)",
@@ -86,6 +91,11 @@ _PACKS = {
 }
 
 _SECTIONS = tuple(_PACKS) + ("h2_space",)
+
+
+# The one wire format of a rational: "n" or "p/q", at most 64 digits each.
+MAX_DIGITS = 64
+_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
 class ConfigError(Exception):
@@ -185,14 +195,24 @@ def _parse_entry(pack: str, key: str, raw: object) -> ConfigEntry:
     source = raw["source"]
     if not isinstance(source, str) or not source:
         raise ConfigError(f"{where}: source must be a nonempty string")
-    value = raw["value"]
+    return ConfigEntry(key=key, value=_parse_rational(where, raw["value"]), source=source)
+
+
+def _parse_rational(where: str, value: object) -> Fraction:
+    """Parse one value in the wire format, or name ``where`` in the error."""
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: value must be a rational string")
+        raise ConfigError(
+            f"{where}: value must be a rational string, got {type(value).__name__}"
+        )
+    if not _RATIONAL.fullmatch(value):
+        raise ConfigError(
+            f"{where}: invalid rational value {value[:80]!r}; "
+            f"expected 'n' or 'p/q' with at most {MAX_DIGITS} digits each"
+        )
     try:
-        parsed = rat(value)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(value)
+    except ZeroDivisionError:
         raise ConfigError(f"{where}: invalid rational value {value!r}") from None
-    return ConfigEntry(key=key, value=parsed, source=source)
 
 
 def _parse_pack(pack: str, raw: object, required: tuple[str, ...]) -> dict[str, ConfigEntry]:
@@ -227,22 +247,16 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], Matrix]:
     for i, row in enumerate(gram_raw):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"h2_space.gram row {i}: must have {n} entries")
-        parsed_row = []
-        for j, cell in enumerate(row):
-            try:
-                parsed_row.append(rat(cell))
-            except (ValueError, ZeroDivisionError, TypeError):
-                raise ConfigError(
-                    f"h2_space.gram[{i}][{j}]: invalid rational value {cell!r}"
-                ) from None
-        rows.append(parsed_row)
+        rows.append(
+            [_parse_rational(f"h2_space.gram[{i}][{j}]", cell) for j, cell in enumerate(row)]
+        )
     return tuple(labels), Matrix(rows)
 
 
 def parse_config(text: str) -> ConfigDocument:
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("document root must be an object")

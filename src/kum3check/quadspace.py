@@ -10,16 +10,19 @@ three-matching rule
 extended bilinearly to monomials.  Monomials are normalised to index
 pairs (i, j) with i <= j, and a product a_i * a_j with i != j is a single
 monomial rather than a symmetrised half-sum, so squaring a sum doubles
-every mixed coefficient.  All coefficients are exact rationals.
+every mixed coefficient.  All coefficients are exact rationals; the
+pairing runs over the Gram matrix and coefficients scaled to integers and
+builds one ``Fraction`` per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, RationalLike, rat, format_rational
+from .linalg import Matrix, RationalLike, format_rational, rat, scaled_integers
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,13 @@ class QuadSpace:
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix is not symmetric")
 
+    @cached_property
+    def _scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, rows of L * gram) for the lcm L of the Gram denominators."""
+        n = self.dim
+        scale, cells = scaled_integers([x for row in self.gram.entries for x in row])
+        return scale, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n))
+
     @property
     def dim(self) -> int:
         return len(self.labels)
@@ -79,20 +89,8 @@ class QuadSpace:
         return self.vector({label: 1})
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
-        """The bilinear form q(u, v)."""
-        uu = [rat(x) for x in u]
-        vv = [rat(x) for x in v]
-        if len(uu) != self.dim or len(vv) != self.dim:
-            raise ValueError("vector length does not match space dimension")
-        total = Fraction(0)
-        for i, ui in enumerate(uu):
-            if not ui:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(vv):
-                if vj and row[j]:
-                    total += ui * row[j] * vj
-        return total
+        """The bilinear form q(u, v); vectors must have length ``dim``."""
+        return self.gram.pair(u, v)
 
     def is_orthogonal_basis(self) -> bool:
         return all(
@@ -180,20 +178,27 @@ def sym2_square(space: QuadSpace, u: Sequence[RationalLike]) -> Sym2Vector:
     return sym2_product(space, u, u)
 
 
+def _scaled_coeffs(x: Sym2Vector) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    scale, ints = scaled_integers([c for _, c in x.coeffs])
+    return scale, list(zip([k for k, _ in x.coeffs], ints))
+
+
 def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     """Intersection pairing of two Sym^2 classes by the three-matching rule."""
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
-    g = x.space.gram.entries
-    total = Fraction(0)
-    for (a, b), xc in x.coeffs:
+    g_scale, g = x.space._scaled_gram
+    x_scale, xs = _scaled_coeffs(x)
+    y_scale, ys = _scaled_coeffs(y)
+    total = 0
+    for (a, b), xc in xs:
         ga, gb = g[a], g[b]
         gab = ga[b]
-        for (c, d), yc in y.coeffs:
+        for (c, d), yc in ys:
             t = gab * g[c][d] + ga[c] * gb[d] + ga[d] * gb[c]
             if t:
                 total += xc * yc * t
-    return total
+    return Fraction(total, x_scale * y_scale * g_scale * g_scale)
 
 
 def sym2_gram(space: QuadSpace, vectors: Sequence[Sym2Vector]) -> Matrix:

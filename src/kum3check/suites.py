@@ -19,7 +19,6 @@ from .report import Check, SuiteReport, error_check, make_check, merge_reports
 from .wgeometry import (
     THETAS,
     expected_gram19,
-    gram_pair,
     restriction_is_similitude,
 )
 
@@ -431,8 +430,8 @@ def _restrictions_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "dual square via nineteen classes", REF_REST, 252,
-        lambda: gram_pair(
-            e.gram19, e.qbar_restriction.coeffs, e.qbar_restriction.coeffs
+        lambda: e.gram19.pair(
+            e.qbar_restriction.coeffs, e.qbar_restriction.coeffs
         ),
     )
     return checks

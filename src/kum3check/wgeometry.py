@@ -288,17 +288,6 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def gram_pair(gram: Matrix, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui:
-            row = gram[i]
-            for j, vj in enumerate(v):
-                if vj and row[j]:
-                    total += ui * row[j] * vj
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the ambient rank-7 space and the restricted dual class
 
@@ -704,13 +693,13 @@ def restrict_w_self(
     diff = [
         a - b for a, b in zip(others_by_theta[t0], others_by_theta[t1])
     ]
-    base = gram_pair(gram, sprime.per_theta[THETAS.index(t0)], diff)
+    base = gram.pair(sprime.per_theta[THETAS.index(t0)], diff)
     # support value fixed by the shifted-divisor normalisation: each other
     # fourfold carries its shift block with weight -16 * (128/4)
     if base != -16 * Fraction(128, 4):
         uniform_ok = False
     for k, theta in enumerate(THETAS):
-        got = gram_pair(gram, sprime.per_theta[k], diff)
+        got = gram.pair(sprime.per_theta[k], diff)
         want = base if theta == t0 else (-base if theta == t1 else Fraction(0))
         if got != want:
             uniform_ok = False
@@ -721,7 +710,7 @@ def restrict_w_self(
     tests = (e_qbar, tuple(other_sum), g1)
     generators = (g1, g2, g3)
     system = Matrix(
-        [[gram_pair(gram, t, g) for g in generators] for t in tests]
+        [[gram.pair(t, g) for g in generators] for t in tests]
     )
     qbar_rhs = (c4_w_component - pack.c4_degree) / pack.c2_qbar_ratio
     rhs = (qbar_rhs, len(THETAS) * w_sq_w_other, qbar_w_sq)
@@ -734,7 +723,7 @@ def restrict_w_self(
         eta * a + beta * b + gamma * c for a, b, c in zip(g1, g2, g3)
     )
     pair_other_values = {
-        gram_pair(gram, final, coeffs) for coeffs in others_by_theta.values()
+        gram.pair(final, coeffs) for coeffs in others_by_theta.values()
     }
     if len(pair_other_values) != 1:
         raise ValueError("self-restriction does not pair equally with the others")
@@ -742,12 +731,12 @@ def restrict_w_self(
     self_other_values = set()
     for ta in THETAS:
         self_other_values.add(
-            gram_pair(gram, others_by_theta[ta], others_by_theta[ta])
+            gram.pair(others_by_theta[ta], others_by_theta[ta])
         )
         for tb in THETAS:
             if ta < tb:
                 cross_values.add(
-                    gram_pair(gram, others_by_theta[ta], others_by_theta[tb])
+                    gram.pair(others_by_theta[ta], others_by_theta[tb])
                 )
     if len(cross_values) != 1 or len(self_other_values) != 1:
         raise ValueError("pairings among other-fourfold restrictions are not uniform")
@@ -768,12 +757,12 @@ def restrict_w_self(
         gamma=gamma,
         system=system,
         rhs=rhs,
-        qbar_pairing=gram_pair(gram, final, e_qbar),
-        self_square=gram_pair(gram, final, final),
+        qbar_pairing=gram.pair(final, e_qbar),
+        self_square=gram.pair(final, final),
         pair_with_other=pair_other_values.pop(),
         other_self_square=self_other_values.pop(),
         other_cross=cross_values.pop(),
-        ambient_dual_pairing=gram_pair(gram, final, g1),
+        ambient_dual_pairing=gram.pair(final, g1),
         shift_uniformity_ok=uniform_ok,
         trail=trail,
     )

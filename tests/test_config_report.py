@@ -95,6 +95,48 @@ def test_non_string_value_rejected():
         parse_mutated(mutate)
 
 
+@pytest.mark.parametrize(
+    "value", ["1e400", "1" * 65, "1/" + "3" * 65, "0.5", "+5", " 5", "5/", True, 3, 2.5, None]
+)
+def test_one_wire_format_for_values_and_gram_cells(value):
+    def scalar(raw):
+        raw["geometry_pack"]["xi_square"]["value"] = value
+
+    def cell(raw):
+        raw["h2_space"]["gram"][1][2] = value
+
+    with pytest.raises(ConfigError, match=r"geometry_pack\.xi_square"):
+        parse_mutated(scalar)
+    with pytest.raises(ConfigError, match=r"h2_space\.gram\[1\]\[2\]"):
+        parse_mutated(cell)
+
+
+def test_wire_format_allows_64_digits():
+    big = "-" + "9" * 64 + "/" + "7" * 64
+
+    def mutate(raw):
+        raw["geometry_pack"]["xi_square"]["value"] = big
+        raw["h2_space"]["gram"][0][0] = big
+
+    parse_mutated(mutate)
+
+
+def test_cli_rejects_an_off_format_value_once(tmp_path, capsys):
+    raw = raw_default()
+    raw["h2_space"]["gram"][0][0] = 2
+    raw["fujiki_constants"]["C(qbar)"]["value"] = "1e5000"
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1 and "C(qbar)" in err
+
+
+def test_overlong_json_integer_is_a_config_error():
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config('{"fujiki_constants": ' + "1" * 4301 + "}")
+
+
 def test_missing_key_named():
     def mutate(raw):
         del raw["fourfold_pack"]["qbar_square"]

@@ -139,3 +139,62 @@ def test_polarization_identity(u, v):
     assert plus == sym2_square(AMBIENT, u) + 2 * sym2_product(
         AMBIENT, u, v
     ) + sym2_square(AMBIENT, v)
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference formulas for the integer pairing kernels
+
+
+def _ref_pair(gram, u, v):
+    total = Fraction(0)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            total += ui * gram[i][j] * vj
+    return total
+
+
+def _ref_sym2_pair(x, y):
+    g = x.space.gram.entries
+    total = Fraction(0)
+    for (a, b), xc in x.coeffs:
+        for (c, d), yc in y.coeffs:
+            t = g[a][b] * g[c][d] + g[a][c] * g[b][d] + g[a][d] * g[b][c]
+            total += xc * yc * t
+    return total
+
+
+# A non-diagonal rational Gram: positive definite, so nothing is degenerate.
+SKEW = QuadSpace(
+    labels=("a", "b", "c", "d"),
+    gram=Matrix([
+        [Fraction(5, 2), Fraction(1, 3), 0, Fraction(-1, 4)],
+        [Fraction(1, 3), 3, Fraction(2, 5), 0],
+        [0, Fraction(2, 5), Fraction(7, 3), 1],
+        [Fraction(-1, 4), 0, 1, 4],
+    ]),
+    name="skew",
+)
+
+
+@st.composite
+def sym2_vectors(draw, space):
+    keys = st.tuples(st.integers(0, space.dim - 1), st.integers(0, space.dim - 1)).map(
+        lambda k: tuple(sorted(k))
+    )
+    coeffs = draw(st.dictionaries(keys, coefficient, max_size=8))
+    return Sym2Vector.from_map(space, coeffs)
+
+
+@given(st.sampled_from((AMBIENT, SKEW)), st.data())
+def test_integer_pairings_match_fraction_formulas(space, data):
+    x = data.draw(sym2_vectors(space))
+    y = data.draw(sym2_vectors(space))
+    assert sym2_pair(x, y) == _ref_sym2_pair(x, y)
+    u = data.draw(st.lists(coefficient, min_size=space.dim, max_size=space.dim))
+    v = data.draw(st.lists(coefficient, min_size=space.dim, max_size=space.dim))
+    assert space.pair(u, v) == _ref_pair(space.gram, u, v)
+
+
+def test_pair_checks_vector_length():
+    with pytest.raises(ValueError):
+        AMBIENT.pair((1, 0), AMBIENT.basis_vector("y1"))

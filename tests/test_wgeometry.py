@@ -19,7 +19,6 @@ from kum3check.wgeometry import (
     derive_restriction_factor,
     expand_in_basis,
     expected_gram19,
-    gram_pair,
     nodal_space,
     restrict_qbar,
     restrict_w_other,
@@ -177,7 +176,7 @@ def test_qbar_restriction_coefficients(model, gram, qbar_rest):
     assert coeffs[2] == Fraction(31, 32)
     assert all(coeffs[3 + k] == Fraction(-1, 32) for k in range(15))
     assert coeffs[18] == Fraction(-1, 4)
-    assert gram_pair(gram, coeffs, coeffs) == 252
+    assert gram.pair(coeffs, coeffs) == 252
 
 
 def test_v_restriction_data():
@@ -302,7 +301,7 @@ def test_gram_pairing_matches_direct_pairing(model, gram):
     u = tuple(Fraction(k % 4 - 1, 2) for k in range(19))
     v = tuple(Fraction((k * 3) % 5 - 2, 3) for k in range(19))
     direct = sym2_pair(combination(model, u), combination(model, v))
-    assert gram_pair(gram, u, v) == direct
+    assert gram.pair(u, v) == direct
 
 
 def test_sprime_squares_expand_by_hand(model):
