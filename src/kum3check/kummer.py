@@ -471,8 +471,8 @@ def d_gram_certificate(
         )
 
     m = blocks * block_size
-    grid = []
-    for i in range(m):
+
+    def gram_row(i: int) -> list[Fraction]:
         bi = i // block_size
         row = []
         for j in range(m):
@@ -482,8 +482,10 @@ def d_gram_certificate(
                 row.append(same_block)
             else:
                 row.append(cross_block)
-        grid.append(row)
-    gram = Matrix(grid)
+        return row
+
+    # rows are generated one at a time so no second dense copy of the Gram exists
+    gram = Matrix(gram_row(i) for i in range(m))
 
     gram_rank = rank(gram)
     kernel = kernel_basis(gram)
