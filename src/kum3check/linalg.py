@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from itertools import repeat
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
@@ -123,7 +123,7 @@ class Matrix:
             object.__setattr__(self, "_scaled", (tuple(dens), tuple(rows)))
         return self._scaled
 
-    def _forward_echelon(self) -> tuple[list, list[int]]:
+    def _echelon_form(self) -> tuple[list, list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
             rows = list(self._integer_form()[1])
@@ -237,7 +237,7 @@ def _back_substitute(ech: list, pivots: list[int], x: list[int]) -> list[Fractio
 
 
 def rank(m: Matrix) -> int:
-    return len(m._forward_echelon()[1])
+    return len(m._echelon_form()[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -247,7 +247,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     the other free coordinates are 0, and pivot coordinates are solved
     exactly.  Returns [] when the kernel is trivial.
     """
-    ech, pivots = m._forward_echelon()
+    ech, pivots = m._echelon_form()
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -261,7 +261,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
-    ech, pivots = m._forward_echelon()
+    ech, pivots = m._echelon_form()
     rows = list(ech)
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
@@ -307,7 +307,7 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
     if a.rows < a.cols:
         raise ValueError("system is underdetermined by shape (rows < cols)")
     augmented = Matrix([row + (v,) for row, v in zip(a.entries, rhs)])
-    ech, pivots = augmented._forward_echelon()
+    ech, pivots = augmented._echelon_form()
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
         return SolveResult(
