@@ -9,7 +9,8 @@ each integer at most 64 digits long.  JSON numbers, booleans, decimals and
 exponents are rejected, which also bounds the size of every integer the
 exact kernels see.  Validation is strict: duplicate keys, malformed
 rationals, missing required keys and unrecognised keys are all errors that
-name the offending key.
+name the offending key.  The H^2 labels must be the seven names of
+``H2_LABELS``, in any order, because the engine looks them up by name.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ HODGE_KEYS = (
         "blowup h(4,0) target",
     )
 )
+
+# The ambient H^2 basis, in the order of the default document; the engine
+# restricts each of these classes by name.
+H2_LABELS = ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
 
 _PACKS = {
     "fujiki_constants": FUJIKI_KEYS,
@@ -239,6 +244,13 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], Matrix]:
         raise ConfigError("h2_space.labels: must be a nonempty list of names")
     if len(set(labels)) != len(labels):
         raise ConfigError("h2_space.labels: names must be unique")
+    missing = [x for x in H2_LABELS if x not in labels]
+    unknown = [x for x in labels if x not in H2_LABELS]
+    if missing or unknown:
+        raise ConfigError(
+            f"h2_space.labels: expected the names {list(H2_LABELS)}; "
+            f"missing {missing}, unknown {[x[:80] for x in unknown]}"
+        )
     gram_raw = raw["gram"]
     n = len(labels)
     if not isinstance(gram_raw, list) or len(gram_raw) != n:

@@ -16,6 +16,16 @@ The three certificate builders produce exact Gram-style matrices whose
 ranks establish that {c2, the sixteen W classes} are independent in
 degree 4, that multiplication by qbar is injective on their span, and
 that the 256 D classes span a 241-dimensional space.
+
+The D-class Gram G takes three values: one on the diagonal, one inside a
+block and one across blocks.  Its certificate never builds G.  It
+eliminates M = P*G instead, whose rows are the differences of consecutive
+Gram rows followed by the first row.  P is a row permutation times a unit
+lower-bidiagonal matrix, so it is invertible over the integers and M has
+the same row space as G: the same rank, pivot columns and reduced echelon
+kernel basis, and G*v = 0 exactly when M*v = 0.  A difference row has two
+nonzero cells inside a block and at most 2*block_size at a block boundary,
+so the elimination of M is cheap where that of the dense G is not.
 """
 
 from __future__ import annotations
@@ -446,12 +456,20 @@ def d_gram_certificate(
     blocks: int = 16,
     block_size: int = 16,
 ) -> DGramCertificate:
-    """Build the full D-class Gram matrix and certify its rank and kernel.
+    """Certify the rank and kernel of the D-class Gram matrix.
 
     When ``cross_block`` is omitted it is forced by the identity that a
     fixed D class pairs with any full block to the same total: the
     within-block total diagonal + (block_size-1)*same_block, spread evenly
     over the block_size cross entries.
+
+    The Gram G (``diagonal`` on the diagonal, ``same_block`` inside a
+    block, ``cross_block`` elsewhere) is never built.  Rank, kernel and the
+    difference-relation check run on M = P*G, whose rows are
+    G_i - G_{i-1} for i = 1, ..., n-1 followed by G_0, each written from
+    the three constants.  det P = +-1, so M has the rank, pivot columns,
+    reduced echelon kernel basis and kernel of G (see the module
+    docstring); only its last row is dense.
     """
     row_total = diagonal + (block_size - 1) * same_block
     trail = [
@@ -471,24 +489,27 @@ def d_gram_certificate(
         )
 
     m = blocks * block_size
+    zero = Fraction(0)
+    inside = diagonal - same_block  # G_i - G_{i-1} at i, inside a block
+    boundary = diagonal - cross_block  # the same at a block boundary
+    spread = same_block - cross_block  # rest of the block of i at a boundary
 
-    def gram_row(i: int) -> list[Fraction]:
-        bi = i // block_size
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append(diagonal)
-            elif bi == j // block_size:
-                row.append(same_block)
-            else:
-                row.append(cross_block)
+    def step_row(i: int) -> list[Fraction]:
+        """G_i - G_{i-1}; the block of i-1 holds the negated values."""
+        row = [zero] * m
+        if i % block_size:
+            row[i - 1], row[i] = -inside, inside
+        else:
+            row[i - block_size : i] = [-spread] * block_size
+            row[i : i + block_size] = [spread] * block_size
+            row[i - 1], row[i] = -boundary, boundary
         return row
 
-    # rows are generated one at a time so no second dense copy of the Gram exists
-    gram = Matrix(gram_row(i) for i in range(m))
+    first_row = [diagonal] + [same_block] * (block_size - 1) + [cross_block] * (m - block_size)
+    steps = Matrix([*(step_row(i) for i in range(1, m)), first_row])
 
-    gram_rank = rank(gram)
-    kernel = kernel_basis(gram)
+    gram_rank = rank(steps)
+    kernel = kernel_basis(steps)
     nullity = len(kernel)
 
     block_structured = True
@@ -502,7 +523,6 @@ def d_gram_certificate(
             break
 
     # the fifteen relations: block 0 sum minus block b sum
-    zero = Fraction(0)
     one = Fraction(1)
     diff_rows = []
     in_kernel = True
@@ -512,7 +532,7 @@ def d_gram_certificate(
             vec[a] = one
             vec[b * block_size + a] = -one
         diff_rows.append(vec)
-        if any(x != 0 for x in gram.mat_vec(vec)):
+        if any(x != 0 for x in steps.mat_vec(vec)):
             in_kernel = False
     diff_rank = rank(Matrix(diff_rows))
 

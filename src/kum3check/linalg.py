@@ -18,16 +18,19 @@ content (gcd of the entries).  Only the columns from the pivot onward are
 touched, because those to the left are already zero and leave the content
 unchanged.  A matrix is eliminated at most once: the echelon is memoised
 on the matrix and shared by ``rank``, ``kernel_basis`` and ``rref``.
-Back substitution keeps one common denominator, so it stays in integers
-too.  The unit tests compare every routine with textbook ``Fraction``
-formulas on random matrices.
+Next to it the matrix memoises, for each echelon row, the pivot and the
+nonzero (column, value) pairs to its right.  Back substitution reads only
+those pairs, so on a sparse echelon it skips the zero cells, and it keeps
+one common denominator, so it stays in integers too.  The unit tests
+compare every routine with textbook ``Fraction`` formulas on random
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence, Union
@@ -55,6 +58,15 @@ def vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(rat, values))
 
 
+def _fraction_row(row: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """The row as a tuple of ``Fraction``; ``rat`` runs only on a row that
+    holds a cell of another type."""
+    row = tuple(row)
+    if set(map(type, row)) <= {Fraction}:
+        return row
+    return tuple(map(rat, row))
+
+
 def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators."""
     dens = [x.denominator for x in values]
@@ -67,15 +79,16 @@ def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 class Matrix:
     """Immutable dense matrix with exact rational entries.
 
-    ``_scaled`` (per-row denominators and integer rows) and ``_echelon``
-    (rows and pivots of the forward elimination) are filled on first use.
-    Neither takes part in equality or hashing.
+    ``_scaled`` (per-row denominators and integer rows), ``_echelon``
+    (rows and pivots of the forward elimination) and ``_tails`` (the
+    sparse echelon rows read by back substitution) are filled on first
+    use.  None of them takes part in equality or hashing.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon")
+    __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon", "_tails")
 
     def __init__(self, entries: Iterable[Iterable[RationalLike]]):
-        data = tuple(tuple(map(rat, row)) for row in entries)
+        data = tuple(map(_fraction_row, entries))
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -87,6 +100,7 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_scaled", None)
         object.__setattr__(self, "_echelon", None)
+        object.__setattr__(self, "_tails", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -129,6 +143,19 @@ class Matrix:
             rows = list(self._integer_form()[1])
             object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
         return self._echelon
+
+    def _pivot_tails(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Per echelon row: pivot column, pivot value, and the columns and
+        values of the nonzero cells right of the pivot; memoised, read only."""
+        if self._tails is None:
+            ech, pivots = self._echelon_form()
+            tails = []
+            for row, c in zip(ech, pivots):
+                right = row[c + 1 :]
+                cols = tuple(compress(range(c + 1, self.cols), right))
+                tails.append((c, row[c], cols, tuple(filter(None, right))))
+            object.__setattr__(self, "_tails", tuple(tails))
+        return self._tails
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries)) if self.rows else Matrix([])
@@ -213,20 +240,17 @@ def _forward_echelon(rows: list, cols: int) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _back_substitute(ech: list, pivots: list[int], x: list[int]) -> list[Fraction]:
+def _back_substitute(tails, x: list[int]) -> list[Fraction]:
     """Solve the echelon system for the pivot coordinates of x.
 
-    ``x`` holds integers at the non-pivot positions.  The pivot entries are
-    solved from the bottom row up over one common denominator, which grows
-    only when a new entry needs it, so the full vector satisfies every
-    echelon row.
+    ``tails`` is ``Matrix._pivot_tails()`` and ``x`` holds integers at the
+    non-pivot positions.  The pivot entries are solved from the bottom row
+    up over one common denominator, which grows only when a new entry needs
+    it, so the full vector satisfies every echelon row.
     """
     den = 1
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = ech[i]
-        acc = sum(map(mul, row[c + 1 :], x[c + 1 :]))
-        p = row[c]
+    for c, p, cols, vals in reversed(tails):
+        acc = sum(map(mul, vals, map(x.__getitem__, cols)))
         s = abs(p) // gcd(acc, p)
         if s > 1:
             x = [a * s for a in x]
@@ -247,15 +271,15 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     the other free coordinates are 0, and pivot coordinates are solved
     exactly.  Returns [] when the kernel is trivial.
     """
-    ech, pivots = m._echelon_form()
-    pivot_set = set(pivots)
+    tails = m._pivot_tails()
+    pivot_set = {c for c, *_ in tails}
     basis = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
         x = [0] * m.cols
         x[f] = 1
-        basis.append(tuple(_back_substitute(ech, pivots, x)))
+        basis.append(tuple(_back_substitute(tails, x)))
     return basis
 
 
@@ -324,4 +348,5 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
         )
     x = [0] * (a.cols + 1)
     x[a.cols] = -1
-    return SolveResult(status="unique", solution=tuple(_back_substitute(ech, pivots, x)[: a.cols]))
+    solution = _back_substitute(augmented._pivot_tails(), x)[: a.cols]
+    return SolveResult(status="unique", solution=tuple(solution))

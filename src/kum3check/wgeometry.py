@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .config import H2_LABELS
 from .kummer import Pt, ZERO, add, two_torsion
 from .linalg import Matrix, format_rational, rat, solve_linear
 from .quadspace import (
@@ -293,21 +294,19 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
 
 def ambient_h2_space(xi_square: Fraction) -> QuadSpace:
     """Rank-7 space of the sixfold: three +2, three -2, and xi."""
-    labels = ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
     squares = [Fraction(2)] * 3 + [Fraction(-2)] * 3 + [rat(xi_square)]
     gram = Matrix(
         [[squares[i] if i == j else Fraction(0) for j in range(7)] for i in range(7)]
     )
-    return QuadSpace(labels=labels, gram=gram, name="ambient")
+    return QuadSpace(labels=H2_LABELS, gram=gram, name="ambient")
 
 
 def restriction_images(model: WModel) -> dict[str, tuple[Fraction, ...]]:
+    """Images of the ambient classes named by ``config.H2_LABELS``."""
     images = {}
-    for src, dst in zip(("y1", "y2", "y3"), PLUS_LABELS):
+    for src, dst in zip(H2_LABELS[:6], PLUS_LABELS + MINUS_LABELS):
         images[src] = model.space.basis_vector(dst)
-    for src, dst in zip(("z1", "z2", "z3"), MINUS_LABELS):
-        images[src] = model.space.basis_vector(dst)
-    images["xi"] = model.xi_restriction
+    images[H2_LABELS[6]] = model.xi_restriction
     return images
 
 

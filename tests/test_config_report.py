@@ -9,6 +9,7 @@ from kum3check.config import (
     FOURFOLD_KEYS,
     FUJIKI_KEYS,
     GEOMETRY_KEYS,
+    H2_LABELS,
     HODGE_KEYS,
     ConfigError,
     default_config,
@@ -229,6 +230,35 @@ def test_label_errors():
 
     with pytest.raises(ConfigError, match="labels"):
         parse_mutated(empty)
+
+
+def test_labels_must_be_the_ambient_names():
+    def rename(raw):
+        raw["h2_space"]["labels"][0] = "zz"
+
+    with pytest.raises(ConfigError, match=r"missing \['y1'\], unknown \['zz'\]"):
+        parse_mutated(rename)
+
+    def reverse(raw):
+        h2 = raw["h2_space"]
+        h2["labels"].reverse()
+        h2["gram"] = [row[::-1] for row in h2["gram"][::-1]]
+
+    raw = raw_default()
+    reverse(raw)
+    assert parse_config(json.dumps(raw)).h2_labels == H2_LABELS[::-1]
+
+
+def test_cli_rejects_a_renamed_label_once(tmp_path, capsys):
+    raw = raw_default()
+    raw["h2_space"]["labels"][0] = "zz"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("configuration error") == 1
+    assert "h2_space.labels" in captured.err and "'zz'" in captured.err
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kum3check import kummer
 from kum3check.kummer import (
     IDENTITY,
     ZERO,
@@ -39,6 +41,7 @@ from kum3check.kummer import (
     w_times_w_pair,
     w_times_w_sq,
 )
+from kum3check.linalg import Matrix, kernel_basis, rank
 
 group_elements = st.sampled_from(full_group())
 
@@ -202,3 +205,68 @@ def test_d_gram_certificate():
     assert cert.kernel_is_block_structured
     assert cert.difference_relations_in_kernel
     assert cert.difference_relations_rank == 15
+
+
+# ---------------------------------------------------------------------------
+# the D Gram certificate against its dense Gram
+
+
+def _dense_d_gram_oracle(a, b, c, blocks, size):
+    """Rank, kernel basis and block checks computed on the dense Gram itself."""
+    n = blocks * size
+    gram = Matrix(
+        [[a if i == j else b if i // size == j // size else c for j in range(n)] for i in range(n)]
+    )
+    kernel = kernel_basis(gram)
+    chunks = [[v[k * size : (k + 1) * size] for k in range(blocks)] for v in kernel]
+    structured = all(
+        all(len(set(chunk)) == 1 for chunk in vec) and sum(chunk[0] for chunk in vec) == 0
+        for vec in chunks
+    )
+    relations = []
+    for k in range(1, blocks):
+        v = [0] * n
+        v[:size] = [1] * size
+        v[k * size : (k + 1) * size] = [-1] * size
+        relations.append(v)
+    in_kernel = all(not any(gram.mat_vec(v)) for v in relations)
+    return rank(gram), kernel, structured, in_kernel, rank(Matrix(relations))
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def d_gram_constants(draw):
+    """(diagonal, same_block, blocks, block_size), with diagonal == same_block
+    and a zero row total drawn on purpose."""
+    blocks = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 5))
+    b = draw(small_rationals)
+    a = draw(
+        st.one_of(small_rationals, st.just(b), st.just(-(size - 1) * b))
+    )
+    return a, b, blocks, size
+
+
+@given(d_gram_constants(), st.booleans())
+def test_d_gram_certificate_matches_the_dense_gram(constants, explicit_cross):
+    a, b, blocks, size = constants
+    cross = (a + (size - 1) * b) / size if explicit_cross else None
+    seen = []
+
+    def recording_kernel_basis(m):
+        seen.append(kernel_basis(m))
+        return seen[-1]
+
+    with mock.patch.object(kummer, "kernel_basis", recording_kernel_basis):
+        cert = d_gram_certificate(a, b, cross, blocks=blocks, block_size=size)
+    gram_rank, kernel, structured, in_kernel, relations_rank = _dense_d_gram_oracle(
+        a, b, cert.cross_block, blocks, size
+    )
+    assert seen == [kernel]
+    assert (cert.rank, cert.nullity) == (gram_rank, len(kernel))
+    assert cert.kernel_is_block_structured == structured
+    assert cert.difference_relations_in_kernel == in_kernel
+    assert cert.difference_relations_rank == relations_rank
+    assert cert.rank == blocks * (size - 1) * (a != b) + (a + (size - 1) * b != 0)

@@ -290,6 +290,51 @@ def test_solve_linear_matches_fraction_formula(matrix, data):
     assert (result.status, result.solution, result.detail) == _ref_solve(entries, b, m)
 
 
+def _banded(rng, n, width):
+    """A diagonally dominant n x n matrix with nonzero cells only where |i-j| <= width."""
+    return [
+        [
+            Fraction(rng.randint(20, 30), rng.randint(1, 3)) if i == j
+            else Fraction(rng.randint(-2, 2), rng.randint(1, 4)) if abs(i - j) <= width
+            else Fraction(0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_sparse_back_substitution_matches_fraction_formulas_on_banded_matrices():
+    rng = random.Random(20261018)
+    for _ in range(3):
+        entries = _banded(rng, 30, 2)
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(30)]
+        result = solve_linear(Matrix(entries), b)
+        assert result.status == "unique"
+        assert (result.status, result.solution, result.detail) == _ref_solve(entries, b, 30)
+        for i in rng.sample(range(30), 3):
+            entries[i] = [Fraction(0)] * 30
+        mat = Matrix(entries)
+        got = (rank(mat), kernel_basis(mat))
+        assert got == _ref_rank_and_kernel(entries, 30)
+        assert len(got[1]) == 3
+        for v in got[1]:
+            assert mat.mat_vec(v) == (Fraction(0),) * 30
+
+
+def test_matrix_coerces_only_rows_that_need_it():
+    m = Matrix([[Fraction(1, 2), Fraction(3)], [1, "3/4"], (x for x in (True, Fraction(-1, 3)))])
+    assert m.entries == (
+        (Fraction(1, 2), Fraction(3)),
+        (Fraction(1), Fraction(3, 4)),
+        (Fraction(1), Fraction(-1, 3)),
+    )
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    with pytest.raises(TypeError):
+        Matrix([[Fraction(1), 0.5]])
+    with pytest.raises(TypeError):
+        Matrix([[Fraction(1)], [None]])
+
+
 def test_empty_shapes():
     empty = Matrix([])
     assert (rank(empty), kernel_basis(empty), empty.mat_vec([])) == (0, [], ())
