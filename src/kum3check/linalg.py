@@ -36,6 +36,9 @@ from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+# One echelon row for back substitution: pivot column, pivot value, and the
+# columns and values of the nonzero cells right of the pivot.
+PivotTail = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -144,9 +147,8 @@ class Matrix:
             object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
         return self._echelon
 
-    def _pivot_tails(self) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-        """Per echelon row: pivot column, pivot value, and the columns and
-        values of the nonzero cells right of the pivot; memoised, read only."""
+    def _pivot_tails(self) -> tuple[PivotTail, ...]:
+        """One ``PivotTail`` per echelon row; memoised, read only."""
         if self._tails is None:
             ech, pivots = self._echelon_form()
             tails = []
@@ -240,7 +242,7 @@ def _forward_echelon(rows: list, cols: int) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _back_substitute(tails, x: list[int]) -> list[Fraction]:
+def _back_substitute(tails: Sequence[PivotTail], x: list[int]) -> list[Fraction]:
     """Solve the echelon system for the pivot coordinates of x.
 
     ``tails`` is ``Matrix._pivot_tails()`` and ``x`` holds integers at the
