@@ -414,8 +414,6 @@ def trace_averages(
 class BlowupComparison:
     h31_blowup: int
     h40_blowup: int
-    h31_target: int
-    h40_target: int
     matches: bool
     trail: tuple[str, ...]
 
@@ -439,8 +437,6 @@ def blowup_comparison(
     return BlowupComparison(
         h31_blowup=h31,
         h40_blowup=h40,
-        h31_target=target_h31,
-        h40_target=target_h40,
         matches=matches,
         trail=trail,
     )

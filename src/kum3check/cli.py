@@ -75,8 +75,12 @@ def main(argv=None) -> int:
         return 2
     text = emit_json(report) if args.format == "json" else emit_markdown(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.status == "pass" else 1

@@ -120,7 +120,7 @@ class Engine:
 
     @cached_property
     def w_model(self) -> WModel:
-        return build_w_model(self.pack, self.restriction_factor.factor)
+        return build_w_model(self.restriction_factor.factor)
 
     @cached_property
     def gram19(self) -> Matrix:
@@ -132,7 +132,6 @@ class Engine:
             labels=self.doc.h2_labels,
             gram=self.doc.h2_gram,
             name="ambient",
-            hilb2_pack=self.pack,
         )
 
     @cached_property

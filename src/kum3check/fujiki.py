@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import RationalLike, format_rational, rat
+from .linalg import RationalLike, rat
 
 Monomial = tuple[int, int, int, int]
 
@@ -171,7 +171,7 @@ def qbar_factor(table: FujikiTable, degree: int) -> Fraction:
         names = ", ".join(format_monomial(m) for m in bad)
         raise FujikiTableError(
             f"qbar multiplication factors disagree in degree {degree}: "
-            f"C(qbar*{names}) breaks the ratio {format_rational(first)}"
+            f"C(qbar*{names}) breaks the ratio {first}"
         )
     return first
 
@@ -198,10 +198,6 @@ def deg4(qbar: RationalLike, z: RationalLike) -> Deg4:
 
 def deg8(qbar2: RationalLike, qbarz: RationalLike) -> Deg8:
     return Deg8(rat(qbar2), rat(qbarz))
-
-
-QBAR = deg4(1, 0)
-Z = deg4(0, 1)
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
     trail = []
     c = table.c
     ratio = c("C(c2)") / c("C(qbar)")
-    trail.append(f"z = c2 - ({format_rational(ratio)})*qbar")
+    trail.append(f"z = c2 - ({ratio})*qbar")
 
     factor4 = qbar_factor(table, 4)
     factor8 = qbar_factor(table, 8)
@@ -259,8 +255,8 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
             "qbar factors; the z-basis derivation does not apply"
         )
     trail.append(
-        f"C(z) = {format_rational(c_z)}, C(qbar*z) = {format_rational(c_qbarz)}, "
-        f"integral qbar^2*z = {format_rational(top_qbar2_z)}"
+        f"C(z) = {c_z}, C(qbar*z) = {c_qbarz}, "
+        f"integral qbar^2*z = {top_qbar2_z}"
     )
 
     # integral qbar*c2^2 expands through (ratio*qbar + z)^2; the qbar^2*z term drops out
@@ -269,7 +265,7 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
         - ratio**2 * top_qbar3
         - 2 * ratio * top_qbar2_z
     )
-    trail.append(f"integral qbar*z^2 = {format_rational(top_qbar_z2)}")
+    trail.append(f"integral qbar*z^2 = {top_qbar_z2}")
 
     z3 = (
         c("C(c2^3)")
@@ -277,7 +273,7 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
         - 3 * ratio**2 * top_qbar2_z
         - 3 * ratio * top_qbar_z2
     )
-    trail.append(f"z^3 = {format_rational(z3)}")
+    trail.append(f"z^3 = {z3}")
 
     c_qbar_z2 = top_qbar_z2  # degree 12: the constant is the integral
     c_z2 = c_qbar_z2 / factor8
@@ -285,10 +281,10 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
     if direct_c_z2 != c_z2:
         raise FujikiTableError(
             "C(z^2) disagrees between the qbar-factor route "
-            f"({format_rational(c_z2)}) and direct expansion of C(c2^2) "
-            f"({format_rational(direct_c_z2)})"
+            f"({c_z2}) and direct expansion of C(c2^2) "
+            f"({direct_c_z2})"
         )
-    trail.append(f"C(z^2) = {format_rational(c_z2)} (both routes)")
+    trail.append(f"C(z^2) = {c_z2} (both routes)")
 
     if top_qbar_z2 == 0:
         raise FujikiTableError("integral qbar*z^2 vanishes; z-basis expansions are singular")
@@ -296,21 +292,21 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
     lam = z3 / top_qbar_z2
     z2 = Deg8(c_z2 / c("C(qbar^2)"), lam)
     trail.append(
-        f"z^2 = ({format_rational(z2.qbar2)})*qbar^2 + ({format_rational(z2.qbarz)})*qbar*z"
+        f"z^2 = ({z2.qbar2})*qbar^2 + ({z2.qbarz})*qbar*z"
     )
 
     c2_lead = c("C(c2^2)") / c("C(qbar^2)")
     a = (c("C(c2^3)") - ratio * c2_lead * top_qbar3 - c2_lead * top_qbar2_z) / top_qbar_z2
     c2_squared = Deg8(c2_lead, a)
     trail.append(
-        f"c2^2 = ({format_rational(c2_lead)})*qbar^2 + ({format_rational(a)})*qbar*z"
+        f"c2^2 = ({c2_lead})*qbar^2 + ({a})*qbar*z"
     )
 
     c4_lead = c("C(c4)") / c("C(qbar^2)")
     b = (c("C(c2*c4)") - ratio * c4_lead * top_qbar3 - c4_lead * top_qbar2_z) / top_qbar_z2
     c4 = Deg8(c4_lead, b)
     trail.append(
-        f"c4 = ({format_rational(c4_lead)})*qbar^2 + ({format_rational(b)})*qbar*z"
+        f"c4 = ({c4_lead})*qbar^2 + ({b})*qbar*z"
     )
 
     return ZRelations(
@@ -412,9 +408,9 @@ def express_w_v(
     c_v = pair_count * data.c_v_pair
     c2_dot_v = pair_count * data.c2_v_pair
     trail.append(
-        f"C(w) = {n}*{format_rational(data.c_w_component)} = {format_rational(c_w)}; "
-        f"C(v) = {pair_count}*{format_rational(data.c_v_pair)} = {format_rational(c_v)}; "
-        f"c2*v = {pair_count}*{format_rational(data.c2_v_pair)} = {format_rational(c2_dot_v)}"
+        f"C(w) = {n}*{data.c_w_component} = {c_w}; "
+        f"C(v) = {pair_count}*{data.c_v_pair} = {c_v}; "
+        f"c2*v = {pair_count}*{data.c2_v_pair} = {c2_dot_v}"
     )
 
     # v = (C(v)/C(qbar^2)) qbar^2 + gamma qbar z, gamma fixed by c2*v
@@ -424,8 +420,8 @@ def express_w_v(
     gamma = (c2_dot_v - base) / slope
     v = Deg8(v_lead, gamma)
     trail.append(
-        f"c2*v equation: {format_rational(c2_dot_v)} = {format_rational(base)} "
-        f"+ gamma*{format_rational(slope)} -> gamma = {format_rational(gamma)}"
+        f"c2*v equation: {c2_dot_v} = {base} "
+        f"+ gamma*{slope} -> gamma = {gamma}"
     )
 
     # w = (C(w)/C(qbar)) qbar + lambda z, lambda fixed by w*v
@@ -435,15 +431,15 @@ def express_w_v(
     lam = (w_dot_v - base_w) / slope_w
     w = Deg4(w_lead, lam)
     trail.append(
-        f"w*v equation: {format_rational(w_dot_v)} = {format_rational(base_w)} "
-        f"+ lambda*{format_rational(slope_w)} -> lambda = {format_rational(lam)}"
+        f"w*v equation: {w_dot_v} = {base_w} "
+        f"+ lambda*{slope_w} -> lambda = {lam}"
     )
 
     w_cube = multiply(w, multiply(w, w, rel), rel)
     w_component_cube = w_component_cube_solver(w_cube)
     trail.append(
-        f"w^3 = {format_rational(w_cube)}; "
-        f"component cube = {format_rational(w_component_cube)}"
+        f"w^3 = {w_cube}; "
+        f"component cube = {w_component_cube}"
     )
 
     integral_w = Deg4(8 - 3 * rel.ratio, Fraction(-3))
@@ -488,10 +484,10 @@ def auxiliary_values(rel: ZRelations, wv: WVClasses, data: WVInputs) -> Auxiliar
     qbar_w_sq = rel.factor_deg8 * c_w_component_sq
     qbar_w_pair = rel.factor_deg8 * data.c_v_pair
     trail = (
-        f"C(w^2) = {format_rational(c_w_sq)} = {n}*C(w_tau^2) "
-        f"+ {n * (n - 1)}*{format_rational(data.c_v_pair)}",
-        f"c4*w_tau = (c4*w)/{n} = {format_rational(c4_w_component)}",
-        f"qbar products by the degree-8 factor {format_rational(rel.factor_deg8)}",
+        f"C(w^2) = {c_w_sq} = {n}*C(w_tau^2) "
+        f"+ {n * (n - 1)}*{data.c_v_pair}",
+        f"c4*w_tau = (c4*w)/{n} = {c4_w_component}",
+        f"qbar products by the degree-8 factor {rel.factor_deg8}",
     )
     return AuxiliaryValues(
         c_w_sq=c_w_sq,

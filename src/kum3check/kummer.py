@@ -1,4 +1,4 @@
-"""Torsion labels, the sign-translation group, and independence certificates.
+"""Torsion labels, pattern counts, and independence certificates.
 
 Labels live on the four-torsion group T4 = (Z/4)^4 of an abelian surface:
 
@@ -7,10 +7,11 @@ Labels live on the four-torsion group T4 = (Z/4)^4 of an abelian surface:
 * a D label is a block tau together with a point alpha in the halving
   fiber {alpha : 2*alpha = tau}, sixteen per block.
 
-The sixfold automorphisms acting on these labels form the semidirect
-product of T4 translations with the sign involution, order 512; see
-:class:`GroupElement`.  Intersection numbers that only depend on the
-coincidence pattern of labels are summed by counting set partitions.
+Intersection numbers that only depend on the coincidence pattern of
+labels are summed with hand-written pattern counts (``w_dot_v_total``
+and its kin).  The sign-translation group acting on the labels, and the
+orbit sums that check these counts by brute force, live with the tests
+in ``tests/label_group.py``.
 
 The three certificate builders produce exact Gram-style matrices whose
 ranks establish that {c2, the sixteen W classes} are independent in
@@ -30,29 +31,19 @@ so the elimination of M is cheap where that of the dense G is not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterable
 
-from .linalg import Matrix, format_rational, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
 
 ZERO: Pt = (0, 0, 0, 0)
 
 
-def pt(a: int, b: int, c: int, d: int) -> Pt:
-    return (a % 4, b % 4, c % 4, d % 4)
-
-
 def add(p: Pt, q: Pt) -> Pt:
     return tuple((x + y) % 4 for x, y in zip(p, q))  # type: ignore[return-value]
-
-
-def neg(p: Pt) -> Pt:
-    return tuple((-x) % 4 for x in p)  # type: ignore[return-value]
 
 
 def double(p: Pt) -> Pt:
@@ -65,180 +56,6 @@ def four_torsion() -> tuple[Pt, ...]:
 
 def two_torsion() -> tuple[Pt, ...]:
     return tuple(p for p in four_torsion() if double(p) == ZERO)
-
-
-def halving_fiber(tau: Pt) -> tuple[Pt, ...]:
-    """Points alpha with 2*alpha = tau; a torsor under the two-torsion."""
-    if double(tau) != ZERO:
-        raise ValueError(f"{tau} is not a two-torsion point")
-    return tuple(p for p in four_torsion() if double(p) == tau)
-
-
-@dataclass(frozen=True, order=True)
-class WClass:
-    tau: Pt
-
-
-@dataclass(frozen=True, order=True)
-class VClass:
-    taus: tuple[Pt, Pt]
-
-    @staticmethod
-    def of(a: Pt, b: Pt) -> "VClass":
-        if a == b:
-            raise ValueError("V labels need two distinct two-torsion points")
-        return VClass(taus=(min(a, b), max(a, b)))
-
-
-@dataclass(frozen=True, order=True)
-class DClass:
-    tau: Pt
-    alpha: Pt
-
-    def __post_init__(self):
-        if double(self.alpha) != self.tau:
-            raise ValueError(f"alpha {self.alpha} does not halve to block {self.tau}")
-
-
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """x -> sign * x + translation on the abelian surface."""
-
-    translation: Pt
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-IDENTITY = GroupElement(ZERO, 1)
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    t = h.translation if g.sign == 1 else neg(h.translation)
-    return GroupElement(add(g.translation, t), g.sign * h.sign)
-
-
-def invert(g: GroupElement) -> GroupElement:
-    t = neg(g.translation) if g.sign == 1 else g.translation
-    return GroupElement(t, g.sign)
-
-
-def apply_to_point(g: GroupElement, p: Pt) -> Pt:
-    moved = p if g.sign == 1 else neg(p)
-    return add(moved, g.translation)
-
-
-def full_group() -> tuple[GroupElement, ...]:
-    return tuple(
-        GroupElement(t, s) for s in (1, -1) for t in four_torsion()
-    )
-
-
-def translation_subgroup() -> tuple[GroupElement, ...]:
-    return tuple(GroupElement(t, 1) for t in four_torsion())
-
-
-def sign_two_torsion_subgroup() -> tuple[GroupElement, ...]:
-    return tuple(
-        GroupElement(t, s) for s in (1, -1) for t in two_torsion()
-    )
-
-
-def act(g: GroupElement, label):
-    """Conjugation action on W, V and D labels.
-
-    Conjugating the involution with fixed locus W_tau by x -> sx + t
-    yields the involution of W_(tau + 2t), for either sign; a D label
-    over tau follows its fiber point, alpha -> s*alpha + t.
-    """
-    shift = double(g.translation)
-    if isinstance(label, WClass):
-        return WClass(add(label.tau, shift))
-    if isinstance(label, VClass):
-        a, b = label.taus
-        return VClass.of(add(a, shift), add(b, shift))
-    if isinstance(label, DClass):
-        return DClass(add(label.tau, shift), apply_to_point(g, label.alpha))
-    raise TypeError(f"no action on {type(label).__name__}")
-
-
-def orbit(label, elements: Iterable[GroupElement]) -> frozenset:
-    return frozenset(act(g, label) for g in elements)
-
-
-# ---------------------------------------------------------------------------
-# pattern sums
-
-def coincidence_pattern(labels: tuple) -> tuple[int, ...]:
-    """First-occurrence renumbering, e.g. (x, y, x) -> (0, 1, 0)."""
-    seen: dict = {}
-    out = []
-    for item in labels:
-        if item not in seen:
-            seen[item] = len(seen)
-        out.append(seen[item])
-    return tuple(out)
-
-
-def _patterns(arity: int) -> Iterable[tuple[int, ...]]:
-    # restricted growth strings: entry <= 1 + max of the prefix
-    if arity == 0:
-        yield ()
-        return
-    stack = [((0,), 0)]
-    while stack:
-        prefix, mx = stack.pop()
-        if len(prefix) == arity:
-            yield prefix
-            continue
-        for v in range(mx + 2):
-            stack.append((prefix + (v,), max(mx, v)))
-
-
-def orbit_sum(
-    n_labels: int,
-    arity: int,
-    value: Callable[[tuple[int, ...]], Fraction],
-) -> Fraction:
-    """Sum of value(pattern) over all label tuples, by counting patterns.
-
-    A pattern with k distinct symbols is realized by perm(n, k) tuples.
-    """
-    total = Fraction(0)
-    for pattern in _patterns(arity):
-        distinct = (max(pattern) + 1) if pattern else 0
-        if distinct > n_labels:
-            continue
-        total += math.perm(n_labels, distinct) * value(pattern)
-    return total
-
-
-def enumerated_sum(
-    n_labels: int,
-    arity: int,
-    value: Callable[[tuple[int, ...]], Fraction],
-) -> Fraction:
-    """Brute-force version of orbit_sum, for cross-checking small cases."""
-    total = Fraction(0)
-    for labels in product(range(n_labels), repeat=arity):
-        total += value(coincidence_pattern(labels))
-    return total
-
-
-def triple_value(
-    pattern: tuple[int, int, int],
-    cube: Fraction,
-    pair: Fraction,
-    distinct: Fraction,
-) -> Fraction:
-    blocks = max(pattern) + 1
-    if blocks == 1:
-        return cube
-    if blocks == 2:
-        return pair
-    return distinct
 
 
 def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
@@ -313,9 +130,9 @@ def derive_w_pairings(data: FixedClassIntersections) -> DerivedWPairings:
     c2_w_sq = data.ratio * data.qbar_w_sq + z_w_sq
     c2_w_pair = data.ratio * data.qbar_w_pair + z_w_pair
     trail = (
-        f"w*w_tau^2 = {format_rational(w_w_sq)}, w*w_tau*w_tau' = {format_rational(w_w_pair)}",
-        f"z*w_tau^2 = {format_rational(z_w_sq)}, z*w_tau*w_tau' = {format_rational(z_w_pair)}",
-        f"c2*w_tau^2 = {format_rational(c2_w_sq)}, c2*w_tau*w_tau' = {format_rational(c2_w_pair)}",
+        f"w*w_tau^2 = {w_w_sq}, w*w_tau*w_tau' = {w_w_pair}",
+        f"z*w_tau^2 = {z_w_sq}, z*w_tau*w_tau' = {z_w_pair}",
+        f"c2*w_tau^2 = {c2_w_sq}, c2*w_tau*w_tau' = {c2_w_pair}",
     )
     return DerivedWPairings(z_w_sq, z_w_pair, c2_w_sq, c2_w_pair, trail)
 
@@ -382,7 +199,7 @@ def deg4_independence_certificate(
                 )
     trail = pairings.trail + (
         f"matrix is {matrix.rows}x{matrix.cols}; "
-        f"separating gap w_tau^3 - w_tau^2*w_tau' = {format_rational(gap)}",
+        f"separating gap w_tau^3 - w_tau^2*w_tau' = {gap}",
     )
     return IndependenceCertificate(
         matrix=matrix,
@@ -420,10 +237,10 @@ def qbar_injectivity_certificate(
         rows.append(row)
     matrix = Matrix(rows)
     trail = (
-        f"qbar*c2*w_tau = ratio*{format_rational(data.qbar2_w)} "
-        f"+ {format_rational(data.qbarz_w)} = {format_rational(qbar_c2_w)}",
-        f"off-diagonal W block constant {format_rational(data.qbar_w_pair)}, "
-        f"diagonal {format_rational(data.qbar_w_sq)}",
+        f"qbar*c2*w_tau = ratio*{data.qbar2_w} "
+        f"+ {data.qbarz_w} = {qbar_c2_w}",
+        f"off-diagonal W block constant {data.qbar_w_pair}, "
+        f"diagonal {data.qbar_w_sq}",
     )
     return InjectivityCertificate(
         matrix=matrix, rank=rank(matrix), qbar_c2_w=qbar_c2_w, trail=trail
@@ -473,12 +290,12 @@ def d_gram_certificate(
     """
     row_total = diagonal + (block_size - 1) * same_block
     trail = [
-        f"row paired with its own block totals {format_rational(row_total)}"
+        f"row paired with its own block totals {row_total}"
     ]
     if cross_block is None:
         cross_block = Fraction(row_total, block_size)
         trail.append(
-            f"cross entries forced to {format_rational(cross_block)} "
+            f"cross entries forced to {cross_block} "
             f"by equal block totals"
         )
     cross_total = block_size * cross_block
@@ -539,7 +356,7 @@ def d_gram_certificate(
     block_square = block_size * row_total
     trail.append(
         f"rank {gram_rank}, nullity {nullity}; "
-        f"(block sum)^2 = {format_rational(block_square)}"
+        f"(block sum)^2 = {block_square}"
     )
     return DGramCertificate(
         blocks=blocks,

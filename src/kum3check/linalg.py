@@ -1,9 +1,10 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` values, which are always stored in
-lowest terms with a positive denominator and print as ``p/q`` (or ``p``
-when the denominator is 1).  That string form is the wire format used by
-every config file and report in this package.
+lowest terms with a positive denominator.  ``str(Fraction)`` gives ``p/q``
+(or ``p`` when the denominator is 1), and that string is the wire format
+of every config file and report in this package; f-strings with an empty
+format spec give the same string.
 
 Matrices are immutable and dense.  ``Fraction`` is the boundary type: it
 goes in and comes out, but the inner loops run on Python integers.  Each
@@ -17,7 +18,7 @@ below the pivot is updated by cross-multiplication and divided by its
 content (gcd of the entries).  Only the columns from the pivot onward are
 touched, because those to the left are already zero and leave the content
 unchanged.  A matrix is eliminated at most once: the echelon is memoised
-on the matrix and shared by ``rank``, ``kernel_basis`` and ``rref``.
+on the matrix and shared by ``rank`` and ``kernel_basis``.
 Next to it the matrix memoises, for each echelon row, the pivot and the
 nonzero (column, value) pairs to its right.  Back substitution reads only
 those pairs, so on a sparse echelon it skips the zero cells, and it keeps
@@ -50,11 +51,6 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as ``p/q``, or plain ``p`` for integers."""
-    return str(value)
 
 
 def vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -107,14 +103,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
@@ -196,7 +184,7 @@ class Matrix:
 
     def to_lists(self) -> list[list[str]]:
         """Rows rendered in the ``p/q`` wire format (for reports and trails)."""
-        return [[format_rational(x) for x in row] for row in self.entries]
+        return [list(map(str, row)) for row in self.entries]
 
 
 def _reduce_content(row: list[int]) -> list[int]:
@@ -283,28 +271,6 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
         x[f] = 1
         basis.append(tuple(_back_substitute(tails, x)))
     return basis
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns."""
-    ech, pivots = m._echelon_form()
-    rows = list(ech)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        piv_row = rows[i]
-        p = piv_row[c]
-        for k in range(i):
-            mk = rows[k][c]
-            if mk:
-                rows[k] = _reduce_content([p * a - mk * b for a, b in zip(rows[k], piv_row)])
-    out = []
-    for i in range(m.rows):
-        if i < len(pivots):
-            p = rows[i][pivots[i]]
-            out.append([Fraction(a, p) for a in rows[i]])
-        else:
-            out.append([0] * m.cols)
-    return Matrix(out), tuple(pivots)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ three-matching rule
 
 extended bilinearly to monomials.  Monomials are normalised to index
 pairs (i, j) with i <= j, and a product a_i * a_j with i != j is a single
-monomial rather than a symmetrised half-sum, so squaring a sum doubles
-every mixed coefficient.  All coefficients are exact rationals; the
-pairing runs over the Gram matrix and coefficients scaled to integers and
-builds one ``Fraction`` per result.
+monomial rather than a symmetrised half-sum, so the square of a sum,
+``sym2_product(space, u, u)``, doubles every mixed coefficient.  All
+coefficients are exact rationals; the pairing runs over the Gram matrix
+and coefficients scaled to integers and builds one ``Fraction`` per
+result.
+
+:class:`K3Hilb2Pack` holds the constants shared by K3[2]-type fourfolds;
+the derivations take it as an argument.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .linalg import Matrix, RationalLike, format_rational, rat, scaled_integers
+from .linalg import Matrix, RationalLike, rat, scaled_integers
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class QuadSpace:
     labels: tuple[str, ...]
     gram: Matrix
     name: str = ""
-    hilb2_pack: K3Hilb2Pack | None = None
 
     def __post_init__(self):
         n = len(self.labels)
@@ -127,10 +130,6 @@ class Sym2Vector:
     def as_map(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.coeffs)
 
-    def coefficient(self, label_a: str, label_b: str) -> Fraction:
-        i, j = sorted((self.space.index(label_a), self.space.index(label_b)))
-        return self.as_map().get((i, j), Fraction(0))
-
     def __add__(self, other: "Sym2Vector") -> "Sym2Vector":
         if other.space is not self.space:
             raise ValueError("cannot add Sym2 vectors from different spaces")
@@ -149,7 +148,7 @@ class Sym2Vector:
     def render(self) -> str:
         labels = self.space.labels
         parts = [
-            f"{format_rational(c)}*{labels[i]}.{labels[j]}" for (i, j), c in self.coeffs
+            f"{c}*{labels[i]}.{labels[j]}" for (i, j), c in self.coeffs
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -172,10 +171,6 @@ def sym2_product(
             key = (i, j) if i <= j else (j, i)
             out[key] = out.get(key, Fraction(0)) + ui * vj
     return Sym2Vector.from_map(space, out)
-
-
-def sym2_square(space: QuadSpace, u: Sequence[RationalLike]) -> Sym2Vector:
-    return sym2_product(space, u, u)
 
 
 def _scaled_coeffs(x: Sym2Vector) -> tuple[int, list[tuple[tuple[int, int], int]]]:
@@ -224,14 +219,3 @@ def qbar_dual(space: QuadSpace) -> Sym2Vector:
             raise ValueError(f"basis vector {space.labels[i]!r} is isotropic")
         out[(i, i)] = Fraction(1) / qii
     return Sym2Vector.from_map(space, out)
-
-
-def k3two_fujiki_pair(
-    space: QuadSpace,
-    u: Sequence[RationalLike],
-    v: Sequence[RationalLike],
-) -> Fraction:
-    """integral qbar * u * v on a K3[2]-type space, C(qbar) * q(u, v)."""
-    if space.hilb2_pack is None:
-        raise ValueError("space carries no K3[2] constant pack")
-    return space.hilb2_pack.qbar_fujiki * space.pair(u, v)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, format_rational
+from .linalg import Matrix
 
 
 def render_value(value) -> str:
@@ -22,7 +22,7 @@ def render_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, Matrix):

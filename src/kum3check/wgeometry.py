@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, add, two_torsion
-from .linalg import Matrix, format_rational, rat, solve_linear
+from .linalg import Matrix, rat, solve_linear
 from .quadspace import (
     K3Hilb2Pack,
     QuadSpace,
@@ -96,12 +96,12 @@ def derive_restriction_factor(
     factor_sq = c_w / pack.fujiki_constant
     root = _exact_sqrt(factor_sq)
     trail = (
-        f"q(xi|_W) = {format_rational(xi_w_square)} from the exceptional classes",
-        f"C(w) * {format_rational(xi_square**2)} = "
-        f"{format_rational(pack.fujiki_constant)} * {format_rational(xi_w_square**2)}"
-        f" -> C(w) = {format_rational(c_w)}",
-        f"scaling factor = sqrt(C(w)/{format_rational(pack.fujiki_constant)})"
-        f" = {format_rational(root)} (positive square on Kaehler classes)",
+        f"q(xi|_W) = {xi_w_square} from the exceptional classes",
+        f"C(w) * {xi_square**2} = "
+        f"{pack.fujiki_constant} * {xi_w_square**2}"
+        f" -> C(w) = {c_w}",
+        f"scaling factor = sqrt(C(w)/{pack.fujiki_constant})"
+        f" = {root} (positive square on Kaehler classes)",
     )
     return RestrictionFactor(
         c_w_component=c_w,
@@ -133,14 +133,6 @@ class WModel:
     basis_names: tuple[str, ...]
     xi_restriction: tuple[Fraction, ...]
 
-    @property
-    def alphas(self) -> tuple[Pt, ...]:
-        return ALPHAS
-
-    @property
-    def thetas(self) -> tuple[Pt, ...]:
-        return THETAS
-
     def s_index(self, alpha: Pt) -> int:
         return self.space.index(s_label(alpha))
 
@@ -152,7 +144,7 @@ PLUS_LABELS = ("lp1", "lp2", "lp3")
 MINUS_LABELS = ("lm1", "lm2", "lm3")
 
 
-def build_w_model(pack: K3Hilb2Pack, factor: Fraction) -> WModel:
+def build_w_model(factor: Fraction) -> WModel:
     labels = (
         PLUS_LABELS + MINUS_LABELS + tuple(s_label(a) for a in ALPHAS) + ("delta",)
     )
@@ -163,7 +155,7 @@ def build_w_model(pack: K3Hilb2Pack, factor: Fraction) -> WModel:
     gram = Matrix(
         [[squares[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     )
-    space = QuadSpace(labels=labels, gram=gram, name="fourfold", hilb2_pack=pack)
+    space = QuadSpace(labels=labels, gram=gram, name="fourfold")
 
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
@@ -290,16 +282,7 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the ambient rank-7 space and the restricted dual class
-
-def ambient_h2_space(xi_square: Fraction) -> QuadSpace:
-    """Rank-7 space of the sixfold: three +2, three -2, and xi."""
-    squares = [Fraction(2)] * 3 + [Fraction(-2)] * 3 + [rat(xi_square)]
-    gram = Matrix(
-        [[squares[i] if i == j else Fraction(0) for j in range(7)] for i in range(7)]
-    )
-    return QuadSpace(labels=H2_LABELS, gram=gram, name="ambient")
-
+# restriction from the config's rank-7 h2_space and the restricted dual class
 
 def restriction_images(model: WModel) -> dict[str, tuple[Fraction, ...]]:
     """Images of the ambient classes named by ``config.H2_LABELS``."""
@@ -336,7 +319,6 @@ def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
 @dataclass(frozen=True)
 class QbarRestriction:
     coeffs: tuple[Fraction, ...]
-    sym2: Sym2Vector
     trail: tuple[str, ...]
 
 
@@ -348,13 +330,13 @@ def restrict_qbar(model: WModel, ambient: QuadSpace) -> QbarRestriction:
     trail = (
         "ambient dual class = " + dual.render(),
         "restriction expanded over the invariant classes: "
-        + ", ".join(format_rational(c) for c in coeffs[:3])
+        + ", ".join(map(str, coeffs[:3]))
         + ", shifts "
-        + format_rational(coeffs[3])
+        + str(coeffs[3])
         + ", mixed "
-        + format_rational(coeffs[18]),
+        + str(coeffs[18]),
     )
-    return QbarRestriction(coeffs=coeffs, sym2=restricted, trail=trail)
+    return QbarRestriction(coeffs=coeffs, trail=trail)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +439,11 @@ def v_restriction_data(
 
     c2_deg = deg_c2_v + 2 * deg_c2_nvw
     trail = (
-        f"(delta|_V)^2 = {format_rational(delta_sq)}, xi|_V squared = {format_rational(xi_sq)}",
-        f"C(pair class) = {format_rational(xi_sq)} / {format_rational(xi_square)} "
-        f"= {format_rational(c_v)}",
-        f"c2 restricted to V has degree {format_rational(deg_c2_v)} + "
-        f"2*{format_rational(deg_c2_nvw)} = {format_rational(c2_deg)}",
+        f"(delta|_V)^2 = {delta_sq}, xi|_V squared = {xi_sq}",
+        f"C(pair class) = {xi_sq} / {xi_square} "
+        f"= {c_v}",
+        f"c2 restricted to V has degree {deg_c2_v} + "
+        f"2*{deg_c2_nvw} = {c2_deg}",
     )
     return VRestrictionData(
         delta_sq=delta_sq,
@@ -560,9 +542,9 @@ def restrict_w_other(
     if not solved.ok:
         raise ValueError(f"singular intersection matrix: {solved.detail}")
     trail = data.trail + (
-        f"dual-class pairing = ({format_rational(deg_c2_v)} + "
-        f"{format_rational(deg_c2_nvw)}) / {format_rational(pack.c2_qbar_ratio)} "
-        f"= {format_rational(qbar_rhs)}",
+        f"dual-class pairing = ({deg_c2_v} + "
+        f"{deg_c2_nvw}) / {pack.c2_qbar_ratio} "
+        f"= {qbar_rhs}",
         "unique solution of the 19x19 pairing system",
     )
     return WOtherRestriction(
@@ -741,13 +723,13 @@ def restrict_w_self(
         raise ValueError("pairings among other-fourfold restrictions are not uniform")
 
     trail = (
-        f"dual-class pairing = ({format_rational(c4_w_component)} - "
-        f"{format_rational(pack.c4_degree)}) / {format_rational(pack.c2_qbar_ratio)} "
-        f"= {format_rational(qbar_rhs)}",
+        f"dual-class pairing = ({c4_w_component} - "
+        f"{pack.c4_degree}) / {pack.c2_qbar_ratio} "
+        f"= {qbar_rhs}",
         f"sum over other fourfolds pairs to {len(THETAS)}*"
-        f"{format_rational(w_sq_w_other)} = {format_rational(rhs[1])}",
-        f"coefficients eta = {format_rational(eta)}, beta = {format_rational(beta)}, "
-        f"gamma = {format_rational(gamma)}",
+        f"{w_sq_w_other} = {rhs[1]}",
+        f"coefficients eta = {eta}, beta = {beta}, "
+        f"gamma = {gamma}",
     )
     return WSelfRestriction(
         coeffs=final,
@@ -801,8 +783,8 @@ def d_self_pairings(model: WModel, self_coeffs: Sequence[Fraction]) -> DPairings
     diagonal = diag_vals.pop()
     same_block = off_vals.pop()
     trail = (
-        f"divisor self-pairing {format_rational(diagonal)}, "
-        f"same-fourfold pairing {format_rational(same_block)}, "
+        f"divisor self-pairing {diagonal}, "
+        f"same-fourfold pairing {same_block}, "
         f"uniform over all label choices: {uniform}",
     )
     return DPairings(

@@ -14,21 +14,13 @@ import pytest
 from kum3check.config import FUJIKI_KEYS, default_config_text, parse_config
 from kum3check.engine import Engine
 from kum3check.fujiki import deg4, deg8, qbar_factor
-from kum3check.kummer import (
-    ZERO,
-    DClass,
-    GroupElement,
-    act,
-    enumerated_sum,
-    four_torsion,
-    halving_fiber,
-    orbit_sum,
-    two_torsion,
-)
+from kum3check.kummer import ZERO, four_torsion, two_torsion
 from kum3check.linalg import Matrix, kernel_basis, rank
 from kum3check.quadspace import sym2_pair, sym2_product
 from kum3check.suites import run_suite
-from kum3check.wgeometry import ambient_h2_space, expected_gram19
+from kum3check.wgeometry import expected_gram19
+
+from label_group import DClass, GroupElement, act, enumerated_sum, halving_fiber, orbit_sum
 
 
 @pytest.fixture
@@ -221,8 +213,7 @@ def _rank_nullity_against_oracle():
             assert mat.mat_vec(vec) == tuple([Fraction(0)] * n)
 
 
-def _sym2_pairing_is_bilinear_and_symmetric():
-    space = ambient_h2_space(Fraction(-8))
+def _sym2_pairing_is_bilinear_and_symmetric(space):
     rng = random.Random(11)
 
     def rand_vec():
@@ -270,10 +261,10 @@ def _orbit_counting_matches_enumeration():
         assert orbit_sum(n, 2, value) == enumerated_sum(n, 2, value)
 
 
-def test_property_suites(criterion):
+def test_property_suites(criterion, engine):
     with criterion(8):
         _rank_nullity_against_oracle()
-        _sym2_pairing_is_bilinear_and_symmetric()
+        _sym2_pairing_is_bilinear_and_symmetric(engine.ambient)
         _pairings_are_equivariant_on_generators()
         _orbit_counting_matches_enumeration()
 

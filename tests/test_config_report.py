@@ -411,6 +411,17 @@ def test_cli_bad_config_content(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_path(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    assert main(["verify", "all", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"cannot write {out_path}: ")
+    assert not out_path.exists()
+
+
 def test_cli_show_config(capsys):
     assert main(["show-config"]) == 0
     obj = json.loads(capsys.readouterr().out)

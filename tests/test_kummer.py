@@ -8,40 +8,41 @@ from hypothesis import strategies as st
 
 from kum3check import kummer
 from kum3check.kummer import (
-    IDENTITY,
     ZERO,
-    DClass,
     FixedClassIntersections,
-    GroupElement,
-    VClass,
-    WClass,
-    act,
-    add,
-    apply_to_point,
-    coincidence_pattern,
-    compose,
     component_cube_from_total,
     d_gram_certificate,
     deg4_independence_certificate,
     double,
-    enumerated_sum,
     four_torsion,
-    full_group,
-    halving_fiber,
-    invert,
-    neg,
-    orbit,
-    orbit_sum,
     qbar_injectivity_certificate,
-    sign_two_torsion_subgroup,
-    translation_subgroup,
-    triple_value,
     two_torsion,
     w_dot_v_total,
     w_times_w_pair,
     w_times_w_sq,
 )
 from kum3check.linalg import Matrix, kernel_basis, rank
+
+from label_group import (
+    IDENTITY,
+    DClass,
+    GroupElement,
+    VClass,
+    WClass,
+    act,
+    apply_to_point,
+    coincidence_pattern,
+    compose,
+    enumerated_sum,
+    full_group,
+    halving_fiber,
+    invert,
+    orbit,
+    orbit_sum,
+    sign_two_torsion_subgroup,
+    translation_subgroup,
+    triple_value,
+)
 
 group_elements = st.sampled_from(full_group())
 
@@ -153,6 +154,23 @@ def test_sum_class_pattern_counts():
         return triple_value(pattern, Fraction(60), Fraction(12), Fraction(4))
 
     assert orbit_sum(16, 3, value) == 23040
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@given(st.integers(2, 6), small_rationals, small_rationals, small_rationals)
+def test_pattern_counts_match_brute_force_sums(n, cube, pair, distinct):
+    def value(labels):
+        return triple_value(coincidence_pattern(labels), cube, pair, distinct)
+
+    unordered_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    w_dot_v = sum(value((tau, a, b)) for tau in range(n) for a, b in unordered_pairs)
+    assert w_dot_v_total(pair, distinct, n) == w_dot_v
+    total = enumerated_sum(n, 3, value)
+    assert component_cube_from_total(total, pair, distinct, n) == cube
+    assert w_times_w_sq(cube, pair, n) == sum(value((s, 0, 0)) for s in range(n))
+    assert w_times_w_pair(pair, distinct, n) == sum(value((s, 0, 1)) for s in range(n))
 
 
 @pytest.fixture(scope="module")

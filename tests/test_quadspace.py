@@ -6,23 +6,12 @@ from hypothesis import strategies as st
 
 from kum3check.linalg import Matrix
 from kum3check.quadspace import (
-    K3Hilb2Pack,
     QuadSpace,
     Sym2Vector,
-    k3two_fujiki_pair,
     qbar_dual,
     sym2_gram,
     sym2_pair,
     sym2_product,
-    sym2_square,
-)
-
-PACK = K3Hilb2Pack(
-    fujiki_constant=Fraction(3),
-    qbar_fujiki=Fraction(25),
-    qbar_square=Fraction(575),
-    c2_qbar_ratio=Fraction(6, 5),
-    c4_degree=Fraction(324),
 )
 
 AMBIENT = QuadSpace(
@@ -37,7 +26,6 @@ AMBIENT = QuadSpace(
         [0, 0, 0, 0, 0, 0, -8],
     ]),
     name="ambient",
-    hilb2_pack=PACK,
 )
 
 
@@ -74,16 +62,6 @@ def test_dual_class_requires_orthogonal_basis():
         qbar_dual(skew)
 
 
-def test_fujiki_pair_scales_the_form():
-    u = AMBIENT.basis_vector("y1")
-    v = AMBIENT.basis_vector("y2")
-    assert k3two_fujiki_pair(AMBIENT, u, u) == 50
-    assert k3two_fujiki_pair(AMBIENT, u, v) == 0
-    bare = QuadSpace(labels=("a",), gram=Matrix([[2]]))
-    with pytest.raises(ValueError):
-        k3two_fujiki_pair(bare, (1,), (1,))
-
-
 def test_dual_square_on_the_ambient_space():
     dual = qbar_dual(AMBIENT)
     # three matchings on rank n give n^2 + 2n, independent of the diagonal
@@ -100,9 +78,11 @@ def test_sym2_vector_is_canonical():
 
 
 def test_sym2_gram_is_symmetric():
+    y1 = AMBIENT.basis_vector("y1")
+    xi = AMBIENT.basis_vector("xi")
     vectors = [
-        sym2_square(AMBIENT, AMBIENT.basis_vector("y1")),
-        sym2_square(AMBIENT, AMBIENT.basis_vector("xi")),
+        sym2_product(AMBIENT, y1, y1),
+        sym2_product(AMBIENT, xi, xi),
         qbar_dual(AMBIENT),
     ]
     g = sym2_gram(AMBIENT, vectors)
@@ -116,8 +96,8 @@ vectors7 = st.lists(coefficient, min_size=7, max_size=7).map(tuple)
 
 @given(vectors7, vectors7)
 def test_pairing_is_symmetric(u, v):
-    x = sym2_square(AMBIENT, u)
-    y = sym2_square(AMBIENT, v)
+    x = sym2_product(AMBIENT, u, u)
+    y = sym2_product(AMBIENT, v, v)
     assert sym2_pair(x, y) == sym2_pair(y, x)
     assert sym2_product(AMBIENT, u, v) == sym2_product(AMBIENT, v, u)
 
@@ -128,17 +108,18 @@ def test_pairing_is_bilinear(u, v, w):
     uw = sym2_product(AMBIENT, u, w)
     vw = [a + b for a, b in zip(v, w)]
     assert sym2_product(AMBIENT, u, vw) == uv + uw
-    y = sym2_square(AMBIENT, w)
+    y = sym2_product(AMBIENT, w, w)
     assert sym2_pair(uv + uw, y) == sym2_pair(uv, y) + sym2_pair(uw, y)
     assert sym2_pair(3 * uv, y) == 3 * sym2_pair(uv, y)
 
 
 @given(vectors7, vectors7)
 def test_polarization_identity(u, v):
-    plus = sym2_square(AMBIENT, [a + b for a, b in zip(u, v)])
-    assert plus == sym2_square(AMBIENT, u) + 2 * sym2_product(
+    u_plus_v = [a + b for a, b in zip(u, v)]
+    plus = sym2_product(AMBIENT, u_plus_v, u_plus_v)
+    assert plus == sym2_product(AMBIENT, u, u) + 2 * sym2_product(
         AMBIENT, u, v
-    ) + sym2_square(AMBIENT, v)
+    ) + sym2_product(AMBIENT, v, v)
 
 
 # ---------------------------------------------------------------------------

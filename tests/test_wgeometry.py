@@ -10,7 +10,6 @@ from kum3check.wgeometry import (
     ALPHAS,
     THETAS,
     _exact_sqrt,
-    ambient_h2_space,
     build_gram19,
     build_v_model,
     build_w_model,
@@ -48,7 +47,7 @@ def factor():
 
 @pytest.fixture(scope="module")
 def model(factor):
-    return build_w_model(PACK, factor.factor)
+    return build_w_model(factor.factor)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,8 @@ def gram(model):
 
 
 @pytest.fixture(scope="module")
-def ambient():
-    return ambient_h2_space(XI_SQUARE)
+def ambient(engine):
+    return engine.ambient
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +141,7 @@ small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
 @given(st.lists(small, min_size=19, max_size=19))
 def test_expand_in_basis_is_linear(coeffs):
-    model = build_w_model(PACK, Fraction(2))
+    model = build_w_model(Fraction(2))
     x = combination(model, coeffs)
     assert expand_in_basis(model, x) == tuple(Fraction(c) for c in coeffs)
 
@@ -315,11 +314,10 @@ def test_sprime_squares_expand_by_hand(model):
     assert coeffs[1] == 16 and coeffs[2] == 16 and coeffs[18] == -8
 
 
-def test_ambient_space_shape():
-    space = ambient_h2_space(XI_SQUARE)
-    assert space.labels == ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
-    xi = space.basis_vector("xi")
-    assert space.pair(xi, xi) == -8
+def test_ambient_space_shape(ambient):
+    assert ambient.labels == ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
+    xi = ambient.basis_vector("xi")
+    assert ambient.pair(xi, xi) == -8
 
 
 def test_theta_sum_closure():
