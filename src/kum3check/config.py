@@ -167,15 +167,10 @@ class ConfigDocument:
 
     def to_json_obj(self) -> dict:
         out: dict = {}
-        for pack_name, entries in (
-            ("fujiki_constants", self.fujiki_constants),
-            ("fourfold_pack", self.fourfold_pack),
-            ("geometry_pack", self.geometry_pack),
-            ("hodge_pack", self.hodge_pack),
-        ):
+        for pack_name in _PACKS:
             out[pack_name] = {
                 k: {"value": str(e.value), "source": e.source}
-                for k, e in entries.items()
+                for k, e in getattr(self, pack_name).items()
             }
         out["h2_space"] = {
             "labels": list(self.h2_labels),
@@ -270,6 +265,8 @@ def parse_config(text: str) -> ConfigDocument:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise ConfigError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("document root must be an object")
     missing = [name for name in _SECTIONS if name not in raw]
@@ -297,7 +294,7 @@ def load_config(path: str) -> ConfigDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return parse_config(text)
 

@@ -67,7 +67,6 @@ from .wgeometry import (
     WOtherRestriction,
     WSelfRestriction,
     build_gram19,
-    build_v_model,
     build_w_model,
     d_self_pairings,
     derive_restriction_factor,
@@ -140,9 +139,8 @@ class Engine:
 
     @cached_property
     def v_data(self) -> VRestrictionData:
-        vm = build_v_model(THETAS[0])
         return v_restriction_data(
-            vm,
+            THETAS[0],
             self.doc.geometry("xi_square"),
             self.doc.geometry("surface_c2_degree"),
             self.doc.geometry("normal_c2_degree"),
@@ -170,10 +168,10 @@ class Engine:
     @cached_property
     def w_self(self) -> WSelfRestriction:
         return restrict_w_self(
-            self.w_model,
             self.gram19,
             self.pack,
             self.qbar_restriction,
+            self.sprime,
             self.w_other_all,
             c4_w_component=self.doc.geometry("c4_component_pairing"),
             w_sq_w_other=self.doc.geometry("normal_c2_degree"),

@@ -192,10 +192,6 @@ class Deg8:
     qbarz: Fraction
 
 
-def deg4(qbar: RationalLike, z: RationalLike) -> Deg4:
-    return Deg4(rat(qbar), rat(z))
-
-
 def deg8(qbar2: RationalLike, qbarz: RationalLike) -> Deg8:
     return Deg8(rat(qbar2), rat(qbarz))
 

@@ -4,8 +4,9 @@ One fourfold W carries a rank-23 quadratic space: six classes restricted
 from the ambient sixfold (squares +4 and -4 after the restriction factor),
 sixteen exceptional s classes and one half-diagonal class delta, all of
 square -2 and pairwise orthogonal.  The surface V cut out by a second
-fourfold carries sixteen (-2)-curves, eight per side, indexed by cosets
-of the difference label.
+fourfold is one fixed space of sixteen orthogonal (-2)-curves, eight per
+side.  Only the labelling of each side's curves by the cosets of the
+difference label theta depends on theta.
 
 Everything numeric flows from a handful of geometric inputs: the square
 of the half-exceptional class xi upstairs, its restrictions
@@ -49,6 +50,20 @@ def s_label(alpha: Pt) -> str:
 ALPHAS: tuple[Pt, ...] = two_torsion()
 THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
 
+# xi|_W = 2*delta + (1/2) * sum of the s classes, by label
+XI_ON_W: dict[str, Fraction] = {s_label(a): Fraction(1, 2) for a in ALPHAS}
+XI_ON_W["delta"] = Fraction(2)
+
+
+def _diagonal_space(
+    labels: tuple[str, ...], squares: Sequence[Fraction], name: str
+) -> QuadSpace:
+    n = len(labels)
+    gram = Matrix(
+        [[squares[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    )
+    return QuadSpace(labels=labels, gram=gram, name=name)
+
 
 # ---------------------------------------------------------------------------
 # the restriction factor, from exceptional classes alone
@@ -56,18 +71,12 @@ THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
 def nodal_space() -> QuadSpace:
     """The s classes and delta: seventeen orthogonal (-2)-classes."""
     labels = tuple(s_label(a) for a in ALPHAS) + ("delta",)
-    n = len(labels)
-    gram = Matrix(
-        [[Fraction(-2) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    return QuadSpace(labels=labels, gram=gram, name="nodal")
+    return _diagonal_space(labels, [Fraction(-2)] * len(labels), "nodal")
 
 
 def xi_restriction_on(space: QuadSpace) -> tuple[Fraction, ...]:
-    """The class 2*delta + (1/2) * sum of the s classes."""
-    coeffs = {s_label(a): Fraction(1, 2) for a in ALPHAS}
-    coeffs["delta"] = Fraction(2)
-    return space.vector(coeffs)
+    """The class xi|_W = 2*delta + (1/2) * sum of the s classes."""
+    return space.vector(XI_ON_W)
 
 
 @dataclass(frozen=True)
@@ -148,14 +157,8 @@ def build_w_model(factor: Fraction) -> WModel:
     labels = (
         PLUS_LABELS + MINUS_LABELS + tuple(s_label(a) for a in ALPHAS) + ("delta",)
     )
-    squares = (
-        [2 * factor] * 3 + [-2 * factor] * 3 + [Fraction(-2)] * 17
-    )
-    n = len(labels)
-    gram = Matrix(
-        [[squares[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    space = QuadSpace(labels=labels, gram=gram, name="fourfold")
+    squares = [2 * factor] * 3 + [-2 * factor] * 3 + [Fraction(-2)] * 17
+    space = _diagonal_space(labels, squares, "fourfold")
 
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
@@ -342,55 +345,52 @@ def restrict_qbar(model: WModel, ambient: QuadSpace) -> QbarRestriction:
 # ---------------------------------------------------------------------------
 # the surface cut out by a second fourfold
 
-@dataclass(frozen=True)
-class VModel:
-    """Sixteen (-2)-curves on the surface V, eight per fourfold side."""
-
-    space: QuadSpace
-    theta: Pt
-    near_cosets: tuple[tuple[Pt, Pt], ...]
-    far_labels: tuple[str, ...]
-
-    def near_vector(self, alpha: Pt) -> tuple[Fraction, ...]:
-        for coset in self.near_cosets:
-            if alpha in coset:
-                return self.space.basis_vector(f"ra{_bits(coset[0])}")
-        raise KeyError(f"{alpha} is not a two-torsion label")
-
-    def delta_vector(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.space.dim
-        for label in self.far_labels:
-            out[self.space.index(label)] = Fraction(1, 2)
-        return tuple(out)
-
-    def xi_vector(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) for _ in range(self.space.dim))
+SIDE = 8  # curves on each side of V, one per coset {alpha, alpha + theta}
+SURFACE = _diagonal_space(
+    tuple(f"near{k}" for k in range(SIDE)) + tuple(f"far{k}" for k in range(SIDE)),
+    [Fraction(-2)] * (2 * SIDE),
+    "surface",
+)
+_CURVES = tuple(SURFACE.basis_vector(label) for label in SURFACE.labels)
+_SIDES = (_CURVES[:SIDE], _CURVES[SIDE:])
+_HALF_SUMS = tuple(
+    tuple(sum(curve[k] for curve in side) / 2 for k in range(SURFACE.dim))
+    for side in _SIDES
+)
+# xi|_V: the sum of all sixteen curves
+XI_ON_V = (Fraction(1),) * SURFACE.dim
 
 
-def build_v_model(theta: Pt) -> VModel:
+def surface_images(theta: Pt, far: bool = False) -> dict[str, tuple[Fraction, ...]]:
+    """Images on V of one fourfold's s classes and delta.
+
+    The fourfold on the near side sends s_alpha to the near curve of the
+    coset {alpha, alpha + theta} and delta to half the sum of the far
+    curves.  With ``far`` the sides swap: this is the second fourfold's
+    view of the same surface.
+    """
     if theta == ZERO:
         raise ValueError("the two fourfolds must have distinct labels")
-    cosets = []
-    seen = set()
+    own, other = (1, 0) if far else (0, 1)
+    images: dict[str, tuple[Fraction, ...]] = {"delta": _HALF_SUMS[other]}
+    curves = iter(_SIDES[own])
     for alpha in ALPHAS:
-        if alpha in seen:
-            continue
-        beta = add(alpha, theta)
-        seen.update({alpha, beta})
-        cosets.append((min(alpha, beta), max(alpha, beta)))
-    near_labels = tuple(f"ra{_bits(c[0])}" for c in cosets)
-    far_labels = tuple(f"rb{_bits(c[0])}" for c in cosets)
-    labels = near_labels + far_labels
-    n = len(labels)
-    gram = Matrix(
-        [[Fraction(-2) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    return VModel(
-        space=QuadSpace(labels=labels, gram=gram, name="surface"),
-        theta=theta,
-        near_cosets=tuple(cosets),
-        far_labels=far_labels,
-    )
+        label = s_label(alpha)
+        if label not in images:
+            images[label] = images[s_label(add(alpha, theta))] = next(curves)
+    return images
+
+
+def _push(
+    images: dict[str, tuple[Fraction, ...]], coeffs: dict[str, Fraction]
+) -> tuple[Fraction, ...]:
+    """The image on V of sum(c * label), skipping zero cells."""
+    out = [Fraction(0)] * SURFACE.dim
+    for label, c in coeffs.items():
+        for k, x in enumerate(images[label]):
+            if x:
+                out[k] += c * x
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,7 @@ class VRestrictionData:
 
 
 def v_restriction_data(
-    vm: VModel,
+    theta: Pt,
     xi_square: Fraction,
     deg_c2_v: Fraction,
     deg_c2_nvw: Fraction,
@@ -416,26 +416,28 @@ def v_restriction_data(
 
     The Fujiki constant of a pair class is integral (xi|_V)^2 / q(xi),
     and the degree of the restricted second Chern class is the sum of
-    the surface term and both normal-bundle terms.
+    the surface term and both normal-bundle terms.  Both fourfolds must
+    restrict their xi to the same class xi|_V.
     """
-    sp = vm.space
-    delta = vm.delta_vector()
-    delta_sq = sp.pair(delta, delta)
+    near = surface_images(theta)
+    delta = near["delta"]
+    delta_sq = SURFACE.pair(delta, delta)
     alpha0 = ALPHAS[0]
-    delta_s = sp.pair(delta, vm.near_vector(alpha0))
-    same = sp.pair(vm.near_vector(alpha0), vm.near_vector(add(alpha0, vm.theta)))
-    same_self = sp.pair(vm.near_vector(alpha0), vm.near_vector(alpha0))
-    if same != same_self:
+    partner = add(alpha0, theta)
+    s0 = near[s_label(alpha0)]
+    delta_s = SURFACE.pair(delta, s0)
+    same = SURFACE.pair(s0, near[s_label(partner)])
+    if same != SURFACE.pair(s0, s0):
         raise ValueError("curve classes in one coset do not pair equally")
-    other = sp.pair(vm.near_vector(alpha0), vm.near_vector(_other_alpha(vm)))
-    xi_v = vm.xi_vector()
-    xi_sq = sp.pair(xi_v, xi_v)
+    other_alpha = next(a for a in ALPHAS if a not in (alpha0, partner))
+    other = SURFACE.pair(s0, near[s_label(other_alpha)])
+    xi_sq = SURFACE.pair(XI_ON_V, XI_ON_V)
     c_v = xi_sq / xi_square
 
-    composed = [2 * d + s for d, s in zip(delta, _sum_of_near(vm))]
-    agree = tuple(composed) == xi_v
-    swapped = [2 * f + n for f, n in zip(_half_sum_far_as_delta(vm), _sum_of_far(vm))]
-    agree = agree and tuple(swapped) == xi_v
+    agree = (
+        _push(near, XI_ON_W) == XI_ON_V
+        and _push(surface_images(theta, far=True), XI_ON_W) == XI_ON_V
+    )
 
     c2_deg = deg_c2_v + 2 * deg_c2_nvw
     trail = (
@@ -456,38 +458,6 @@ def v_restriction_data(
         compositions_agree=agree,
         trail=trail,
     )
-
-
-def _other_alpha(vm: VModel) -> Pt:
-    alpha0 = ALPHAS[0]
-    for alpha in ALPHAS:
-        if alpha not in (alpha0, add(alpha0, vm.theta)):
-            return alpha
-    raise AssertionError
-
-
-def _sum_of_near(vm: VModel) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * vm.space.dim
-    for alpha in ALPHAS:
-        vec = vm.near_vector(alpha)
-        out = [a + Fraction(1, 2) * b for a, b in zip(out, vec)]
-    return tuple(out)
-
-
-def _sum_of_far(vm: VModel) -> tuple[Fraction, ...]:
-    # the far side is a torsor over the same cosets: each class appears twice
-    out = [Fraction(0)] * vm.space.dim
-    for label in vm.far_labels:
-        out[vm.space.index(label)] = Fraction(1)
-    return tuple(out)
-
-
-def _half_sum_far_as_delta(vm: VModel) -> tuple[Fraction, ...]:
-    # seen from the other fourfold, its delta restricts to half the near sum
-    out = [Fraction(0)] * vm.space.dim
-    for coset in vm.near_cosets:
-        out[vm.space.index(f"ra{_bits(coset[0])}")] = Fraction(1, 2)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +489,18 @@ def restrict_w_other(
     scaled by the c2-to-dual ratio.  The 19x19 system then has a unique
     solution.
     """
-    vm = build_v_model(theta)
-    data = v_restriction_data(vm, xi_square, deg_c2_v, deg_c2_nvw)
+    data = v_restriction_data(theta, xi_square, deg_c2_v, deg_c2_nvw)
     if not data.compositions_agree:
         raise ValueError("xi restrictions to the surface disagree between the two sides")
 
-    images: dict[str, tuple[Fraction, ...]] = {"delta": vm.delta_vector()}
-    for alpha in ALPHAS:
-        images[s_label(alpha)] = vm.near_vector(alpha)
-
+    images = surface_images(theta)
+    labels = model.space.labels
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / pack.c2_qbar_ratio
     rhs = [qbar_rhs]
     for vec in model.basis[1:]:
         total = Fraction(0)
         for (i, j), coeff in vec.coeffs:
-            total += coeff * vm.space.pair(
-                images[model.space.labels[i]], images[model.space.labels[j]]
-            )
+            total += coeff * SURFACE.pair(images[labels[i]], images[labels[j]])
         rhs.append(total)
 
     solved = solve_linear(gram, rhs)
@@ -636,10 +601,10 @@ class WSelfRestriction:
 
 
 def restrict_w_self(
-    model: WModel,
     gram: Matrix,
     pack: K3Hilb2Pack,
     qbar_rest: QbarRestriction,
+    sprime: SPrimeVectors,
     others: Sequence[WOtherRestriction],
     c4_w_component: Fraction,
     w_sq_w_other: Fraction,
@@ -653,7 +618,6 @@ def restrict_w_self(
     pairings (with the fourfold dual, the sum of all other restrictions,
     and the restricted ambient dual) determine the three coefficients.
     """
-    sprime = s_prime_vectors(model)
     g1 = qbar_rest.coeffs
     g2 = sprime.sum_squares
     g3 = sprime.sum_mixed_all

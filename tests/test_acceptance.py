@@ -13,7 +13,7 @@ import pytest
 
 from kum3check.config import FUJIKI_KEYS, default_config_text, parse_config
 from kum3check.engine import Engine
-from kum3check.fujiki import deg4, deg8, qbar_factor
+from kum3check.fujiki import Deg4, deg8, qbar_factor
 from kum3check.kummer import ZERO, four_torsion, two_torsion
 from kum3check.linalg import Matrix, kernel_basis, rank
 from kum3check.quadspace import sym2_pair, sym2_product
@@ -77,7 +77,7 @@ def test_auxiliary_class_relations(criterion, engine):
 def test_sum_class_identities(criterion, engine):
     with criterion(3):
         wv = engine.wv
-        assert wv.w == deg4(Fraction(16, 11), -3)
+        assert wv.w == Deg4(Fraction(16, 11), Fraction(-3))
         assert wv.v == deg8(Fraction(40, 33), Fraction(-45, 7))
         assert wv.w_dot_v == 9600
         assert wv.w_cube == 23040

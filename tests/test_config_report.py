@@ -138,6 +138,30 @@ def test_overlong_json_integer_is_a_config_error():
         parse_config('{"fujiki_constants": ' + "1" * 4301 + "}")
 
 
+DEEP = "[" * 1000 + "]" * 1000
+
+
+def test_deeply_nested_json_is_a_config_error():
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        parse_config(DEEP)
+
+
+def test_cli_rejects_deeply_nested_json_once(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "configuration error" in err
+
+
+def test_cli_rejects_a_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot read {path}" in err
+
+
 def test_missing_key_named():
     def mutate(raw):
         del raw["fourfold_pack"]["qbar_square"]

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from kum3check.fujiki import (
+    Deg4,
     FujikiTable,
     FujikiTableError,
     WVInputs,
     auxiliary_values,
     c_of,
-    deg4,
     deg8,
     derive_z_relations,
     evaluate_fujiki,
@@ -121,9 +121,9 @@ def test_multiply_and_integrate(rel):
     assert c_of(c2_sq, rel) == 1920
     assert multiply(rel.c2, c2_sq, rel) == 30208
     assert multiply(rel.c2, rel.c4, rel) == 6784
-    assert multiply(deg4(1, 0), deg8(1, 0), rel) == 2772
-    assert multiply(deg4(0, 1), deg8(1, 0), rel) == 0
-    assert multiply(deg4(0, 1), deg8(0, 1), rel) == Fraction(2688, 11)
+    assert multiply(Deg4(Fraction(1), Fraction(0)), deg8(1, 0), rel) == 2772
+    assert multiply(Deg4(Fraction(0), Fraction(1)), deg8(1, 0), rel) == 0
+    assert multiply(Deg4(Fraction(0), Fraction(1)), deg8(0, 1), rel) == Fraction(2688, 11)
 
 
 def test_evaluate_fujiki():

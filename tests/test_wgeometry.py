@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kum3check import engine as engine_module
+from kum3check import wgeometry
+from kum3check.config import default_config
+from kum3check.engine import Engine
 from kum3check.kummer import ZERO, add
 from kum3check.quadspace import K3Hilb2Pack, Sym2Vector, sym2_pair, sym2_product
+from kum3check.suites import run_suite
 from kum3check.wgeometry import (
     ALPHAS,
     THETAS,
     _exact_sqrt,
     build_gram19,
-    build_v_model,
     build_w_model,
     combination,
     d_self_pairings,
@@ -78,10 +82,10 @@ def others(model, gram):
 @pytest.fixture(scope="module")
 def w_self(model, gram, qbar_rest, others):
     return restrict_w_self(
-        model,
         gram,
         PACK,
         qbar_rest,
+        s_prime_vectors(model),
         others,
         c4_w_component=Fraction(408),
         w_sq_w_other=Fraction(12),
@@ -179,8 +183,7 @@ def test_qbar_restriction_coefficients(model, gram, qbar_rest):
 
 
 def test_v_restriction_data():
-    vm = build_v_model(THETAS[0])
-    data = v_restriction_data(vm, XI_SQUARE, Fraction(24), Fraction(12))
+    data = v_restriction_data(THETAS[0], XI_SQUARE, Fraction(24), Fraction(12))
     assert data.delta_sq == -4
     assert data.delta_s == 0
     assert data.s_pair_same_coset == -2
@@ -194,8 +197,7 @@ def test_v_restriction_data():
 def test_v_restriction_is_shift_independent():
     values = set()
     for theta in THETAS:
-        vm = build_v_model(theta)
-        data = v_restriction_data(vm, XI_SQUARE, Fraction(24), Fraction(12))
+        data = v_restriction_data(theta, XI_SQUARE, Fraction(24), Fraction(12))
         values.add(
             (
                 data.delta_sq,
@@ -212,7 +214,22 @@ def test_v_restriction_is_shift_independent():
 
 def test_v_model_rejects_zero_shift():
     with pytest.raises(ValueError):
-        build_v_model(ZERO)
+        v_restriction_data(ZERO, XI_SQUARE, Fraction(24), Fraction(12))
+
+
+def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, monkeypatch):
+    true_images = wgeometry.surface_images
+
+    def wrong_delta(theta, far=False):
+        images = true_images(theta, far)
+        images["delta"] = images[s_label(ZERO)]
+        return images
+
+    monkeypatch.setattr(wgeometry, "surface_images", wrong_delta)
+    with pytest.raises(ValueError, match="xi restrictions to the surface disagree"):
+        restrict_w_other(
+            model, gram, PACK, THETAS[0], Fraction(24), Fraction(12), XI_SQUARE
+        )
 
 
 def test_w_other_restrictions(model, others):
@@ -242,6 +259,19 @@ def test_s_prime_vectors(model):
     assert sp.sum_mixed_all[1] == 240
     assert sp.sum_mixed_all[18] == -120
     assert all(sp.sum_mixed_all[k] == 16 for k in range(3, 18))
+
+
+def test_s_prime_vectors_run_once_per_verify_all(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return s_prime_vectors(model)
+
+    monkeypatch.setattr(engine_module, "s_prime_vectors", counted)
+    monkeypatch.setattr(wgeometry, "s_prime_vectors", counted)
+    assert run_suite(Engine(default_config()), "all").status == "pass"
+    assert len(calls) == 1
 
 
 def test_w_self_restriction(w_self):
@@ -278,10 +308,10 @@ def test_w_self_round_trips(w_self):
 def test_w_self_needs_all_other_restrictions(model, gram, qbar_rest, others):
     with pytest.raises(ValueError):
         restrict_w_self(
-            model,
             gram,
             PACK,
             qbar_rest,
+            s_prime_vectors(model),
             others[:14],
             c4_w_component=Fraction(408),
             w_sq_w_other=Fraction(12),
