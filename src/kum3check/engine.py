@@ -3,13 +3,14 @@
 Every quantity is computed at most once and cached; downstream steps see
 exactly the objects their derivations consume, so one engine instance
 reproduces the whole chain from the constant table to the rank, kernel
-and bookkeeping certificates.
+and bookkeeping certificates.  A stage that raises is computed once too:
+every later read raises the same exception object again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from typing import Callable
 
 from .bookkeeping import (
     BlowupComparison,
@@ -78,6 +79,40 @@ from .wgeometry import (
 )
 
 
+class stage:
+    """A memoised engine stage: its value, or the first exception it raised.
+
+    Unlike ``functools.cached_property``, a failing stage is not run again
+    by each check that reads it; the memo holds the exception and its
+    traceback, and every read re-raises that same object.  The memo sits in
+    the instance ``__dict__`` under ``"<name> stage"``, a key that no
+    attribute of the engine can shadow.
+    """
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = f"{name} stage"
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        memo = instance.__dict__.get(self.key)
+        if memo is None:
+            try:
+                memo = self.func(instance), None
+            except Exception as exc:
+                memo = None, (exc, exc.__traceback__)
+            instance.__dict__[self.key] = memo
+        value, error = memo
+        if error is not None:
+            exc, traceback = error
+            raise exc.with_traceback(traceback)
+        return value
+
+
 def _as_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {value}")
@@ -92,15 +127,15 @@ class Engine:
 
     # -- degree-wise constants and the z basis ------------------------------
 
-    @cached_property
+    @stage
     def table(self) -> FujikiTable:
         return FujikiTable.from_entries(self.doc.fujiki_values())
 
-    @cached_property
+    @stage
     def relations(self) -> ZRelations:
         return derive_z_relations(self.table)
 
-    @cached_property
+    @stage
     def pack(self) -> K3Hilb2Pack:
         d = self.doc
         return K3Hilb2Pack(
@@ -113,19 +148,19 @@ class Engine:
 
     # -- the fixed fourfold and its nineteen invariant classes --------------
 
-    @cached_property
+    @stage
     def restriction_factor(self) -> RestrictionFactor:
         return derive_restriction_factor(self.pack, self.doc.geometry("xi_square"))
 
-    @cached_property
+    @stage
     def w_model(self) -> WModel:
         return build_w_model(self.restriction_factor.factor)
 
-    @cached_property
+    @stage
     def gram19(self) -> Matrix:
         return build_gram19(self.w_model)
 
-    @cached_property
+    @stage
     def ambient(self) -> QuadSpace:
         return QuadSpace(
             labels=self.doc.h2_labels,
@@ -133,11 +168,11 @@ class Engine:
             name="ambient",
         )
 
-    @cached_property
+    @stage
     def qbar_restriction(self) -> QbarRestriction:
         return restrict_qbar(self.w_model, self.ambient)
 
-    @cached_property
+    @stage
     def v_data(self) -> VRestrictionData:
         return v_restriction_data(
             THETAS[0],
@@ -146,7 +181,7 @@ class Engine:
             self.doc.geometry("normal_c2_degree"),
         )
 
-    @cached_property
+    @stage
     def w_other_all(self) -> tuple[WOtherRestriction, ...]:
         return tuple(
             restrict_w_other(
@@ -161,11 +196,11 @@ class Engine:
             for theta in THETAS
         )
 
-    @cached_property
+    @stage
     def sprime(self) -> SPrimeVectors:
         return s_prime_vectors(self.w_model)
 
-    @cached_property
+    @stage
     def w_self(self) -> WSelfRestriction:
         return restrict_w_self(
             self.gram19,
@@ -180,7 +215,7 @@ class Engine:
 
     # -- sum classes on the sixfold ------------------------------------------
 
-    @cached_property
+    @stage
     def wv_inputs(self) -> WVInputs:
         return WVInputs(
             w_sq_w_other=self.doc.geometry("normal_c2_degree"),
@@ -190,14 +225,14 @@ class Engine:
             c_v_pair=self.v_data.c_v_pair,
         )
 
-    @cached_property
+    @stage
     def w_dot_v(self) -> Fraction:
         data = self.wv_inputs
         return w_dot_v_total(
             data.w_sq_w_other, data.w_triple_distinct, data.label_count
         )
 
-    @cached_property
+    @stage
     def wv(self) -> WVClasses:
         data = self.wv_inputs
 
@@ -208,13 +243,13 @@ class Engine:
 
         return express_w_v(self.table, self.relations, data, self.w_dot_v, solver)
 
-    @cached_property
+    @stage
     def aux(self) -> AuxiliaryValues:
         return auxiliary_values(self.relations, self.wv, self.wv_inputs)
 
     # -- certificates ----------------------------------------------------------
 
-    @cached_property
+    @stage
     def fixed_intersections(self) -> FixedClassIntersections:
         rel = self.relations
         wv = self.wv
@@ -236,19 +271,19 @@ class Engine:
             label_count=n,
         )
 
-    @cached_property
+    @stage
     def independence(self) -> IndependenceCertificate:
         return deg4_independence_certificate(self.fixed_intersections)
 
-    @cached_property
+    @stage
     def injectivity(self) -> InjectivityCertificate:
         return qbar_injectivity_certificate(self.fixed_intersections)
 
-    @cached_property
+    @stage
     def d_pairings(self) -> DPairings:
         return d_self_pairings(self.w_model, self.w_self.coeffs)
 
-    @cached_property
+    @stage
     def d_gram(self) -> DGramCertificate:
         return d_gram_certificate(
             self.d_pairings.diagonal, self.d_pairings.same_block
@@ -256,15 +291,15 @@ class Engine:
 
     # -- cohomology bookkeeping -------------------------------------------------
 
-    @cached_property
+    @stage
     def sixfold_diamond(self) -> HodgeDiamond:
         return diamond_from_half(self.doc.sixfold_half(), 6)
 
-    @cached_property
+    @stage
     def abelian_diamond(self) -> HodgeDiamond:
         return diamond_from_half(self.doc.abelian_half(), 2)
 
-    @cached_property
+    @stage
     def weight4(self) -> InvariantWeight4:
         return invariant_weight4(
             self.doc.length4_weight4_row(),
@@ -272,7 +307,7 @@ class Engine:
             self.sixfold_diamond,
         )
 
-    @cached_property
+    @stage
     def weight4_total(self) -> Row:
         return weight4_kuenneth_total(
             self.weight4.translation_fixed,
@@ -280,7 +315,7 @@ class Engine:
             self.sixfold_diamond,
         )
 
-    @cached_property
+    @stage
     def weight6(self) -> InvariantWeight6:
         return invariant_weight6(
             self.doc.hodge_int("length4 b6"),
@@ -289,7 +324,7 @@ class Engine:
             self.weight4.fixed_rank,
         )
 
-    @cached_property
+    @stage
     def rank_table(self) -> RankTable:
         return build_rank_table(
             base_rank=self.sixfold_diamond.betti(2),
@@ -297,13 +332,13 @@ class Engine:
             odd_rank=self.doc.hodge_int("odd rank"),
         )
 
-    @cached_property
+    @stage
     def canonical(self) -> CanonicalDims:
         return canonical_dims(
             self.independence.rank, self.d_gram.rank, self.injectivity.rank
         )
 
-    @cached_property
+    @stage
     def traces(self) -> TraceAverages:
         # spin sits in the middle degree; every other even summand is fixed
         even_fixed = sum(
@@ -325,7 +360,7 @@ class Engine:
             odd_dim=self.doc.hodge_int("odd rank"),
         )
 
-    @cached_property
+    @stage
     def blowup(self) -> BlowupComparison:
         # each blown-up centre is one fourfold carrying one holomorphic two-form
         return blowup_comparison(

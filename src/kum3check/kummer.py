@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import ZERO as RATIONAL_ZERO, Matrix, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
 
@@ -187,16 +187,20 @@ def deg4_independence_certificate(
 
     matrix = Matrix(rows)
     gap = data.w_cube - data.w_sq_w_other
-    # column of w_t^2 minus column of w_u^2 must be gap * (e_t - e_u) on W rows
-    for t, u in pairs:
-        col_t, col_u = 2 + t, 2 + u
-        for r in range(matrix.rows):
-            diff = matrix[r][col_t] - matrix[r][col_u]
-            want = gap * ((1 if r == 1 + t else 0) - (1 if r == 1 + u else 0))
-            if diff != want:
-                raise ValueError(
-                    f"square-column gap identity fails at row {r}, pair ({t},{u})"
-                )
+    # column of w_t^2 minus column of w_u^2 must be gap * (e_t - e_u) on W rows,
+    # that is, each row's w^2 cells, less gap in the row's own column, agree
+    levels = [
+        [row[2 + t] - gap if r == 1 + t else row[2 + t] for t in range(n)]
+        for r, row in enumerate(matrix.entries)
+    ]
+    if any(level.count(level[0]) != n for level in levels):
+        r, t, u = next(
+            (r, t, u)
+            for t, u in pairs
+            for r, level in enumerate(levels)
+            if level[t] != level[u]
+        )
+        raise ValueError(f"square-column gap identity fails at row {r}, pair ({t},{u})")
     trail = pairings.trail + (
         f"matrix is {matrix.rows}x{matrix.cols}; "
         f"separating gap w_tau^3 - w_tau^2*w_tau' = {gap}",
@@ -306,7 +310,7 @@ def d_gram_certificate(
         )
 
     m = blocks * block_size
-    zero = Fraction(0)
+    zero = RATIONAL_ZERO
     inside = diagonal - same_block  # G_i - G_{i-1} at i, inside a block
     boundary = diagonal - cross_block  # the same at a block boundary
     spread = same_block - cross_block  # rest of the block of i at a boundary
@@ -332,7 +336,7 @@ def d_gram_certificate(
     block_structured = True
     for vec in kernel:
         chunks = [vec[b * block_size : (b + 1) * block_size] for b in range(blocks)]
-        if any(len(set(chunk)) != 1 for chunk in chunks):
+        if any(chunk.count(chunk[0]) != block_size for chunk in chunks):
             block_structured = False
             break
         if sum(chunk[0] for chunk in chunks) != 0:
@@ -349,7 +353,7 @@ def d_gram_certificate(
             vec[a] = one
             vec[b * block_size + a] = -one
         diff_rows.append(vec)
-        if any(x != 0 for x in steps.mat_vec(vec)):
+        if any(steps.mat_vec(vec)):
             in_kernel = False
     diff_rank = rank(Matrix(diff_rows))
 

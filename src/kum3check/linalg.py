@@ -9,9 +9,12 @@ format spec give the same string.
 Matrices are immutable and dense.  ``Fraction`` is the boundary type: it
 goes in and comes out, but the inner loops run on Python integers.  Each
 matrix lazily builds an integer row form, every row scaled by the lcm of
-its denominators, with equal cells sharing one ``int`` object.  Products
-(``mat_vec``, ``pair``) scale the vector to integers once and build one
-``Fraction`` per result.
+its denominators, with equal cells sharing one ``int`` object.  Only the
+nonzero cells are read and scaled; a cell that is the shared ``ZERO`` is
+skipped without calling into ``Fraction``, so a sparse row costs what its
+support costs.  Products (``mat_vec``, ``pair``) scale the vector to
+integers once and build one ``Fraction`` per nonzero result; a zero result
+is ``ZERO`` itself.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22): a row
 below the pivot is updated by cross-multiplication and divided by its
@@ -40,6 +43,9 @@ RationalLike = Union[Fraction, int, str]
 # One echelon row for back substitution: pivot column, pivot value, and the
 # columns and values of the nonzero cells right of the pivot.
 PivotTail = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+# The nonzero cells of one integer row: their columns and their values.
+SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
+IntegerForm = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[SparseRow, ...]]
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -53,32 +59,56 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+# The one zero that results share; ``is ZERO`` tests skip a call into
+# ``Fraction`` for the commonest cell of a sparse row.
+ZERO = Fraction(0)
+
+
 def vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """The values as a tuple of ``Fraction``; ``rat`` runs only on values
+    that hold a cell of another type."""
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
     return tuple(map(rat, values))
 
 
-def _fraction_row(row: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """The row as a tuple of ``Fraction``; ``rat`` runs only on a row that
-    holds a cell of another type."""
-    row = tuple(row)
-    if set(map(type, row)) <= {Fraction}:
-        return row
-    return tuple(map(rat, row))
+def support(values: Sequence[Fraction]) -> list[int]:
+    """Indices of the nonzero values; a ``ZERO`` cell costs no ``Fraction`` call."""
+    return [j for j, x in enumerate(values) if x is not ZERO and x]
+
+
+def _scaled_support(values: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+    """``(L, index, [values[j] * L for j in index])`` over the nonzero values,
+    for the lcm ``L`` of their denominators."""
+    index = support(values)
+    dens = [values[j].denominator for j in index]
+    scale = lcm(*dens)
+    return scale, index, [values[j].numerator * (scale // d) for j, d in zip(index, dens)]
 
 
 def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators."""
-    dens = [x.denominator for x in values]
-    scale = lcm(*dens)
-    if scale == 1:
-        return 1, [x.numerator for x in values]
-    return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
+    """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators.
+
+    Only the nonzero values are read; every other cell of the result is 0.
+    """
+    scale, index, ints = _scaled_support(values)
+    out = [0] * len(values)
+    for j, a in zip(index, ints):
+        out[j] = a
+    return scale, out
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)``, or the shared ``ZERO``."""
+    return Fraction(numerator, denominator) if numerator else ZERO
 
 
 class Matrix:
     """Immutable dense matrix with exact rational entries.
 
-    ``_scaled`` (per-row denominators and integer rows), ``_echelon``
+    ``_scaled`` (per-row denominators, integer rows and their nonzero
+    cells as ``SparseRow`` pairs), ``_echelon``
     (rows and pivots of the forward elimination) and ``_tails`` (the
     sparse echelon rows read by back substitution) are filled on first
     use.  None of them takes part in equality or hashing.
@@ -87,7 +117,7 @@ class Matrix:
     __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon", "_tails")
 
     def __init__(self, entries: Iterable[Iterable[RationalLike]]):
-        data = tuple(map(_fraction_row, entries))
+        data = tuple(map(vector, entries))
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -116,16 +146,22 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _integer_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Per-row denominators and the rows scaled by them to integers."""
+    def _integer_form(self) -> IntegerForm:
+        """Per-row denominators, the rows scaled by them to integers, and
+        the nonzero cells of each scaled row."""
         if self._scaled is None:
             interned: dict[int, int] = {}
-            dens, rows = [], []
+            dens, rows, sparse = [], [], []
             for row in self.entries:
-                den, cells = scaled_integers(row)
+                den, index, ints = _scaled_support(row)
+                values = tuple([interned.setdefault(a, a) for a in ints])
+                cells = [0] * self.cols
+                for j, a in zip(index, values):
+                    cells[j] = a
                 dens.append(den)
-                rows.append(tuple([interned.setdefault(a, a) for a in cells]))
-            object.__setattr__(self, "_scaled", (tuple(dens), tuple(rows)))
+                rows.append(tuple(cells))
+                sparse.append((tuple(index), values))
+            object.__setattr__(self, "_scaled", (tuple(dens), tuple(rows), tuple(sparse)))
         return self._scaled
 
     def _echelon_form(self) -> tuple[list, list[int]]:
@@ -154,12 +190,11 @@ class Matrix:
         v = vector(x)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        index = [j for j, a in enumerate(v) if a]
-        scale, values = scaled_integers([v[j] for j in index])
-        dens, rows = self._integer_form()
+        scale, ints = scaled_integers(v)
+        dens, _, sparse = self._integer_form()
         return tuple(
-            Fraction(sum(map(mul, map(row.__getitem__, index), values)), den * scale)
-            for den, row in zip(dens, rows)
+            _fraction(sum(map(mul, values, map(ints.__getitem__, cols))), den * scale)
+            for den, (cols, values) in zip(dens, sparse)
         )
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
@@ -170,7 +205,7 @@ class Matrix:
         """
         if len(u) != self.rows or len(v) != self.cols:
             raise ValueError("vector length does not match matrix shape")
-        dens, rows = self._integer_form()
+        dens, rows, _ = self._integer_form()
         u_index = [i for i, a in enumerate(u) if a]
         u_scale, u_ints = scaled_integers([rat(u[i]) for i in u_index])
         row_scale = lcm(*(dens[i] for i in u_index))
@@ -180,7 +215,7 @@ class Matrix:
         v_index = [j for j, c in enumerate(w) if c]
         v_scale, v_ints = scaled_integers([rat(v[j]) for j in v_index])
         total = sum(map(mul, map(w.__getitem__, v_index), v_ints))
-        return Fraction(total, u_scale * row_scale * v_scale)
+        return _fraction(total, u_scale * row_scale * v_scale)
 
     def to_lists(self) -> list[list[str]]:
         """Rows rendered in the ``p/q`` wire format (for reports and trails)."""
@@ -247,7 +282,7 @@ def _back_substitute(tails: Sequence[PivotTail], x: list[int]) -> list[Fraction]
             den *= s
             acc *= s
         x[c] = -(acc // p)
-    return [Fraction(a, den) for a in x]
+    return [_fraction(a, den) for a in x]
 
 
 def rank(m: Matrix) -> int:

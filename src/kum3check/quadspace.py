@@ -11,9 +11,12 @@ extended bilinearly to monomials.  Monomials are normalised to index
 pairs (i, j) with i <= j, and a product a_i * a_j with i != j is a single
 monomial rather than a symmetrised half-sum, so the square of a sum,
 ``sym2_product(space, u, u)``, doubles every mixed coefficient.  All
-coefficients are exact rationals; the pairing runs over the Gram matrix
-and coefficients scaled to integers and builds one ``Fraction`` per
-result.
+coefficients are exact rationals, but the arithmetic on them runs on
+integers: a class memoises its coefficients scaled by their common
+denominator, products and sums (``sym2_product``, ``sym2_sum`` and the
+``+``, ``-`` and scalar ``*`` built on it) accumulate integers over one
+common denominator, and the pairing runs over the Gram matrix scaled the
+same way.  Each builds one ``Fraction`` per result monomial or value.
 
 :class:`K3Hilb2Pack` holds the constants shared by K3[2]-type fourfolds;
 the derivations take it as an argument.
@@ -24,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, RationalLike, rat, scaled_integers
+from .linalg import ZERO, Matrix, RationalLike, rat, scaled_integers, support, vector
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class QuadSpace:
 
     def vector(self, coeffs: Mapping[str, RationalLike]) -> tuple[Fraction, ...]:
         """Coefficient vector of a combination given as {label: coefficient}."""
-        out = [Fraction(0)] * self.dim
+        out = [ZERO] * self.dim
         for label, c in coeffs.items():
             out[self.index(label)] = rat(c)
         return tuple(out)
@@ -130,20 +134,20 @@ class Sym2Vector:
     def as_map(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.coeffs)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
+        """(L, monomials, L * coefficients) for the lcm L of the denominators."""
+        scale, ints = scaled_integers([c for _, c in self.coeffs])
+        return scale, tuple(k for k, _ in self.coeffs), ints
+
     def __add__(self, other: "Sym2Vector") -> "Sym2Vector":
-        if other.space is not self.space:
-            raise ValueError("cannot add Sym2 vectors from different spaces")
-        m = self.as_map()
-        for k, c in other.coeffs:
-            m[k] = m.get(k, Fraction(0)) + c
-        return Sym2Vector.from_map(self.space, m)
+        return sym2_sum(self.space, ((1, self), (1, other)))
 
     def __sub__(self, other: "Sym2Vector") -> "Sym2Vector":
-        return self + (-1) * other
+        return sym2_sum(self.space, ((1, self), (-1, other)))
 
     def __rmul__(self, scalar: RationalLike) -> "Sym2Vector":
-        s = rat(scalar)
-        return Sym2Vector.from_map(self.space, {k: s * c for k, c in self.coeffs})
+        return sym2_sum(self.space, ((scalar, self),))
 
     def render(self) -> str:
         labels = self.space.labels
@@ -153,29 +157,59 @@ class Sym2Vector:
         return " + ".join(parts) if parts else "0"
 
 
+def _from_integers(
+    space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int
+) -> Sym2Vector:
+    """The class with coefficients ``acc[k] / den``, zeros dropped."""
+    items = tuple((k, Fraction(a, den)) for k, a in sorted(acc.items()) if a)
+    return Sym2Vector(space, items)
+
+
+def sym2_sum(
+    space: QuadSpace, terms: Iterable[tuple[RationalLike, Sym2Vector]]
+) -> Sym2Vector:
+    """The class sum(c * x for c, x in terms), over one common denominator.
+
+    Every term's integer coefficients are brought to the lcm of the terms'
+    denominators and added as integers; the result is one ``Sym2Vector``
+    with one ``Fraction`` per monomial.
+    """
+    parts = []
+    den = 1
+    for c, x in terms:
+        if x.space is not space:
+            raise ValueError("cannot add Sym2 vectors from different spaces")
+        c = rat(c)
+        if not c or not x.coeffs:
+            continue
+        x_scale, keys, ints = x.scaled
+        d = c.denominator * x_scale
+        parts.append((c.numerator, d, keys, ints))
+        den = lcm(den, d)
+    acc: dict[tuple[int, int], int] = {}
+    for num, d, keys, ints in parts:
+        f = num * (den // d)
+        for k, a in zip(keys, ints):
+            acc[k] = acc.get(k, 0) + f * a
+    return _from_integers(space, acc, den)
+
+
 def sym2_product(
     space: QuadSpace,
     u: Sequence[RationalLike],
     v: Sequence[RationalLike],
 ) -> Sym2Vector:
     """The product of two degree-1 vectors as a Sym^2 class."""
-    uu = [rat(x) for x in u]
-    vv = [rat(x) for x in v]
-    out: dict[tuple[int, int], Fraction] = {}
-    for i, ui in enumerate(uu):
-        if not ui:
-            continue
-        for j, vj in enumerate(vv):
-            if not vj:
-                continue
+    uu, vv = vector(u), vector(v)
+    u_index, v_index = support(uu), support(vv)
+    u_scale, u_ints = scaled_integers([uu[i] for i in u_index])
+    v_scale, v_ints = scaled_integers([vv[j] for j in v_index])
+    acc: dict[tuple[int, int], int] = {}
+    for i, a in zip(u_index, u_ints):
+        for j, b in zip(v_index, v_ints):
             key = (i, j) if i <= j else (j, i)
-            out[key] = out.get(key, Fraction(0)) + ui * vj
-    return Sym2Vector.from_map(space, out)
-
-
-def _scaled_coeffs(x: Sym2Vector) -> tuple[int, list[tuple[tuple[int, int], int]]]:
-    scale, ints = scaled_integers([c for _, c in x.coeffs])
-    return scale, list(zip([k for k, _ in x.coeffs], ints))
+            acc[key] = acc.get(key, 0) + a * b
+    return _from_integers(space, acc, u_scale * v_scale)
 
 
 def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
@@ -183,10 +217,11 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
     g_scale, g = x.space._scaled_gram
-    x_scale, xs = _scaled_coeffs(x)
-    y_scale, ys = _scaled_coeffs(y)
+    x_scale, x_keys, x_ints = x.scaled
+    y_scale, y_keys, y_ints = y.scaled
+    ys = list(zip(y_keys, y_ints))
     total = 0
-    for (a, b), xc in xs:
+    for (a, b), xc in zip(x_keys, x_ints):
         ga, gb = g[a], g[b]
         gab = ga[b]
         for (c, d), yc in ys:

@@ -258,7 +258,7 @@ def _gram19_checks(e: Engine) -> list[Check]:
     checks: list[Check] = []
     _add(
         checks, "intersection matrix of the invariant classes", REF_G19,
-        expected_gram19(), lambda: e.gram19,
+        expected_gram19(e.pack), lambda: e.gram19,
     )
     _add(
         checks, "intersection matrix rank", REF_G19, 19,

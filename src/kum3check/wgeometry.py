@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, add, two_torsion
-from .linalg import Matrix, rat, solve_linear
+from .linalg import Matrix, scaled_integers, solve_linear
 from .quadspace import (
     K3Hilb2Pack,
     QuadSpace,
@@ -36,6 +36,7 @@ from .quadspace import (
     sym2_gram,
     sym2_pair,
     sym2_product,
+    sym2_sum,
 )
 
 
@@ -49,6 +50,16 @@ def s_label(alpha: Pt) -> str:
 
 ALPHAS: tuple[Pt, ...] = two_torsion()
 THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
+# SHIFTED[theta][i]: the position in ALPHAS of ALPHAS[i] + theta.  ALPHAS
+# lists {0, 2}^4 in lexicographic order, so the binary digits of a position
+# are the point's coordinates halved, and adding two points XORs positions.
+SHIFTED: dict[Pt, tuple[int, ...]] = {
+    theta: tuple(i ^ t for i in range(len(ALPHAS))) for t, theta in enumerate(ALPHAS)
+}
+# COSETS[theta]: the eight cosets {alpha, alpha + theta} as position pairs i < j
+COSETS: dict[Pt, tuple[tuple[int, int], ...]] = {
+    theta: tuple((i, j) for i, j in enumerate(SHIFTED[theta]) if i < j) for theta in THETAS
+}
 
 # xi|_W = 2*delta + (1/2) * sum of the s classes, by label
 XI_ON_W: dict[str, Fraction] = {s_label(a): Fraction(1, 2) for a in ALPHAS}
@@ -162,7 +173,6 @@ def build_w_model(factor: Fraction) -> WModel:
 
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
-    pos = {a: i for a, i in zip(ALPHAS, s_idx)}
 
     vectors = [qbar_dual(space)]
     names = ["qbar_W"]
@@ -173,11 +183,8 @@ def build_w_model(factor: Fraction) -> WModel:
     )
     names.append("sum s^2")
     for theta in THETAS:
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for alpha in ALPHAS:
-            i, j = pos[alpha], pos[add(alpha, theta)]
-            key = (i, j) if i <= j else (j, i)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + 1
+        # alpha and alpha + theta both give the monomial of their coset
+        coeffs = {(s_idx[i], s_idx[j]): Fraction(2) for i, j in COSETS[theta]}
         vectors.append(Sym2Vector.from_map(space, coeffs))
         names.append(f"sum s*s[{_bits(theta)}]")
     vectors.append(
@@ -196,14 +203,22 @@ def build_w_model(factor: Fraction) -> WModel:
     )
 
 
-def expected_gram19() -> Matrix:
-    """The printed intersection matrix of the 19 invariant classes."""
+def expected_gram19(pack: K3Hilb2Pack) -> Matrix:
+    """The printed intersection matrix of the 19 invariant classes.
+
+    The dual-class row is read from the pack: qbar_W squares to
+    ``pack.qbar_square`` and pairs with delta^2 and sum s^2 as
+    -2 and -32 times ``pack.qbar_fujiki`` (integral qbar * a * b =
+    C(qbar) q(a, b), with q(delta) = -2 and sixteen s classes of square -2).
+    """
     n = 19
     rows = [[Fraction(0)] * n for _ in range(n)]
+    qbar_delta = -2 * pack.qbar_fujiki
+    qbar_s = -32 * pack.qbar_fujiki
     head = [
-        [575, -50, -800],
-        [-50, 12, 64],
-        [-800, 64, 1152],
+        [pack.qbar_square, qbar_delta, qbar_s],
+        [qbar_delta, 12, 64],
+        [qbar_s, 64, 1152],
     ]
     for i in range(3):
         for j in range(3):
@@ -219,11 +234,7 @@ def build_gram19(model: WModel) -> Matrix:
 
 
 def combination(model: WModel, coeffs: Sequence[Fraction]) -> Sym2Vector:
-    total = Sym2Vector.from_map(model.space, {})
-    for c, vec in zip(coeffs, model.basis):
-        if c:
-            total = total + rat(c) * vec
-    return total
+    return sym2_sum(model.space, zip(coeffs, model.basis))
 
 
 def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
@@ -232,14 +243,16 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     The decomposition is rigid: the dual-class coefficient is read off the
     lambda squares, which must be uniform with opposite signs, and every
     remaining monomial family must be constant.  Raises when x is not in
-    the span.
+    the span.  The matching runs on x's integer coefficients
+    (``Sym2Vector.scaled``); one ``Fraction`` is built per result.
     """
     space = model.space
-    m = x.as_map()
+    scale, keys, ints = x.scaled
+    m = dict(zip(keys, ints))
 
-    def take(i: int, j: int) -> Fraction:
+    def take(i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
-        return m.pop(key, Fraction(0))
+        return m.pop(key, 0)
 
     plus_sq = [take(space.index(l), space.index(l)) for l in PLUS_LABELS]
     minus_sq = [take(space.index(l), space.index(l)) for l in MINUS_LABELS]
@@ -251,23 +264,18 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
 
     s_idx = [model.s_index(alpha) for alpha in ALPHAS]
     d_idx = space.index("delta")
-    b = take(d_idx, d_idx) + a / 2
-    s_sq = [take(i, i) for i in s_idx]
-    if len(set(s_sq)) != 1:
+    b = take(d_idx, d_idx) + a // 2
+    s_sq = {take(i, i) for i in s_idx}
+    if len(s_sq) != 1:
         raise ValueError("s square coefficients are not uniform")
-    c = s_sq[0] + a / 2
+    c = s_sq.pop() + a // 2
 
-    pos = {alpha: i for alpha, i in zip(ALPHAS, s_idx)}
     d_coeffs = []
     for theta in THETAS:
-        vals = set()
-        for alpha in ALPHAS:
-            beta = add(alpha, theta)
-            if alpha < beta:
-                vals.add(take(pos[alpha], pos[beta]))
+        vals = {take(s_idx[i], s_idx[j]) for i, j in COSETS[theta]}
         if len(vals) != 1:
             raise ValueError(f"mixed s coefficients not uniform at shift {_bits(theta)}")
-        d_coeffs.append(vals.pop() / 2)
+        d_coeffs.append(Fraction(vals.pop(), 2 * scale))
 
     e_vals = {take(d_idx, i) for i in s_idx}
     if len(e_vals) != 1:
@@ -278,8 +286,10 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     if leftover:
         raise ValueError(f"monomials outside the invariant span: {sorted(leftover)}")
 
-    coeffs = (a, b, c, *d_coeffs, e)
-    if (combination(model, coeffs) - x).coeffs:
+    coeffs = (
+        Fraction(a, scale), Fraction(b, scale), Fraction(c, scale), *d_coeffs, Fraction(e, scale)
+    )
+    if combination(model, coeffs) != x:
         raise ValueError("basis expansion failed to reproduce the class")
     return coeffs
 
@@ -299,12 +309,14 @@ def restriction_images(model: WModel) -> dict[str, tuple[Fraction, ...]]:
 def restrict_sym2(model: WModel, ambient: QuadSpace, x: Sym2Vector) -> Sym2Vector:
     """Push a degree-4 class of the sixfold into Sym^2 of the fourfold."""
     images = restriction_images(model)
-    total = Sym2Vector.from_map(model.space, {})
-    for (i, j), coeff in x.coeffs:
-        u = images[ambient.labels[i]]
-        v = images[ambient.labels[j]]
-        total = total + coeff * sym2_product(model.space, u, v)
-    return total
+    labels = ambient.labels
+    return sym2_sum(
+        model.space,
+        (
+            (coeff, sym2_product(model.space, images[labels[i]], images[labels[j]]))
+            for (i, j), coeff in x.coeffs
+        ),
+    )
 
 
 def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
@@ -359,6 +371,42 @@ _HALF_SUMS = tuple(
 )
 # xi|_V: the sum of all sixteen curves
 XI_ON_V = (Fraction(1),) * SURFACE.dim
+# The nine images a near-side fourfold sends its s classes and delta to:
+# the eight near curves, then half the sum of the far curves (slot SIDE).
+_NEAR_IMAGES = _SIDES[0] + (_HALF_SUMS[1],)
+
+
+def _pairing_table(
+    images: Sequence[tuple[Fraction, ...]],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(L, L * q_V(images[a], images[b]) by slot) from one pairing per slot pair."""
+    n = len(images)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    scale, ints = scaled_integers([SURFACE.pair(images[a], images[b]) for a, b in pairs])
+    cell = dict(zip(pairs, ints))
+    return scale, tuple(tuple(cell[min(a, b), max(a, b)] for b in range(n)) for a in range(n))
+
+
+# SURFACE is fixed, so its 45 pairings among the near-side images are too.
+_NEAR_SCALE, _NEAR_PAIRINGS = _pairing_table(_NEAR_IMAGES)
+
+
+def _near_slots(near: dict[str, tuple[Fraction, ...]]) -> dict[str, int]:
+    """The slot among ``_NEAR_IMAGES`` of each label's image."""
+    slot_of = {id(image): k for k, image in enumerate(_NEAR_IMAGES)}
+    return {label: slot_of[id(image)] for label, image in near.items()}
+
+
+def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
+    """q_V summed over the monomials of x: sum of c * q_V(image_i, image_j).
+
+    ``slot`` maps each index of x's space that x uses to the slot of its
+    image among the near-side images; the pairings are read from the
+    table and summed in integers.
+    """
+    scale, keys, ints = x.scaled
+    total = sum(c * _NEAR_PAIRINGS[slot[i]][slot[j]] for (i, j), c in zip(keys, ints))
+    return Fraction(total, scale * _NEAR_SCALE)
 
 
 def surface_images(theta: Pt, far: bool = False) -> dict[str, tuple[Fraction, ...]]:
@@ -419,18 +467,32 @@ def v_restriction_data(
     the surface term and both normal-bundle terms.  Both fourfolds must
     restrict their xi to the same class xi|_V.
     """
-    near = surface_images(theta)
-    delta = near["delta"]
-    delta_sq = SURFACE.pair(delta, delta)
+    return _surface_data(theta, surface_images(theta), xi_square, deg_c2_v, deg_c2_nvw)
+
+
+def _surface_data(
+    theta: Pt,
+    near: dict[str, tuple[Fraction, ...]],
+    xi_square: Fraction,
+    deg_c2_v: Fraction,
+    deg_c2_nvw: Fraction,
+) -> VRestrictionData:
+    """``v_restriction_data`` on the near-side images ``near`` of ``theta``."""
+    slots = _near_slots(near)
+
+    def pair(a: str, b: str) -> Fraction:
+        return Fraction(_NEAR_PAIRINGS[slots[a]][slots[b]], _NEAR_SCALE)
+
+    delta_sq = pair("delta", "delta")
     alpha0 = ALPHAS[0]
     partner = add(alpha0, theta)
-    s0 = near[s_label(alpha0)]
-    delta_s = SURFACE.pair(delta, s0)
-    same = SURFACE.pair(s0, near[s_label(partner)])
-    if same != SURFACE.pair(s0, s0):
+    s0 = s_label(alpha0)
+    delta_s = pair("delta", s0)
+    same = pair(s0, s_label(partner))
+    if same != pair(s0, s0):
         raise ValueError("curve classes in one coset do not pair equally")
     other_alpha = next(a for a in ALPHAS if a not in (alpha0, partner))
-    other = SURFACE.pair(s0, near[s_label(other_alpha)])
+    other = pair(s0, s_label(other_alpha))
     xi_sq = SURFACE.pair(XI_ON_V, XI_ON_V)
     c_v = xi_sq / xi_square
 
@@ -489,19 +551,15 @@ def restrict_w_other(
     scaled by the c2-to-dual ratio.  The 19x19 system then has a unique
     solution.
     """
-    data = v_restriction_data(theta, xi_square, deg_c2_v, deg_c2_nvw)
+    near = surface_images(theta)
+    data = _surface_data(theta, near, xi_square, deg_c2_v, deg_c2_nvw)
     if not data.compositions_agree:
         raise ValueError("xi restrictions to the surface disagree between the two sides")
 
-    images = surface_images(theta)
-    labels = model.space.labels
+    slots = _near_slots(near)
+    slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / pack.c2_qbar_ratio
-    rhs = [qbar_rhs]
-    for vec in model.basis[1:]:
-        total = Fraction(0)
-        for (i, j), coeff in vec.coeffs:
-            total += coeff * SURFACE.pair(images[labels[i]], images[labels[j]])
-        rhs.append(total)
+    rhs = [qbar_rhs] + [near_pairing(slot, vec) for vec in model.basis[1:]]
 
     solved = solve_linear(gram, rhs)
     if not solved.ok:
@@ -550,10 +608,13 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     svecs = {alpha: s_prime_vector(model, alpha) for alpha in ALPHAS}
 
     def sprime_sum(theta: Pt) -> Sym2Vector:
-        total = Sym2Vector.from_map(sp, {})
-        for alpha in ALPHAS:
-            total = total + sym2_product(sp, svecs[alpha], svecs[add(alpha, theta)])
-        return total
+        return sym2_sum(
+            sp,
+            (
+                (1, sym2_product(sp, svecs[alpha], svecs[ALPHAS[j]]))
+                for alpha, j in zip(ALPHAS, SHIFTED[theta])
+            ),
+        )
 
     identity = True
     sum_sq = expand_in_basis(model, sprime_sum(ZERO))

@@ -106,7 +106,7 @@ def test_rank_and_kernel_certificates(criterion, engine):
 def test_nineteen_class_matrix(criterion, engine):
     with criterion(5):
         gram = engine.gram19
-        reference = expected_gram19()
+        reference = expected_gram19(engine.pack)
         assert (gram.rows, gram.cols) == (19, 19)
         for i in range(19):
             for j in range(19):

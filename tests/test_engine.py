@@ -1,0 +1,70 @@
+import inspect
+import json
+
+import pytest
+
+from kum3check import engine as engine_module
+from kum3check.config import default_config_text, parse_config
+from kum3check.engine import Engine, stage
+from kum3check.suites import run_suite
+
+
+def _document(pack: str, key: str, value: str):
+    raw = json.loads(default_config_text())
+    raw[pack][key]["value"] = value
+    return parse_config(json.dumps(raw))
+
+
+def test_failing_stage_runs_once_per_engine(monkeypatch):
+    calls = []
+    derive = engine_module.derive_restriction_factor
+
+    def counting(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(engine_module, "derive_restriction_factor", counting)
+    report = run_suite(Engine(_document("geometry_pack", "xi_square", "0")), "all")
+    assert report.status == "fail"
+    assert len(calls) == 1
+
+
+def test_failing_stage_reraises_the_same_exception():
+    engine = Engine(_document("geometry_pack", "xi_square", "0"))
+    with pytest.raises(ZeroDivisionError) as first:
+        engine.restriction_factor
+    with pytest.raises(ZeroDivisionError) as again:
+        engine.restriction_factor
+    with pytest.raises(ZeroDivisionError) as downstream:
+        engine.w_model
+    assert again.value is first.value
+    assert downstream.value is first.value
+
+
+def test_stage_value_is_computed_once(monkeypatch, doc):
+    calls = []
+    build = engine_module.build_w_model
+
+    def counting(factor):
+        calls.append(factor)
+        return build(factor)
+
+    monkeypatch.setattr(engine_module, "build_w_model", counting)
+    engine = Engine(doc)
+    assert engine.w_model is engine.w_model
+    engine.gram19
+    assert len(calls) == 1
+
+
+def test_stages_are_non_function_descriptors_on_the_class():
+    # the benchmark tracer finds stages this way and times them by access
+    names = [
+        name
+        for name, value in vars(Engine).items()
+        if not name.startswith("_")
+        and not inspect.isfunction(value)
+        and hasattr(value, "__get__")
+    ]
+    assert "d_gram" in names and "restriction_factor" in names
+    assert all(isinstance(vars(Engine)[name], stage) for name in names)
+    assert len(names) == 30

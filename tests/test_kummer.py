@@ -288,3 +288,43 @@ def test_d_gram_certificate_matches_the_dense_gram(constants, explicit_cross):
     assert cert.difference_relations_in_kernel == in_kernel
     assert cert.difference_relations_rank == relations_rank
     assert cert.rank == blocks * (size - 1) * (a != b) + (a + (size - 1) * b != 0)
+
+
+# ---------------------------------------------------------------------------
+# the square-column gap check against the pairwise loop it replaced
+
+
+def _ref_gap_failure(rows, gap, n):
+    for t in range(n):
+        for u in range(t + 1, n):
+            for r, row in enumerate(rows):
+                diff = row[2 + t] - row[2 + u]
+                want = gap * ((1 if r == 1 + t else 0) - (1 if r == 1 + u else 0))
+                if diff != want:
+                    return f"square-column gap identity fails at row {r}, pair ({t},{u})"
+    return None
+
+
+@given(
+    st.integers(0, 16),
+    st.integers(0, 15),
+    st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(48))),
+)
+def test_gap_check_matches_the_pairwise_loop(intersections, r, t, delta):
+    built = []
+
+    def perturbed(rows):
+        rows = [list(row) for row in rows]
+        rows[r][2 + t] += delta
+        built.append(rows)
+        return Matrix(rows)
+
+    with mock.patch.object(kummer, "Matrix", perturbed):
+        try:
+            deg4_independence_certificate(intersections)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+    gap = intersections.w_cube - intersections.w_sq_w_other
+    assert message == _ref_gap_failure(built[0], gap, 16)
+    assert (message is None) == (delta == 0)

@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kum3check.linalg import (
+    ZERO,
     Matrix,
     kernel_basis,
     rank,
     rat,
+    scaled_integers,
     solve_linear,
+    support,
     vector,
 )
 
@@ -372,3 +375,40 @@ def test_pair_is_the_bilinear_form():
     assert Matrix([[1, 2, 3]]).pair((2,), (1, 0, -1)) == -4
     with pytest.raises(ValueError):
         m.pair((1,), (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# zero-skipping integer forms against the formulas that scaled every cell
+
+
+def _ref_scaled_integers(values):
+    dens = [x.denominator for x in values]
+    scale = lcm(*dens)
+    return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
+
+
+# zeros both as the shared ZERO and as other Fraction(0) objects
+cells = st.one_of(st.just(ZERO), st.builds(Fraction, st.just(0)), rationals)
+
+
+@given(st.lists(cells, max_size=12))
+def test_scaled_integers_skips_zeros_but_matches_the_old_formula(values):
+    assert scaled_integers(values) == _ref_scaled_integers(values)
+    assert support(values) == [j for j, x in enumerate(values) if x != 0]
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
+    m = m if n else 0
+    entries = [data.draw(st.lists(cells, min_size=m, max_size=m)) for _ in range(n)]
+    mat = Matrix(entries)
+    dens, rows, sparse = mat._integer_form()
+    assert [list(row) for row in rows] == _ref_integer_rows(entries)
+    assert list(dens) == [_ref_scaled_integers(row)[0] for row in entries]
+    assert list(sparse) == [
+        (tuple(j for j, a in enumerate(row) if a), tuple(a for a in row if a)) for row in rows
+    ]
+    v = data.draw(st.lists(cells, min_size=m, max_size=m))
+    product = mat.mat_vec(v)
+    assert product == _ref_mat_vec(entries, v)
+    assert all(x is ZERO for x in product if x == 0)

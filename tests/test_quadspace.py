@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kum3check.linalg import Matrix
+from kum3check.linalg import ZERO, Matrix
 from kum3check.quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -12,6 +12,7 @@ from kum3check.quadspace import (
     sym2_gram,
     sym2_pair,
     sym2_product,
+    sym2_sum,
 )
 
 AMBIENT = QuadSpace(
@@ -179,3 +180,63 @@ def test_integer_pairings_match_fraction_formulas(space, data):
 def test_pair_checks_vector_length():
     with pytest.raises(ValueError):
         AMBIENT.pair((1, 0), AMBIENT.basis_vector("y1"))
+
+
+# ---------------------------------------------------------------------------
+# integer products and sums against the Fraction loops they replaced
+
+
+def _ref_sym2_product(space, u, v):
+    out = {}
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui and vj:
+                key = (i, j) if i <= j else (j, i)
+                out[key] = out.get(key, Fraction(0)) + Fraction(ui) * Fraction(vj)
+    return Sym2Vector.from_map(space, out)
+
+
+def _ref_sym2_sum(space, terms):
+    out = {}
+    for c, x in terms:
+        for k, xc in x.coeffs:
+            out[k] = out.get(k, Fraction(0)) + Fraction(c) * xc
+    return Sym2Vector.from_map(space, out)
+
+
+# zeros as the shared ZERO, as other zero objects and as ints; non-integers
+cells = st.one_of(st.just(ZERO), st.just(0), st.builds(Fraction, st.just(0)), coefficient)
+
+
+@given(st.sampled_from((AMBIENT, SKEW)), st.data())
+def test_integer_sym2_product_matches_the_fraction_loop(space, data):
+    u = data.draw(st.lists(cells, min_size=space.dim, max_size=space.dim))
+    v = data.draw(st.lists(cells, min_size=space.dim, max_size=space.dim))
+    got = sym2_product(space, u, v)
+    assert got == _ref_sym2_product(space, u, v)
+    assert all(c for _, c in got.coeffs)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from((AMBIENT, SKEW)), st.data())
+def test_sym2_sum_matches_the_fraction_accumulation(space, data):
+    terms = data.draw(
+        st.lists(st.tuples(st.one_of(cells, st.integers(-3, 3)), sym2_vectors(space)), max_size=5)
+    )
+    assert sym2_sum(space, terms) == _ref_sym2_sum(space, terms)
+    x = data.draw(sym2_vectors(space))
+    y = data.draw(sym2_vectors(space))
+    c = data.draw(cells)
+    assert x + y == _ref_sym2_sum(space, [(1, x), (1, y)])
+    assert x - y == _ref_sym2_sum(space, [(1, x), (-1, y)])
+    assert c * x == _ref_sym2_sum(space, [(c, x)])
+    assert (x - x).coeffs == ()
+
+
+def test_sym2_sum_rejects_a_class_of_another_space():
+    x = sym2_product(AMBIENT, AMBIENT.basis_vector("y1"), AMBIENT.basis_vector("y1"))
+    y = sym2_product(SKEW, SKEW.basis_vector("a"), SKEW.basis_vector("a"))
+    with pytest.raises(ValueError, match="different spaces"):
+        x + y
+    with pytest.raises(ValueError, match="different spaces"):
+        sym2_sum(AMBIENT, [(1, y)])

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -106,3 +107,37 @@ def test_inconsistent_table_turns_into_error_checks():
 
 def test_basis_lemma_is_exactly_six_checks(engine):
     assert len(run_suite(engine, "basis-lemma").checks) == 6
+
+
+SCALAR_PACKS = ("fujiki_constants", "fourfold_pack", "geometry_pack", "hodge_pack")
+
+
+def test_every_scalar_entry_is_load_bearing():
+    # +1 on any one of the 57 scalar entries must fail a check of `all`;
+    # every entry, the whole of `all`, no sampling
+    entries = [
+        (pack, key)
+        for pack in SCALAR_PACKS
+        for key in json.loads(default_config_text())[pack]
+    ]
+    assert len(entries) == 57
+    missed = []
+    for pack, key in entries:
+        def mutate(raw, pack=pack, key=key):
+            entry = raw[pack][key]
+            entry["value"] = str(Fraction(entry["value"]) + 1)
+
+        report = run_suite(engine_with(mutate), "all")
+        if report.status != "fail":
+            missed.append(f"{pack}.{key}")
+    assert missed == []
+
+
+@pytest.mark.parametrize("key, value", [("qbar_square", "576"), ("qbar_fujiki", "26")])
+def test_dual_class_entries_feed_the_nineteen_class_matrix(key, value):
+    def mutate(raw):
+        raw["fourfold_pack"][key]["value"] = value
+
+    report = run_suite(engine_with(mutate), "gram19")
+    failed = [c.id for c in report.checks if c.status == "fail"]
+    assert failed == ["intersection matrix of the invariant classes"]

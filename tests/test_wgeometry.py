@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kum3check import engine as engine_module
@@ -126,7 +126,7 @@ def test_w_model_shape(model):
 
 
 def test_gram19_matches_reference(model, gram):
-    assert gram == expected_gram19()
+    assert gram == expected_gram19(PACK)
     head = [[gram[i][j] for j in range(3)] for i in range(3)]
     assert head == [[575, -50, -800], [-50, 12, 64], [-800, 64, 1152]]
     for k in range(3, 18):
@@ -356,3 +356,120 @@ def test_theta_sum_closure():
         for b in THETAS[:5]:
             s = add(a, b)
             assert s == ZERO or s in THETAS
+
+
+# ---------------------------------------------------------------------------
+# surface pairings read from the fixed table against SURFACE.pair sums
+
+
+def _ref_surface_pairing(model, theta, x):
+    """The per-pair Fraction sum that the pairing table replaced."""
+    images = wgeometry.surface_images(theta)
+    labels = model.space.labels
+    total = Fraction(0)
+    for (i, j), c in x.coeffs:
+        total += c * wgeometry.SURFACE.pair(images[labels[i]], images[labels[j]])
+    return total
+
+
+def test_table_read_rhs_matches_surface_pairings_for_every_theta(model, others):
+    assert [o.theta for o in others] == list(THETAS)
+    for other in others:
+        want = [_ref_surface_pairing(model, other.theta, vec) for vec in model.basis[1:]]
+        assert list(other.rhs[1:]) == want, other.theta
+
+
+surface_coefficient = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@given(st.sampled_from(THETAS), st.data())
+def test_near_pairing_matches_surface_pairings(model, theta, data):
+    # random classes over the s classes and delta, with zero and non-integer
+    # coefficients
+    space = model.space
+    indices = [space.index(s_label(a)) for a in ALPHAS] + [space.index("delta")]
+    keys = st.tuples(st.sampled_from(indices), st.sampled_from(indices)).map(
+        lambda k: tuple(sorted(k))
+    )
+    x = Sym2Vector.from_map(
+        space, data.draw(st.dictionaries(keys, surface_coefficient, max_size=10))
+    )
+    slots = wgeometry._near_slots(wgeometry.surface_images(theta))
+    slot = {i: slots[space.labels[i]] for i in indices}
+    assert wgeometry.near_pairing(slot, x) == _ref_surface_pairing(model, theta, x)
+
+
+# ---------------------------------------------------------------------------
+# the integer basis expansion against the Fraction matching it replaced
+
+
+def _ref_expand_in_basis(model, x):
+    space = model.space
+    m = x.as_map()
+
+    def take(i, j):
+        return m.pop((i, j) if i <= j else (j, i), Fraction(0))
+
+    plus_sq = [take(space.index(l), space.index(l)) for l in wgeometry.PLUS_LABELS]
+    minus_sq = [take(space.index(l), space.index(l)) for l in wgeometry.MINUS_LABELS]
+    if len(set(plus_sq)) != 1 or len(set(minus_sq)) != 1:
+        raise ValueError("lambda square coefficients are not uniform")
+    if minus_sq[0] != -plus_sq[0]:
+        raise ValueError("lambda square coefficients do not mirror")
+    a = 4 * plus_sq[0]
+    s_idx = [model.s_index(alpha) for alpha in ALPHAS]
+    d_idx = space.index("delta")
+    b = take(d_idx, d_idx) + a / 2
+    s_sq = [take(i, i) for i in s_idx]
+    if len(set(s_sq)) != 1:
+        raise ValueError("s square coefficients are not uniform")
+    c = s_sq[0] + a / 2
+    pos = dict(zip(ALPHAS, s_idx))
+    d_coeffs = []
+    for theta in THETAS:
+        vals = {
+            take(pos[alpha], pos[add(alpha, theta)])
+            for alpha in ALPHAS
+            if alpha < add(alpha, theta)
+        }
+        if len(vals) != 1:
+            raise ValueError(
+                f"mixed s coefficients not uniform at shift {wgeometry._bits(theta)}"
+            )
+        d_coeffs.append(vals.pop() / 2)
+    e_vals = {take(d_idx, i) for i in s_idx}
+    if len(e_vals) != 1:
+        raise ValueError("delta*s coefficients are not uniform")
+    leftover = {k: v for k, v in m.items() if v}
+    if leftover:
+        raise ValueError(f"monomials outside the invariant span: {sorted(leftover)}")
+    return (a, b, c, *d_coeffs, e_vals.pop())
+
+
+def _outcome(expand, model, x):
+    try:
+        return expand(model, x)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40)
+@given(st.lists(small, min_size=19, max_size=19), st.data())
+def test_integer_expansion_matches_the_fraction_matching(model, coeffs, data):
+    x = combination(model, coeffs)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, model.space.dim - 1))
+        j = data.draw(st.integers(i, model.space.dim - 1))
+        x = x + Sym2Vector.from_map(model.space, {(i, j): data.draw(small)})
+    assert _outcome(expand_in_basis, model, x) == _outcome(_ref_expand_in_basis, model, x)
+
+
+def test_shift_table_is_the_group_law():
+    for theta in ALPHAS:
+        assert [ALPHAS[j] for j in wgeometry.SHIFTED[theta]] == [add(a, theta) for a in ALPHAS]
+    for theta in THETAS:
+        cosets = wgeometry.COSETS[theta]
+        assert sorted(i for pair in cosets for i in pair) == list(range(16))
+        assert all(add(ALPHAS[i], theta) == ALPHAS[j] and i < j for i, j in cosets)
