@@ -256,11 +256,11 @@ class RankTable:
     is concentrated in the middle.
     """
 
-    component_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     component_totals: tuple[int, ...]
     degree_totals: tuple[int, ...]
     even_total: int
+    even_fixed: int  # every summand but spin, which sits in the middle degree
     odd: int
     trail: tuple[str, ...]
 
@@ -283,16 +283,17 @@ def build_rank_table(
     component_totals = tuple(sum(row) for row in rows)
     degree_totals = tuple(sum(row[k] for row in rows) for k in range(7))
     even_total = sum(component_totals)
+    even_fixed = even_total - component_totals[names.index("spin")]
     trail = tuple(
         f"{name}: {row} (total {total})"
         for name, row, total in zip(names, rows, component_totals)
     ) + (f"degree totals {degree_totals}, even total {even_total}, odd {odd_rank}",)
     return RankTable(
-        component_names=names,
         rows=rows,
         component_totals=component_totals,
         degree_totals=degree_totals,
         even_total=even_total,
+        even_fixed=even_fixed,
         odd=odd_rank,
         trail=trail,
     )

@@ -3,8 +3,10 @@
 Every quantity is computed at most once and cached; downstream steps see
 exactly the objects their derivations consume, so one engine instance
 reproduces the whole chain from the constant table to the rank, kernel
-and bookkeeping certificates.  A stage that raises is computed once too:
-every later read raises the same exception object again.
+and bookkeeping certificates.  The surface data (``v_data``) is one such
+stage: the restriction of every second fourfold reads it instead of
+deriving it again.  A stage that raises is computed once too: every later
+read raises the same exception object again.
 """
 
 from __future__ import annotations
@@ -183,15 +185,17 @@ class Engine:
 
     @stage
     def w_other_all(self) -> tuple[WOtherRestriction, ...]:
+        model, gram, pack = self.w_model, self.gram19, self.pack
+        surface = self.v_data
         return tuple(
             restrict_w_other(
-                self.w_model,
-                self.gram19,
-                self.pack,
+                model,
+                gram,
+                pack,
                 theta,
                 self.doc.geometry("surface_c2_degree"),
                 self.doc.geometry("normal_c2_degree"),
-                self.doc.geometry("xi_square"),
+                surface,
             )
             for theta in THETAS
         )
@@ -340,14 +344,7 @@ class Engine:
 
     @stage
     def traces(self) -> TraceAverages:
-        # spin sits in the middle degree; every other even summand is fixed
-        even_fixed = sum(
-            total
-            for name, total in zip(
-                self.rank_table.component_names, self.rank_table.component_totals
-            )
-            if name != "spin"
-        )
+        table = self.rank_table
         return trace_averages(
             euler_total=self.sixfold_diamond.euler,
             fourfold_euler=_as_int(self.pack.c4_degree, "fourfold Euler number"),
@@ -356,7 +353,7 @@ class Engine:
                 "translation surface count"
             ),
             surface_euler=self.doc.hodge_int("surface euler"),
-            even_fixed_dim=even_fixed,
+            even_fixed_dim=table.even_fixed,
             odd_dim=self.doc.hodge_int("odd rank"),
         )
 

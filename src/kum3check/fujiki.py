@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .config import FUJIKI_KEYS
 from .linalg import RationalLike, rat
 
 Monomial = tuple[int, int, int, int]
@@ -26,24 +27,6 @@ GENERATOR_DEGREES = (4, 4, 8, 12)
 
 ONE: Monomial = (0, 0, 0, 0)
 QBAR_KEY: Monomial = (1, 0, 0, 0)
-
-REQUIRED_MONOMIALS: tuple[Monomial, ...] = (
-    (0, 0, 0, 0),
-    (1, 0, 0, 0),
-    (2, 0, 0, 0),
-    (3, 0, 0, 0),
-    (0, 1, 0, 0),
-    (1, 1, 0, 0),
-    (2, 1, 0, 0),
-    (0, 2, 0, 0),
-    (1, 2, 0, 0),
-    (0, 0, 1, 0),
-    (1, 0, 1, 0),
-    (0, 3, 0, 0),
-    (0, 1, 1, 0),
-    (0, 0, 0, 1),
-)
-
 
 class FujikiTableError(ValueError):
     """The constant table is missing data or fails an internal identity."""
@@ -81,6 +64,10 @@ def parse_monomial(text: str) -> Monomial:
             raise FujikiTableError(f"unrecognised monomial factor {factor!r}")
         exps[GENERATOR_NAMES.index(name)] += e
     return tuple(exps)  # type: ignore[return-value]
+
+
+# the monomials of the config's spelled keys ``C(...)``, in their order
+REQUIRED_MONOMIALS: tuple[Monomial, ...] = tuple(parse_monomial(k[2:-1]) for k in FUJIKI_KEYS)
 
 
 def multiply_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -205,7 +192,6 @@ class ZRelations:
     """
 
     ratio: Fraction                 # C(c2)/C(qbar), the coefficient in z = c2 - ratio*qbar
-    factor_deg4: Fraction
     factor_deg8: Fraction
     c_z: Fraction
     c_z2: Fraction
@@ -236,7 +222,7 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
     ratio = c("C(c2)") / c("C(qbar)")
     trail.append(f"z = c2 - ({ratio})*qbar")
 
-    factor4 = qbar_factor(table, 4)
+    qbar_factor(table, 4)  # raises unless the degree-4 factors agree
     factor8 = qbar_factor(table, 8)
 
     c_z = c("C(c2)") - ratio * c("C(qbar)")
@@ -307,7 +293,6 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
 
     return ZRelations(
         ratio=ratio,
-        factor_deg4=factor4,
         factor_deg8=factor8,
         c_z=c_z,
         c_z2=c_z2,

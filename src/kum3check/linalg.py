@@ -6,27 +6,27 @@ lowest terms with a positive denominator.  ``str(Fraction)`` gives ``p/q``
 of every config file and report in this package; f-strings with an empty
 format spec give the same string.
 
-Matrices are immutable and dense.  ``Fraction`` is the boundary type: it
-goes in and comes out, but the inner loops run on Python integers.  Each
-matrix lazily builds an integer row form, every row scaled by the lcm of
-its denominators, with equal cells sharing one ``int`` object.  Only the
-nonzero cells are read and scaled; a cell that is the shared ``ZERO`` is
-skipped without calling into ``Fraction``, so a sparse row costs what its
-support costs.  Products (``mat_vec``, ``pair``) scale the vector to
-integers once and build one ``Fraction`` per nonzero result; a zero result
-is ``ZERO`` itself.
+Matrices are immutable and hold their entries as ``Fraction`` rows.
+``Fraction`` is the boundary type: it goes in and comes out, but the inner
+loops run on Python integers.  Each matrix lazily builds one integer form:
+for every row, the lcm of its denominators and the nonzero cells scaled by
+it, as (columns, values).  Only the nonzero cells are read and scaled; a
+cell that is the shared ``ZERO`` is skipped without calling into
+``Fraction``, so a sparse row costs what its support costs.  Products
+(``mat_vec``, ``pair``) scale the vector to integers once and build one
+``Fraction`` per nonzero result; a zero result is ``ZERO`` itself.
 
-Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22): a row
-below the pivot is updated by cross-multiplication and divided by its
-content (gcd of the entries).  Only the columns from the pivot onward are
-touched, because those to the left are already zero and leave the content
-unchanged.  A matrix is eliminated at most once: the echelon is memoised
-on the matrix and shared by ``rank`` and ``kernel_basis``.
-Next to it the matrix memoises, for each echelon row, the pivot and the
-nonzero (column, value) pairs to its right.  Back substitution reads only
-those pairs, so on a sparse echelon it skips the zero cells, and it keeps
-one common denominator, so it stays in integers too.  The unit tests
-compare every routine with textbook ``Fraction`` formulas on random
+Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
+same sparse rows: a row below the pivot is updated by cross-multiplication
+and divided by its content (gcd of the entries).  Only the nonzero cells of
+the two rows are touched, and rows are kept by their first nonzero column,
+so the rows to update below a pivot are found without a scan.  A matrix is
+eliminated at most once: the sparse echelon rows are memoised on the matrix
+and shared by ``rank``, ``kernel_basis`` and ``solve_linear``.  Back
+substitution reads the cells right of each pivot, so it skips the zero
+cells, and it keeps one common denominator, so it stays in integers too.
+The unit tests compare every routine with textbook ``Fraction`` formulas,
+and the elimination with the dense integer elimination, on random
 matrices.
 """
 
@@ -34,18 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
-# One echelon row for back substitution: pivot column, pivot value, and the
-# columns and values of the nonzero cells right of the pivot.
-PivotTail = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 # The nonzero cells of one integer row: their columns and their values.
 SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
-IntegerForm = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[SparseRow, ...]]
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -107,14 +102,13 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
 class Matrix:
     """Immutable dense matrix with exact rational entries.
 
-    ``_scaled`` (per-row denominators, integer rows and their nonzero
-    cells as ``SparseRow`` pairs), ``_echelon``
-    (rows and pivots of the forward elimination) and ``_tails`` (the
-    sparse echelon rows read by back substitution) are filled on first
-    use.  None of them takes part in equality or hashing.
+    ``_scaled`` (per-row denominators and the nonzero cells of each row
+    scaled by its denominator, as ``SparseRow`` pairs) and ``_echelon``
+    (the sparse rows and pivots of the forward elimination) are filled on
+    first use.  Neither takes part in equality or hashing.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon", "_tails")
+    __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon")
 
     def __init__(self, entries: Iterable[Iterable[RationalLike]]):
         data = tuple(map(vector, entries))
@@ -129,7 +123,6 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_scaled", None)
         object.__setattr__(self, "_echelon", None)
-        object.__setattr__(self, "_tails", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -146,42 +139,24 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _integer_form(self) -> IntegerForm:
-        """Per-row denominators, the rows scaled by them to integers, and
-        the nonzero cells of each scaled row."""
+    def _integer_form(self) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
+        """Per-row denominators, and the nonzero cells of each row scaled
+        by its denominator to integers."""
         if self._scaled is None:
-            interned: dict[int, int] = {}
-            dens, rows, sparse = [], [], []
+            dens, sparse = [], []
             for row in self.entries:
                 den, index, ints = _scaled_support(row)
-                values = tuple([interned.setdefault(a, a) for a in ints])
-                cells = [0] * self.cols
-                for j, a in zip(index, values):
-                    cells[j] = a
                 dens.append(den)
-                rows.append(tuple(cells))
-                sparse.append((tuple(index), values))
-            object.__setattr__(self, "_scaled", (tuple(dens), tuple(rows), tuple(sparse)))
+                sparse.append((tuple(index), tuple(ints)))
+            object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
         return self._scaled
 
-    def _echelon_form(self) -> tuple[list, list[int]]:
+    def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
-            rows = list(self._integer_form()[1])
+            rows = [dict(zip(*row)) for row in self._integer_form()[1]]
             object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
         return self._echelon
-
-    def _pivot_tails(self) -> tuple[PivotTail, ...]:
-        """One ``PivotTail`` per echelon row; memoised, read only."""
-        if self._tails is None:
-            ech, pivots = self._echelon_form()
-            tails = []
-            for row, c in zip(ech, pivots):
-                right = row[c + 1 :]
-                cols = tuple(compress(range(c + 1, self.cols), right))
-                tails.append((c, row[c], cols, tuple(filter(None, right))))
-            object.__setattr__(self, "_tails", tuple(tails))
-        return self._tails
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries)) if self.rows else Matrix([])
@@ -191,7 +166,7 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         scale, ints = scaled_integers(v)
-        dens, _, sparse = self._integer_form()
+        dens, sparse = self._integer_form()
         return tuple(
             _fraction(sum(map(mul, values, map(ints.__getitem__, cols))), den * scale)
             for den, (cols, values) in zip(dens, sparse)
@@ -205,13 +180,15 @@ class Matrix:
         """
         if len(u) != self.rows or len(v) != self.cols:
             raise ValueError("vector length does not match matrix shape")
-        dens, rows, _ = self._integer_form()
+        dens, sparse = self._integer_form()
         u_index = [i for i, a in enumerate(u) if a]
         u_scale, u_ints = scaled_integers([rat(u[i]) for i in u_index])
         row_scale = lcm(*(dens[i] for i in u_index))
         w = [0] * self.cols
         for i, a in zip(u_index, u_ints):
-            w = list(map(add, w, map(mul, rows[i], repeat(a * (row_scale // dens[i])))))
+            k = a * (row_scale // dens[i])
+            for j, b in zip(*sparse[i]):
+                w[j] += k * b
         v_index = [j for j, c in enumerate(w) if c]
         v_scale, v_ints = scaled_integers([rat(v[j]) for j in v_index])
         total = sum(map(mul, map(w.__getitem__, v_index), v_ints))
@@ -222,60 +199,76 @@ class Matrix:
         return [list(map(str, row)) for row in self.entries]
 
 
-def _reduce_content(row: list[int]) -> list[int]:
-    g = gcd(*row) if row else 0
-    if g > 1:
-        return [a // g for a in row]
-    return row
+def _forward_echelon(
+    rows: list[dict[int, int]], cols: int
+) -> tuple[tuple[SparseRow, ...], list[int]]:
+    """Forward elimination of rows given as {column: nonzero value}.
 
-
-def _forward_echelon(rows: list, cols: int) -> tuple[list, list[int]]:
-    """Forward elimination; returns (rows, pivot column indices).
-
-    Entries of ``rows`` are replaced, never mutated, so a shallow copy of
-    the outer list keeps the input intact.  Afterwards rows[i] for
-    i < len(pivots) form an upper echelon with integer entries and rows
-    beyond that are zero.
+    Returns the echelon rows, as ``SparseRow`` pairs in column order, and
+    their pivot columns; the rows that eliminate to zero are dropped.
+    The pivot of column c is the first row at or below the current one
+    with a nonzero cell in c, swapped up.  Every row below it with a
+    nonzero cell in c is cross-multiplied with it and divided by its
+    content (gcd of the entries).  Rows at or below the current one are
+    zero left of c, so those rows are the ones whose first column is c;
+    they are kept in ``leading`` by first column and never searched for.
     """
+    leading: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            leading.setdefault(min(row), set()).add(i)
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
     for c in range(cols):
-        if r == nrows:
+        if not leading:
             break
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
+        below = leading.pop(c, None)
+        if below is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        tail = rows[r][c:]
-        p = tail[0]
-        prefix = [0] * c
-        for i in range(r + 1, nrows):
+        sel = min(below)
+        below.remove(sel)
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            if rows[sel]:
+                moved = leading[min(rows[sel])]
+                moved.remove(r)
+                moved.add(sel)
+        pivot = rows[r]
+        p = pivot[c]
+        for i in below:
             cur = rows[i]
             m = cur[c]
-            if not m:
-                continue
-            rows[i] = prefix + _reduce_content([p * a - m * b for a, b in zip(cur[c:], tail)])
+            row = {j: p * a for j, a in cur.items()}
+            for j, b in pivot.items():
+                a = row.get(j, 0) - m * b
+                if a:
+                    row[j] = a
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: a // g for j, a in row.items()}
+            rows[i] = row
+            if row:
+                leading.setdefault(min(row), set()).add(i)
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return tuple(tuple(zip(*sorted(row.items()))) for row in rows[:r]), pivots
 
 
-def _back_substitute(tails: Sequence[PivotTail], x: list[int]) -> list[Fraction]:
+def _back_substitute(echelon: Sequence[SparseRow], x: list[int]) -> list[Fraction]:
     """Solve the echelon system for the pivot coordinates of x.
 
-    ``tails`` is ``Matrix._pivot_tails()`` and ``x`` holds integers at the
-    non-pivot positions.  The pivot entries are solved from the bottom row
-    up over one common denominator, which grows only when a new entry needs
-    it, so the full vector satisfies every echelon row.
+    ``echelon`` holds the rows of ``Matrix._echelon_form()``, each led by
+    its pivot cell, and ``x`` holds integers at the non-pivot positions.
+    The pivot entries are solved from the bottom row up over one common
+    denominator, which grows only when a new entry needs it, so the full
+    vector satisfies every echelon row.
     """
     den = 1
-    for c, p, cols, vals in reversed(tails):
-        acc = sum(map(mul, vals, map(x.__getitem__, cols)))
+    for cols, vals in reversed(echelon):
+        c, p = cols[0], vals[0]
+        acc = sum(map(mul, vals[1:], map(x.__getitem__, cols[1:])))
         s = abs(p) // gcd(acc, p)
         if s > 1:
             x = [a * s for a in x]
@@ -296,15 +289,15 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     the other free coordinates are 0, and pivot coordinates are solved
     exactly.  Returns [] when the kernel is trivial.
     """
-    tails = m._pivot_tails()
-    pivot_set = {c for c, *_ in tails}
+    echelon, pivots = m._echelon_form()
+    pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
         x = [0] * m.cols
         x[f] = 1
-        basis.append(tuple(_back_substitute(tails, x)))
+        basis.append(tuple(_back_substitute(echelon, x)))
     return basis
 
 
@@ -340,7 +333,7 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
         return SolveResult(
             status="inconsistent",
             solution=None,
-            detail=f"row {i} reduces to 0 = {Fraction(ech[i][a.cols])}",
+            detail=f"row {i} reduces to 0 = {Fraction(ech[i][1][0])}",
         )
     if len(pivots) < a.cols:
         free = [c for c in range(a.cols) if c not in set(pivots)]
@@ -351,5 +344,5 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
         )
     x = [0] * (a.cols + 1)
     x[a.cols] = -1
-    solution = _back_substitute(augmented._pivot_tails(), x)[: a.cols]
+    solution = _back_substitute(ech, x)[: a.cols]
     return SolveResult(status="unique", solution=tuple(solution))

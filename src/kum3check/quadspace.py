@@ -131,9 +131,6 @@ class Sym2Vector:
         items.sort(key=lambda kv: kv[0])
         return Sym2Vector(space, tuple(items))
 
-    def as_map(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.coeffs)
-
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
         """(L, monomials, L * coefficients) for the lcm L of the denominators."""

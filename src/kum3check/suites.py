@@ -593,13 +593,7 @@ def _bookkeeping_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "fixed even dimension", REF_TRACE, 336,
-        lambda: sum(
-            total
-            for name, total in zip(
-                e.rank_table.component_names, e.rank_table.component_totals
-            )
-            if name != "spin"
-        ),
+        lambda: e.rank_table.even_fixed,
     )
     _add(
         checks, "group element euler numbers", REF_TRACE, (448, 192, 464),

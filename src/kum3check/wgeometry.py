@@ -6,7 +6,10 @@ sixteen exceptional s classes and one half-diagonal class delta, all of
 square -2 and pairwise orthogonal.  The surface V cut out by a second
 fourfold is one fixed space of sixteen orthogonal (-2)-curves, eight per
 side.  Only the labelling of each side's curves by the cosets of the
-difference label theta depends on theta.
+difference label theta depends on theta: ``surface_slots(theta)`` maps
+each s class and delta to one of nine slots, and each side's nine images
+are one fixed tuple.  The surface constants are derived once per
+document, and each theta builds only its slot map.
 
 Everything numeric flows from a handful of geometric inputs: the square
 of the half-exceptional class xi upstairs, its restrictions
@@ -26,8 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import H2_LABELS
-from .kummer import Pt, ZERO, add, two_torsion
-from .linalg import Matrix, scaled_integers, solve_linear
+from .kummer import Pt, ZERO, two_torsion
+from .linalg import Matrix, scaled_integers, solve_linear, support
 from .quadspace import (
     K3Hilb2Pack,
     QuadSpace,
@@ -371,9 +374,10 @@ _HALF_SUMS = tuple(
 )
 # xi|_V: the sum of all sixteen curves
 XI_ON_V = (Fraction(1),) * SURFACE.dim
-# The nine images a near-side fourfold sends its s classes and delta to:
-# the eight near curves, then half the sum of the far curves (slot SIDE).
-_NEAR_IMAGES = _SIDES[0] + (_HALF_SUMS[1],)
+# The nine images on V of the classes of a fourfold on either side, by slot:
+# the eight curves of its own side, then half the sum of the other side's
+# curves (slot SIDE).  The near side comes first.
+_IMAGES = (_SIDES[0] + (_HALF_SUMS[1],), _SIDES[1] + (_HALF_SUMS[0],))
 
 
 def _pairing_table(
@@ -388,57 +392,65 @@ def _pairing_table(
 
 
 # SURFACE is fixed, so its 45 pairings among the near-side images are too.
-_NEAR_SCALE, _NEAR_PAIRINGS = _pairing_table(_NEAR_IMAGES)
+_NEAR_SCALE, _NEAR_PAIRINGS = _pairing_table(_IMAGES[0])
 
 
-def _near_slots(near: dict[str, tuple[Fraction, ...]]) -> dict[str, int]:
-    """The slot among ``_NEAR_IMAGES`` of each label's image."""
-    slot_of = {id(image): k for k, image in enumerate(_NEAR_IMAGES)}
-    return {label: slot_of[id(image)] for label, image in near.items()}
+def surface_slots(theta: Pt) -> dict[str, int]:
+    """The slot of the image on V of each s class and of delta.
+
+    A fourfold sends s_alpha to the curve of its side for the coset
+    {alpha, alpha + theta}, the k-th coset of ``COSETS[theta]`` to slot k,
+    and delta to slot ``SIDE``.  The two fourfolds share these slots;
+    ``_IMAGES`` holds each side's images by slot.
+    """
+    if theta == ZERO:
+        raise ValueError("the two fourfolds must have distinct labels")
+    slots = {"delta": SIDE}
+    for k, coset in enumerate(COSETS[theta]):
+        for i in coset:
+            slots[s_label(ALPHAS[i])] = k
+    return slots
+
+
+def _near_pair(slots: dict[str, int], a: str, b: str) -> Fraction:
+    """q_V of the near-side images of the classes labelled a and b."""
+    return Fraction(_NEAR_PAIRINGS[slots[a]][slots[b]], _NEAR_SCALE)
+
+
+def _same_coset_pairing(slots: dict[str, int], theta: Pt) -> Fraction:
+    """q_V of the images of s_0 and s_theta, which must equal that of s_0 with itself."""
+    s0 = s_label(ALPHAS[0])
+    same = _near_pair(slots, s0, s_label(ALPHAS[SHIFTED[theta][0]]))
+    if same != _near_pair(slots, s0, s0):
+        raise ValueError("curve classes in one coset do not pair equally")
+    return same
+
+
+def _compositions_agree(slots: dict[str, int]) -> bool:
+    """Both fourfolds send xi|_W = XI_ON_W to xi|_V."""
+    weights = [Fraction(0)] * (SIDE + 1)
+    for label, c in XI_ON_W.items():
+        weights[slots[label]] += c
+    for images in _IMAGES:
+        pushed = [Fraction(0)] * SURFACE.dim
+        for w, image in zip(weights, images):
+            for k in support(image):
+                pushed[k] += w * image[k]
+        if tuple(pushed) != XI_ON_V:
+            return False
+    return True
 
 
 def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
     """q_V summed over the monomials of x: sum of c * q_V(image_i, image_j).
 
     ``slot`` maps each index of x's space that x uses to the slot of its
-    image among the near-side images; the pairings are read from the
-    table and summed in integers.
+    near-side image; the pairings are read from the table and summed in
+    integers.
     """
     scale, keys, ints = x.scaled
     total = sum(c * _NEAR_PAIRINGS[slot[i]][slot[j]] for (i, j), c in zip(keys, ints))
     return Fraction(total, scale * _NEAR_SCALE)
-
-
-def surface_images(theta: Pt, far: bool = False) -> dict[str, tuple[Fraction, ...]]:
-    """Images on V of one fourfold's s classes and delta.
-
-    The fourfold on the near side sends s_alpha to the near curve of the
-    coset {alpha, alpha + theta} and delta to half the sum of the far
-    curves.  With ``far`` the sides swap: this is the second fourfold's
-    view of the same surface.
-    """
-    if theta == ZERO:
-        raise ValueError("the two fourfolds must have distinct labels")
-    own, other = (1, 0) if far else (0, 1)
-    images: dict[str, tuple[Fraction, ...]] = {"delta": _HALF_SUMS[other]}
-    curves = iter(_SIDES[own])
-    for alpha in ALPHAS:
-        label = s_label(alpha)
-        if label not in images:
-            images[label] = images[s_label(add(alpha, theta))] = next(curves)
-    return images
-
-
-def _push(
-    images: dict[str, tuple[Fraction, ...]], coeffs: dict[str, Fraction]
-) -> tuple[Fraction, ...]:
-    """The image on V of sum(c * label), skipping zero cells."""
-    out = [Fraction(0)] * SURFACE.dim
-    for label, c in coeffs.items():
-        for k, x in enumerate(images[label]):
-            if x:
-                out[k] += c * x
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -465,42 +477,17 @@ def v_restriction_data(
     The Fujiki constant of a pair class is integral (xi|_V)^2 / q(xi),
     and the degree of the restricted second Chern class is the sum of
     the surface term and both normal-bundle terms.  Both fourfolds must
-    restrict their xi to the same class xi|_V.
+    restrict their xi to the same class xi|_V.  None of these values
+    depends on theta, which only labels the curves.
     """
-    return _surface_data(theta, surface_images(theta), xi_square, deg_c2_v, deg_c2_nvw)
-
-
-def _surface_data(
-    theta: Pt,
-    near: dict[str, tuple[Fraction, ...]],
-    xi_square: Fraction,
-    deg_c2_v: Fraction,
-    deg_c2_nvw: Fraction,
-) -> VRestrictionData:
-    """``v_restriction_data`` on the near-side images ``near`` of ``theta``."""
-    slots = _near_slots(near)
-
-    def pair(a: str, b: str) -> Fraction:
-        return Fraction(_NEAR_PAIRINGS[slots[a]][slots[b]], _NEAR_SCALE)
-
-    delta_sq = pair("delta", "delta")
-    alpha0 = ALPHAS[0]
-    partner = add(alpha0, theta)
-    s0 = s_label(alpha0)
-    delta_s = pair("delta", s0)
-    same = pair(s0, s_label(partner))
-    if same != pair(s0, s0):
-        raise ValueError("curve classes in one coset do not pair equally")
+    slots = surface_slots(theta)
+    same = _same_coset_pairing(slots, theta)
+    alpha0, partner = ALPHAS[0], ALPHAS[SHIFTED[theta][0]]
     other_alpha = next(a for a in ALPHAS if a not in (alpha0, partner))
-    other = pair(s0, s_label(other_alpha))
+    s0 = s_label(alpha0)
+    delta_sq = _near_pair(slots, "delta", "delta")
     xi_sq = SURFACE.pair(XI_ON_V, XI_ON_V)
     c_v = xi_sq / xi_square
-
-    agree = (
-        _push(near, XI_ON_W) == XI_ON_V
-        and _push(surface_images(theta, far=True), XI_ON_W) == XI_ON_V
-    )
-
     c2_deg = deg_c2_v + 2 * deg_c2_nvw
     trail = (
         f"(delta|_V)^2 = {delta_sq}, xi|_V squared = {xi_sq}",
@@ -511,13 +498,13 @@ def _surface_data(
     )
     return VRestrictionData(
         delta_sq=delta_sq,
-        delta_s=delta_s,
+        delta_s=_near_pair(slots, "delta", s0),
         s_pair_same_coset=same,
-        s_pair_other=other,
+        s_pair_other=_near_pair(slots, s0, s_label(other_alpha)),
         xi_sq=xi_sq,
         c_v_pair=c_v,
         c2_restriction_degree=c2_deg,
-        compositions_agree=agree,
+        compositions_agree=_compositions_agree(slots),
         trail=trail,
     )
 
@@ -541,7 +528,7 @@ def restrict_w_other(
     theta: Pt,
     deg_c2_v: Fraction,
     deg_c2_nvw: Fraction,
-    xi_square: Fraction,
+    surface: VRestrictionData,
 ) -> WOtherRestriction:
     """Expand the class of a second fourfold over the 19 classes.
 
@@ -549,14 +536,14 @@ def restrict_w_other(
     the surface V and is read off the curve Gram; against the dual class,
     it is (c2 route) the surface Euler degree plus one normal-bundle term,
     scaled by the c2-to-dual ratio.  The 19x19 system then has a unique
-    solution.
+    solution.  ``surface`` holds the theta-independent surface data; the
+    labelling of the curves by theta is checked here.
     """
-    near = surface_images(theta)
-    data = _surface_data(theta, near, xi_square, deg_c2_v, deg_c2_nvw)
-    if not data.compositions_agree:
+    slots = surface_slots(theta)
+    _same_coset_pairing(slots, theta)
+    if not _compositions_agree(slots):
         raise ValueError("xi restrictions to the surface disagree between the two sides")
 
-    slots = _near_slots(near)
     slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / pack.c2_qbar_ratio
     rhs = [qbar_rhs] + [near_pairing(slot, vec) for vec in model.basis[1:]]
@@ -564,7 +551,7 @@ def restrict_w_other(
     solved = solve_linear(gram, rhs)
     if not solved.ok:
         raise ValueError(f"singular intersection matrix: {solved.detail}")
-    trail = data.trail + (
+    trail = surface.trail + (
         f"dual-class pairing = ({deg_c2_v} + "
         f"{deg_c2_nvw}) / {pack.c2_qbar_ratio} "
         f"= {qbar_rhs}",

@@ -182,6 +182,15 @@ def _ref_integer_rows(entries):
     return out
 
 
+def _dense(row, width):
+    """The cells of a sparse (columns, values) row."""
+    cols, values = row
+    cells = [0] * width
+    for j, a in zip(cols, values):
+        cells[j] = a
+    return cells
+
+
 def _ref_reduce_content(row):
     g = gcd(*row) if row else 0
     return [a // g for a in row] if g > 1 else row
@@ -309,6 +318,9 @@ def test_sparse_back_substitution_matches_fraction_formulas_on_banded_matrices()
         mat = Matrix(entries)
         got = (rank(mat), kernel_basis(mat))
         assert got == _ref_rank_and_kernel(entries, 30)
+        echelon, pivots = mat._echelon_form()
+        ech, ref_pivots = _ref_forward_echelon(_ref_integer_rows(entries), 30)
+        assert (pivots, [_dense(row, 30) for row in echelon]) == (ref_pivots, ech[:27])
         assert len(got[1]) == 3
         for v in got[1]:
             assert mat.mat_vec(v) == (Fraction(0),) * 30
@@ -402,7 +414,8 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     m = m if n else 0
     entries = [data.draw(st.lists(cells, min_size=m, max_size=m)) for _ in range(n)]
     mat = Matrix(entries)
-    dens, rows, sparse = mat._integer_form()
+    dens, sparse = mat._integer_form()
+    rows = [_dense(row, m) for row in sparse]
     assert [list(row) for row in rows] == _ref_integer_rows(entries)
     assert list(dens) == [_ref_scaled_integers(row)[0] for row in entries]
     assert list(sparse) == [
@@ -412,3 +425,19 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     product = mat.mat_vec(v)
     assert product == _ref_mat_vec(entries, v)
     assert all(x is ZERO for x in product if x == 0)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense integer elimination it replaced
+
+
+@given(matrices(max_rows=7, max_cols=7))
+def test_sparse_echelon_matches_the_dense_elimination(matrix):
+    entries, m = matrix
+    echelon, pivots = Matrix(entries)._echelon_form()
+    ech, ref_pivots = _ref_forward_echelon(_ref_integer_rows(entries), m)
+    assert pivots == ref_pivots
+    assert [_dense(row, m) for row in echelon] == ech[: len(pivots)]
+    assert all(not any(row) for row in ech[len(pivots) :])
+    assert all(cols and cols[0] == c for (cols, _), c in zip(echelon, pivots))
+    assert all(all(values) for _, values in echelon)

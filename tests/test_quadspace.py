@@ -49,7 +49,7 @@ def test_vector_and_pairing():
 
 def test_dual_class_coefficients():
     dual = qbar_dual(AMBIENT)
-    m = dual.as_map()
+    m = dict(dual.coeffs)
     half = Fraction(1, 2)
     assert m[(0, 0)] == half and m[(1, 1)] == half and m[(2, 2)] == half
     assert m[(3, 3)] == -half and m[(4, 4)] == -half and m[(5, 5)] == -half

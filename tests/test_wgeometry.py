@@ -9,7 +9,7 @@ from kum3check import wgeometry
 from kum3check.config import default_config
 from kum3check.engine import Engine
 from kum3check.kummer import ZERO, add
-from kum3check.quadspace import K3Hilb2Pack, Sym2Vector, sym2_pair, sym2_product
+from kum3check.quadspace import K3Hilb2Pack, QuadSpace, Sym2Vector, sym2_pair, sym2_product
 from kum3check.suites import run_suite
 from kum3check.wgeometry import (
     ALPHAS,
@@ -70,10 +70,15 @@ def qbar_rest(model, ambient):
 
 
 @pytest.fixture(scope="module")
-def others(model, gram):
+def surface():
+    return v_restriction_data(THETAS[0], XI_SQUARE, Fraction(24), Fraction(12))
+
+
+@pytest.fixture(scope="module")
+def others(model, gram, surface):
     return tuple(
         restrict_w_other(
-            model, gram, PACK, theta, Fraction(24), Fraction(12), XI_SQUARE
+            model, gram, PACK, theta, Fraction(24), Fraction(12), surface
         )
         for theta in THETAS
     )
@@ -217,18 +222,18 @@ def test_v_model_rejects_zero_shift():
         v_restriction_data(ZERO, XI_SQUARE, Fraction(24), Fraction(12))
 
 
-def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, monkeypatch):
-    true_images = wgeometry.surface_images
+def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, surface, monkeypatch):
+    true_slots = wgeometry.surface_slots
 
-    def wrong_delta(theta, far=False):
-        images = true_images(theta, far)
-        images["delta"] = images[s_label(ZERO)]
-        return images
+    def wrong_delta(theta):
+        slots = true_slots(theta)
+        slots["delta"] = slots[s_label(ZERO)]
+        return slots
 
-    monkeypatch.setattr(wgeometry, "surface_images", wrong_delta)
+    monkeypatch.setattr(wgeometry, "surface_slots", wrong_delta)
     with pytest.raises(ValueError, match="xi restrictions to the surface disagree"):
         restrict_w_other(
-            model, gram, PACK, THETAS[0], Fraction(24), Fraction(12), XI_SQUARE
+            model, gram, PACK, THETAS[0], Fraction(24), Fraction(12), surface
         )
 
 
@@ -362,9 +367,82 @@ def test_theta_sum_closure():
 # surface pairings read from the fixed table against SURFACE.pair sums
 
 
+def surface_images(theta, far=False):
+    """Images on V of one fourfold's s classes and delta, by label.
+
+    The labelling by ``kummer.add`` that ``surface_slots`` replaced: the
+    near-side fourfold sends s_alpha to the near curve of the coset
+    {alpha, alpha + theta}, in order of first appearance, and delta to half
+    the sum of the far curves; with ``far`` the sides swap.
+    """
+    if theta == ZERO:
+        raise ValueError("the two fourfolds must have distinct labels")
+    surface = wgeometry.SURFACE
+    curves = [surface.basis_vector(label) for label in surface.labels]
+    sides = (curves[:8], curves[8:])
+    own, other = (1, 0) if far else (0, 1)
+    half_sum = tuple(sum(c[k] for c in sides[other]) / 2 for k in range(surface.dim))
+    images = {"delta": half_sum}
+    curves = iter(sides[own])
+    for alpha in ALPHAS:
+        label = s_label(alpha)
+        if label not in images:
+            images[label] = images[s_label(add(alpha, theta))] = next(curves)
+    return images
+
+
+def test_surface_slots_match_the_labelling_by_the_group_law():
+    for theta in THETAS:
+        slots = wgeometry.surface_slots(theta)
+        for side, far in enumerate((False, True)):
+            images = surface_images(theta, far)
+            assert set(slots) == set(images)
+            assert {label: wgeometry._IMAGES[side][k] for label, k in slots.items()} == images
+    with pytest.raises(ValueError, match="distinct labels"):
+        wgeometry.surface_slots(ZERO)
+
+
+def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
+    surface_pairings = []
+    slot_maps = []
+    true_pair = QuadSpace.pair
+    true_slots = wgeometry.surface_slots
+
+    def counted_pair(space, u, v):
+        if space is wgeometry.SURFACE:
+            surface_pairings.append((u, v))
+        return true_pair(space, u, v)
+
+    def counted_slots(theta):
+        slot_maps.append(theta)
+        return true_slots(theta)
+
+    monkeypatch.setattr(QuadSpace, "pair", counted_pair)
+    monkeypatch.setattr(wgeometry, "surface_slots", counted_slots)
+    assert run_suite(Engine(default_config()), "all").status == "pass"
+    assert len(surface_pairings) == 1
+    assert sorted(slot_maps) == sorted([THETAS[0], *THETAS])
+
+
+def test_surface_checks_reject_a_split_coset(model, gram, surface, monkeypatch):
+    true_slots = wgeometry.surface_slots
+
+    def split_coset(theta):
+        slots = true_slots(theta)
+        slots[s_label(ZERO)] = (slots[s_label(ZERO)] + 1) % wgeometry.SIDE
+        return slots
+
+    monkeypatch.setattr(wgeometry, "surface_slots", split_coset)
+    with pytest.raises(ValueError, match="curve classes in one coset do not pair equally"):
+        v_restriction_data(THETAS[1], XI_SQUARE, Fraction(24), Fraction(12))
+    for theta in (THETAS[0], THETAS[-1]):
+        with pytest.raises(ValueError, match="curve classes in one coset do not pair equally"):
+            restrict_w_other(model, gram, PACK, theta, Fraction(24), Fraction(12), surface)
+
+
 def _ref_surface_pairing(model, theta, x):
     """The per-pair Fraction sum that the pairing table replaced."""
-    images = wgeometry.surface_images(theta)
+    images = surface_images(theta)
     labels = model.space.labels
     total = Fraction(0)
     for (i, j), c in x.coeffs:
@@ -396,7 +474,7 @@ def test_near_pairing_matches_surface_pairings(model, theta, data):
     x = Sym2Vector.from_map(
         space, data.draw(st.dictionaries(keys, surface_coefficient, max_size=10))
     )
-    slots = wgeometry._near_slots(wgeometry.surface_images(theta))
+    slots = wgeometry.surface_slots(theta)
     slot = {i: slots[space.labels[i]] for i in indices}
     assert wgeometry.near_pairing(slot, x) == _ref_surface_pairing(model, theta, x)
 
@@ -407,7 +485,7 @@ def test_near_pairing_matches_surface_pairings(model, theta, data):
 
 def _ref_expand_in_basis(model, x):
     space = model.space
-    m = x.as_map()
+    m = dict(x.coeffs)
 
     def take(i, j):
         return m.pop((i, j) if i <= j else (j, i), Fraction(0))
