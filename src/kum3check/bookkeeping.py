@@ -43,10 +43,6 @@ class HodgeDiamond:
                         f"types ({p}, {q}) and ({d - p}, {d - q}) violate duality"
                     )
 
-    @property
-    def dim(self) -> int:
-        return (len(self.rows) - 1) // 2
-
     def h(self, p: int, q: int) -> int:
         return self.rows[p + q][q]
 
@@ -340,6 +336,11 @@ def canonical_dims(deg4_rank: int, deg6_rank: int, deg8_rank: int) -> CanonicalD
 # ---------------------------------------------------------------------------
 # trace averaging over the sign-extended two-torsion group
 
+# the order-32 group: the identity, fifteen translations, sixteen reflections
+TRANSLATION_COUNT = 15
+REFLECTION_COUNT = 16
+
+
 @dataclass(frozen=True)
 class TraceAverages:
     """Traces on the spin summand and the resulting invariant dimension."""
@@ -363,27 +364,27 @@ def trace_averages(
     surface_euler: int,
     even_fixed_dim: int,
     odd_dim: int,
-    translation_count: int = 15,
-    reflection_count: int = 16,
 ) -> TraceAverages:
     """Average the spin-summand character over the order-32 group.
 
-    Each group element acts with Euler characteristic equal to that of its
-    fixed locus; the even part outside the spin summand is fixed, and the
-    odd part is scaled by the sign character.  Solving for the spin trace
-    and averaging gives the invariant dimension, which must come out a
-    nonnegative integer.
+    The group is the identity, ``TRANSLATION_COUNT`` translations by
+    nonzero two-torsion points and ``REFLECTION_COUNT`` reflections, so
+    only the fixed-locus data are arguments.  Each group element acts with
+    Euler characteristic equal to that of its fixed locus; the even part
+    outside the spin summand is fixed, and the odd part is scaled by the
+    sign character.  Solving for the spin trace and averaging gives the
+    invariant dimension, which must come out a nonnegative integer.
     """
     chi_translation = translation_surface_count * surface_euler
     chi_reflection = fourfold_euler + reflection_extra_points
     trace_identity = euler_total - even_fixed_dim + odd_dim
     trace_translation = chi_translation - even_fixed_dim + odd_dim
     trace_reflection = chi_reflection - even_fixed_dim - odd_dim
-    order = 1 + translation_count + reflection_count
+    order = 1 + TRANSLATION_COUNT + REFLECTION_COUNT
     total = (
         trace_identity
-        + translation_count * trace_translation
-        + reflection_count * trace_reflection
+        + TRANSLATION_COUNT * trace_translation
+        + REFLECTION_COUNT * trace_reflection
     )
     if total % order:
         raise ValueError(f"trace sum {total} is not divisible by the order {order}")

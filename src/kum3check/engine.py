@@ -46,16 +46,14 @@ from .fujiki import (
     multiply,
 )
 from .kummer import (
+    LABEL_COUNT,
     DGramCertificate,
     FixedClassIntersections,
     IndependenceCertificate,
     InjectivityCertificate,
-    component_cube_from_total,
     d_gram_certificate,
     deg4_independence_certificate,
     qbar_injectivity_certificate,
-    two_torsion,
-    w_dot_v_total,
 )
 from .linalg import Matrix
 from .quadspace import K3Hilb2Pack, QuadSpace
@@ -230,22 +228,9 @@ class Engine:
         )
 
     @stage
-    def w_dot_v(self) -> Fraction:
-        data = self.wv_inputs
-        return w_dot_v_total(
-            data.w_sq_w_other, data.w_triple_distinct, data.label_count
-        )
-
-    @stage
     def wv(self) -> WVClasses:
         data = self.wv_inputs
-
-        def solver(total: Fraction) -> Fraction:
-            return component_cube_from_total(
-                total, data.w_sq_w_other, data.w_triple_distinct, data.label_count
-            )
-
-        return express_w_v(self.table, self.relations, data, self.w_dot_v, solver)
+        return express_w_v(self.relations, data)
 
     @stage
     def aux(self) -> AuxiliaryValues:
@@ -257,7 +242,7 @@ class Engine:
     def fixed_intersections(self) -> FixedClassIntersections:
         rel = self.relations
         wv = self.wv
-        n = self.wv_inputs.label_count
+        n = LABEL_COUNT
         return FixedClassIntersections(
             qbar2_w=multiply(wv.w, deg8(1, 0), rel) / n,
             qbarz_w=multiply(wv.w, deg8(0, 1), rel) / n,
@@ -272,7 +257,6 @@ class Engine:
             ratio=rel.ratio,
             w_qbar_coeff=wv.w.qbar,
             w_z_coeff=wv.w.z,
-            label_count=n,
         )
 
     @stage
@@ -285,7 +269,7 @@ class Engine:
 
     @stage
     def d_pairings(self) -> DPairings:
-        return d_self_pairings(self.w_model, self.w_self.coeffs)
+        return d_self_pairings(self.w_model, self.w_self.coeffs, self.sprime)
 
     @stage
     def d_gram(self) -> DGramCertificate:
@@ -362,7 +346,7 @@ class Engine:
         # each blown-up centre is one fourfold carrying one holomorphic two-form
         return blowup_comparison(
             self.sixfold_diamond,
-            center_count=len(two_torsion()),
+            center_count=LABEL_COUNT,
             center_h20=1,
             target_h31=self.doc.hodge_int("blowup h(3,1) target"),
             target_h40=self.doc.hodge_int("blowup h(4,0) target"),

@@ -6,7 +6,9 @@ a canonical degree-4 class z = c2 - (C(c2)/C(qbar)) qbar with C(z) = 0,
 and closed bases {qbar, z} in degree 4 and {qbar^2, qbar*z} in degree 8.
 :func:`derive_z_relations` reproduces the expansion of z^2, c2^2 and c4
 in those bases exactly from the table, and :func:`multiply` evaluates
-graded products against the derived relations.
+graded products against the derived relations.  :func:`express_w_v`
+expands the sum classes w and v; their label sums are the pattern counts
+of the torsion-label module, ``kummer``.
 
 Degrees are real cohomological degrees; the top degree is 12.
 """
@@ -18,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .config import FUJIKI_KEYS
+from .kummer import LABEL_COUNT, component_cube_from_total, w_dot_v_total
 from .linalg import RationalLike, rat
 
 Monomial = tuple[int, int, int, int]
@@ -365,23 +368,17 @@ class WVInputs:
     c2_v_pair: Fraction         # c2 * (one v component)
     c_w_component: Fraction     # C(w_tau)
     c_v_pair: Fraction          # C(one v component)
-    label_count: int = 16
 
 
-def express_w_v(
-    table: FujikiTable,
-    rel: ZRelations,
-    data: WVInputs,
-    w_dot_v: Fraction,
-    w_component_cube_solver,
-) -> WVClasses:
+def express_w_v(rel: ZRelations, data: WVInputs) -> WVClasses:
     """Expand w and v in the canonical bases from their Fujiki constants.
 
-    ``w_dot_v`` is the orbit-counted value of w * v and
-    ``w_component_cube_solver(total)`` recovers w_tau^3 from w^3; both are
-    computed by the torsion-label module and injected here.
+    w * v is summed over the sixteen labels by the pattern count
+    ``kummer.w_dot_v_total``, and ``kummer.component_cube_from_total``
+    recovers w_tau^3 from w^3, both from the triple numbers in ``data``.
     """
-    n = data.label_count
+    n = LABEL_COUNT
+    w_dot_v = w_dot_v_total(data.w_sq_w_other, data.w_triple_distinct, n)
     pair_count = n * (n - 1) // 2
     trail = []
 
@@ -417,7 +414,9 @@ def express_w_v(
     )
 
     w_cube = multiply(w, multiply(w, w, rel), rel)
-    w_component_cube = w_component_cube_solver(w_cube)
+    w_component_cube = component_cube_from_total(
+        w_cube, data.w_sq_w_other, data.w_triple_distinct, n
+    )
     trail.append(
         f"w^3 = {w_cube}; "
         f"component cube = {w_component_cube}"
@@ -453,12 +452,11 @@ class AuxiliaryValues:
     c4_w_component: Fraction    # c4 * w_tau
     qbar_w_sq: Fraction         # qbar * w_tau^2
     qbar_w_pair: Fraction       # qbar * w_tau * w_tau'
-    c_v_pair: Fraction
     trail: tuple[str, ...]
 
 
 def auxiliary_values(rel: ZRelations, wv: WVClasses, data: WVInputs) -> AuxiliaryValues:
-    n = data.label_count
+    n = LABEL_COUNT
     c_w_sq = c_of(multiply(wv.w, wv.w, rel), rel)
     c_w_component_sq = (c_w_sq - n * (n - 1) * data.c_v_pair) / n
     c4_w_component = multiply(wv.w, rel.c4, rel) / n
@@ -476,6 +474,5 @@ def auxiliary_values(rel: ZRelations, wv: WVClasses, data: WVInputs) -> Auxiliar
         c4_w_component=c4_w_component,
         qbar_w_sq=qbar_w_sq,
         qbar_w_pair=qbar_w_pair,
-        c_v_pair=data.c_v_pair,
         trail=trail,
     )

@@ -42,10 +42,6 @@ Pt = tuple[int, int, int, int]
 ZERO: Pt = (0, 0, 0, 0)
 
 
-def add(p: Pt, q: Pt) -> Pt:
-    return tuple((x + y) % 4 for x, y in zip(p, q))  # type: ignore[return-value]
-
-
 def double(p: Pt) -> Pt:
     return tuple((2 * x) % 4 for x in p)  # type: ignore[return-value]
 
@@ -56,6 +52,10 @@ def four_torsion() -> tuple[Pt, ...]:
 
 def two_torsion() -> tuple[Pt, ...]:
     return tuple(p for p in four_torsion() if double(p) == ZERO)
+
+
+# the sixteen fixed fourfolds, one per two-torsion label
+LABEL_COUNT = len(two_torsion())
 
 
 def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
@@ -108,7 +108,6 @@ class FixedClassIntersections:
     ratio: Fraction
     w_qbar_coeff: Fraction
     w_z_coeff: Fraction
-    label_count: int = 16
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class DerivedWPairings:
 
 def derive_w_pairings(data: FixedClassIntersections) -> DerivedWPairings:
     """Pairings of z and c2 against W squares and pairs, from the w expansion."""
-    n = data.label_count
+    n = LABEL_COUNT
     w_w_sq = w_times_w_sq(data.w_cube, data.w_sq_w_other, n)
     w_w_pair = w_times_w_pair(data.w_sq_w_other, data.w_triple_distinct, n)
     z_w_sq = (w_w_sq - data.w_qbar_coeff * data.qbar_w_sq) / data.w_z_coeff
@@ -142,8 +141,6 @@ class IndependenceCertificate:
     """Pairing matrix of {c2, W classes} against the degree-8 test classes."""
 
     matrix: Matrix
-    row_labels: tuple[str, ...]
-    column_labels: tuple[str, ...]
     rank: int
     separating_gap: Fraction
     pairings: DerivedWPairings
@@ -159,15 +156,9 @@ def deg4_independence_certificate(
     The separating gap is the single nonzero entry pattern by which the
     column of one W square distinguishes its own row from every other.
     """
-    n = data.label_count
+    n = LABEL_COUNT
     pairings = derive_w_pairings(data)
     pairs = list(combinations(range(n), 2))
-    column_labels = (
-        ["qbar^2", "qbar*z"]
-        + [f"w_{s}^2" for s in range(n)]
-        + [f"w_{s}*w_{t}" for s, t in pairs]
-    )
-    row_labels = ["c2"] + [f"w_{t}" for t in range(n)]
 
     rows = []
     c2_row = (
@@ -207,8 +198,6 @@ def deg4_independence_certificate(
     )
     return IndependenceCertificate(
         matrix=matrix,
-        row_labels=tuple(row_labels),
-        column_labels=tuple(column_labels),
         rank=rank(matrix),
         separating_gap=gap,
         pairings=pairings,
@@ -230,7 +219,7 @@ def qbar_injectivity_certificate(
     data: FixedClassIntersections,
 ) -> InjectivityCertificate:
     """Full rank means multiplication by qbar is injective on the span."""
-    n = data.label_count
+    n = LABEL_COUNT
     qbar_c2_w = data.ratio * data.qbar2_w + data.qbarz_w
     rows = [[data.qbar_c2_sq] + [qbar_c2_w] * n]
     for t in range(n):
@@ -257,8 +246,6 @@ class DGramCertificate:
 
     blocks: int
     block_size: int
-    diagonal: Fraction
-    same_block: Fraction
     cross_block: Fraction
     rank: int
     nullity: int
@@ -365,8 +352,6 @@ def d_gram_certificate(
     return DGramCertificate(
         blocks=blocks,
         block_size=block_size,
-        diagonal=diagonal,
-        same_block=same_block,
         cross_block=cross_block,
         rank=gram_rank,
         nullity=nullity,

@@ -13,9 +13,9 @@ monomial rather than a symmetrised half-sum, so the square of a sum,
 ``sym2_product(space, u, u)``, doubles every mixed coefficient.  All
 coefficients are exact rationals, but the arithmetic on them runs on
 integers: a class memoises its coefficients scaled by their common
-denominator, products and sums (``sym2_product``, ``sym2_sum`` and the
-``+``, ``-`` and scalar ``*`` built on it) accumulate integers over one
-common denominator, and the pairing runs over the Gram matrix scaled the
+denominator, products and sums (``sym2_product`` and ``sym2_sum``, the
+one way to add or scale classes) accumulate integers over one common
+denominator, and the pairing runs over the Gram matrix scaled the
 same way.  Each builds one ``Fraction`` per result monomial or value.
 
 :class:`K3Hilb2Pack` holds the constants shared by K3[2]-type fourfolds;
@@ -136,15 +136,6 @@ class Sym2Vector:
         """(L, monomials, L * coefficients) for the lcm L of the denominators."""
         scale, ints = scaled_integers([c for _, c in self.coeffs])
         return scale, tuple(k for k, _ in self.coeffs), ints
-
-    def __add__(self, other: "Sym2Vector") -> "Sym2Vector":
-        return sym2_sum(self.space, ((1, self), (1, other)))
-
-    def __sub__(self, other: "Sym2Vector") -> "Sym2Vector":
-        return sym2_sum(self.space, ((1, self), (-1, other)))
-
-    def __rmul__(self, scalar: RationalLike) -> "Sym2Vector":
-        return sym2_sum(self.space, ((scalar, self),))
 
     def render(self) -> str:
         labels = self.space.labels

@@ -29,9 +29,6 @@ def render_value(value) -> str:
         return render_value(value.to_lists())
     if isinstance(value, (tuple, list)):
         return "[" + ", ".join(render_value(x) for x in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ", ".join(f"{k}: {render_value(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 

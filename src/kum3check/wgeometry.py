@@ -153,7 +153,6 @@ class WModel:
     space: QuadSpace
     factor: Fraction
     basis: tuple[Sym2Vector, ...]
-    basis_names: tuple[str, ...]
     xi_restriction: tuple[Fraction, ...]
 
     def s_index(self, alpha: Pt) -> int:
@@ -177,31 +176,26 @@ def build_w_model(factor: Fraction) -> WModel:
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
 
+    # qbar_W, delta^2, sum s^2, the fifteen mixed sums sum s*s[theta], delta*sum s
     vectors = [qbar_dual(space)]
-    names = ["qbar_W"]
     vectors.append(Sym2Vector.from_map(space, {(d_idx, d_idx): Fraction(1)}))
-    names.append("delta^2")
     vectors.append(
         Sym2Vector.from_map(space, {(i, i): Fraction(1) for i in s_idx})
     )
-    names.append("sum s^2")
     for theta in THETAS:
         # alpha and alpha + theta both give the monomial of their coset
         coeffs = {(s_idx[i], s_idx[j]): Fraction(2) for i, j in COSETS[theta]}
         vectors.append(Sym2Vector.from_map(space, coeffs))
-        names.append(f"sum s*s[{_bits(theta)}]")
     vectors.append(
         Sym2Vector.from_map(
             space, {(min(d_idx, i), max(d_idx, i)): Fraction(1) for i in s_idx}
         )
     )
-    names.append("delta*sum s")
 
     return WModel(
         space=space,
         factor=factor,
         basis=tuple(vectors),
-        basis_names=tuple(names),
         xi_restriction=xi_restriction_on(space),
     )
 
@@ -516,8 +510,7 @@ def v_restriction_data(
 class WOtherRestriction:
     theta: Pt
     coeffs: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]
-    qbar_pairing: Fraction
+    rhs: tuple[Fraction, ...]  # rhs[0] is the pairing with the dual class
     trail: tuple[str, ...]
 
 
@@ -561,7 +554,6 @@ def restrict_w_other(
         theta=theta,
         coeffs=solved.solution,
         rhs=tuple(rhs),
-        qbar_pairing=qbar_rhs,
         trail=trail,
     )
 
@@ -571,8 +563,13 @@ def restrict_w_other(
 
 @dataclass(frozen=True)
 class SPrimeVectors:
-    """Sums over the shifted divisors s' = 4s - delta, in the 19 basis."""
+    """Products of the shifted divisors s' = 4s - delta and their sums.
 
+    ``products[i, j]`` is s'_i * s'_j for positions i <= j in ``ALPHAS``;
+    the sums are expanded in the 19 basis.
+    """
+
+    products: dict[tuple[int, int], Sym2Vector]
     sum_squares: tuple[Fraction, ...]
     sum_mixed_all: tuple[Fraction, ...]
     per_theta: tuple[tuple[Fraction, ...], ...]
@@ -585,22 +582,24 @@ def s_prime_vector(model: WModel, alpha: Pt) -> tuple[Fraction, ...]:
 
 
 def s_prime_vectors(model: WModel) -> SPrimeVectors:
-    """Expand sum_a s'_a s'_(a+shift) and check the change-of-basis identity.
+    """Build each product s'_a s'_b once; expand and check the shift sums.
 
-    For every shift, the sum must equal 16*delta^2 + 16*(mixed s sum at
-    that shift) - 8*delta*sum(s); the shift-0 case replaces the mixed sum
-    by sum s^2.
+    The 136 products s'_i * s'_j (i <= j) are the table that the shift sums
+    here and the divisor pairings (``d_self_pairings``) read.  For every
+    shift, sum_a s'_a s'_(a+shift) must equal 16*delta^2 + 16*(mixed s sum
+    at that shift) - 8*delta*sum(s); the shift-0 case replaces the mixed
+    sum by sum s^2.
     """
     sp = model.space
-    svecs = {alpha: s_prime_vector(model, alpha) for alpha in ALPHAS}
+    svecs = [s_prime_vector(model, alpha) for alpha in ALPHAS]
+    n = len(svecs)
+    products = {
+        (i, j): sym2_product(sp, svecs[i], svecs[j]) for i in range(n) for j in range(i, n)
+    }
 
     def sprime_sum(theta: Pt) -> Sym2Vector:
         return sym2_sum(
-            sp,
-            (
-                (1, sym2_product(sp, svecs[alpha], svecs[ALPHAS[j]]))
-                for alpha, j in zip(ALPHAS, SHIFTED[theta])
-            ),
+            sp, ((1, products[min(i, j), max(i, j)]) for i, j in enumerate(SHIFTED[theta]))
         )
 
     identity = True
@@ -621,6 +620,7 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
         total_mixed = [a + b for a, b in zip(total_mixed, coeffs)]
 
     return SPrimeVectors(
+        products=products,
         sum_squares=sum_sq,
         sum_mixed_all=tuple(total_mixed),
         per_theta=tuple(per_theta),
@@ -772,25 +772,22 @@ class DPairings:
     trail: tuple[str, ...]
 
 
-def d_self_pairings(model: WModel, self_coeffs: Sequence[Fraction]) -> DPairings:
+def d_self_pairings(
+    model: WModel, self_coeffs: Sequence[Fraction], sprime: SPrimeVectors
+) -> DPairings:
     """Pairings of two divisor push-forwards from the same fourfold.
 
     By the projection formula these are integrals over the fourfold of
     (own class restriction) * s'_a * s'_b, so they only need the 19-class
-    expansion of the self-restriction.
+    expansion of the self-restriction and the products s'_a * s'_b, which
+    are read from ``sprime.products``.
     """
     w_self = combination(model, self_coeffs)
-    sp = model.space
-    svecs = {alpha: s_prime_vector(model, alpha) for alpha in ALPHAS}
-
     diag_vals = set()
     off_vals = set()
-    for i, a in enumerate(ALPHAS):
-        for j, b in enumerate(ALPHAS):
-            if j < i:
-                continue
-            value = sym2_pair(w_self, sym2_product(sp, svecs[a], svecs[b]))
-            (diag_vals if i == j else off_vals).add(value)
+    for (i, j), product in sprime.products.items():
+        value = sym2_pair(w_self, product)
+        (diag_vals if i == j else off_vals).add(value)
     uniform = len(diag_vals) == 1 and len(off_vals) == 1
     diagonal = diag_vals.pop()
     same_block = off_vals.pop()

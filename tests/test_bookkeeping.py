@@ -60,7 +60,7 @@ def test_sixfold_betti_numbers(sixfold):
     assert sixfold.euler == 448
     assert sixfold.even_total == 576
     assert sixfold.odd_total == 128
-    assert sixfold.dim == 6
+    assert len(sixfold.rows) == 2 * 6 + 1
     assert sixfold.h(3, 1) == 6
     assert sixfold.row(2) == (1, 5, 1)
     assert sixfold.row(3) == (0, 4, 4, 0)

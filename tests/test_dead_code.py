@@ -1,16 +1,31 @@
 """A standing guard against code in ``src/kum3check`` that only tests read.
 
-Every module-level name that a package module defines (function, class or
-assigned name) must be named somewhere else in the package: read in its own
-module, imported by another module, or reached as an attribute.  A name
-listed in a module's ``__all__`` counts as named, and ``__all__`` itself is
-exempt.  Oracles and helpers that only tests use belong in ``tests/``.
+Two passes over the package source:
+
+* Every module-level name that a package module defines (function, class
+  or assigned name) must be named somewhere else in the package: loaded by
+  name in its own module, imported by another module, or listed in a
+  module's ``__all__`` (``__all__`` itself is exempt).  An attribute of the
+  same name does not count, so ``seen.add(x)`` does not keep a function
+  ``add`` alive.
+* Every method, property and dataclass field of a package class must be
+  read as an attribute (``x.name``) somewhere in the package outside its
+  own definition.  Special methods (``__name__``) are exempt, because the
+  language calls them.  A constructor keyword is not a read: a field that
+  is set but never read is dead.
+
+Oracles and helpers that only tests use belong in ``tests/``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kum3check"
+
+
+def _parse(root: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
 def _definitions(tree: ast.Module):
@@ -27,13 +42,11 @@ def _definitions(tree: ast.Module):
 
 
 def _names(node: ast.AST):
-    """Every name that the code under ``node`` reads, imports or exports."""
+    """Every name that the code under ``node`` loads, imports or exports."""
     for leaf in ast.walk(node):
-        if isinstance(leaf, ast.Name) and not isinstance(leaf.ctx, ast.Store):
+        if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
             yield leaf.id
-        elif isinstance(leaf, ast.Attribute):
-            yield leaf.attr
-        elif isinstance(leaf, ast.ImportFrom):
+        elif isinstance(leaf, (ast.Import, ast.ImportFrom)):
             yield from (alias.name for alias in leaf.names)
         elif (
             isinstance(leaf, ast.Assign)
@@ -44,7 +57,7 @@ def _names(node: ast.AST):
 
 def unnamed_definitions(root: Path = SRC) -> list[str]:
     """``module.name`` for each module-level name no other package code names."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    trees = _parse(root)
     # the names of each top-level statement, so a definition can skip its own
     statements = [(node, set(_names(node))) for tree in trees.values() for node in tree.body]
     unnamed = []
@@ -57,19 +70,85 @@ def unnamed_definitions(root: Path = SRC) -> list[str]:
     return unnamed
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often the code under ``node`` reads each attribute name."""
+    return Counter(
+        leaf.attr
+        for leaf in ast.walk(node)
+        if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Load)
+    )
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``, as the package spells it."""
+    return any(
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        for target in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    )
+
+
+def _members(tree: ast.Module):
+    """(class, member, node) for each method, property and dataclass field."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = _is_dataclass(node)
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif fields and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield node.name, name, item
+
+
+def unread_members(root: Path = SRC) -> list[str]:
+    """``module.Class.member`` for each member no package code reads as an attribute."""
+    trees = _parse(root)
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name, node in _members(tree)
+        if reads[name] <= _attribute_reads(node)[name]
+    ]
+
+
 def test_every_module_level_name_is_named_by_other_package_code():
     assert unnamed_definitions() == []
 
 
+def test_every_class_member_is_read_by_package_code():
+    assert unread_members() == []
+
+
 def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
     (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
         "__all__ = ['kept']\n"
         "kept = 1\n"
         "def used():\n    return helper()\n"
         "def helper():\n    return helper\n"
         "def orphan():\n    return orphan()\n"
+        "def add(x, y):\n    return x + y\n"
         "class Unread:\n    pass\n"
         "TABLE: dict = {}\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "    def method(self):\n        return self.method()\n"
+        "    @property\n"
+        "    def shown(self):\n        return self.read\n"
+        "    def __len__(self):\n        return 1\n"
     )
-    (tmp_path / "b.py").write_text("from .a import used\nused()\n")
-    assert unnamed_definitions(tmp_path) == ["a.orphan", "a.Unread", "a.TABLE"]
+    (tmp_path / "b.py").write_text(
+        "from .a import Record, used\n"
+        "seen = set()\n"
+        "seen.add(used())\n"
+        "print(Record(read=1, unread=2).shown)\n"
+    )
+    assert unnamed_definitions(tmp_path) == ["a.orphan", "a.add", "a.Unread", "a.TABLE"]
+    assert unread_members(tmp_path) == ["a.Record.unread", "a.Record.method"]

@@ -20,7 +20,6 @@ from kum3check.fujiki import (
     parse_monomial,
     qbar_factor,
 )
-from kum3check.kummer import component_cube_from_total, w_dot_v_total
 
 EXPECTED = {
     "C(1)": 60,
@@ -137,7 +136,7 @@ def test_evaluate_fujiki():
 
 
 @pytest.fixture(scope="module")
-def wv(table, rel):
+def wv(rel):
     data = WVInputs(
         w_sq_w_other=Fraction(12),
         w_triple_distinct=Fraction(4),
@@ -145,14 +144,7 @@ def wv(table, rel):
         c_w_component=Fraction(12),
         c_v_pair=Fraction(4),
     )
-    w_dot_v = w_dot_v_total(data.w_sq_w_other, data.w_triple_distinct)
-
-    def solver(total):
-        return component_cube_from_total(
-            total, data.w_sq_w_other, data.w_triple_distinct
-        )
-
-    return data, express_w_v(table, rel, data, w_dot_v, solver)
+    return data, express_w_v(rel, data)
 
 
 def test_sum_class_expansion(wv):

@@ -292,6 +292,34 @@ def test_solve_linear_matches_fraction_formula(matrix, data):
     assert (result.status, result.solution, result.detail) == _ref_solve(entries, b, m)
 
 
+# Systems whose echelon rows (of the augmented matrix) each carry a nonzero
+# cell in the last column right of the pivot; each comes with a copy whose
+# rows are reversed, so the elimination swaps rows.
+TAIL_SYSTEMS = [
+    ([[2, 1, 3], [0, 5, 7], [0, 0, 4]], [1, 2, 3]),
+    ([[1, 2, 3], [2, 1, 1], [3, 1, 2], [6, 4, 6]], [5, 3, 6, 14]),
+    (
+        [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, Fraction(2, 3), Fraction(5, 6)], [0, 0, Fraction(7, 5)]],
+        [Fraction(1, 3), -2, 1],
+    ),
+]
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("entries, b", TAIL_SYSTEMS)
+def test_solve_linear_reads_the_last_cell_of_every_echelon_row(entries, b, swapped):
+    if swapped:
+        entries, b = entries[::-1], b[::-1]
+    entries = [[Fraction(x) for x in row] for row in entries]
+    b = [Fraction(x) for x in b]
+    cols = len(entries[0])
+    echelon, _ = Matrix([row + [v] for row, v in zip(entries, b)])._echelon_form()
+    assert all(row_cols[-1] == cols and len(row_cols) > 1 for row_cols, _ in echelon)
+    result = solve_linear(Matrix(entries), b)
+    assert result.status == "unique"
+    assert (result.status, result.solution, result.detail) == _ref_solve(entries, b, cols)
+
+
 def _banded(rng, n, width):
     """A diagonally dominant n x n matrix with nonzero cells only where |i-j| <= width."""
     return [

@@ -8,8 +8,16 @@ from kum3check import engine as engine_module
 from kum3check import wgeometry
 from kum3check.config import default_config
 from kum3check.engine import Engine
-from kum3check.kummer import ZERO, add
-from kum3check.quadspace import K3Hilb2Pack, QuadSpace, Sym2Vector, sym2_pair, sym2_product
+from kum3check.kummer import ZERO
+from kum3check.quadspace import (
+    K3Hilb2Pack,
+    QuadSpace,
+    Sym2Vector,
+    qbar_dual,
+    sym2_pair,
+    sym2_product,
+    sym2_sum,
+)
 from kum3check.suites import run_suite
 from kum3check.wgeometry import (
     ALPHAS,
@@ -33,6 +41,8 @@ from kum3check.wgeometry import (
     v_restriction_data,
     xi_restriction_on,
 )
+
+from label_group import add
 
 PACK = K3Hilb2Pack(
     fujiki_constant=Fraction(3),
@@ -85,12 +95,17 @@ def others(model, gram, surface):
 
 
 @pytest.fixture(scope="module")
-def w_self(model, gram, qbar_rest, others):
+def sprime(model):
+    return s_prime_vectors(model)
+
+
+@pytest.fixture(scope="module")
+def w_self(model, gram, qbar_rest, sprime, others):
     return restrict_w_self(
         gram,
         PACK,
         qbar_rest,
-        s_prime_vectors(model),
+        sprime,
         others,
         c4_w_component=Fraction(408),
         w_sq_w_other=Fraction(12),
@@ -125,7 +140,7 @@ def test_exact_sqrt():
 def test_w_model_shape(model):
     assert model.space.dim == 23
     assert len(model.basis) == 19
-    assert model.basis_names[0] == "qbar_W"
+    assert model.basis[0] == qbar_dual(model.space)
     assert model.s_index(ALPHAS[0]) == 6
     assert model.theta_position(THETAS[0]) == 3
 
@@ -159,7 +174,7 @@ def test_expand_in_basis_rejects_outside_span(model):
     x = combination(model, tuple([Fraction(1)] + [Fraction(0)] * 18))
     stray = Sym2Vector.from_map(model.space, {(3, 4): Fraction(1)})
     with pytest.raises(ValueError):
-        expand_in_basis(model, x + stray)
+        expand_in_basis(model, sym2_sum(model.space, [(1, x), (1, stray)]))
 
 
 def test_expand_in_basis_rejects_non_uniform_squares(model):
@@ -241,7 +256,6 @@ def test_w_other_restrictions(model, others):
     for other in others:
         coeffs = other.coeffs
         assert other.rhs[0] == 30
-        assert other.qbar_pairing == 30
         assert coeffs[0] == Fraction(2, 5)
         assert coeffs[1] == 0
         assert coeffs[2] == Fraction(1, 4)
@@ -324,8 +338,16 @@ def test_w_self_needs_all_other_restrictions(model, gram, qbar_rest, others):
         )
 
 
-def test_d_pairings(model, w_self):
-    dp = d_self_pairings(model, w_self.coeffs)
+def test_sprime_products_are_the_unordered_products(model, sprime):
+    sp = model.space
+    vecs = [sp.vector({s_label(a): Fraction(4), "delta": Fraction(-1)}) for a in ALPHAS]
+    assert list(sprime.products) == [(i, j) for i in range(16) for j in range(i, 16)]
+    for (i, j), product in sprime.products.items():
+        assert product == sym2_product(sp, vecs[j], vecs[i])
+
+
+def test_d_pairings(model, w_self, sprime):
+    dp = d_self_pairings(model, w_self.coeffs, sprime)
     assert dp.diagonal == -52
     assert dp.same_block == 12
     assert dp.uniform
@@ -344,7 +366,7 @@ def test_sprime_squares_expand_by_hand(model):
     total = Sym2Vector.from_map(sp, {})
     for alpha in ALPHAS:
         vec = sp.vector({s_label(alpha): Fraction(4), "delta": Fraction(-1)})
-        total = total + sym2_product(sp, vec, vec)
+        total = sym2_sum(sp, [(1, total), (1, sym2_product(sp, vec, vec))])
     coeffs = expand_in_basis(model, total)
     assert coeffs[1] == 16 and coeffs[2] == 16 and coeffs[18] == -8
 
@@ -424,6 +446,20 @@ def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
     assert sorted(slot_maps) == sorted([THETAS[0], *THETAS])
 
 
+def test_verify_all_builds_each_sprime_product_once(monkeypatch):
+    # 136 unordered products s'_a * s'_b and the 7 of the restricted dual class
+    calls = []
+    true_product = wgeometry.sym2_product
+
+    def counted_product(*args):
+        calls.append(args)
+        return true_product(*args)
+
+    monkeypatch.setattr(wgeometry, "sym2_product", counted_product)
+    assert run_suite(Engine(default_config()), "all").status == "pass"
+    assert len(calls) == 143
+
+
 def test_surface_checks_reject_a_split_coset(model, gram, surface, monkeypatch):
     true_slots = wgeometry.surface_slots
 
@@ -477,6 +513,21 @@ def test_near_pairing_matches_surface_pairings(model, theta, data):
     slots = wgeometry.surface_slots(theta)
     slot = {i: slots[space.labels[i]] for i in indices}
     assert wgeometry.near_pairing(slot, x) == _ref_surface_pairing(model, theta, x)
+
+
+def test_near_pairing_matches_surface_pairings_on_every_monomial(model):
+    # each of the 153 monomials over the s classes and delta, for every theta
+    space = model.space
+    indices = [space.index(s_label(a)) for a in ALPHAS] + [space.index("delta")]
+    monomials = [(i, j) for i in indices for j in indices if i <= j]
+    assert len(monomials) == 153
+    for theta in THETAS:
+        slots = wgeometry.surface_slots(theta)
+        slot = {i: slots[space.labels[i]] for i in indices}
+        for key in monomials:
+            x = Sym2Vector.from_map(space, {key: Fraction(1)})
+            got = wgeometry.near_pairing(slot, x)
+            assert got == _ref_surface_pairing(model, theta, x), (theta, key)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +591,9 @@ def test_integer_expansion_matches_the_fraction_matching(model, coeffs, data):
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, model.space.dim - 1))
         j = data.draw(st.integers(i, model.space.dim - 1))
-        x = x + Sym2Vector.from_map(model.space, {(i, j): data.draw(small)})
+        x = sym2_sum(
+            model.space, [(1, x), (1, Sym2Vector.from_map(model.space, {(i, j): data.draw(small)}))]
+        )
     assert _outcome(expand_in_basis, model, x) == _outcome(_ref_expand_in_basis, model, x)
 
 
