@@ -10,7 +10,9 @@ exponents are rejected, which also bounds the size of every integer the
 exact kernels see.  Validation is strict: duplicate keys, malformed
 rationals, missing required keys and unrecognised keys are all errors that
 name the offending key.  The H^2 labels must be the seven names of
-``H2_LABELS``, in any order, because the engine looks them up by name.
+``H2_LABELS``, in any order, because the engine looks them up by name, and
+the H^2 Gram must be diagonal with nonzero diagonal cells, because every
+quadratic space of the engine is an orthogonal basis.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ConfigEntry:
-    key: str
     value: Fraction
     source: str
 
@@ -195,7 +196,7 @@ def _parse_entry(pack: str, key: str, raw: object) -> ConfigEntry:
     source = raw["source"]
     if not isinstance(source, str) or not source:
         raise ConfigError(f"{where}: source must be a nonempty string")
-    return ConfigEntry(key=key, value=_parse_rational(where, raw["value"]), source=source)
+    return ConfigEntry(value=_parse_rational(where, raw["value"]), source=source)
 
 
 def _parse_rational(where: str, value: object) -> Fraction:
@@ -257,6 +258,13 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], Matrix]:
         rows.append(
             [_parse_rational(f"h2_space.gram[{i}][{j}]", cell) for j, cell in enumerate(row)]
         )
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if (i == j) != bool(cell):
+                raise ConfigError(
+                    f"h2_space.gram[{i}][{j}]: the Gram must be diagonal with a "
+                    f"nonzero diagonal (an orthogonal basis); got {cell}"
+                )
     return tuple(labels), Matrix(rows)
 
 

@@ -162,9 +162,10 @@ class Engine:
 
     @stage
     def ambient(self) -> QuadSpace:
+        gram = self.doc.h2_gram
         return QuadSpace(
             labels=self.doc.h2_labels,
-            gram=self.doc.h2_gram,
+            squares=tuple(gram[i][i] for i in range(gram.rows)),
             name="ambient",
         )
 

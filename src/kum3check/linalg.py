@@ -158,9 +158,6 @@ class Matrix:
             object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
         return self._echelon
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries)) if self.rows else Matrix([])
-
     def mat_vec(self, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         v = vector(x)
         if len(v) != self.cols:

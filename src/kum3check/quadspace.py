@@ -1,22 +1,25 @@
 """Rational quadratic spaces and their symmetric squares.
 
-A :class:`QuadSpace` is a labelled basis together with a symmetric Gram
-matrix.  Degree-4 classes on a K3[2]-type fourfold live in the symmetric
-square of its second cohomology; their intersection numbers follow the
-three-matching rule
+A :class:`QuadSpace` is a labelled orthogonal basis together with the
+square q(a, a) of each basis vector; every square is nonzero.  Degree-4
+classes on a K3[2]-type fourfold live in the symmetric square of its
+second cohomology; their intersection numbers follow the three-matching
+rule
 
     (a*b, c*d) = q(a,b) q(c,d) + q(a,c) q(b,d) + q(a,d) q(b,c)
 
 extended bilinearly to monomials.  Monomials are normalised to index
 pairs (i, j) with i <= j, and a product a_i * a_j with i != j is a single
 monomial rather than a symmetrised half-sum, so the square of a sum,
-``sym2_product(space, u, u)``, doubles every mixed coefficient.  All
-coefficients are exact rationals, but the arithmetic on them runs on
-integers: a class memoises its coefficients scaled by their common
-denominator, products and sums (``sym2_product`` and ``sym2_sum``, the
-one way to add or scale classes) accumulate integers over one common
-denominator, and the pairing runs over the Gram matrix scaled the
-same way.  Each builds one ``Fraction`` per result monomial or value.
+``sym2_product(space, u, u)``, doubles every mixed coefficient.  On an
+orthogonal basis the rule leaves two kinds of term: the product of the
+two traces sum_a x_aa q_a, and one term for each monomial that both
+classes carry.  All coefficients are exact rationals, but the arithmetic
+on them runs on integers: a class memoises its coefficients scaled by
+their common denominator, products and sums (``sym2_product`` and
+``sym2_sum``, the one way to add or scale classes) accumulate integers
+over one common denominator, and the pairing reads the squares scaled
+the same way.  Each builds one ``Fraction`` per result monomial or value.
 
 :class:`K3Hilb2Pack` holds the constants shared by K3[2]-type fourfolds;
 the derivations take it as an argument.
@@ -53,27 +56,27 @@ class K3Hilb2Pack:
 
 @dataclass(frozen=True)
 class QuadSpace:
-    """Labelled basis with a symmetric rational Gram matrix."""
+    """Labelled orthogonal basis with the nonzero square of each vector."""
 
     labels: tuple[str, ...]
-    gram: Matrix
+    squares: tuple[Fraction, ...]
     name: str = ""
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+        object.__setattr__(self, "squares", vector(self.squares))
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels in quadratic space")
-        if self.gram.rows != n or self.gram.cols != n:
-            raise ValueError("Gram matrix shape does not match label count")
-        if self.gram != self.gram.transpose():
-            raise ValueError("Gram matrix is not symmetric")
+        if len(self.squares) != len(self.labels):
+            raise ValueError("square count does not match label count")
+        for label, q in zip(self.labels, self.squares):
+            if not q:
+                raise ValueError(f"basis vector {label!r} is isotropic")
 
     @cached_property
-    def _scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, rows of L * gram) for the lcm L of the Gram denominators."""
-        n = self.dim
-        scale, cells = scaled_integers([x for row in self.gram.entries for x in row])
-        return scale, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n))
+    def _scaled_squares(self) -> tuple[int, tuple[int, ...]]:
+        """(L, L * squares) for the lcm L of the squares' denominators."""
+        scale, ints = scaled_integers(self.squares)
+        return scale, tuple(ints)
 
     @property
     def dim(self) -> int:
@@ -96,15 +99,11 @@ class QuadSpace:
         return self.vector({label: 1})
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
-        """The bilinear form q(u, v); vectors must have length ``dim``."""
-        return self.gram.pair(u, v)
-
-    def is_orthogonal_basis(self) -> bool:
-        return all(
-            not self.gram[i][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
+        """q(u, v) = sum_a u_a q_a v_a; vectors must have length ``dim``."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("vector length does not match the space")
+        return sum(
+            (rat(a) * q * rat(b) for a, q, b in zip(u, self.squares, v) if a and b), ZERO
         )
 
 
@@ -201,22 +200,29 @@ def sym2_product(
 
 
 def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
-    """Intersection pairing of two Sym^2 classes by the three-matching rule."""
+    """Intersection pairing of two Sym^2 classes by the three-matching rule.
+
+    On an orthogonal basis with squares q, (a*a, c*c) = q_a q_c +
+    2 [a = c] q_a^2, (a*b, c*d) = [(a, b) = (c, d)] q_a q_b for a < b, and
+    a squared monomial pairs to 0 with a mixed one.  So the pairing is the
+    product of the traces sum x_aa q_a and sum y_cc q_c plus one weighted
+    term per monomial of x that y also carries: one pass over each class.
+    """
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
-    g_scale, g = x.space._scaled_gram
+    q_scale, q = x.space._scaled_squares
     x_scale, x_keys, x_ints = x.scaled
     y_scale, y_keys, y_ints = y.scaled
-    ys = list(zip(y_keys, y_ints))
-    total = 0
+    y_coeffs = dict(zip(y_keys, y_ints))
+    x_trace = shared = 0
     for (a, b), xc in zip(x_keys, x_ints):
-        ga, gb = g[a], g[b]
-        gab = ga[b]
-        for (c, d), yc in ys:
-            t = gab * g[c][d] + ga[c] * gb[d] + ga[d] * gb[c]
-            if t:
-                total += xc * yc * t
-    return Fraction(total, x_scale * y_scale * g_scale * g_scale)
+        if a == b:
+            x_trace += xc * q[a]
+        yc = y_coeffs.get((a, b))
+        if yc:
+            shared += xc * yc * q[a] * q[b] * (2 if a == b else 1)
+    y_trace = sum(yc * q[c] for (c, d), yc in zip(y_keys, y_ints) if c == d)
+    return Fraction(x_trace * y_trace + shared, x_scale * y_scale * q_scale * q_scale)
 
 
 def sym2_gram(space: QuadSpace, vectors: Sequence[Sym2Vector]) -> Matrix:
@@ -232,13 +238,7 @@ def sym2_gram(space: QuadSpace, vectors: Sequence[Sym2Vector]) -> Matrix:
 
 
 def qbar_dual(space: QuadSpace) -> Sym2Vector:
-    """The dual class sum_i a_i^2 / q(a_i, a_i) of an orthogonal basis."""
-    if not space.is_orthogonal_basis():
-        raise ValueError("dual class requires an orthogonal basis")
-    out = {}
-    for i in range(space.dim):
-        qii = space.gram[i][i]
-        if not qii:
-            raise ValueError(f"basis vector {space.labels[i]!r} is isotropic")
-        out[(i, i)] = Fraction(1) / qii
-    return Sym2Vector.from_map(space, out)
+    """The dual class sum_i a_i^2 / q(a_i, a_i) of the orthogonal basis."""
+    return Sym2Vector.from_map(
+        space, {(i, i): 1 / q for i, q in enumerate(space.squares)}
+    )

@@ -69,23 +69,13 @@ XI_ON_W: dict[str, Fraction] = {s_label(a): Fraction(1, 2) for a in ALPHAS}
 XI_ON_W["delta"] = Fraction(2)
 
 
-def _diagonal_space(
-    labels: tuple[str, ...], squares: Sequence[Fraction], name: str
-) -> QuadSpace:
-    n = len(labels)
-    gram = Matrix(
-        [[squares[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    return QuadSpace(labels=labels, gram=gram, name=name)
-
-
 # ---------------------------------------------------------------------------
 # the restriction factor, from exceptional classes alone
 
 def nodal_space() -> QuadSpace:
     """The s classes and delta: seventeen orthogonal (-2)-classes."""
     labels = tuple(s_label(a) for a in ALPHAS) + ("delta",)
-    return _diagonal_space(labels, [Fraction(-2)] * len(labels), "nodal")
+    return QuadSpace(labels, (Fraction(-2),) * len(labels), "nodal")
 
 
 def xi_restriction_on(space: QuadSpace) -> tuple[Fraction, ...]:
@@ -170,8 +160,8 @@ def build_w_model(factor: Fraction) -> WModel:
     labels = (
         PLUS_LABELS + MINUS_LABELS + tuple(s_label(a) for a in ALPHAS) + ("delta",)
     )
-    squares = [2 * factor] * 3 + [-2 * factor] * 3 + [Fraction(-2)] * 17
-    space = _diagonal_space(labels, squares, "fourfold")
+    squares = (2 * factor,) * 3 + (-2 * factor,) * 3 + (Fraction(-2),) * 17
+    space = QuadSpace(labels, squares, "fourfold")
 
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
@@ -322,7 +312,7 @@ def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     for i, a in enumerate(ambient.labels):
         for j, b in enumerate(ambient.labels):
             got = model.space.pair(images[a], images[b])
-            want = model.factor * ambient.gram[i][j]
+            want = model.factor * ambient.squares[i] if i == j else 0
             if got != want:
                 return False
     return True
@@ -355,9 +345,9 @@ def restrict_qbar(model: WModel, ambient: QuadSpace) -> QbarRestriction:
 # the surface cut out by a second fourfold
 
 SIDE = 8  # curves on each side of V, one per coset {alpha, alpha + theta}
-SURFACE = _diagonal_space(
+SURFACE = QuadSpace(
     tuple(f"near{k}" for k in range(SIDE)) + tuple(f"far{k}" for k in range(SIDE)),
-    [Fraction(-2)] * (2 * SIDE),
+    (Fraction(-2),) * (2 * SIDE),
     "surface",
 )
 _CURVES = tuple(SURFACE.basis_vector(label) for label in SURFACE.labels)

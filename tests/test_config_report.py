@@ -273,6 +273,31 @@ def test_labels_must_be_the_ambient_names():
     assert parse_config(json.dumps(raw)).h2_labels == H2_LABELS[::-1]
 
 
+# Gram cells that make the H^2 basis non-orthogonal or isotropic, and the
+# cell each document's load error must name.
+NON_ORTHOGONAL_GRAMS = [
+    ({(0, 1): "1", (1, 0): "1"}, "h2_space.gram[0][1]"),
+    ({(0, 1): "1"}, "h2_space.gram[0][1]"),
+    ({(6, 6): "0"}, "h2_space.gram[6][6]"),
+]
+
+
+def test_h2_gram_must_be_diagonal_with_nonzero_diagonal(tmp_path, capsys):
+    for cells, where in NON_ORTHOGONAL_GRAMS:
+        raw = raw_default()
+        for (i, j), value in cells.items():
+            raw["h2_space"]["gram"][i][j] = value
+        with pytest.raises(ConfigError) as caught:
+            parse_config(json.dumps(raw))
+        assert str(caught.value).startswith(where + ":")
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "all", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"configuration error: {caught.value}"]
+
+
 def test_cli_rejects_a_renamed_label_once(tmp_path, capsys):
     raw = raw_default()
     raw["h2_space"]["labels"][0] = "zz"

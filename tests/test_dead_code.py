@@ -10,9 +10,11 @@ Two passes over the package source:
   ``add`` alive.
 * Every method, property and dataclass field of a package class must be
   read as an attribute (``x.name``) somewhere in the package outside its
-  own definition.  Special methods (``__name__``) are exempt, because the
-  language calls them.  A constructor keyword is not a read: a field that
-  is set but never read is dead.
+  own definition.  A read of ``self.name`` inside a class counts only for
+  that class's own member, so ``self.key`` in one class does not keep a
+  field ``key`` of another alive.  Special methods (``__name__``) are
+  exempt, because the language calls them.  A constructor keyword is not a
+  read: a field that is set but never read is dead.
 
 Oracles and helpers that only tests use belong in ``tests/``.
 """
@@ -70,13 +72,16 @@ def unnamed_definitions(root: Path = SRC) -> list[str]:
     return unnamed
 
 
-def _attribute_reads(node: ast.AST) -> Counter:
-    """How often the code under ``node`` reads each attribute name."""
-    return Counter(
-        leaf.attr
-        for leaf in ast.walk(node)
-        if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Load)
-    )
+def _attribute_reads(node: ast.AST, owner: str | None) -> Counter:
+    """How often the code under ``node`` reads each attribute, keyed by
+    (reader, name): ``reader`` is ``owner``, the class around ``node``, for
+    a read of ``self.name``, and None for any other read."""
+    reads = Counter()
+    for leaf in ast.walk(node):
+        if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Load):
+            on_self = isinstance(leaf.value, ast.Name) and leaf.value.id == "self"
+            reads[owner if on_self else None, leaf.attr] += 1
+    return reads
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -107,13 +112,20 @@ def _members(tree: ast.Module):
 def unread_members(root: Path = SRC) -> list[str]:
     """``module.Class.member`` for each member no package code reads as an attribute."""
     trees = _parse(root)
-    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
-    return [
-        f"{module}.{cls}.{name}"
-        for module, tree in trees.items()
-        for cls, name, node in _members(tree)
-        if reads[name] <= _attribute_reads(node)[name]
-    ]
+    reads = Counter()
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = f"{module}.{node.name}" if isinstance(node, ast.ClassDef) else None
+            reads += _attribute_reads(node, owner)
+    unread = []
+    for module, tree in trees.items():
+        for cls, name, node in _members(tree):
+            owner = f"{module}.{cls}"
+            own = _attribute_reads(node, owner)
+            keys = ((None, name), (owner, name))
+            if sum(reads[k] for k in keys) <= sum(own[k] for k in keys):
+                unread.append(f"{owner}.{name}")
+    return unread
 
 
 def test_every_module_level_name_is_named_by_other_package_code():
@@ -143,12 +155,18 @@ def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
         "    @property\n"
         "    def shown(self):\n        return self.read\n"
         "    def __len__(self):\n        return 1\n"
+        "@dataclass(frozen=True)\n"
+        "class Entry:\n"
+        "    key: str\n"
+        "class Descriptor:\n"
+        "    def __set_name__(self, owner, name):\n        self.key = name\n"
+        "    def __get__(self, instance, owner=None):\n        return self.key\n"
     )
     (tmp_path / "b.py").write_text(
-        "from .a import Record, used\n"
+        "from .a import Descriptor, Entry, Record, used\n"
         "seen = set()\n"
         "seen.add(used())\n"
-        "print(Record(read=1, unread=2).shown)\n"
+        "print(Record(read=1, unread=2).shown, Entry(key='k'), Descriptor)\n"
     )
     assert unnamed_definitions(tmp_path) == ["a.orphan", "a.add", "a.Unread", "a.TABLE"]
-    assert unread_members(tmp_path) == ["a.Record.unread", "a.Record.method"]
+    assert unread_members(tmp_path) == ["a.Record.unread", "a.Record.method", "a.Entry.key"]
