@@ -146,6 +146,15 @@ class InvariantWeight4:
     trail: tuple[str, ...]
 
 
+def _torus_summands(abelian: HodgeDiamond, sixfold: HodgeDiamond) -> tuple[Row, Row, Row]:
+    """The weight-4 Kuenneth summands H1*fix3, H2*fix2 and H4 of positive torus weight."""
+    return (
+        row_product(abelian.row(1), sixfold.row(3)),
+        row_product(abelian.row(2), sixfold.row(2)),
+        abelian.row(4),
+    )
+
+
 def invariant_weight4(
     h4_length4: Row, abelian: HodgeDiamond, sixfold: HodgeDiamond
 ) -> InvariantWeight4:
@@ -156,9 +165,7 @@ def invariant_weight4(
     Weight 4 of the total space is then H0*inv4 + H1*fix3 + H2*fix2 + H4,
     where the odd fibre weights and weight 2 are entirely invariant.
     """
-    t1 = row_product(abelian.row(1), sixfold.row(3))
-    t2 = row_product(abelian.row(2), sixfold.row(2))
-    t3 = abelian.row(4)
+    t1, t2, t3 = _torus_summands(abelian, sixfold)
     fixed = row_diff(row_diff(row_diff(h4_length4, t1), t2), t3)
     sym2 = sym2_row(sixfold.row(2))
     extra = row_diff(fixed, sym2)
@@ -448,11 +455,7 @@ def weight4_kuenneth_total(
     invariant4: Row, abelian: HodgeDiamond, sixfold: HodgeDiamond
 ) -> Row:
     """Reassemble weight 4 of the length-4 space from its summands."""
-    total = list(invariant4)
-    for part in (
-        row_product(abelian.row(1), sixfold.row(3)),
-        row_product(abelian.row(2), sixfold.row(2)),
-        abelian.row(4),
-    ):
-        total = [x + y for x, y in zip(total, part)]
-    return tuple(total)
+    total = invariant4
+    for part in _torus_summands(abelian, sixfold):
+        total = row_sum(total, part)
+    return total

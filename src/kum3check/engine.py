@@ -35,7 +35,6 @@ from .bookkeeping import (
 from .config import ConfigDocument
 from .fujiki import (
     AuxiliaryValues,
-    FujikiTable,
     WVClasses,
     WVInputs,
     ZRelations,
@@ -128,8 +127,8 @@ class Engine:
     # -- degree-wise constants and the z basis ------------------------------
 
     @stage
-    def table(self) -> FujikiTable:
-        return FujikiTable.from_entries(self.doc.fujiki_values())
+    def table(self) -> dict[str, Fraction]:
+        return self.doc.fujiki_values()
 
     @stage
     def relations(self) -> ZRelations:
@@ -252,9 +251,9 @@ class Engine:
             w_cube=wv.w_component_cube,
             w_sq_w_other=self.wv_inputs.w_sq_w_other,
             w_triple_distinct=self.wv_inputs.w_triple_distinct,
-            c2_qbar2=self.table.c("C(qbar^2*c2)"),
+            c2_qbar2=self.table["C(qbar^2*c2)"],
             c2_qbarz=multiply(rel.c2, deg8(0, 1), rel),
-            qbar_c2_sq=self.table.c("C(qbar*c2^2)"),
+            qbar_c2_sq=self.table["C(qbar*c2^2)"],
             ratio=rel.ratio,
             w_qbar_coeff=wv.w.qbar,
             w_z_coeff=wv.w.z,

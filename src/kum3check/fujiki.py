@@ -1,9 +1,11 @@
 """The ring of invariant canonical classes on a Kum3-type sixfold.
 
 Everything here is driven by one table of fourteen generalized Fujiki
-constants C(m) for monomials m in qbar, c2, c4, c6.  The table determines
-a canonical degree-4 class z = c2 - (C(c2)/C(qbar)) qbar with C(z) = 0,
-and closed bases {qbar, z} in degree 4 and {qbar^2, qbar*z} in degree 8.
+constants C(m) for monomials m in qbar, c2, c4, c6, keyed by the names of
+the configuration's ``fujiki_constants`` entries (``"C(qbar^2*c2)"``); the
+loader fixes that key set.  The table determines a canonical degree-4
+class z = c2 - (C(c2)/C(qbar)) qbar with C(z) = 0, and closed bases
+{qbar, z} in degree 4 and {qbar^2, qbar*z} in degree 8.
 :func:`derive_z_relations` reproduces the expansion of z^2, c2^2 and c4
 in those bases exactly from the table, and :func:`multiply` evaluates
 graded products against the derived relations.  :func:`express_w_v`
@@ -19,149 +21,56 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .config import FUJIKI_KEYS
 from .kummer import LABEL_COUNT, component_cube_from_total, w_dot_v_total
 from .linalg import RationalLike, rat
 
-Monomial = tuple[int, int, int, int]
+# the complex dimension of the sixfold
+COMPLEX_DIM = 6
 
-GENERATOR_NAMES = ("qbar", "c2", "c4", "c6")
-GENERATOR_DEGREES = (4, 4, 8, 12)
+# (C(m), C(qbar*m)) for the table monomials m of each degree that have both.
+# The first pair of a degree sets the ratio the others must match, so this
+# order fixes the text of a disagreement error, which reports carry.
+DUAL_PAIRS: dict[int, tuple[tuple[str, str], ...]] = {
+    0: (("C(1)", "C(qbar)"),),
+    4: (("C(c2)", "C(qbar*c2)"), ("C(qbar)", "C(qbar^2)")),
+    8: (
+        ("C(c4)", "C(qbar*c4)"),
+        ("C(c2^2)", "C(qbar*c2^2)"),
+        ("C(qbar*c2)", "C(qbar^2*c2)"),
+        ("C(qbar^2)", "C(qbar^3)"),
+    ),
+}
 
-ONE: Monomial = (0, 0, 0, 0)
-QBAR_KEY: Monomial = (1, 0, 0, 0)
 
 class FujikiTableError(ValueError):
-    """The constant table is missing data or fails an internal identity."""
+    """The constant table fails an identity that the derivation relies on."""
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e * d for e, d in zip(m, GENERATOR_DEGREES))
-
-
-def format_monomial(m: Monomial) -> str:
-    if m == ONE:
-        return "1"
-    parts = []
-    for name, e in zip(GENERATOR_NAMES, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def parse_monomial(text: str) -> Monomial:
-    text = text.strip()
-    if text == "1":
-        return ONE
-    exps = [0, 0, 0, 0]
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, _, power = factor.partition("^")
-            e = int(power)
-        else:
-            name, e = factor, 1
-        if name not in GENERATOR_NAMES or e < 1:
-            raise FujikiTableError(f"unrecognised monomial factor {factor!r}")
-        exps[GENERATOR_NAMES.index(name)] += e
-    return tuple(exps)  # type: ignore[return-value]
-
-
-# the monomials of the config's spelled keys ``C(...)``, in their order
-REQUIRED_MONOMIALS: tuple[Monomial, ...] = tuple(parse_monomial(k[2:-1]) for k in FUJIKI_KEYS)
-
-
-def multiply_monomials(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class FujikiTable:
-    """The fourteen tabulated constants, keyed by monomial exponents."""
-
-    constants: tuple[tuple[Monomial, Fraction], ...]
-
-    def __post_init__(self):
-        keys = [m for m, _ in self.constants]
-        if len(set(keys)) != len(keys):
-            raise FujikiTableError("duplicate monomial in constant table")
-        missing = [m for m in REQUIRED_MONOMIALS if m not in set(keys)]
-        if missing:
-            names = ", ".join(format_monomial(m) for m in missing)
-            raise FujikiTableError(f"constant table is missing C({names})")
-
-    @staticmethod
-    def from_entries(entries: Mapping[str, RationalLike]) -> "FujikiTable":
-        """Build from spelled keys such as ``C(qbar^2*c2)``."""
-        items = []
-        for key, value in entries.items():
-            key = key.strip()
-            if not (key.startswith("C(") and key.endswith(")")):
-                raise FujikiTableError(f"constant key {key!r} is not of the form C(...)")
-            items.append((parse_monomial(key[2:-1]), rat(value)))
-        items.sort()
-        return FujikiTable(tuple(items))
-
-    def as_map(self) -> dict[Monomial, Fraction]:
-        return dict(self.constants)
-
-    def c(self, m: Monomial | str) -> Fraction:
-        if isinstance(m, str):
-            m = m.strip()
-            if m.startswith("C(") and m.endswith(")"):
-                m = m[2:-1]
-            m = parse_monomial(m)
-        try:
-            return self.as_map()[m]
-        except KeyError:
-            raise FujikiTableError(f"no constant C({format_monomial(m)}) in table") from None
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(m for m, _ in self.constants)
-
-
-def evaluate_fujiki(
-    c_omega: RationalLike,
-    deg_omega: int,
-    q_gamma: RationalLike,
-    complex_dim: int = 6,
-) -> Fraction:
-    """Evaluate integral omega * gamma^(complex_dim - deg/2).
+def evaluate_fujiki(c_omega: RationalLike, deg_omega: int, q_gamma: RationalLike) -> Fraction:
+    """Evaluate integral omega * gamma^(COMPLEX_DIM - deg/2).
 
     The generalized Fujiki relation gives C(omega) * q(gamma, gamma)^e with
-    e = (2*complex_dim - deg_omega) / 4 for omega of real degree deg_omega.
+    e = (2*COMPLEX_DIM - deg_omega) / 4 for omega of real degree deg_omega.
     """
     if deg_omega % 4 != 0 or deg_omega < 0:
         raise ValueError("degree of omega must be a nonnegative multiple of 4")
-    twice = 2 * complex_dim - deg_omega
+    twice = 2 * COMPLEX_DIM - deg_omega
     if twice < 0 or twice % 4 != 0:
         raise ValueError(
-            f"no Fujiki power for degree {deg_omega} in complex dimension {complex_dim}"
+            f"no Fujiki power for degree {deg_omega} in complex dimension {COMPLEX_DIM}"
         )
     return rat(c_omega) * rat(q_gamma) ** (twice // 4)
 
 
-def qbar_factor(table: FujikiTable, degree: int) -> Fraction:
-    """The common ratio C(qbar * m) / C(m) over table monomials of a degree."""
-    pairs = []
-    for m in table.monomials():
-        if monomial_degree(m) != degree:
-            continue
-        up = multiply_monomials(QBAR_KEY, m)
-        if up in table.as_map():
-            pairs.append((m, table.c(m), table.c(up)))
-    if not pairs:
-        raise FujikiTableError(f"no monomial pair (m, qbar*m) in degree {degree}")
-    ratios = [(high / low, m) for m, low, high in pairs]
+def qbar_factor(table: Mapping[str, Fraction], degree: int) -> Fraction:
+    """The common ratio C(qbar * m) / C(m) over the table monomials of a degree."""
+    ratios = [(table[high] / table[low], low) for low, high in DUAL_PAIRS[degree]]
     first = ratios[0][0]
-    bad = [m for r, m in ratios if r != first]
+    bad = [low[2:-1] for r, low in ratios if r != first]
     if bad:
-        names = ", ".join(format_monomial(m) for m in bad)
         raise FujikiTableError(
             f"qbar multiplication factors disagree in degree {degree}: "
-            f"C(qbar*{names}) breaks the ratio {first}"
+            f"C(qbar*{', '.join(bad)}) breaks the ratio {first}"
         )
     return first
 
@@ -213,25 +122,25 @@ class ZRelations:
     trail: tuple[str, ...]
 
 
-def derive_z_relations(table: FujikiTable) -> ZRelations:
+def derive_z_relations(table: Mapping[str, Fraction]) -> ZRelations:
     """Reproduce the z-basis relations exactly from the constant table.
 
+    ``table`` maps each of the fourteen ``C(...)`` names to its constant.
     Raises FujikiTableError when the table violates one of the identities
     used along the way (disagreeing qbar factors, or the two independent
     routes to C(z^2) not matching).
     """
     trail = []
-    c = table.c
-    ratio = c("C(c2)") / c("C(qbar)")
+    ratio = table["C(c2)"] / table["C(qbar)"]
     trail.append(f"z = c2 - ({ratio})*qbar")
 
     qbar_factor(table, 4)  # raises unless the degree-4 factors agree
     factor8 = qbar_factor(table, 8)
 
-    c_z = c("C(c2)") - ratio * c("C(qbar)")
-    c_qbarz = c("C(qbar*c2)") - ratio * c("C(qbar^2)")
-    top_qbar2_z = c("C(qbar^2*c2)") - ratio * c("C(qbar^3)")
-    top_qbar3 = c("C(qbar^3)")
+    c_z = table["C(c2)"] - ratio * table["C(qbar)"]
+    c_qbarz = table["C(qbar*c2)"] - ratio * table["C(qbar^2)"]
+    top_qbar2_z = table["C(qbar^2*c2)"] - ratio * table["C(qbar^3)"]
+    top_qbar3 = table["C(qbar^3)"]
     # both vanish whenever the qbar factors are consistent; everything below
     # leans on that, so fail loudly rather than return wrong expansions
     if c_qbarz != 0 or top_qbar2_z != 0:
@@ -246,14 +155,14 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
 
     # integral qbar*c2^2 expands through (ratio*qbar + z)^2; the qbar^2*z term drops out
     top_qbar_z2 = (
-        c("C(qbar*c2^2)")
+        table["C(qbar*c2^2)"]
         - ratio**2 * top_qbar3
         - 2 * ratio * top_qbar2_z
     )
     trail.append(f"integral qbar*z^2 = {top_qbar_z2}")
 
     z3 = (
-        c("C(c2^3)")
+        table["C(c2^3)"]
         - ratio**3 * top_qbar3
         - 3 * ratio**2 * top_qbar2_z
         - 3 * ratio * top_qbar_z2
@@ -262,7 +171,7 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
 
     c_qbar_z2 = top_qbar_z2  # degree 12: the constant is the integral
     c_z2 = c_qbar_z2 / factor8
-    direct_c_z2 = c("C(c2^2)") - ratio**2 * c("C(qbar^2)") - 2 * ratio * c_qbarz
+    direct_c_z2 = table["C(c2^2)"] - ratio**2 * table["C(qbar^2)"] - 2 * ratio * c_qbarz
     if direct_c_z2 != c_z2:
         raise FujikiTableError(
             "C(z^2) disagrees between the qbar-factor route "
@@ -275,20 +184,20 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
         raise FujikiTableError("integral qbar*z^2 vanishes; z-basis expansions are singular")
 
     lam = z3 / top_qbar_z2
-    z2 = Deg8(c_z2 / c("C(qbar^2)"), lam)
+    z2 = Deg8(c_z2 / table["C(qbar^2)"], lam)
     trail.append(
         f"z^2 = ({z2.qbar2})*qbar^2 + ({z2.qbarz})*qbar*z"
     )
 
-    c2_lead = c("C(c2^2)") / c("C(qbar^2)")
-    a = (c("C(c2^3)") - ratio * c2_lead * top_qbar3 - c2_lead * top_qbar2_z) / top_qbar_z2
+    c2_lead = table["C(c2^2)"] / table["C(qbar^2)"]
+    a = (table["C(c2^3)"] - ratio * c2_lead * top_qbar3 - c2_lead * top_qbar2_z) / top_qbar_z2
     c2_squared = Deg8(c2_lead, a)
     trail.append(
         f"c2^2 = ({c2_lead})*qbar^2 + ({a})*qbar*z"
     )
 
-    c4_lead = c("C(c4)") / c("C(qbar^2)")
-    b = (c("C(c2*c4)") - ratio * c4_lead * top_qbar3 - c4_lead * top_qbar2_z) / top_qbar_z2
+    c4_lead = table["C(c4)"] / table["C(qbar^2)"]
+    b = (table["C(c2*c4)"] - ratio * c4_lead * top_qbar3 - c4_lead * top_qbar2_z) / top_qbar_z2
     c4 = Deg8(c4_lead, b)
     trail.append(
         f"c4 = ({c4_lead})*qbar^2 + ({b})*qbar*z"
@@ -308,8 +217,8 @@ def derive_z_relations(table: FujikiTable) -> ZRelations:
         z2=z2,
         c2_squared=c2_squared,
         c4=c4,
-        c_qbar=c("C(qbar)"),
-        c_qbar2=c("C(qbar^2)"),
+        c_qbar=table["C(qbar)"],
+        c_qbar2=table["C(qbar^2)"],
         c_qbarz=c_qbarz,
         trail=tuple(trail),
     )

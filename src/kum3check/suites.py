@@ -81,7 +81,7 @@ def _add(
 def _fujiki_table_checks(e: Engine) -> list[Check]:
     checks: list[Check] = []
     for key, value in EXPECTED_CONSTANTS.items():
-        _add(checks, f"constant {key}", REF_TABLE, value, lambda key=key: e.table.c(key))
+        _add(checks, f"constant {key}", REF_TABLE, value, lambda key=key: e.table[key])
     _add(checks, "dual factor degree 4", REF_FACTORS, 3, lambda: qbar_factor(e.table, 4))
     _add(checks, "dual factor degree 8", REF_FACTORS, 7, lambda: qbar_factor(e.table, 8))
     _add(
@@ -106,11 +106,11 @@ def _fujiki_table_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "evaluate at degree zero", REF_EVAL, 480,
-        lambda: evaluate_fujiki(e.table.c("C(1)"), 0, 2),
+        lambda: evaluate_fujiki(e.table["C(1)"], 0, 2),
     )
     _add(
         checks, "evaluate at degree four", REF_EVAL, 1188,
-        lambda: evaluate_fujiki(e.table.c("C(qbar)"), 4, 3),
+        lambda: evaluate_fujiki(e.table["C(qbar)"], 4, 3),
     )
     return checks
 
@@ -488,7 +488,7 @@ def _bookkeeping_checks(e: Engine) -> list[Check]:
     _add(checks, "euler number", REF_HODGE, 448, lambda: e.sixfold_diamond.euler)
     _add(
         checks, "euler matches chern degree", REF_HODGE, 448,
-        lambda: e.table.c("C(c6)"),
+        lambda: e.table["C(c6)"],
     )
     _add(
         checks, "even cohomology dimension", REF_HODGE, 576,

@@ -58,7 +58,7 @@ def test_constant_table_factor_consistency(criterion, engine):
         for degree, factor in FACTOR_BY_DEGREE.items():
             assert qbar_factor(table, degree) == factor
         for low, high, degree in DUAL_PAIRS:
-            assert table.c(high) == FACTOR_BY_DEGREE[degree] * table.c(low)
+            assert table[high] == FACTOR_BY_DEGREE[degree] * table[low]
 
 
 def test_auxiliary_class_relations(criterion, engine):

@@ -178,6 +178,19 @@ def test_unknown_key_named():
         parse_mutated(mutate)
 
 
+def test_fujiki_constants_are_exactly_the_fourteen_names():
+    def drop(raw):
+        del raw["fujiki_constants"]["C(c6)"]
+
+    def add_bare_name(raw):
+        raw["fujiki_constants"]["c6"] = {"value": "448", "source": "x"}
+
+    with pytest.raises(ConfigError, match=r"missing required keys \['C\(c6\)'\]"):
+        parse_mutated(drop)
+    with pytest.raises(ConfigError, match=r"unrecognised keys \['c6'\]"):
+        parse_mutated(add_bare_name)
+
+
 def test_missing_section_named():
     def mutate(raw):
         del raw["h2_space"]

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from kum3check.config import FUJIKI_KEYS
 from kum3check.fujiki import (
+    DUAL_PAIRS,
     Deg4,
-    FujikiTable,
     FujikiTableError,
     WVInputs,
     auxiliary_values,
@@ -13,11 +14,7 @@ from kum3check.fujiki import (
     derive_z_relations,
     evaluate_fujiki,
     express_w_v,
-    format_monomial,
-    monomial_degree,
     multiply,
-    multiply_monomials,
-    parse_monomial,
     qbar_factor,
 )
 
@@ -41,35 +38,12 @@ EXPECTED = {
 
 @pytest.fixture(scope="module")
 def table():
-    return FujikiTable.from_entries(EXPECTED)
+    return {key: Fraction(value) for key, value in EXPECTED.items()}
 
 
 @pytest.fixture(scope="module")
 def rel(table):
     return derive_z_relations(table)
-
-
-def test_monomial_parsing_round_trips():
-    for key in EXPECTED:
-        m = parse_monomial(key[2:-1])
-        assert f"C({format_monomial(m)})" == key
-    assert monomial_degree(parse_monomial("qbar^2*c2")) == 12
-    assert multiply_monomials(
-        parse_monomial("qbar"), parse_monomial("qbar*c2")
-    ) == parse_monomial("qbar^2*c2")
-
-
-def test_table_lookup_and_errors(table):
-    assert table.c("C(c6)") == 448
-    assert table.c("qbar^2") == 396
-    with pytest.raises(FujikiTableError):
-        table.c("C(c2^4)")
-    with pytest.raises(FujikiTableError):
-        FujikiTable.from_entries({"c6": 448})
-    missing = dict(EXPECTED)
-    del missing["C(c6)"]
-    with pytest.raises(FujikiTableError):
-        FujikiTable.from_entries(missing)
 
 
 def test_qbar_factors(table):
@@ -78,12 +52,25 @@ def test_qbar_factors(table):
     assert qbar_factor(table, 8) == 7
 
 
-def test_qbar_factor_detects_inconsistency():
-    broken = dict(EXPECTED)
-    broken["C(qbar*c4)"] = 3361
-    table = FujikiTable.from_entries(broken)
+def test_qbar_factor_detects_inconsistency(table):
+    broken = dict(table)
+    broken["C(qbar*c4)"] = Fraction(3361)
     with pytest.raises(FujikiTableError):
-        qbar_factor(table, 8)
+        qbar_factor(broken, 8)
+
+
+def test_qbar_factor_names_the_pair_that_breaks_the_ratio(table):
+    # degree 4 walks c2 before qbar, so the first ratio is C(qbar*c2)/C(c2)
+    broken = dict(table)
+    broken["C(qbar)"] = Fraction(133)
+    with pytest.raises(FujikiTableError, match=r"C\(qbar\*qbar\) breaks the ratio 3$"):
+        qbar_factor(broken, 4)
+
+
+def test_dual_pairs_name_table_entries():
+    pairs = [pair for pairs in DUAL_PAIRS.values() for pair in pairs]
+    assert len(pairs) == 7
+    assert {name for pair in pairs for name in pair} <= set(FUJIKI_KEYS)
 
 
 def test_z_relations_values(rel):
@@ -103,11 +90,11 @@ def test_z_relations_values(rel):
     assert (rel.c4.qbar2, rel.c4.qbarz) == (Fraction(40, 33), Fraction(-47, 21))
 
 
-def test_z_relations_reject_route_disagreement():
-    broken = dict(EXPECTED)
-    broken["C(c2^2)"] = 1921
+def test_z_relations_reject_route_disagreement(table):
+    broken = dict(table)
+    broken["C(c2^2)"] = Fraction(1921)
     with pytest.raises(FujikiTableError):
-        derive_z_relations(FujikiTable.from_entries(broken))
+        derive_z_relations(broken)
 
 
 def test_multiply_and_integrate(rel):

@@ -151,15 +151,10 @@ def test_solutions_satisfy_their_systems(entries, b):
         assert a.mat_vec(result.solution) == vector(b)
 
 
-@given(
-    st.lists(
-        st.lists(small_fractions, min_size=2, max_size=5),
-        min_size=2,
-        max_size=5,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-)
-def test_rank_bounded_and_transpose_invariant(entries):
-    m = Matrix(entries)
+@given(st.integers(2, 5), st.integers(2, 5), st.data())
+def test_rank_bounded_and_transpose_invariant(row_count, width, data):
+    row = st.lists(small_fractions, min_size=width, max_size=width)
+    m = Matrix(data.draw(st.lists(row, min_size=row_count, max_size=row_count)))
     r = rank(m)
     assert 0 <= r <= min(m.rows, m.cols)
     assert r == rank(_transpose(m))

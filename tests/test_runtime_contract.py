@@ -1,0 +1,73 @@
+"""A standing guard on the two promises of the runtime: exact rationals and
+the standard library only.
+
+A static pass over ``src/kum3check`` flags:
+
+* an absolute import of a module outside ``sys.stdlib_module_names``;
+* a float literal;
+* a load of the name ``float``;
+* an import from ``math`` other than the integer functions ``comb``,
+  ``gcd``, ``isqrt`` and ``lcm`` (and ``import math`` as a whole).
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+from test_dead_code import SRC, _parse
+
+MATH_ALLOWED = {"comb", "gcd", "isqrt", "lcm"}
+
+
+def runtime_violations(root: Path = SRC) -> list[str]:
+    """``module:line: rule`` for each breach of the runtime contract."""
+    found = []
+    for module, tree in _parse(root).items():
+        for leaf in ast.walk(tree):
+            where = f"{module}:{getattr(leaf, 'lineno', 0)}"
+            if isinstance(leaf, ast.Import):
+                for alias in leaf.names:
+                    top = alias.name.split(".")[0]
+                    if top not in sys.stdlib_module_names:
+                        found.append(f"{where}: imports {alias.name} outside the stdlib")
+                    elif top == "math":
+                        found.append(f"{where}: imports all of math")
+            elif isinstance(leaf, ast.ImportFrom) and leaf.level == 0:
+                top = leaf.module.split(".")[0]
+                if top not in sys.stdlib_module_names:
+                    found.append(f"{where}: imports {leaf.module} outside the stdlib")
+                elif leaf.module == "math":
+                    for alias in leaf.names:
+                        if alias.name not in MATH_ALLOWED:
+                            found.append(f"{where}: imports math.{alias.name}")
+            elif isinstance(leaf, ast.Constant) and isinstance(leaf.value, float):
+                found.append(f"{where}: float literal {leaf.value!r}")
+            elif isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
+                if leaf.id == "float":
+                    found.append(f"{where}: loads float")
+    return sorted(found)
+
+
+def test_the_package_keeps_the_runtime_contract():
+    assert runtime_violations() == []
+
+
+def test_the_scan_flags_each_rule(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy\n"
+        "from fractions import Fraction\n"
+        "from math import gcd, sqrt\n"
+        "from . import b\n"
+        "x = 0.5\n"
+        "y = Fraction(1, 2)\n"
+        "z = float(y)\n"
+    )
+    (tmp_path / "b.py").write_text("import math\nimport os.path\n")
+    assert runtime_violations(tmp_path) == [
+        "a:2: imports numpy outside the stdlib",
+        "a:4: imports math.sqrt",
+        "a:6: float literal 0.5",
+        "a:8: loads float",
+        "b:1: imports all of math",
+    ]
