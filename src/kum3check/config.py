@@ -13,6 +13,13 @@ name the offending key.  The H^2 labels must be the seven names of
 ``H2_LABELS``, in any order, because the engine looks them up by name, and
 the H^2 Gram must be diagonal with nonzero diagonal cells, because every
 quadratic space of the engine is an orthogonal basis.
+
+A scalar entry has one name, ``<pack>.<key>`` (``geometry_pack.xi_square``),
+the name the loader's errors use.  ``ConfigDocument`` maps each name to
+its entry, and ``value(name)`` is the one way the engine and the suites
+read an entry; ``integer(name)`` reads the Hodge entries, which must be
+integers.  The H^2 space is kept as its labels and the squares on the
+diagonal of its checked Gram.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
-
-from .linalg import Matrix
 
 FUJIKI_KEYS = (
     "C(1)",
@@ -117,65 +122,36 @@ class ConfigEntry:
 
 @dataclass(frozen=True)
 class ConfigDocument:
-    fujiki_constants: Mapping[str, ConfigEntry]
-    fourfold_pack: Mapping[str, ConfigEntry]
-    geometry_pack: Mapping[str, ConfigEntry]
-    hodge_pack: Mapping[str, ConfigEntry]
+    """The validated document: each scalar entry under its name
+    ``<pack>.<key>``, and the H^2 basis as its labels and squares."""
+
+    named_entries: Mapping[str, ConfigEntry]
     h2_labels: tuple[str, ...]
-    h2_gram: Matrix
+    h2_squares: tuple[Fraction, ...]
 
-    def fujiki_values(self) -> dict[str, Fraction]:
-        return {k: e.value for k, e in self.fujiki_constants.items()}
+    def value(self, name: str) -> Fraction:
+        """The value of the entry ``<pack>.<key>``."""
+        return self.named_entries[name].value
 
-    def fourfold(self, key: str) -> Fraction:
-        return self._get("fourfold_pack", self.fourfold_pack, key)
-
-    def geometry(self, key: str) -> Fraction:
-        return self._get("geometry_pack", self.geometry_pack, key)
-
-    def hodge(self, key: str) -> Fraction:
-        return self._get("hodge_pack", self.hodge_pack, key)
-
-    def hodge_int(self, key: str) -> int:
-        value = self.hodge(key)
+    def integer(self, name: str) -> int:
+        """The value of the entry ``<pack>.<key>``, which must be an integer."""
+        value = self.value(name)
         if value.denominator != 1:
-            raise ConfigError(f"hodge_pack.{key}: expected an integer, got {value}")
+            raise ConfigError(f"{name}: expected an integer, got {value}")
         return value.numerator
 
-    def sixfold_half(self) -> dict[tuple[int, int], int]:
-        return {
-            (p, q): self.hodge_int(f"sixfold h({p},{q})")
-            for p, q in SIXFOLD_HODGE_PAIRS
-        }
-
-    def abelian_half(self) -> dict[tuple[int, int], int]:
-        return {
-            (p, q): self.hodge_int(f"abelian h({p},{q})")
-            for p, q in ABELIAN_HODGE_PAIRS
-        }
-
-    def length4_weight4_row(self) -> tuple[int, ...]:
-        a = self.hodge_int("length4 h(4,0)")
-        b = self.hodge_int("length4 h(3,1)")
-        c = self.hodge_int("length4 h(2,2)")
-        return (a, b, c, b, a)
-
-    @staticmethod
-    def _get(pack: str, entries: Mapping[str, ConfigEntry], key: str) -> Fraction:
-        if key not in entries:
-            raise ConfigError(f"{pack}.{key}: missing required key")
-        return entries[key].value
-
     def to_json_obj(self) -> dict:
-        out: dict = {}
-        for pack_name in _PACKS:
-            out[pack_name] = {
-                k: {"value": str(e.value), "source": e.source}
-                for k, e in getattr(self, pack_name).items()
-            }
+        out: dict = {pack: {} for pack in _PACKS}
+        for name, e in self.named_entries.items():
+            pack, key = name.split(".", 1)
+            out[pack][key] = {"value": str(e.value), "source": e.source}
+        squares = self.h2_squares
         out["h2_space"] = {
             "labels": list(self.h2_labels),
-            "gram": self.h2_gram.to_lists(),
+            "gram": [
+                [str(q) if i == j else "0" for j in range(len(squares))]
+                for i, q in enumerate(squares)
+            ],
         }
         return out
 
@@ -189,8 +165,7 @@ def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
     return seen
 
 
-def _parse_entry(pack: str, key: str, raw: object) -> ConfigEntry:
-    where = f"{pack}.{key}"
+def _parse_entry(where: str, raw: object) -> ConfigEntry:
     if not isinstance(raw, dict) or set(raw) != {"value", "source"}:
         raise ConfigError(f"{where}: entry must be an object with value and source")
     source = raw["source"]
@@ -225,10 +200,12 @@ def _parse_pack(pack: str, raw: object, required: tuple[str, ...]) -> dict[str, 
     unknown = sorted(set(raw) - set(required))
     if unknown:
         raise ConfigError(f"{pack}: unrecognised keys {unknown}")
-    return {key: _parse_entry(pack, key, raw[key]) for key in required}
+    return {
+        f"{pack}.{key}": _parse_entry(f"{pack}.{key}", raw[key]) for key in required
+    }
 
 
-def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], Matrix]:
+def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], tuple[Fraction, ...]]:
     if not isinstance(raw, dict) or set(raw) != {"labels", "gram"}:
         raise ConfigError("h2_space: must be an object with labels and gram")
     labels = raw["labels"]
@@ -265,7 +242,7 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], Matrix]:
                     f"h2_space.gram[{i}][{j}]: the Gram must be diagonal with a "
                     f"nonzero diagonal (an orthogonal basis); got {cell}"
                 )
-    return tuple(labels), Matrix(rows)
+    return tuple(labels), tuple(row[i] for i, row in enumerate(rows))
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -283,19 +260,11 @@ def parse_config(text: str) -> ConfigDocument:
     unknown = sorted(set(raw) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unrecognised sections {unknown}")
-    packs = {
-        name: _parse_pack(name, raw[name], required)
-        for name, required in _PACKS.items()
-    }
-    labels, gram = _parse_h2_space(raw["h2_space"])
-    return ConfigDocument(
-        fujiki_constants=packs["fujiki_constants"],
-        fourfold_pack=packs["fourfold_pack"],
-        geometry_pack=packs["geometry_pack"],
-        hodge_pack=packs["hodge_pack"],
-        h2_labels=labels,
-        h2_gram=gram,
-    )
+    entries: dict[str, ConfigEntry] = {}
+    for pack, required in _PACKS.items():
+        entries.update(_parse_pack(pack, raw[pack], required))
+    labels, squares = _parse_h2_space(raw["h2_space"])
+    return ConfigDocument(named_entries=entries, h2_labels=labels, h2_squares=squares)
 
 
 def load_config(path: str) -> ConfigDocument:

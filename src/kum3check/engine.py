@@ -7,6 +7,11 @@ and bookkeeping certificates.  The surface data (``v_data``) is one such
 stage: the restriction of every second fourfold reads it instead of
 deriving it again.  A stage that raises is computed once too: every later
 read raises the same exception object again.
+
+Stages read the configuration by entry name only: ``doc.value(name)`` for
+``<pack>.<key>`` (``doc.integer(name)`` for the Hodge entries, which must
+be integers), plus the H^2 labels and squares of ``ambient``.  Each
+derivation takes the scalars it reads as arguments.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from .bookkeeping import (
     trace_averages,
     weight4_kuenneth_total,
 )
-from .config import ConfigDocument
+from .config import (
+    ABELIAN_HODGE_PAIRS,
+    FUJIKI_KEYS,
+    SIXFOLD_HODGE_PAIRS,
+    ConfigDocument,
+)
 from .fujiki import (
     AuxiliaryValues,
     WVClasses,
-    WVInputs,
     ZRelations,
     auxiliary_values,
     deg8,
@@ -55,7 +64,7 @@ from .kummer import (
     qbar_injectivity_certificate,
 )
 from .linalg import Matrix
-from .quadspace import K3Hilb2Pack, QuadSpace
+from .quadspace import QuadSpace
 from .wgeometry import (
     THETAS,
     DPairings,
@@ -128,28 +137,20 @@ class Engine:
 
     @stage
     def table(self) -> dict[str, Fraction]:
-        return self.doc.fujiki_values()
+        return {key: self.doc.value(f"fujiki_constants.{key}") for key in FUJIKI_KEYS}
 
     @stage
     def relations(self) -> ZRelations:
         return derive_z_relations(self.table)
 
-    @stage
-    def pack(self) -> K3Hilb2Pack:
-        d = self.doc
-        return K3Hilb2Pack(
-            fujiki_constant=d.fourfold("fujiki_constant"),
-            qbar_fujiki=d.fourfold("qbar_fujiki"),
-            qbar_square=d.fourfold("qbar_square"),
-            c2_qbar_ratio=d.fourfold("c2_qbar_ratio"),
-            c4_degree=d.fourfold("c4_degree"),
-        )
-
     # -- the fixed fourfold and its nineteen invariant classes --------------
 
     @stage
     def restriction_factor(self) -> RestrictionFactor:
-        return derive_restriction_factor(self.pack, self.doc.geometry("xi_square"))
+        return derive_restriction_factor(
+            self.doc.value("fourfold_pack.fujiki_constant"),
+            self.doc.value("geometry_pack.xi_square"),
+        )
 
     @stage
     def w_model(self) -> WModel:
@@ -161,11 +162,8 @@ class Engine:
 
     @stage
     def ambient(self) -> QuadSpace:
-        gram = self.doc.h2_gram
         return QuadSpace(
-            labels=self.doc.h2_labels,
-            squares=tuple(gram[i][i] for i in range(gram.rows)),
-            name="ambient",
+            labels=self.doc.h2_labels, squares=self.doc.h2_squares, name="ambient"
         )
 
     @stage
@@ -176,23 +174,23 @@ class Engine:
     def v_data(self) -> VRestrictionData:
         return v_restriction_data(
             THETAS[0],
-            self.doc.geometry("xi_square"),
-            self.doc.geometry("surface_c2_degree"),
-            self.doc.geometry("normal_c2_degree"),
+            self.doc.value("geometry_pack.xi_square"),
+            self.doc.value("geometry_pack.surface_c2_degree"),
+            self.doc.value("geometry_pack.normal_c2_degree"),
         )
 
     @stage
     def w_other_all(self) -> tuple[WOtherRestriction, ...]:
-        model, gram, pack = self.w_model, self.gram19, self.pack
+        model, gram = self.w_model, self.gram19
         surface = self.v_data
         return tuple(
             restrict_w_other(
                 model,
                 gram,
-                pack,
+                self.doc.value("fourfold_pack.c2_qbar_ratio"),
                 theta,
-                self.doc.geometry("surface_c2_degree"),
-                self.doc.geometry("normal_c2_degree"),
+                self.doc.value("geometry_pack.surface_c2_degree"),
+                self.doc.value("geometry_pack.normal_c2_degree"),
                 surface,
             )
             for theta in THETAS
@@ -206,35 +204,34 @@ class Engine:
     def w_self(self) -> WSelfRestriction:
         return restrict_w_self(
             self.gram19,
-            self.pack,
+            self.doc.value("fourfold_pack.c4_degree"),
+            self.doc.value("fourfold_pack.c2_qbar_ratio"),
             self.qbar_restriction,
             self.sprime,
             self.w_other_all,
-            c4_w_component=self.doc.geometry("c4_component_pairing"),
-            w_sq_w_other=self.doc.geometry("normal_c2_degree"),
+            c4_w_component=self.doc.value("geometry_pack.c4_component_pairing"),
+            w_sq_w_other=self.doc.value("geometry_pack.normal_c2_degree"),
             qbar_w_sq=self.aux.qbar_w_sq,
         )
 
     # -- sum classes on the sixfold ------------------------------------------
 
     @stage
-    def wv_inputs(self) -> WVInputs:
-        return WVInputs(
-            w_sq_w_other=self.doc.geometry("normal_c2_degree"),
-            w_triple_distinct=self.doc.geometry("transversal_points"),
-            c2_v_pair=self.doc.geometry("restricted_c2_degree"),
-            c_w_component=self.restriction_factor.c_w_component,
-            c_v_pair=self.v_data.c_v_pair,
+    def wv(self) -> WVClasses:
+        c_w_component = self.restriction_factor.c_w_component
+        c_v_pair = self.v_data.c_v_pair
+        return express_w_v(
+            self.relations,
+            self.doc.value("geometry_pack.normal_c2_degree"),
+            self.doc.value("geometry_pack.transversal_points"),
+            self.doc.value("geometry_pack.restricted_c2_degree"),
+            c_w_component,
+            c_v_pair,
         )
 
     @stage
-    def wv(self) -> WVClasses:
-        data = self.wv_inputs
-        return express_w_v(self.relations, data)
-
-    @stage
     def aux(self) -> AuxiliaryValues:
-        return auxiliary_values(self.relations, self.wv, self.wv_inputs)
+        return auxiliary_values(self.relations, self.wv, self.v_data.c_v_pair)
 
     # -- certificates ----------------------------------------------------------
 
@@ -249,8 +246,8 @@ class Engine:
             qbar_w_sq=self.aux.qbar_w_sq,
             qbar_w_pair=self.aux.qbar_w_pair,
             w_cube=wv.w_component_cube,
-            w_sq_w_other=self.wv_inputs.w_sq_w_other,
-            w_triple_distinct=self.wv_inputs.w_triple_distinct,
+            w_sq_w_other=self.doc.value("geometry_pack.normal_c2_degree"),
+            w_triple_distinct=self.doc.value("geometry_pack.transversal_points"),
             c2_qbar2=self.table["C(qbar^2*c2)"],
             c2_qbarz=multiply(rel.c2, deg8(0, 1), rel),
             qbar_c2_sq=self.table["C(qbar*c2^2)"],
@@ -281,16 +278,28 @@ class Engine:
 
     @stage
     def sixfold_diamond(self) -> HodgeDiamond:
-        return diamond_from_half(self.doc.sixfold_half(), 6)
+        half = {
+            (p, q): self.doc.integer(f"hodge_pack.sixfold h({p},{q})")
+            for p, q in SIXFOLD_HODGE_PAIRS
+        }
+        return diamond_from_half(half, 6)
 
     @stage
     def abelian_diamond(self) -> HodgeDiamond:
-        return diamond_from_half(self.doc.abelian_half(), 2)
+        half = {
+            (p, q): self.doc.integer(f"hodge_pack.abelian h({p},{q})")
+            for p, q in ABELIAN_HODGE_PAIRS
+        }
+        return diamond_from_half(half, 2)
 
     @stage
     def weight4(self) -> InvariantWeight4:
+        h40, h31, h22 = (
+            self.doc.integer(f"hodge_pack.length4 h({pq})")
+            for pq in ("4,0", "3,1", "2,2")
+        )
         return invariant_weight4(
-            self.doc.length4_weight4_row(),
+            (h40, h31, h22, h31, h40),
             self.abelian_diamond,
             self.sixfold_diamond,
         )
@@ -306,7 +315,7 @@ class Engine:
     @stage
     def weight6(self) -> InvariantWeight6:
         return invariant_weight6(
-            self.doc.hodge_int("length4 b6"),
+            self.doc.integer("hodge_pack.length4 b6"),
             self.abelian_diamond,
             self.sixfold_diamond,
             self.weight4.fixed_rank,
@@ -316,8 +325,8 @@ class Engine:
     def rank_table(self) -> RankTable:
         return build_rank_table(
             base_rank=self.sixfold_diamond.betti(2),
-            spin_rank=self.doc.hodge_int("spin rank"),
-            odd_rank=self.doc.hodge_int("odd rank"),
+            spin_rank=self.doc.integer("hodge_pack.spin rank"),
+            odd_rank=self.doc.integer("hodge_pack.odd rank"),
         )
 
     @stage
@@ -331,14 +340,18 @@ class Engine:
         table = self.rank_table
         return trace_averages(
             euler_total=self.sixfold_diamond.euler,
-            fourfold_euler=_as_int(self.pack.c4_degree, "fourfold Euler number"),
-            reflection_extra_points=self.doc.hodge_int("reflection extra points"),
-            translation_surface_count=self.doc.hodge_int(
-                "translation surface count"
+            fourfold_euler=_as_int(
+                self.doc.value("fourfold_pack.c4_degree"), "fourfold Euler number"
             ),
-            surface_euler=self.doc.hodge_int("surface euler"),
+            reflection_extra_points=self.doc.integer(
+                "hodge_pack.reflection extra points"
+            ),
+            translation_surface_count=self.doc.integer(
+                "hodge_pack.translation surface count"
+            ),
+            surface_euler=self.doc.integer("hodge_pack.surface euler"),
             even_fixed_dim=table.even_fixed,
-            odd_dim=self.doc.hodge_int("odd rank"),
+            odd_dim=self.doc.integer("hodge_pack.odd rank"),
         )
 
     @stage
@@ -348,6 +361,6 @@ class Engine:
             self.sixfold_diamond,
             center_count=LABEL_COUNT,
             center_h20=1,
-            target_h31=self.doc.hodge_int("blowup h(3,1) target"),
-            target_h40=self.doc.hodge_int("blowup h(4,0) target"),
+            target_h31=self.doc.integer("hodge_pack.blowup h(3,1) target"),
+            target_h40=self.doc.integer("hodge_pack.blowup h(4,0) target"),
         )

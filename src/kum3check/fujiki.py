@@ -55,7 +55,7 @@ def evaluate_fujiki(c_omega: RationalLike, deg_omega: int, q_gamma: RationalLike
     if deg_omega % 4 != 0 or deg_omega < 0:
         raise ValueError("degree of omega must be a nonnegative multiple of 4")
     twice = 2 * COMPLEX_DIM - deg_omega
-    if twice < 0 or twice % 4 != 0:
+    if twice < 0:
         raise ValueError(
             f"no Fujiki power for degree {deg_omega} in complex dimension {COMPLEX_DIM}"
         )
@@ -268,36 +268,35 @@ class WVClasses:
     trail: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class WVInputs:
-    """Geometric intersection inputs feeding the w/v expansions."""
-
-    w_sq_w_other: Fraction      # w_tau^2 * w_tau' for tau != tau'
-    w_triple_distinct: Fraction  # w * w' * w'' for three distinct labels
-    c2_v_pair: Fraction         # c2 * (one v component)
-    c_w_component: Fraction     # C(w_tau)
-    c_v_pair: Fraction          # C(one v component)
-
-
-def express_w_v(rel: ZRelations, data: WVInputs) -> WVClasses:
+def express_w_v(
+    rel: ZRelations,
+    w_sq_w_other: Fraction,
+    w_triple_distinct: Fraction,
+    c2_v_pair: Fraction,
+    c_w_component: Fraction,
+    c_v_pair: Fraction,
+) -> WVClasses:
     """Expand w and v in the canonical bases from their Fujiki constants.
 
-    w * v is summed over the sixteen labels by the pattern count
-    ``kummer.w_dot_v_total``, and ``kummer.component_cube_from_total``
-    recovers w_tau^3 from w^3, both from the triple numbers in ``data``.
+    The inputs are the triple numbers w_tau^2 * w_tau' (tau != tau') and
+    w * w' * w'' (three distinct labels), c2 against one v component, and
+    the Fujiki constants C(w_tau) and C(one v component).  w * v is summed
+    over the sixteen labels by the pattern count ``kummer.w_dot_v_total``,
+    and ``kummer.component_cube_from_total`` recovers w_tau^3 from w^3, both
+    from the two triple numbers.
     """
     n = LABEL_COUNT
-    w_dot_v = w_dot_v_total(data.w_sq_w_other, data.w_triple_distinct, n)
+    w_dot_v = w_dot_v_total(w_sq_w_other, w_triple_distinct, n)
     pair_count = n * (n - 1) // 2
     trail = []
 
-    c_w = n * data.c_w_component
-    c_v = pair_count * data.c_v_pair
-    c2_dot_v = pair_count * data.c2_v_pair
+    c_w = n * c_w_component
+    c_v = pair_count * c_v_pair
+    c2_dot_v = pair_count * c2_v_pair
     trail.append(
-        f"C(w) = {n}*{data.c_w_component} = {c_w}; "
-        f"C(v) = {pair_count}*{data.c_v_pair} = {c_v}; "
-        f"c2*v = {pair_count}*{data.c2_v_pair} = {c2_dot_v}"
+        f"C(w) = {n}*{c_w_component} = {c_w}; "
+        f"C(v) = {pair_count}*{c_v_pair} = {c_v}; "
+        f"c2*v = {pair_count}*{c2_v_pair} = {c2_dot_v}"
     )
 
     # v = (C(v)/C(qbar^2)) qbar^2 + gamma qbar z, gamma fixed by c2*v
@@ -324,7 +323,7 @@ def express_w_v(rel: ZRelations, data: WVInputs) -> WVClasses:
 
     w_cube = multiply(w, multiply(w, w, rel), rel)
     w_component_cube = component_cube_from_total(
-        w_cube, data.w_sq_w_other, data.w_triple_distinct, n
+        w_cube, w_sq_w_other, w_triple_distinct, n
     )
     trail.append(
         f"w^3 = {w_cube}; "
@@ -364,16 +363,16 @@ class AuxiliaryValues:
     trail: tuple[str, ...]
 
 
-def auxiliary_values(rel: ZRelations, wv: WVClasses, data: WVInputs) -> AuxiliaryValues:
+def auxiliary_values(rel: ZRelations, wv: WVClasses, c_v_pair: Fraction) -> AuxiliaryValues:
     n = LABEL_COUNT
     c_w_sq = c_of(multiply(wv.w, wv.w, rel), rel)
-    c_w_component_sq = (c_w_sq - n * (n - 1) * data.c_v_pair) / n
+    c_w_component_sq = (c_w_sq - n * (n - 1) * c_v_pair) / n
     c4_w_component = multiply(wv.w, rel.c4, rel) / n
     qbar_w_sq = rel.factor_deg8 * c_w_component_sq
-    qbar_w_pair = rel.factor_deg8 * data.c_v_pair
+    qbar_w_pair = rel.factor_deg8 * c_v_pair
     trail = (
         f"C(w^2) = {c_w_sq} = {n}*C(w_tau^2) "
-        f"+ {n * (n - 1)}*{data.c_v_pair}",
+        f"+ {n * (n - 1)}*{c_v_pair}",
         f"c4*w_tau = (c4*w)/{n} = {c4_w_component}",
         f"qbar products by the degree-8 factor {rel.factor_deg8}",
     )

@@ -38,19 +38,17 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 # The nonzero cells of one integer row: their columns and their values.
 SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational."""
+    """Coerce an int or a Fraction to an exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -20,9 +20,6 @@ their common denominator, products and sums (``sym2_product`` and
 ``sym2_sum``, the one way to add or scale classes) accumulate integers
 over one common denominator, and the pairing reads the squares scaled
 the same way.  Each builds one ``Fraction`` per result monomial or value.
-
-:class:`K3Hilb2Pack` holds the constants shared by K3[2]-type fourfolds;
-the derivations take it as an argument.
 """
 
 from __future__ import annotations
@@ -34,24 +31,6 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import ZERO, Matrix, RationalLike, rat, scaled_integers, support, vector
-
-
-@dataclass(frozen=True)
-class K3Hilb2Pack:
-    """Intersection constants shared by all K3[2]-type fourfolds.
-
-    fujiki_constant: C(1), the coefficient in integral gamma^4 = C q(gamma)^2
-    qbar_fujiki: C(qbar), so integral qbar * a * b = C(qbar) q(a, b)
-    qbar_square: integral of qbar^2
-    c2_qbar_ratio: c2 = ratio * qbar
-    c4_degree: degree of c4, the Euler characteristic
-    """
-
-    fujiki_constant: Fraction
-    qbar_fujiki: Fraction
-    qbar_square: Fraction
-    c2_qbar_ratio: Fraction
-    c4_degree: Fraction
 
 
 @dataclass(frozen=True)

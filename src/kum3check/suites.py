@@ -196,7 +196,7 @@ def _w_classes_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "euler pairing configured", REF_CONFIG, 408,
-        lambda: e.doc.geometry("c4_component_pairing"),
+        lambda: e.doc.value("geometry_pack.c4_component_pairing"),
     )
     _add(
         checks, "dual against component square", REF_AUX, 84,
@@ -258,7 +258,11 @@ def _gram19_checks(e: Engine) -> list[Check]:
     checks: list[Check] = []
     _add(
         checks, "intersection matrix of the invariant classes", REF_G19,
-        expected_gram19(e.pack), lambda: e.gram19,
+        expected_gram19(
+            e.doc.value("fourfold_pack.qbar_square"),
+            e.doc.value("fourfold_pack.qbar_fujiki"),
+        ),
+        lambda: e.gram19,
     )
     _add(
         checks, "intersection matrix rank", REF_G19, 19,
@@ -398,7 +402,7 @@ def _restrictions_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "surface diagonal configured", REF_CONFIG, -4,
-        lambda: e.doc.geometry("surface_delta_square"),
+        lambda: e.doc.value("geometry_pack.surface_delta_square"),
     )
     _add(
         checks, "surface mixed pairings", REF_SURF, (0, -2, 0),
@@ -418,7 +422,7 @@ def _restrictions_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "surface chern degree configured", REF_CONFIG, 48,
-        lambda: e.doc.geometry("restricted_c2_degree"),
+        lambda: e.doc.value("geometry_pack.restricted_c2_degree"),
     )
     _add(
         checks, "surface compositions agree", REF_SURF, True,

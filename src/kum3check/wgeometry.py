@@ -32,7 +32,6 @@ from .config import H2_LABELS
 from .kummer import Pt, ZERO, two_torsion
 from .linalg import Matrix, scaled_integers, solve_linear, support
 from .quadspace import (
-    K3Hilb2Pack,
     QuadSpace,
     Sym2Vector,
     qbar_dual,
@@ -94,26 +93,28 @@ class RestrictionFactor:
 
 
 def derive_restriction_factor(
-    pack: K3Hilb2Pack, xi_square: Fraction
+    fujiki_constant: Fraction, xi_square: Fraction
 ) -> RestrictionFactor:
     """Fujiki constant of one fourfold class, then the quadratic scaling.
 
     integral_X w * xi^4 pushes to integral_W (xi|_W)^4, whose value needs
     only the exceptional part of the W lattice.  Equality of the two Fujiki
-    evaluations pins C(w) and forces q_W(restriction) = factor * q_X.
+    evaluations pins C(w) and forces q_W(restriction) = factor * q_X, where
+    ``fujiki_constant`` is C(1) of a K3[2]-type fourfold (integral
+    gamma^4 = C(1) q(gamma)^2).
     """
     nodal = nodal_space()
     xi_w = xi_restriction_on(nodal)
     xi_w_square = nodal.pair(xi_w, xi_w)
-    c_w = pack.fujiki_constant * xi_w_square**2 / xi_square**2
-    factor_sq = c_w / pack.fujiki_constant
+    c_w = fujiki_constant * xi_w_square**2 / xi_square**2
+    factor_sq = c_w / fujiki_constant
     root = _exact_sqrt(factor_sq)
     trail = (
         f"q(xi|_W) = {xi_w_square} from the exceptional classes",
         f"C(w) * {xi_square**2} = "
-        f"{pack.fujiki_constant} * {xi_w_square**2}"
+        f"{fujiki_constant} * {xi_w_square**2}"
         f" -> C(w) = {c_w}",
-        f"scaling factor = sqrt(C(w)/{pack.fujiki_constant})"
+        f"scaling factor = sqrt(C(w)/{fujiki_constant})"
         f" = {root} (positive square on Kaehler classes)",
     )
     return RestrictionFactor(
@@ -190,20 +191,20 @@ def build_w_model(factor: Fraction) -> WModel:
     )
 
 
-def expected_gram19(pack: K3Hilb2Pack) -> Matrix:
+def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
     """The printed intersection matrix of the 19 invariant classes.
 
-    The dual-class row is read from the pack: qbar_W squares to
-    ``pack.qbar_square`` and pairs with delta^2 and sum s^2 as
-    -2 and -32 times ``pack.qbar_fujiki`` (integral qbar * a * b =
-    C(qbar) q(a, b), with q(delta) = -2 and sixteen s classes of square -2).
+    In the dual-class row, qbar_W squares to ``qbar_square`` and pairs with
+    delta^2 and sum s^2 as -2 and -32 times ``qbar_fujiki`` (integral
+    qbar * a * b = C(qbar) q(a, b), with q(delta) = -2 and sixteen s classes
+    of square -2).
     """
     n = 19
     rows = [[Fraction(0)] * n for _ in range(n)]
-    qbar_delta = -2 * pack.qbar_fujiki
-    qbar_s = -32 * pack.qbar_fujiki
+    qbar_delta = -2 * qbar_fujiki
+    qbar_s = -32 * qbar_fujiki
     head = [
-        [pack.qbar_square, qbar_delta, qbar_s],
+        [qbar_square, qbar_delta, qbar_s],
         [qbar_delta, 12, 64],
         [qbar_s, 64, 1152],
     ]
@@ -507,7 +508,7 @@ class WOtherRestriction:
 def restrict_w_other(
     model: WModel,
     gram: Matrix,
-    pack: K3Hilb2Pack,
+    c2_qbar_ratio: Fraction,
     theta: Pt,
     deg_c2_v: Fraction,
     deg_c2_nvw: Fraction,
@@ -518,9 +519,10 @@ def restrict_w_other(
     Against every class built from s and delta, the pairing restricts to
     the surface V and is read off the curve Gram; against the dual class,
     it is (c2 route) the surface Euler degree plus one normal-bundle term,
-    scaled by the c2-to-dual ratio.  The 19x19 system then has a unique
-    solution.  ``surface`` holds the theta-independent surface data; the
-    labelling of the curves by theta is checked here.
+    divided by ``c2_qbar_ratio`` (c2 = ratio * qbar on the fourfold).  The
+    19x19 system then has a unique solution.  ``surface`` holds the
+    theta-independent surface data; the labelling of the curves by theta is
+    checked here.
     """
     slots = surface_slots(theta)
     _same_coset_pairing(slots, theta)
@@ -528,7 +530,7 @@ def restrict_w_other(
         raise ValueError("xi restrictions to the surface disagree between the two sides")
 
     slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
-    qbar_rhs = (deg_c2_v + deg_c2_nvw) / pack.c2_qbar_ratio
+    qbar_rhs = (deg_c2_v + deg_c2_nvw) / c2_qbar_ratio
     rhs = [qbar_rhs] + [near_pairing(slot, vec) for vec in model.basis[1:]]
 
     solved = solve_linear(gram, rhs)
@@ -536,7 +538,7 @@ def restrict_w_other(
         raise ValueError(f"singular intersection matrix: {solved.detail}")
     trail = surface.trail + (
         f"dual-class pairing = ({deg_c2_v} + "
-        f"{deg_c2_nvw}) / {pack.c2_qbar_ratio} "
+        f"{deg_c2_nvw}) / {c2_qbar_ratio} "
         f"= {qbar_rhs}",
         "unique solution of the 19x19 pairing system",
     )
@@ -640,7 +642,8 @@ class WSelfRestriction:
 
 def restrict_w_self(
     gram: Matrix,
-    pack: K3Hilb2Pack,
+    c4_degree: Fraction,
+    c2_qbar_ratio: Fraction,
     qbar_rest: QbarRestriction,
     sprime: SPrimeVectors,
     others: Sequence[WOtherRestriction],
@@ -695,7 +698,7 @@ def restrict_w_self(
     system = Matrix(
         [[gram.pair(t, g) for g in generators] for t in tests]
     )
-    qbar_rhs = (c4_w_component - pack.c4_degree) / pack.c2_qbar_ratio
+    qbar_rhs = (c4_w_component - c4_degree) / c2_qbar_ratio
     rhs = (qbar_rhs, len(THETAS) * w_sq_w_other, qbar_w_sq)
     solved = solve_linear(system, rhs)
     if not solved.ok:
@@ -726,7 +729,7 @@ def restrict_w_self(
 
     trail = (
         f"dual-class pairing = ({c4_w_component} - "
-        f"{pack.c4_degree}) / {pack.c2_qbar_ratio} "
+        f"{c4_degree}) / {c2_qbar_ratio} "
         f"= {qbar_rhs}",
         f"sum over other fourfolds pairs to {len(THETAS)}*"
         f"{w_sq_w_other} = {rhs[1]}",

@@ -106,7 +106,10 @@ def test_rank_and_kernel_certificates(criterion, engine):
 def test_nineteen_class_matrix(criterion, engine):
     with criterion(5):
         gram = engine.gram19
-        reference = expected_gram19(engine.pack)
+        reference = expected_gram19(
+            engine.doc.value("fourfold_pack.qbar_square"),
+            engine.doc.value("fourfold_pack.qbar_fujiki"),
+        )
         assert (gram.rows, gram.cols) == (19, 19)
         for i in range(19):
             for j in range(19):

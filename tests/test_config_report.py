@@ -44,40 +44,45 @@ def parse_mutated(mutate) -> None:
 
 
 def test_default_config_parses(doc):
-    assert tuple(doc.fujiki_constants) == FUJIKI_KEYS
-    assert tuple(doc.fourfold_pack) == FOURFOLD_KEYS
-    assert tuple(doc.geometry_pack) == GEOMETRY_KEYS
-    assert tuple(doc.hodge_pack) == HODGE_KEYS
+    packs = (
+        ("fujiki_constants", FUJIKI_KEYS),
+        ("fourfold_pack", FOURFOLD_KEYS),
+        ("geometry_pack", GEOMETRY_KEYS),
+        ("hodge_pack", HODGE_KEYS),
+    )
+    assert tuple(doc.named_entries) == tuple(
+        f"{pack}.{key}" for pack, keys in packs for key in keys
+    )
     assert len(HODGE_KEYS) == 31
     assert doc.h2_labels == ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
-    assert doc.h2_gram.rows == 7 and doc.h2_gram.cols == 7
+    assert len(doc.h2_squares) == 7
+    gram = doc.to_json_obj()["h2_space"]["gram"]
+    assert len(gram) == 7 and all(len(row) == 7 for row in gram)
 
 
 def test_config_values(doc):
-    assert doc.fujiki_values()["C(qbar)"] == 132
-    assert doc.fourfold("qbar_square") == 575
-    assert doc.fourfold("c2_qbar_ratio") == Fraction(6, 5)
-    assert doc.geometry("xi_square") == -8
-    assert doc.hodge_int("spin rank") == 240
-    assert doc.length4_weight4_row() == (2, 23, 61, 23, 2)
-    assert doc.abelian_half() == {(0, 0): 1, (1, 0): 2, (2, 0): 1, (1, 1): 4}
-    assert doc.sixfold_half()[(2, 2)] == 37
-    assert all(entry.source for entry in doc.fujiki_constants.values())
+    assert doc.value("fujiki_constants.C(qbar)") == 132
+    assert doc.value("fourfold_pack.qbar_square") == 575
+    assert doc.value("fourfold_pack.c2_qbar_ratio") == Fraction(6, 5)
+    assert doc.value("geometry_pack.xi_square") == -8
+    assert doc.integer("hodge_pack.spin rank") == 240
+    length4 = [doc.integer(f"hodge_pack.length4 h({pq})") for pq in ("4,0", "3,1", "2,2")]
+    assert length4 == [2, 23, 61]
+    assert {
+        (p, q): doc.integer(f"hodge_pack.abelian h({p},{q})")
+        for p, q in ABELIAN_HODGE_PAIRS
+    } == {(0, 0): 1, (1, 0): 2, (2, 0): 1, (1, 1): 4}
+    assert doc.integer("hodge_pack.sixfold h(2,2)") == 37
+    assert all(entry.source for entry in doc.named_entries.values())
 
 
-def test_config_accessor_errors(doc):
-    with pytest.raises(ConfigError, match="missing required key"):
-        doc.geometry("no such key")
-    with pytest.raises(ConfigError, match="missing required key"):
-        doc.fourfold("xi_square")
-
-
-def test_hodge_int_rejects_fractions():
+def test_integer_rejects_fractions():
     raw = raw_default()
     raw["hodge_pack"]["spin rank"]["value"] = "1/2"
     doc = parse_config(json.dumps(raw))
-    with pytest.raises(ConfigError, match="spin rank"):
-        doc.hodge_int("spin rank")
+    with pytest.raises(ConfigError) as raised:
+        doc.integer("hodge_pack.spin rank")
+    assert str(raised.value) == "hodge_pack.spin rank: expected an integer, got 1/2"
 
 
 def test_invalid_rational_names_the_key():
@@ -331,8 +336,8 @@ def test_load_config_missing_file(tmp_path):
 def test_to_json_obj_round_trips(doc):
     text = json.dumps(doc.to_json_obj())
     again = parse_config(text)
-    assert again.fujiki_values() == doc.fujiki_values()
-    assert again.h2_gram == doc.h2_gram
+    assert again.named_entries == doc.named_entries
+    assert again.h2_squares == doc.h2_squares
     assert again.to_json_obj() == doc.to_json_obj()
 
 

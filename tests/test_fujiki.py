@@ -7,7 +7,6 @@ from kum3check.fujiki import (
     DUAL_PAIRS,
     Deg4,
     FujikiTableError,
-    WVInputs,
     auxiliary_values,
     c_of,
     deg8,
@@ -118,20 +117,22 @@ def test_evaluate_fujiki():
     assert evaluate_fujiki(448, 12, 7) == 448
     with pytest.raises(ValueError):
         evaluate_fujiki(60, 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no Fujiki power for degree 16"):
         evaluate_fujiki(60, 16, 2)
 
 
 @pytest.fixture(scope="module")
 def wv(rel):
-    data = WVInputs(
+    c_v_pair = Fraction(4)
+    classes = express_w_v(
+        rel,
         w_sq_w_other=Fraction(12),
         w_triple_distinct=Fraction(4),
         c2_v_pair=Fraction(48),
         c_w_component=Fraction(12),
-        c_v_pair=Fraction(4),
+        c_v_pair=c_v_pair,
     )
-    return data, express_w_v(rel, data)
+    return c_v_pair, classes
 
 
 def test_sum_class_expansion(wv):
@@ -156,8 +157,8 @@ def test_sum_class_expansion(wv):
 
 
 def test_auxiliary_values(wv, rel):
-    data, classes = wv
-    aux = auxiliary_values(rel, classes, data)
+    c_v_pair, classes = wv
+    aux = auxiliary_values(rel, classes, c_v_pair)
     assert aux.c_w_sq == 1152
     assert aux.c_w_component_sq == 12
     assert aux.c4_w_component == 408

@@ -62,8 +62,8 @@ def test_named_checks_exist(engine):
         assert needed in ids
 
 
-def test_expected_constants_cover_the_table(doc):
-    assert set(EXPECTED_CONSTANTS) == set(doc.fujiki_values())
+def test_expected_constants_cover_the_table(engine):
+    assert set(EXPECTED_CONSTANTS) == set(engine.table)
 
 
 def test_unknown_suite_is_rejected(engine):

@@ -10,7 +10,6 @@ from kum3check.config import default_config
 from kum3check.engine import Engine
 from kum3check.kummer import ZERO
 from kum3check.quadspace import (
-    K3Hilb2Pack,
     QuadSpace,
     Sym2Vector,
     qbar_dual,
@@ -44,19 +43,17 @@ from kum3check.wgeometry import (
 
 from label_group import add
 
-PACK = K3Hilb2Pack(
-    fujiki_constant=Fraction(3),
-    qbar_fujiki=Fraction(25),
-    qbar_square=Fraction(575),
-    c2_qbar_ratio=Fraction(6, 5),
-    c4_degree=Fraction(324),
-)
+FUJIKI_CONSTANT = Fraction(3)
+QBAR_FUJIKI = Fraction(25)
+QBAR_SQUARE = Fraction(575)
+C2_QBAR_RATIO = Fraction(6, 5)
+C4_DEGREE = Fraction(324)
 XI_SQUARE = Fraction(-8)
 
 
 @pytest.fixture(scope="module")
 def factor():
-    return derive_restriction_factor(PACK, XI_SQUARE)
+    return derive_restriction_factor(FUJIKI_CONSTANT, XI_SQUARE)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +85,7 @@ def surface():
 def others(model, gram, surface):
     return tuple(
         restrict_w_other(
-            model, gram, PACK, theta, Fraction(24), Fraction(12), surface
+            model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
         )
         for theta in THETAS
     )
@@ -103,7 +100,8 @@ def sprime(model):
 def w_self(model, gram, qbar_rest, sprime, others):
     return restrict_w_self(
         gram,
-        PACK,
+        C4_DEGREE,
+        C2_QBAR_RATIO,
         qbar_rest,
         sprime,
         others,
@@ -146,7 +144,7 @@ def test_w_model_shape(model):
 
 
 def test_gram19_matches_reference(model, gram):
-    assert gram == expected_gram19(PACK)
+    assert gram == expected_gram19(QBAR_SQUARE, QBAR_FUJIKI)
     head = [[gram[i][j] for j in range(3)] for i in range(3)]
     assert head == [[575, -50, -800], [-50, 12, 64], [-800, 64, 1152]]
     for k in range(3, 18):
@@ -248,7 +246,7 @@ def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, surface, monke
     monkeypatch.setattr(wgeometry, "surface_slots", wrong_delta)
     with pytest.raises(ValueError, match="xi restrictions to the surface disagree"):
         restrict_w_other(
-            model, gram, PACK, THETAS[0], Fraction(24), Fraction(12), surface
+            model, gram, C2_QBAR_RATIO, THETAS[0], Fraction(24), Fraction(12), surface
         )
 
 
@@ -328,7 +326,8 @@ def test_w_self_needs_all_other_restrictions(model, gram, qbar_rest, others):
     with pytest.raises(ValueError):
         restrict_w_self(
             gram,
-            PACK,
+            C4_DEGREE,
+            C2_QBAR_RATIO,
             qbar_rest,
             s_prime_vectors(model),
             others[:14],
@@ -473,7 +472,9 @@ def test_surface_checks_reject_a_split_coset(model, gram, surface, monkeypatch):
         v_restriction_data(THETAS[1], XI_SQUARE, Fraction(24), Fraction(12))
     for theta in (THETAS[0], THETAS[-1]):
         with pytest.raises(ValueError, match="curve classes in one coset do not pair equally"):
-            restrict_w_other(model, gram, PACK, theta, Fraction(24), Fraction(12), surface)
+            restrict_w_other(
+                model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
+            )
 
 
 def _ref_surface_pairing(model, theta, x):
