@@ -218,6 +218,8 @@ class Engine:
 
     @stage
     def wv(self) -> WVClasses:
+        # read before relations: the error that a document failing in more
+        # than one of these stages reports depends on the order
         c_w_component = self.restriction_factor.c_w_component
         c_v_pair = self.v_data.c_v_pair
         return express_w_v(
