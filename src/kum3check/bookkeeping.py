@@ -9,39 +9,38 @@ Kuenneth rule, or peel known summands off a total and report what is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class HodgeDiamond:
     """Rows by weight; rows[w][q] is the (w - q, q) Hodge number."""
 
-    rows: tuple[Row, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if len(self.rows) % 2 == 0:
+    def __init__(self, rows: tuple[Row, ...]):
+        if len(rows) % 2 == 0:
             raise ValueError("a diamond has an odd number of weight rows")
-        for w, row in enumerate(self.rows):
+        for w, row in enumerate(rows):
             if len(row) != w + 1:
                 raise ValueError(f"weight {w} row must have {w + 1} entries")
             if any(x < 0 for x in row):
                 raise ValueError("Hodge numbers are nonnegative")
             if tuple(row) != tuple(reversed(row)):
                 raise ValueError(f"weight {w} row is not conjugation symmetric")
-        d = (len(self.rows) - 1) // 2
-        for w, row in enumerate(self.rows):
+        d = (len(rows) - 1) // 2
+        for w, row in enumerate(rows):
             for q, value in enumerate(row):
                 p = w - q
                 if (p > d or q > d) and value != 0:
                     raise ValueError(f"type ({p}, {q}) exceeds the dimension")
-                if p <= d and q <= d and self.rows[2 * d - w][d - q] != value:
+                if p <= d and q <= d and rows[2 * d - w][d - q] != value:
                     raise ValueError(
                         f"types ({p}, {q}) and ({d - p}, {d - q}) violate duality"
                     )
+        self.rows = rows
 
     def h(self, p: int, q: int) -> int:
         return self.rows[p + q][q]
@@ -133,8 +132,7 @@ def shift_row(a: Row, steps: int = 1) -> Row:
 # ---------------------------------------------------------------------------
 # invariant parts of the length-four punctual cohomology
 
-@dataclass(frozen=True)
-class InvariantWeight4:
+class InvariantWeight4(NamedTuple):
     """Translation-invariant weight-4 part, split off the known summands."""
 
     translation_fixed: Row
@@ -188,8 +186,7 @@ def invariant_weight4(
     )
 
 
-@dataclass(frozen=True)
-class InvariantWeight6:
+class InvariantWeight6(NamedTuple):
     """Translation-invariant weight-6 dimension and its exhaustion."""
 
     known_dim: int
@@ -247,8 +244,7 @@ def invariant_weight6(
 # ---------------------------------------------------------------------------
 # ranks of the structure representations
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """Even-degree ranks of the four structure summands, plus the odd rank.
 
     Rows are indexed by component, columns by half the cohomological
@@ -322,8 +318,7 @@ def rep_dims(n: int, k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # canonical subring dimensions certified elsewhere
 
-@dataclass(frozen=True)
-class CanonicalDims:
+class CanonicalDims(NamedTuple):
     degree4: int
     degree6: int
     degree8: int
@@ -348,8 +343,7 @@ TRANSLATION_COUNT = 15
 REFLECTION_COUNT = 16
 
 
-@dataclass(frozen=True)
-class TraceAverages:
+class TraceAverages(NamedTuple):
     """Traces on the spin summand and the resulting invariant dimension."""
 
     chi_identity: int
@@ -419,8 +413,7 @@ def trace_averages(
 # ---------------------------------------------------------------------------
 # blow-up comparison of first Hodge numbers
 
-@dataclass(frozen=True)
-class BlowupComparison:
+class BlowupComparison(NamedTuple):
     h31_blowup: int
     h40_blowup: int
     matches: bool

@@ -17,19 +17,19 @@ quadratic space of the engine is an orthogonal basis.
 A scalar entry has one name, ``<pack>.<key>`` (``geometry_pack.xi_square``),
 the name the loader's errors use.  ``ConfigDocument`` maps each name to
 its entry, and ``value(name)`` is the one way the engine and the suites
-read an entry; ``integer(name)`` reads the Hodge entries, which must be
-integers.  The H^2 space is kept as its labels and the squares on the
-diagonal of its checked Gram.
+read an entry; ``integer(name)`` reads the entries that must be integers.
+The H^2 space is kept as its labels and the squares on the diagonal of its
+checked Gram.  The default document is the file
+``data/default_config.json`` next to this module, read by ``load_config``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 FUJIKI_KEYS = (
     "C(1)",
@@ -114,20 +114,36 @@ class ConfigError(Exception):
     """Raised for any structural or parse problem in the document."""
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     value: Fraction
     source: str
 
 
-@dataclass(frozen=True)
 class ConfigDocument:
     """The validated document: each scalar entry under its name
-    ``<pack>.<key>``, and the H^2 basis as its labels and squares."""
+    ``<pack>.<key>``, and the H^2 basis as its labels and squares.
 
-    named_entries: Mapping[str, ConfigEntry]
-    h2_labels: tuple[str, ...]
-    h2_squares: tuple[Fraction, ...]
+    Not a tuple or a mapping: indexing or iterating the document would
+    bypass ``value`` and ``integer``.  Documents with the same entries and
+    H^2 basis are equal.
+    """
+
+    __slots__ = ("named_entries", "h2_labels", "h2_squares")
+
+    def __init__(
+        self,
+        named_entries: Mapping[str, ConfigEntry],
+        h2_labels: tuple[str, ...],
+        h2_squares: tuple[Fraction, ...],
+    ):
+        self.named_entries = named_entries
+        self.h2_labels = h2_labels
+        self.h2_squares = h2_squares
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConfigDocument) and (
+            self.named_entries, self.h2_labels, self.h2_squares
+        ) == (other.named_entries, other.h2_labels, other.h2_squares)
 
     def value(self, name: str) -> Fraction:
         """The value of the entry ``<pack>.<key>``."""
@@ -276,11 +292,13 @@ def load_config(path: str) -> ConfigDocument:
     return parse_config(text)
 
 
+_DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "default_config.json")
+
+
 def default_config_text() -> str:
-    return (
-        resources.files("kum3check").joinpath("data/default_config.json").read_text()
-    )
+    with open(_DEFAULT_PATH, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def default_config() -> ConfigDocument:
-    return parse_config(default_config_text())
+    return load_config(_DEFAULT_PATH)

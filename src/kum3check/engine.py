@@ -9,9 +9,10 @@ deriving it again.  A stage that raises is computed once too: every later
 read raises the same exception object again.
 
 Stages read the configuration by entry name only: ``doc.value(name)`` for
-``<pack>.<key>`` (``doc.integer(name)`` for the Hodge entries, which must
-be integers), plus the H^2 labels and squares of ``ambient``.  Each
-derivation takes the scalars it reads as arguments.
+``<pack>.<key>`` (``doc.integer(name)`` for the entries that must be
+integers: the Hodge entries, and ``fourfold_pack.c4_degree`` where
+``traces`` reads it as an Euler number), plus the H^2 labels and squares
+of ``ambient``.  Each derivation takes the scalars it reads as arguments.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ class stage:
             exc, traceback = error
             raise exc.with_traceback(traceback)
         return value
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} must be an integer, got {value}")
-    return value.numerator
 
 
 class Engine:
@@ -342,9 +337,7 @@ class Engine:
         table = self.rank_table
         return trace_averages(
             euler_total=self.sixfold_diamond.euler,
-            fourfold_euler=_as_int(
-                self.doc.value("fourfold_pack.c4_degree"), "fourfold Euler number"
-            ),
+            fourfold_euler=self.doc.integer("fourfold_pack.c4_degree"),
             reflection_extra_points=self.doc.integer(
                 "hodge_pack.reflection extra points"
             ),

@@ -17,9 +17,8 @@ Degrees are real cohomological degrees; the top degree is 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .kummer import LABEL_COUNT, component_cube_from_total, w_dot_v_total
 from .linalg import RationalLike, rat
@@ -75,16 +74,14 @@ def qbar_factor(table: Mapping[str, Fraction], degree: int) -> Fraction:
     return first
 
 
-@dataclass(frozen=True)
-class Deg4:
+class Deg4(NamedTuple):
     """Degree-4 class a*qbar + b*z in the canonical basis."""
 
     qbar: Fraction
     z: Fraction
 
 
-@dataclass(frozen=True)
-class Deg8:
+class Deg8(NamedTuple):
     """Degree-8 class a*qbar^2 + b*qbar*z in the canonical basis."""
 
     qbar2: Fraction
@@ -95,8 +92,7 @@ def deg8(qbar2: RationalLike, qbarz: RationalLike) -> Deg8:
     return Deg8(rat(qbar2), rat(qbarz))
 
 
-@dataclass(frozen=True)
-class ZRelations:
+class ZRelations(NamedTuple):
     """Derived structure constants of the canonical basis.
 
     top_* values are integrals of top-degree monomials; z2, c2_squared and
@@ -251,8 +247,7 @@ def c_of(x: Deg4 | Deg8 | Fraction, rel: ZRelations) -> Fraction:
     return rat(x)
 
 
-@dataclass(frozen=True)
-class WVClasses:
+class WVClasses(NamedTuple):
     """The invariant sum classes w (degree 4) and v (degree 8)."""
 
     w: Deg4
@@ -351,8 +346,7 @@ def express_w_v(
     )
 
 
-@dataclass(frozen=True)
-class AuxiliaryValues:
+class AuxiliaryValues(NamedTuple):
     """Second-order invariants of one fixed-fourfold class w_tau."""
 
     c_w_sq: Fraction            # C(w^2)

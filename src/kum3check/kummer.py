@@ -31,9 +31,9 @@ so the elimination of M is cheap where that of the dense G is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .linalg import ZERO as RATIONAL_ZERO, Matrix, kernel_basis, rank
 
@@ -86,8 +86,7 @@ def w_times_w_pair(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class FixedClassIntersections:
+class FixedClassIntersections(NamedTuple):
     """Pairings among qbar, z, c2 and the W classes that feed the certificates.
 
     The z = c2 - ratio*qbar rewriting and the expansion of the sum class
@@ -110,8 +109,7 @@ class FixedClassIntersections:
     w_z_coeff: Fraction
 
 
-@dataclass(frozen=True)
-class DerivedWPairings:
+class DerivedWPairings(NamedTuple):
     z_w_sq: Fraction
     z_w_pair: Fraction
     c2_w_sq: Fraction
@@ -136,8 +134,7 @@ def derive_w_pairings(data: FixedClassIntersections) -> DerivedWPairings:
     return DerivedWPairings(z_w_sq, z_w_pair, c2_w_sq, c2_w_pair, trail)
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     """Pairing matrix of {c2, W classes} against the degree-8 test classes."""
 
     matrix: Matrix
@@ -205,8 +202,7 @@ def deg4_independence_certificate(
     )
 
 
-@dataclass(frozen=True)
-class InjectivityCertificate:
+class InjectivityCertificate(NamedTuple):
     """Gram matrix of {qbar*c2, qbar*w_tau} against {c2, w_sigma}."""
 
     matrix: Matrix
@@ -240,8 +236,7 @@ def qbar_injectivity_certificate(
     )
 
 
-@dataclass(frozen=True)
-class DGramCertificate:
+class DGramCertificate(NamedTuple):
     """Rank and kernel structure of the pairing on the 256 D classes."""
 
     blocks: int

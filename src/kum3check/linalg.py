@@ -32,11 +32,10 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 # The nonzero cells of one integer row: their columns and their values.
@@ -296,8 +295,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of an exact linear solve.
 
     status is "unique", "inconsistent", or "underdetermined"; solution is

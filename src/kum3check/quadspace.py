@@ -24,38 +24,43 @@ the same way.  Each builds one ``Fraction`` per result monomial or value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import ZERO, Matrix, RationalLike, rat, scaled_integers, support, vector
 
 
-@dataclass(frozen=True)
 class QuadSpace:
-    """Labelled orthogonal basis with the nonzero square of each vector."""
+    """Labelled orthogonal basis with the nonzero square of each vector.
 
-    labels: tuple[str, ...]
-    squares: tuple[Fraction, ...]
-    name: str = ""
+    ``_scaled_squares`` is (L, L * squares) for the lcm L of the squares'
+    denominators.  Spaces with the same labels, squares and name are equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "squares", vector(self.squares))
-        if len(set(self.labels)) != len(self.labels):
+    __slots__ = ("labels", "squares", "name", "_scaled_squares")
+
+    def __init__(
+        self, labels: tuple[str, ...], squares: Iterable[RationalLike], name: str = ""
+    ):
+        squares = vector(squares)
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in quadratic space")
-        if len(self.squares) != len(self.labels):
+        if len(squares) != len(labels):
             raise ValueError("square count does not match label count")
-        for label, q in zip(self.labels, self.squares):
+        for label, q in zip(labels, squares):
             if not q:
                 raise ValueError(f"basis vector {label!r} is isotropic")
+        self.labels = labels
+        self.squares = squares
+        self.name = name
+        scale, ints = scaled_integers(squares)
+        self._scaled_squares = scale, tuple(ints)
 
-    @cached_property
-    def _scaled_squares(self) -> tuple[int, tuple[int, ...]]:
-        """(L, L * squares) for the lcm L of the squares' denominators."""
-        scale, ints = scaled_integers(self.squares)
-        return scale, tuple(ints)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadSpace) and (
+            self.labels, self.squares, self.name
+        ) == (other.labels, other.squares, other.name)
 
     @property
     def dim(self) -> int:
@@ -86,16 +91,27 @@ class QuadSpace:
         )
 
 
-@dataclass(frozen=True)
 class Sym2Vector:
     """Element of Sym^2 of a quadratic space, as monomial coefficients.
 
     Keys are index pairs (i, j) with i <= j.  Zero coefficients are never
-    stored, so equality of coefficient maps is equality of classes.
+    stored, so equality of space and coefficient maps is equality of
+    classes.  ``_scaled`` memoises ``scaled``.
     """
 
-    space: QuadSpace
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...] = field(default=())
+    __slots__ = ("space", "coeffs", "_scaled")
+
+    def __init__(
+        self, space: QuadSpace, coeffs: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    ):
+        self.space = space
+        self.coeffs = coeffs
+        self._scaled = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sym2Vector) and (
+            self.space, self.coeffs
+        ) == (other.space, other.coeffs)
 
     @staticmethod
     def from_map(space: QuadSpace, coeffs: Mapping[tuple[int, int], Fraction]) -> "Sym2Vector":
@@ -109,11 +125,13 @@ class Sym2Vector:
         items.sort(key=lambda kv: kv[0])
         return Sym2Vector(space, tuple(items))
 
-    @cached_property
+    @property
     def scaled(self) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
         """(L, monomials, L * coefficients) for the lcm L of the denominators."""
-        scale, ints = scaled_integers([c for _, c in self.coeffs])
-        return scale, tuple(k for k, _ in self.coeffs), ints
+        if self._scaled is None:
+            scale, ints = scaled_integers([c for _, c in self.coeffs])
+            self._scaled = scale, tuple(k for k, _ in self.coeffs), ints
+        return self._scaled
 
     def render(self) -> str:
         labels = self.space.labels

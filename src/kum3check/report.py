@@ -3,16 +3,18 @@
 A check records one verified equality: an identifier, a human-readable
 reference for where the expected value comes from, the expected and
 computed values rendered as exact strings, a pass/fail status, and a
-derivation trail of intermediate values.  Reports sort their checks by
-identifier so the output is byte-identical however the checks were
-produced.
+derivation trail of intermediate values.  A check is a ``NamedTuple``:
+a merged report renames its checks with ``_replace``, and the json report
+writes ``_asdict()``.  A record is not a value, so ``render_value`` renders
+only plain tuples and lists.  Reports sort their checks by identifier so
+the output is byte-identical however the checks were produced.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import Matrix
 
@@ -27,13 +29,12 @@ def render_value(value) -> str:
         return value
     if isinstance(value, Matrix):
         return render_value(value.to_lists())
-    if isinstance(value, (tuple, list)):
+    if type(value) in (tuple, list):
         return "[" + ", ".join(render_value(x) for x in value) + "]"
     raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     ref: str
     expected: str
@@ -68,19 +69,18 @@ def error_check(check_id: str, ref: str, error: Exception) -> Check:
     )
 
 
-@dataclass(frozen=True)
 class SuiteReport:
-    suite: str
-    checks: tuple[Check, ...]
+    """A suite's checks, sorted by id; ids must be unique."""
 
-    def __post_init__(self) -> None:
-        ids = [c.id for c in self.checks]
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: tuple[Check, ...]):
+        ids = [c.id for c in checks]
         if len(set(ids)) != len(ids):
             dupes = sorted({x for x in ids if ids.count(x) > 1})
             raise ValueError(f"duplicate check ids: {dupes}")
-        object.__setattr__(
-            self, "checks", tuple(sorted(self.checks, key=lambda c: c.id))
-        )
+        self.suite = suite
+        self.checks = tuple(sorted(checks, key=lambda c: c.id))
 
     @property
     def status(self) -> str:
@@ -94,37 +94,20 @@ class SuiteReport:
 
 def merge_reports(name: str, reports: list[SuiteReport]) -> SuiteReport:
     """Combine per-suite reports, prefixing ids with their suite name."""
-    checks = []
-    for rep in sorted(reports, key=lambda r: r.suite):
-        for check in rep.checks:
-            checks.append(
-                Check(
-                    id=f"{rep.suite}/{check.id}",
-                    ref=check.ref,
-                    expected=check.expected,
-                    computed=check.computed,
-                    status=check.status,
-                    trail=check.trail,
-                )
-            )
-    return SuiteReport(suite=name, checks=tuple(checks))
+    checks = tuple(
+        check._replace(id=f"{rep.suite}/{check.id}")
+        for rep in sorted(reports, key=lambda r: r.suite)
+        for check in rep.checks
+    )
+    return SuiteReport(suite=name, checks=checks)
 
 
 def emit_json(report: SuiteReport) -> str:
     obj = {
         "suite": report.suite,
         "status": report.status,
-        "checks": [
-            {
-                "id": c.id,
-                "ref": c.ref,
-                "expected": c.expected,
-                "computed": c.computed,
-                "status": c.status,
-                "trail": list(c.trail),
-            }
-            for c in report.checks
-        ],
+        # json writes the trail tuple as an array
+        "checks": [c._asdict() for c in report.checks],
     }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -9,7 +9,7 @@ aborting the suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bookkeeping import rank_table_matches_diamond, rep_dims
 from .engine import Engine
@@ -66,12 +66,12 @@ def _add(
     ref: str,
     expected,
     compute: Callable[[], object],
-    trail=(),
+    trail: Callable[[], Iterable[str]] = tuple,
 ) -> None:
     """One check; a raising derivation becomes a failing error check."""
     try:
         computed = compute()
-        trail_values = tuple(trail() if callable(trail) else trail)
+        trail_values = tuple(trail())
     except Exception as exc:
         checks.append(error_check(check_id, ref, exc))
         return

@@ -24,9 +24,8 @@ divisors d = iota_*(4s - delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, two_torsion
@@ -82,8 +81,7 @@ def xi_restriction_on(space: QuadSpace) -> tuple[Fraction, ...]:
     return space.vector(XI_ON_W)
 
 
-@dataclass(frozen=True)
-class RestrictionFactor:
+class RestrictionFactor(NamedTuple):
     """Scaling between the ambient form and a fourfold form."""
 
     c_w_component: Fraction
@@ -139,8 +137,7 @@ def _exact_sqrt(x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # the fourfold model and its 19 invariant degree-4 classes
 
-@dataclass(frozen=True)
-class WModel:
+class WModel(NamedTuple):
     space: QuadSpace
     factor: Fraction
     basis: tuple[Sym2Vector, ...]
@@ -319,8 +316,7 @@ def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QbarRestriction:
+class QbarRestriction(NamedTuple):
     coeffs: tuple[Fraction, ...]
     trail: tuple[str, ...]
 
@@ -438,8 +434,7 @@ def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
     return Fraction(total, scale * _NEAR_SCALE)
 
 
-@dataclass(frozen=True)
-class VRestrictionData:
+class VRestrictionData(NamedTuple):
     delta_sq: Fraction
     delta_s: Fraction
     s_pair_same_coset: Fraction
@@ -497,8 +492,7 @@ def v_restriction_data(
 # ---------------------------------------------------------------------------
 # restriction of the other fourfold's class
 
-@dataclass(frozen=True)
-class WOtherRestriction:
+class WOtherRestriction(NamedTuple):
     theta: Pt
     coeffs: tuple[Fraction, ...]
     rhs: tuple[Fraction, ...]  # rhs[0] is the pairing with the dual class
@@ -553,8 +547,7 @@ def restrict_w_other(
 # ---------------------------------------------------------------------------
 # the shifted divisor classes and the self-restriction
 
-@dataclass(frozen=True)
-class SPrimeVectors:
+class SPrimeVectors(NamedTuple):
     """Products of the shifted divisors s' = 4s - delta and their sums.
 
     ``products[i, j]`` is s'_i * s'_j for positions i <= j in ``ALPHAS``;
@@ -620,8 +613,7 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     )
 
 
-@dataclass(frozen=True)
-class WSelfRestriction:
+class WSelfRestriction(NamedTuple):
     """The fourfold's own class pulled back, i.e. its normal bundle c2."""
 
     coeffs: tuple[Fraction, ...]
@@ -757,8 +749,7 @@ def restrict_w_self(
 # ---------------------------------------------------------------------------
 # pairings of the pushed-forward divisor classes
 
-@dataclass(frozen=True)
-class DPairings:
+class DPairings(NamedTuple):
     diagonal: Fraction
     same_block: Fraction
     uniform: bool

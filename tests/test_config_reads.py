@@ -13,20 +13,19 @@ hide a read of the document behind an unrelated class.
 import ast
 from pathlib import Path
 
-from test_dead_code import SRC, _members, _parse
+from test_dead_code import SRC, _members, _parse, _slot_names
 
 OPEN_FIELDS = {"h2_labels", "h2_squares"}
 
 
 def _closed_fields(config: ast.Module) -> set[str]:
-    """The ``ConfigDocument`` fields that other modules may not read."""
+    """The ``ConfigDocument`` fields (its ``__slots__``) that other modules may not read."""
     for node in config.body:
         if isinstance(node, ast.ClassDef) and node.name == "ConfigDocument":
-            return {
-                item.target.id
-                for item in node.body
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            } - OPEN_FIELDS
+            fields = {name for item in node.body for name in _slot_names(item)}
+            if not fields:
+                raise AssertionError("ConfigDocument declares no __slots__")
+            return fields - OPEN_FIELDS
     raise AssertionError("config.py defines no ConfigDocument")
 
 
@@ -62,12 +61,8 @@ def test_the_package_reads_the_document_through_one_path():
 
 def test_the_scan_flags_each_bypass(tmp_path):
     (tmp_path / "config.py").write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
         "class ConfigDocument:\n"
-        "    named_entries: dict\n"
-        "    h2_labels: tuple\n"
-        "    h2_squares: tuple\n"
+        "    __slots__ = ('named_entries', 'h2_labels', 'h2_squares')\n"
         "    def value(self, name):\n"
         "        return self.named_entries[name].value\n"
     )
@@ -79,13 +74,15 @@ def test_the_scan_flags_each_bypass(tmp_path):
         "    return a, b, c, doc.h2_labels, doc.h2_squares\n"
     )
     (tmp_path / "other.py").write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class Table:\n"
+        "from typing import NamedTuple\n"
+        "class Table(NamedTuple):\n"
         "    named_entries: dict\n"
+        "class Cache:\n"
+        "    __slots__ = ('named_entries',)\n"
     )
     assert config_read_violations(tmp_path) == [
         "engine:3: reads .named_entries",
         "engine:4: reads .named_entries",
-        "other:4: Table.named_entries shadows a document field",
+        "other:3: Table.named_entries shadows a document field",
+        "other:5: Cache.named_entries shadows a document field",
     ]

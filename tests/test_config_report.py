@@ -17,6 +17,7 @@ from kum3check.config import (
     load_config,
     parse_config,
 )
+from kum3check.fujiki import Deg4
 from kum3check.report import (
     SuiteReport,
     emit_json,
@@ -355,6 +356,8 @@ def test_render_value():
     assert render_value((1, Fraction(1, 2))) == "[1, 1/2]"
     with pytest.raises(TypeError):
         render_value(object())
+    with pytest.raises(TypeError):  # a record is a tuple, but not a value
+        render_value(Deg4(Fraction(1), Fraction(2)))
 
 
 def test_make_check_compares_raw_values():

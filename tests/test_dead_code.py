@@ -8,8 +8,8 @@ Two passes over the package source:
   module's ``__all__`` (``__all__`` itself is exempt).  An attribute of the
   same name does not count, so ``seen.add(x)`` does not keep a function
   ``add`` alive.
-* Every method, property and dataclass field of a package class must be
-  read as an attribute (``x.name``) somewhere in the package outside its
+* Every method, property, ``NamedTuple`` field and ``__slots__`` name of a
+  package class must be read as an attribute (``x.name``) somewhere in the package outside its
   own definition.  A read of ``self.name`` inside a class counts only for
   that class's own member, so ``self.key`` in one class does not keep a
   field ``key`` of another alive.  Special methods (``__name__``) are
@@ -84,29 +84,36 @@ def _attribute_reads(node: ast.AST, owner: str | None) -> Counter:
     return reads
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated ``@dataclass`` or ``@dataclass(...)``, as the package spells it."""
-    return any(
-        isinstance(target, ast.Name) and target.id == "dataclass"
-        for target in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
-    )
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    """``class X(NamedTuple)``, as the package spells a record."""
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _slot_names(item: ast.stmt) -> list[str]:
+    """The names that ``__slots__ = (...)`` declares; none for any other statement."""
+    if isinstance(item, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
+    ):
+        return [c.value for c in ast.walk(item.value) if isinstance(c, ast.Constant)]
+    return []
 
 
 def _members(tree: ast.Module):
-    """(class, member, node) for each method, property and dataclass field."""
+    """(class, member, node) for each method, property, NamedTuple field and slot."""
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        fields = _is_dataclass(node)
+        fields = _is_named_tuple(node)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = item.name
+                names = [item.name]
             elif fields and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                name = item.target.id
+                names = [item.target.id]
             else:
-                continue
-            if not (name.startswith("__") and name.endswith("__")):
-                yield node.name, name, item
+                names = _slot_names(item)
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield node.name, name, item
 
 
 def unread_members(root: Path = SRC) -> list[str]:
@@ -138,7 +145,7 @@ def test_every_class_member_is_read_by_package_code():
 
 def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
     (tmp_path / "a.py").write_text(
-        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
         "__all__ = ['kept']\n"
         "kept = 1\n"
         "def used():\n    return helper()\n"
@@ -147,17 +154,17 @@ def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
         "def add(x, y):\n    return x + y\n"
         "class Unread:\n    pass\n"
         "TABLE: dict = {}\n"
-        "@dataclass(frozen=True)\n"
-        "class Record:\n"
+        "class Record(NamedTuple):\n"
         "    read: int\n"
         "    unread: int\n"
         "    def method(self):\n        return self.method()\n"
         "    @property\n"
         "    def shown(self):\n        return self.read\n"
         "    def __len__(self):\n        return 1\n"
-        "@dataclass(frozen=True)\n"
         "class Entry:\n"
-        "    key: str\n"
+        "    __slots__ = ('key', 'kept')\n"
+        "    def __init__(self, key):\n        self.key = self.kept = key\n"
+        "    def __repr__(self):\n        return self.kept\n"
         "class Descriptor:\n"
         "    def __set_name__(self, owner, name):\n        self.key = name\n"
         "    def __get__(self, instance, owner=None):\n        return self.key\n"

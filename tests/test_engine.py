@@ -29,6 +29,15 @@ def test_failing_stage_runs_once_per_engine(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_fractional_euler_number_names_its_entry():
+    report = run_suite(Engine(_document("fourfold_pack", "c4_degree", "1/2")), "bookkeeping")
+    errors = {c.id: c.computed for c in report.checks if c.expected == "no error"}
+    message = "ConfigError: fourfold_pack.c4_degree: expected an integer, got 1/2"
+    assert errors == dict.fromkeys(
+        ("group element euler numbers", "spin traces", "spin invariant dimension"), message
+    )
+
+
 def test_failing_stage_reraises_the_same_exception():
     engine = Engine(_document("geometry_pack", "xi_square", "0"))
     with pytest.raises(ZeroDivisionError) as first:

@@ -7,10 +7,16 @@ A static pass over ``src/kum3check`` flags:
 * a float literal;
 * a load of the name ``float``;
 * an import from ``math`` other than the integer functions ``comb``,
-  ``gcd``, ``isqrt`` and ``lcm`` (and ``import math`` as a whole).
+  ``gcd``, ``isqrt`` and ``lcm`` (and ``import math`` as a whole);
+* an import of ``dataclasses``, which builds its classes at every import
+  and loads ``inspect``: records are ``NamedTuple`` or ``__slots__``
+  classes.
+
+A subprocess test pins the cold-start side of the last rule.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +38,8 @@ def runtime_violations(root: Path = SRC) -> list[str]:
                         found.append(f"{where}: imports {alias.name} outside the stdlib")
                     elif top == "math":
                         found.append(f"{where}: imports all of math")
+                    elif top == "dataclasses":
+                        found.append(f"{where}: imports dataclasses")
             elif isinstance(leaf, ast.ImportFrom) and leaf.level == 0:
                 top = leaf.module.split(".")[0]
                 if top not in sys.stdlib_module_names:
@@ -40,6 +48,8 @@ def runtime_violations(root: Path = SRC) -> list[str]:
                     for alias in leaf.names:
                         if alias.name not in MATH_ALLOWED:
                             found.append(f"{where}: imports math.{alias.name}")
+                elif top == "dataclasses":
+                    found.append(f"{where}: imports dataclasses")
             elif isinstance(leaf, ast.Constant) and isinstance(leaf.value, float):
                 found.append(f"{where}: float literal {leaf.value!r}")
             elif isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
@@ -63,11 +73,27 @@ def test_the_scan_flags_each_rule(tmp_path):
         "y = Fraction(1, 2)\n"
         "z = float(y)\n"
     )
-    (tmp_path / "b.py").write_text("import math\nimport os.path\n")
+    (tmp_path / "b.py").write_text(
+        "import math\nimport os.path\nimport dataclasses\nfrom dataclasses import field\n"
+    )
     assert runtime_violations(tmp_path) == [
         "a:2: imports numpy outside the stdlib",
         "a:4: imports math.sqrt",
         "a:6: float literal 0.5",
         "a:8: loads float",
         "b:1: imports all of math",
+        "b:3: imports dataclasses",
+        "b:4: imports dataclasses",
     ]
+
+
+def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site's own imports out of the picture
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import kum3check.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout == "[]\n"
