@@ -9,12 +9,13 @@ Two passes over the package source:
   same name does not count, so ``seen.add(x)`` does not keep a function
   ``add`` alive.
 * Every method, property, ``NamedTuple`` field and ``__slots__`` name of a
-  package class must be read as an attribute (``x.name``) somewhere in the package outside its
-  own definition.  A read of ``self.name`` inside a class counts only for
-  that class's own member, so ``self.key`` in one class does not keep a
-  field ``key`` of another alive.  Special methods (``__name__``) are
-  exempt, because the language calls them.  A constructor keyword is not a
-  read: a field that is set but never read is dead.
+  package class must be read as an attribute (``x.name``) somewhere in the
+  package outside its own definition.  A read of ``self.name`` inside a
+  class counts only for that class's own member, so ``self.key`` in one
+  class does not keep a field ``key`` of another alive.  Special methods
+  (``__name__``) are exempt, because the language calls them.  A
+  constructor keyword or an assignment is not a read: a field that is set
+  but never read is dead.
 
 Oracles and helpers that only tests use belong in ``tests/``.
 """
