@@ -7,8 +7,6 @@ functions either build tables from symmetric halves, combine tables by the
 Kuenneth rule, or peel known summands off a total and report what is left.
 """
 
-from __future__ import annotations
-
 from math import comb
 from typing import Mapping, NamedTuple
 
@@ -124,9 +122,9 @@ def sym2_row(a: Row) -> Row:
     return tuple(out)
 
 
-def shift_row(a: Row, steps: int = 1) -> Row:
-    """Raise the weight by twice the step count, centring the types."""
-    return (0,) * steps + tuple(a) + (0,) * steps
+def shift_row(a: Row) -> Row:
+    """Raise the weight by two, centring the types."""
+    return (0, *a, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +262,7 @@ class RankTable(NamedTuple):
     trail: tuple[str, ...]
 
 
-def build_rank_table(
-    base_rank: int = 7, spin_rank: int = 240, odd_rank: int = 128
-) -> RankTable:
+def build_rank_table(base_rank: int, spin_rank: int, odd_rank: int) -> RankTable:
     n = base_rank
 
     def sym(k: int) -> int:

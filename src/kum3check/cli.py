@@ -4,8 +4,6 @@ Exit status: 0 when every check passes, 1 when any check fails, 2 for
 configuration or usage errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

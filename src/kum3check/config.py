@@ -23,8 +23,6 @@ checked Gram.  The default document is the file
 ``data/default_config.json`` next to this module, read by ``load_config``.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import re

@@ -15,8 +15,6 @@ integers: the Hodge entries, and ``fourfold_pack.c4_degree`` where
 of ``ambient``.  Each derivation takes the scalars it reads as arguments.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Callable
 
@@ -267,8 +265,10 @@ class Engine:
 
     @stage
     def d_gram(self) -> DGramCertificate:
+        # a block is one halving fiber {alpha : 2*alpha = tau}, a coset of
+        # the sixteen two-torsion points, and there is one block per tau
         return d_gram_certificate(
-            self.d_pairings.diagonal, self.d_pairings.same_block
+            self.d_pairings.diagonal, self.d_pairings.same_block, LABEL_COUNT, LABEL_COUNT
         )
 
     # -- cohomology bookkeeping -------------------------------------------------

@@ -15,8 +15,6 @@ of the torsion-label module, ``kummer``.
 Degrees are real cohomological degrees; the top degree is 12.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 

@@ -29,8 +29,6 @@ nonzero cells inside a block and at most 2*block_size at a block boundary,
 so the elimination of M is cheap where that of the dense G is not.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
@@ -58,7 +56,7 @@ def two_torsion() -> tuple[Pt, ...]:
 LABEL_COUNT = len(two_torsion())
 
 
-def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
+def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int) -> Fraction:
     """w * v as a sum of triple numbers over tau and unordered pairs."""
     same = n * (n - 1) * pair          # tau equal to one of the two pair labels
     apart = n * (n - 1) * (n - 2) // 2 * distinct
@@ -66,19 +64,19 @@ def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
 
 
 def component_cube_from_total(
-    total: Fraction, pair: Fraction, distinct: Fraction, n: int = 16
+    total: Fraction, pair: Fraction, distinct: Fraction, n: int
 ) -> Fraction:
     """Recover w_tau^3 from w^3 by removing the mixed pattern counts."""
     mixed = 3 * n * (n - 1) * pair + n * (n - 1) * (n - 2) * distinct
     return (total - mixed) / n
 
 
-def w_times_w_sq(cube: Fraction, pair: Fraction, n: int = 16) -> Fraction:
+def w_times_w_sq(cube: Fraction, pair: Fraction, n: int) -> Fraction:
     """w * w_tau^2 for a fixed tau."""
     return cube + (n - 1) * pair
 
 
-def w_times_w_pair(pair: Fraction, distinct: Fraction, n: int = 16) -> Fraction:
+def w_times_w_pair(pair: Fraction, distinct: Fraction, n: int) -> Fraction:
     """w * w_tau * w_tau' for fixed distinct tau, tau'."""
     return 2 * pair + (n - 2) * distinct
 
@@ -253,15 +251,11 @@ class DGramCertificate(NamedTuple):
 
 
 def d_gram_certificate(
-    diagonal: Fraction,
-    same_block: Fraction,
-    cross_block: Fraction | None = None,
-    blocks: int = 16,
-    block_size: int = 16,
+    diagonal: Fraction, same_block: Fraction, blocks: int, block_size: int
 ) -> DGramCertificate:
     """Certify the rank and kernel of the D-class Gram matrix.
 
-    When ``cross_block`` is omitted it is forced by the identity that a
+    The cross-block value ``cross_block`` is forced by the identity that a
     fixed D class pairs with any full block to the same total: the
     within-block total diagonal + (block_size-1)*same_block, spread evenly
     over the block_size cross entries.
@@ -275,21 +269,11 @@ def d_gram_certificate(
     docstring); only its last row is dense.
     """
     row_total = diagonal + (block_size - 1) * same_block
+    cross_block = Fraction(row_total, block_size)
     trail = [
-        f"row paired with its own block totals {row_total}"
+        f"row paired with its own block totals {row_total}",
+        f"cross entries forced to {cross_block} by equal block totals",
     ]
-    if cross_block is None:
-        cross_block = Fraction(row_total, block_size)
-        trail.append(
-            f"cross entries forced to {cross_block} "
-            f"by equal block totals"
-        )
-    cross_total = block_size * cross_block
-    if cross_total != row_total:
-        raise ValueError(
-            "cross-block total differs from within-block total; "
-            "block difference relations would not hold"
-        )
 
     m = blocks * block_size
     zero = RATIONAL_ZERO

@@ -30,8 +30,6 @@ and the elimination with the dense integer elimination, on random
 matrices.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul

@@ -22,8 +22,6 @@ over one common denominator, and the pairing reads the squares scaled
 the same way.  Each builds one ``Fraction`` per result monomial or value.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence

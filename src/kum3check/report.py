@@ -10,8 +10,6 @@ only plain tuples and lists.  Reports sort their checks by identifier so
 the output is byte-identical however the checks were produced.
 """
 
-from __future__ import annotations
-
 import json
 from fractions import Fraction
 from typing import NamedTuple

@@ -6,8 +6,6 @@ derivation step that raises becomes a failing error check instead of
 aborting the suite.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -17,7 +15,14 @@ from .fujiki import evaluate_fujiki, qbar_factor
 from .linalg import Matrix, rank
 from .report import Check, SuiteReport, error_check, make_check, merge_reports
 from .wgeometry import (
+    DELTA_S,
+    DELTA_SQ,
+    MIXED,
+    QBAR,
+    S_SQ,
+    SPRIME_SQUARE_SUM,
     THETAS,
+    class_coeffs,
     expected_gram19,
     restriction_is_similitude,
 )
@@ -283,7 +288,7 @@ def _gram19_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "shifted divisor sum expansion", REF_G19,
-        _sprime_sum_expected(), lambda: e.sprime.sum_squares,
+        SPRIME_SQUARE_SUM, lambda: e.sprime.sum_squares,
     )
     _add(
         checks, "shifted divisor identity per coset", REF_G19, True,
@@ -292,44 +297,25 @@ def _gram19_checks(e: Engine) -> list[Check]:
     return checks
 
 
-def _sprime_sum_expected() -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * 19
-    coeffs[1] = Fraction(16)
-    coeffs[2] = Fraction(16)
-    coeffs[18] = Fraction(-8)
-    return tuple(coeffs)
-
-
 def _other_pattern(theta) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * 19
-    coeffs[0] = Fraction(2, 5)
-    coeffs[2] = Fraction(1, 4)
-    coeffs[3 + THETAS.index(theta)] = Fraction(-1, 4)
-    return tuple(coeffs)
-
-
-def _qbar_pattern() -> tuple[Fraction, ...]:
-    coeffs = [Fraction(-1, 32)] * 19
-    coeffs[0] = Fraction(2)
-    coeffs[1] = Fraction(1, 2)
-    coeffs[2] = Fraction(31, 32)
-    coeffs[18] = Fraction(-1, 4)
-    return tuple(coeffs)
-
-
-def _self_pattern() -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * 19
-    coeffs[0] = Fraction(8, 5)
-    coeffs[1] = Fraction(1)
-    coeffs[2] = Fraction(1)
-    coeffs[18] = Fraction(-1, 2)
-    return tuple(coeffs)
+    return class_coeffs(
+        {QBAR: Fraction(2, 5), S_SQ: Fraction(1, 4), MIXED[theta]: Fraction(-1, 4)}
+    )
 
 
 def _restrictions_checks(e: Engine) -> list[Check]:
     checks: list[Check] = []
     _add(
-        checks, "ambient dual expansion", REF_REST, _qbar_pattern(),
+        checks, "ambient dual expansion", REF_REST,
+        class_coeffs(
+            {
+                QBAR: 2,
+                DELTA_SQ: Fraction(1, 2),
+                S_SQ: Fraction(31, 32),
+                DELTA_S: Fraction(-1, 4),
+                **dict.fromkeys(MIXED.values(), Fraction(-1, 32)),
+            }
+        ),
         lambda: e.qbar_restriction.coeffs,
         trail=lambda: e.qbar_restriction.trail,
     )
@@ -347,10 +333,11 @@ def _restrictions_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "second fourfold flat pairing", REF_REST, 30,
-        lambda: e.w_other_all[0].rhs[0],
+        lambda: e.w_other_all[0].rhs[QBAR],
     )
     _add(
-        checks, "self expansion", REF_REST, _self_pattern(),
+        checks, "self expansion", REF_REST,
+        class_coeffs({QBAR: Fraction(8, 5), DELTA_SQ: 1, S_SQ: 1, DELTA_S: Fraction(-1, 2)}),
         lambda: e.w_self.coeffs, trail=lambda: e.w_self.trail,
     )
     _add(

@@ -20,16 +20,21 @@ the 19x19 intersection matrix of invariant degree-4 classes, the expansion
 of the restricted dual class, the expansions of both fourfold classes
 pulled back to W, and the pairings between the pushed-forward point-class
 divisors d = iota_*(4s - delta).
+
+The 19 invariant classes come in one order, named once next to
+``build_w_model``: the dual class qbar_W (``QBAR``), delta^2 (``DELTA_SQ``),
+sum s^2 (``S_SQ``), the mixed sum sum s*s[theta] of each of the fifteen
+shifts theta (``MIXED[theta]``, in ``THETAS`` order) and delta*sum s
+(``DELTA_S``).  Every coefficient vector over the 19 classes is indexed
+through these names.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, two_torsion
-from .linalg import Matrix, scaled_integers, solve_linear, support
+from .linalg import Matrix, RationalLike, scaled_integers, solve_linear, support
 from .quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -146,12 +151,19 @@ class WModel(NamedTuple):
     def s_index(self, alpha: Pt) -> int:
         return self.space.index(s_label(alpha))
 
-    def theta_position(self, theta: Pt) -> int:
-        return 3 + THETAS.index(theta)
-
 
 PLUS_LABELS = ("lp1", "lp2", "lp3")
 MINUS_LABELS = ("lm1", "lm2", "lm3")
+
+# positions of the 19 invariant classes in the basis
+QBAR, DELTA_SQ, S_SQ, DELTA_S = 0, 1, 2, 18
+MIXED: dict[Pt, int] = {theta: 3 + k for k, theta in enumerate(THETAS)}
+CLASS_COUNT = 19
+
+
+def class_coeffs(values: Mapping[int, RationalLike]) -> tuple[Fraction, ...]:
+    """Coefficients over the 19 classes: ``values`` by position, 0 elsewhere."""
+    return tuple(Fraction(values.get(k, 0)) for k in range(CLASS_COUNT))
 
 
 def build_w_model(factor: Fraction) -> WModel:
@@ -164,26 +176,23 @@ def build_w_model(factor: Fraction) -> WModel:
     s_idx = [space.index(s_label(a)) for a in ALPHAS]
     d_idx = space.index("delta")
 
-    # qbar_W, delta^2, sum s^2, the fifteen mixed sums sum s*s[theta], delta*sum s
-    vectors = [qbar_dual(space)]
-    vectors.append(Sym2Vector.from_map(space, {(d_idx, d_idx): Fraction(1)}))
-    vectors.append(
-        Sym2Vector.from_map(space, {(i, i): Fraction(1) for i in s_idx})
-    )
+    vectors = {
+        QBAR: qbar_dual(space),
+        DELTA_SQ: Sym2Vector.from_map(space, {(d_idx, d_idx): Fraction(1)}),
+        S_SQ: Sym2Vector.from_map(space, {(i, i): Fraction(1) for i in s_idx}),
+        DELTA_S: Sym2Vector.from_map(
+            space, {(min(d_idx, i), max(d_idx, i)): Fraction(1) for i in s_idx}
+        ),
+    }
     for theta in THETAS:
         # alpha and alpha + theta both give the monomial of their coset
         coeffs = {(s_idx[i], s_idx[j]): Fraction(2) for i, j in COSETS[theta]}
-        vectors.append(Sym2Vector.from_map(space, coeffs))
-    vectors.append(
-        Sym2Vector.from_map(
-            space, {(min(d_idx, i), max(d_idx, i)): Fraction(1) for i in s_idx}
-        )
-    )
+        vectors[MIXED[theta]] = Sym2Vector.from_map(space, coeffs)
 
     return WModel(
         space=space,
         factor=factor,
-        basis=tuple(vectors),
+        basis=tuple(vectors[k] for k in range(CLASS_COUNT)),
         xi_restriction=xi_restriction_on(space),
     )
 
@@ -196,21 +205,19 @@ def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
     qbar * a * b = C(qbar) q(a, b), with q(delta) = -2 and sixteen s classes
     of square -2).
     """
-    n = 19
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    qbar_delta = -2 * qbar_fujiki
-    qbar_s = -32 * qbar_fujiki
-    head = [
-        [qbar_square, qbar_delta, qbar_s],
-        [qbar_delta, 12, 64],
-        [qbar_s, 64, 1152],
-    ]
-    for i in range(3):
-        for j in range(3):
-            rows[i][j] = Fraction(head[i][j])
-    for k in range(3, 18):
-        rows[k][k] = Fraction(128)
-    rows[18][18] = Fraction(64)
+    cells = {
+        (QBAR, QBAR): qbar_square,
+        (QBAR, DELTA_SQ): -2 * qbar_fujiki,
+        (QBAR, S_SQ): -32 * qbar_fujiki,
+        (DELTA_SQ, DELTA_SQ): 12,
+        (DELTA_SQ, S_SQ): 64,
+        (S_SQ, S_SQ): 1152,
+        (DELTA_S, DELTA_S): 64,
+        **{(k, k): 128 for k in MIXED.values()},
+    }
+    rows = [[Fraction(0)] * CLASS_COUNT for _ in range(CLASS_COUNT)]
+    for (i, j), value in cells.items():
+        rows[i][j] = rows[j][i] = Fraction(value)
     return Matrix(rows)
 
 
@@ -255,12 +262,12 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
         raise ValueError("s square coefficients are not uniform")
     c = s_sq.pop() + a // 2
 
-    d_coeffs = []
+    mixed = {}
     for theta in THETAS:
         vals = {take(s_idx[i], s_idx[j]) for i, j in COSETS[theta]}
         if len(vals) != 1:
             raise ValueError(f"mixed s coefficients not uniform at shift {_bits(theta)}")
-        d_coeffs.append(Fraction(vals.pop(), 2 * scale))
+        mixed[MIXED[theta]] = Fraction(vals.pop(), 2 * scale)
 
     e_vals = {take(d_idx, i) for i in s_idx}
     if len(e_vals) != 1:
@@ -271,8 +278,14 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     if leftover:
         raise ValueError(f"monomials outside the invariant span: {sorted(leftover)}")
 
-    coeffs = (
-        Fraction(a, scale), Fraction(b, scale), Fraction(c, scale), *d_coeffs, Fraction(e, scale)
+    coeffs = class_coeffs(
+        {
+            QBAR: Fraction(a, scale),
+            DELTA_SQ: Fraction(b, scale),
+            S_SQ: Fraction(c, scale),
+            DELTA_S: Fraction(e, scale),
+            **mixed,
+        }
     )
     if combination(model, coeffs) != x:
         raise ValueError("basis expansion failed to reproduce the class")
@@ -329,11 +342,11 @@ def restrict_qbar(model: WModel, ambient: QuadSpace) -> QbarRestriction:
     trail = (
         "ambient dual class = " + dual.render(),
         "restriction expanded over the invariant classes: "
-        + ", ".join(map(str, coeffs[:3]))
+        + ", ".join(str(coeffs[k]) for k in (QBAR, DELTA_SQ, S_SQ))
         + ", shifts "
-        + str(coeffs[3])
+        + str(coeffs[MIXED[THETAS[0]]])
         + ", mixed "
-        + str(coeffs[18]),
+        + str(coeffs[DELTA_S]),
     )
     return QbarRestriction(coeffs=coeffs, trail=trail)
 
@@ -495,7 +508,7 @@ def v_restriction_data(
 class WOtherRestriction(NamedTuple):
     theta: Pt
     coeffs: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]  # rhs[0] is the pairing with the dual class
+    rhs: tuple[Fraction, ...]  # rhs[QBAR] is the pairing with the dual class
     trail: tuple[str, ...]
 
 
@@ -525,7 +538,9 @@ def restrict_w_other(
 
     slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / c2_qbar_ratio
-    rhs = [qbar_rhs] + [near_pairing(slot, vec) for vec in model.basis[1:]]
+    rhs = [
+        qbar_rhs if k == QBAR else near_pairing(slot, vec) for k, vec in enumerate(model.basis)
+    ]
 
     solved = solve_linear(gram, rhs)
     if not solved.ok:
@@ -561,6 +576,10 @@ class SPrimeVectors(NamedTuple):
     identity_holds: bool
 
 
+# sum_a s'_a * s'_a = 16*delta^2 + 16*sum s^2 - 8*delta*sum s
+SPRIME_SQUARE_SUM = class_coeffs({DELTA_SQ: 16, S_SQ: 16, DELTA_S: -8})
+
+
 def s_prime_vector(model: WModel, alpha: Pt) -> tuple[Fraction, ...]:
     coeffs = {s_label(alpha): Fraction(4), "delta": Fraction(-1)}
     return model.space.vector(coeffs)
@@ -587,27 +606,20 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
             sp, ((1, products[min(i, j), max(i, j)]) for i, j in enumerate(SHIFTED[theta]))
         )
 
-    identity = True
     sum_sq = expand_in_basis(model, sprime_sum(ZERO))
-    want0 = [Fraction(0)] * 19
-    want0[1], want0[2], want0[18] = Fraction(16), Fraction(16), Fraction(-8)
-    identity &= list(sum_sq) == want0
+    identity = sum_sq == SPRIME_SQUARE_SUM
 
     per_theta = []
-    total_mixed = [Fraction(0)] * 19
     for theta in THETAS:
         coeffs = expand_in_basis(model, sprime_sum(theta))
-        want = [Fraction(0)] * 19
-        want[1], want[18] = Fraction(16), Fraction(-8)
-        want[model.theta_position(theta)] = Fraction(16)
-        identity &= list(coeffs) == want
+        want = class_coeffs({DELTA_SQ: 16, MIXED[theta]: 16, DELTA_S: -8})
+        identity &= coeffs == want
         per_theta.append(coeffs)
-        total_mixed = [a + b for a, b in zip(total_mixed, coeffs)]
 
     return SPrimeVectors(
         products=products,
         sum_squares=sum_sq,
-        sum_mixed_all=tuple(total_mixed),
+        sum_mixed_all=tuple(map(sum, zip(*per_theta))),
         per_theta=tuple(per_theta),
         identity_holds=identity,
     )
@@ -658,9 +670,7 @@ def restrict_w_self(
     others_by_theta = {o.theta: o.coeffs for o in others}
     if set(others_by_theta) != set(THETAS):
         raise ValueError("need the restriction of every other fourfold")
-    other_sum = [Fraction(0)] * 19
-    for coeffs in others_by_theta.values():
-        other_sum = [a + b for a, b in zip(other_sum, coeffs)]
+    other_sum = tuple(map(sum, zip(*others_by_theta.values())))
 
     # the class pairs equally with every other fourfold, so it pairs to zero
     # with any difference of two of them; on the shifted-divisor sums that
@@ -682,10 +692,8 @@ def restrict_w_self(
         if got != want:
             uniform_ok = False
 
-    e_qbar = tuple(
-        Fraction(1) if i == 0 else Fraction(0) for i in range(19)
-    )
-    tests = (e_qbar, tuple(other_sum), g1)
+    e_qbar = class_coeffs({QBAR: 1})
+    tests = (e_qbar, other_sum, g1)
     generators = (g1, g2, g3)
     system = Matrix(
         [[gram.pair(t, g) for g in generators] for t in tests]

@@ -18,7 +18,7 @@ from kum3check.kummer import ZERO, four_torsion, two_torsion
 from kum3check.linalg import Matrix, kernel_basis, rank
 from kum3check.quadspace import sym2_pair, sym2_product, sym2_sum
 from kum3check.suites import run_suite
-from kum3check.wgeometry import expected_gram19
+from kum3check.wgeometry import MIXED, expected_gram19
 
 from label_group import DClass, GroupElement, act, enumerated_sum, halving_fiber, orbit_sum
 
@@ -128,7 +128,7 @@ def test_restriction_solutions(criterion, engine):
         for other in engine.w_other_all:
             c = other.coeffs
             assert (c[0], c[1], c[2], c[18]) == (Fraction(2, 5), 0, Fraction(1, 4), 0)
-            pos = engine.w_model.theta_position(other.theta)
+            pos = MIXED[other.theta]
             assert c[pos] == Fraction(-1, 4)
             assert all(c[k] == 0 for k in range(3, 18) if k != pos)
             assert other.rhs[0] == 30

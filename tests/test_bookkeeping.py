@@ -112,7 +112,7 @@ def test_row_operations():
     assert sym2_row((1, 5, 1)) == (1, 5, 16, 5, 1)
     assert sym2_row((3,)) == (6,)
     assert shift_row((1, 5, 1)) == (0, 1, 5, 1, 0)
-    assert shift_row((1,), steps=2) == (0, 0, 1, 0, 0)
+    assert shift_row(shift_row((1,))) == (0, 0, 1, 0, 0)
 
 
 rows_st = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5).map(
@@ -163,7 +163,7 @@ def test_invariant_weight6_rejects_overflow(abelian, sixfold):
 
 
 def test_rank_table(sixfold):
-    table = build_rank_table()
+    table = build_rank_table(base_rank=7, spin_rank=240, odd_rank=128)
     names = tuple(line.partition(":")[0] for line in table.trail[:4])
     assert names == ("cubic", "adjoint-plus", "sixteen-copies", "spin")
     assert table.rows[0] == (1, 7, 28, 84, 28, 7, 1)
@@ -179,7 +179,8 @@ def test_rank_table(sixfold):
 
 
 def test_rank_table_mismatch_is_reported(sixfold):
-    assert not rank_table_matches_diamond(build_rank_table(spin_rank=241), sixfold)
+    mismatched = build_rank_table(base_rank=7, spin_rank=241, odd_rank=128)
+    assert not rank_table_matches_diamond(mismatched, sixfold)
 
 
 def test_rep_dims():

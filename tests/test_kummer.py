@@ -145,10 +145,10 @@ def test_orbit_sum_matches_enumeration_for_cubes():
 
 
 def test_sum_class_pattern_counts():
-    assert w_dot_v_total(Fraction(12), Fraction(4)) == 9600
-    assert component_cube_from_total(Fraction(23040), Fraction(12), Fraction(4)) == 60
-    assert w_times_w_sq(Fraction(60), Fraction(12)) == 240
-    assert w_times_w_pair(Fraction(12), Fraction(4)) == 80
+    assert w_dot_v_total(Fraction(12), Fraction(4), 16) == 9600
+    assert component_cube_from_total(Fraction(23040), Fraction(12), Fraction(4), 16) == 60
+    assert w_times_w_sq(Fraction(60), Fraction(12), 16) == 240
+    assert w_times_w_pair(Fraction(12), Fraction(4), 16) == 80
     # the cube recovery inverts the orbit-counted total exactly
     def value(pattern):
         return triple_value(pattern, Fraction(60), Fraction(12), Fraction(4))
@@ -211,7 +211,7 @@ def test_injectivity_certificate(intersections):
 
 
 def test_d_gram_certificate():
-    cert = d_gram_certificate(Fraction(-52), Fraction(12))
+    cert = d_gram_certificate(Fraction(-52), Fraction(12), blocks=16, block_size=16)
     assert (cert.blocks, cert.block_size) == (16, 16)
     assert cert.cross_block == 8
     assert cert.rank == 241
@@ -265,10 +265,9 @@ def d_gram_constants(draw):
     return a, b, blocks, size
 
 
-@given(d_gram_constants(), st.booleans())
-def test_d_gram_certificate_matches_the_dense_gram(constants, explicit_cross):
+@given(d_gram_constants())
+def test_d_gram_certificate_matches_the_dense_gram(constants):
     a, b, blocks, size = constants
-    cross = (a + (size - 1) * b) / size if explicit_cross else None
     seen = []
 
     def recording_kernel_basis(m):
@@ -276,7 +275,7 @@ def test_d_gram_certificate_matches_the_dense_gram(constants, explicit_cross):
         return seen[-1]
 
     with mock.patch.object(kummer, "kernel_basis", recording_kernel_basis):
-        cert = d_gram_certificate(a, b, cross, blocks=blocks, block_size=size)
+        cert = d_gram_certificate(a, b, blocks=blocks, block_size=size)
     gram_rank, kernel, structured, in_kernel, relations_rank = _dense_d_gram_oracle(
         a, b, cert.cross_block, blocks, size
     )

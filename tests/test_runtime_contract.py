@@ -10,7 +10,11 @@ A static pass over ``src/kum3check`` flags:
   ``gcd``, ``isqrt`` and ``lcm`` (and ``import math`` as a whole);
 * an import of ``dataclasses``, which builds its classes at every import
   and loads ``inspect``: records are ``NamedTuple`` or ``__slots__``
-  classes.
+  classes;
+* ``from __future__ import annotations``: it keeps every annotation as a
+  string, and ``typing.NamedTuple`` then compiles each field's string into
+  a ``ForwardRef`` at import.  Annotations are evaluated where they are
+  defined; ``requires-python >= 3.10`` covers ``X | None``.
 
 A subprocess test pins the cold-start side of the last rule.
 """
@@ -50,6 +54,10 @@ def runtime_violations(root: Path = SRC) -> list[str]:
                             found.append(f"{where}: imports math.{alias.name}")
                 elif top == "dataclasses":
                     found.append(f"{where}: imports dataclasses")
+                elif leaf.module == "__future__" and any(
+                    alias.name == "annotations" for alias in leaf.names
+                ):
+                    found.append(f"{where}: defers annotations")
             elif isinstance(leaf, ast.Constant) and isinstance(leaf.value, float):
                 found.append(f"{where}: float literal {leaf.value!r}")
             elif isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
@@ -77,6 +85,7 @@ def test_the_scan_flags_each_rule(tmp_path):
         "import math\nimport os.path\nimport dataclasses\nfrom dataclasses import field\n"
     )
     assert runtime_violations(tmp_path) == [
+        "a:1: defers annotations",
         "a:2: imports numpy outside the stdlib",
         "a:4: imports math.sqrt",
         "a:6: float literal 0.5",

@@ -20,6 +20,12 @@ from kum3check.quadspace import (
 from kum3check.suites import run_suite
 from kum3check.wgeometry import (
     ALPHAS,
+    CLASS_COUNT,
+    DELTA_S,
+    DELTA_SQ,
+    MIXED,
+    QBAR,
+    S_SQ,
     THETAS,
     _exact_sqrt,
     build_gram19,
@@ -136,11 +142,30 @@ def test_exact_sqrt():
 
 
 def test_w_model_shape(model):
-    assert model.space.dim == 23
-    assert len(model.basis) == 19
-    assert model.basis[0] == qbar_dual(model.space)
+    space = model.space
+    assert space.dim == 23
+    assert len(model.basis) == CLASS_COUNT == 19
     assert model.s_index(ALPHAS[0]) == 6
-    assert model.theta_position(THETAS[0]) == 3
+    assert MIXED[THETAS[0]] == 3
+    assert sorted(MIXED) == sorted(THETAS)
+    assert sorted((QBAR, DELTA_SQ, S_SQ, DELTA_S, *MIXED.values())) == list(range(19))
+
+    def monomials(x):
+        return dict(x.coeffs)
+
+    d = space.index("delta")
+    s_idx = [model.s_index(alpha) for alpha in ALPHAS]
+    assert model.basis[QBAR] == qbar_dual(space)
+    assert monomials(model.basis[DELTA_SQ]) == {(d, d): 1}
+    assert monomials(model.basis[S_SQ]) == {(i, i): 1 for i in s_idx}
+    for theta, pos in MIXED.items():
+        cosets = {
+            tuple(sorted((model.s_index(alpha), model.s_index(add(alpha, theta)))))
+            for alpha in ALPHAS
+        }
+        assert len(cosets) == 8
+        assert monomials(model.basis[pos]) == dict.fromkeys(cosets, 2)
+    assert monomials(model.basis[DELTA_S]) == {(min(d, i), max(d, i)): 1 for i in s_idx}
 
 
 def test_gram19_matches_reference(model, gram):
@@ -258,7 +283,7 @@ def test_w_other_restrictions(model, others):
         assert coeffs[1] == 0
         assert coeffs[2] == Fraction(1, 4)
         assert coeffs[18] == 0
-        pos = model.theta_position(other.theta)
+        pos = MIXED[other.theta]
         for k in range(3, 18):
             expected = Fraction(-1, 4) if k == pos else Fraction(0)
             assert coeffs[k] == expected
