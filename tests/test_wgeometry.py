@@ -149,23 +149,19 @@ def test_w_model_shape(model):
     assert MIXED[THETAS[0]] == 3
     assert sorted(MIXED) == sorted(THETAS)
     assert sorted((QBAR, DELTA_SQ, S_SQ, DELTA_S, *MIXED.values())) == list(range(19))
-
-    def monomials(x):
-        return dict(x.coeffs)
-
     d = space.index("delta")
     s_idx = [model.s_index(alpha) for alpha in ALPHAS]
     assert model.basis[QBAR] == qbar_dual(space)
-    assert monomials(model.basis[DELTA_SQ]) == {(d, d): 1}
-    assert monomials(model.basis[S_SQ]) == {(i, i): 1 for i in s_idx}
+    assert dict(model.basis[DELTA_SQ].coeffs) == {(d, d): 1}
+    assert dict(model.basis[S_SQ].coeffs) == {(i, i): 1 for i in s_idx}
     for theta, pos in MIXED.items():
         cosets = {
             tuple(sorted((model.s_index(alpha), model.s_index(add(alpha, theta)))))
             for alpha in ALPHAS
         }
         assert len(cosets) == 8
-        assert monomials(model.basis[pos]) == dict.fromkeys(cosets, 2)
-    assert monomials(model.basis[DELTA_S]) == {(min(d, i), max(d, i)): 1 for i in s_idx}
+        assert dict(model.basis[pos].coeffs) == dict.fromkeys(cosets, 2)
+    assert dict(model.basis[DELTA_S].coeffs) == {(min(d, i), max(d, i)): 1 for i in s_idx}
 
 
 def test_gram19_matches_reference(model, gram):
