@@ -10,6 +10,8 @@ Kuenneth rule, or peel known summands off a total and report what is left.
 from math import comb
 from typing import Mapping, NamedTuple
 
+from .kummer import LABEL_COUNT
+
 Row = tuple[int, ...]
 
 
@@ -271,7 +273,7 @@ def build_rank_table(base_rank: int, spin_rank: int, odd_rank: int) -> RankTable
     rows = (
         tuple(sym(min(k, 6 - k)) for k in range(7)),
         (0, 0, n, comb(n, 2) + 1, n, 0, 0),
-        (0, 0, 16, 16 * n, 16, 0, 0),
+        (0, 0, LABEL_COUNT, LABEL_COUNT * n, LABEL_COUNT, 0, 0),
         (0, 0, 0, spin_rank, 0, 0, 0),
     )
     names = ("cubic", "adjoint-plus", "sixteen-copies", "spin")
@@ -334,9 +336,10 @@ def canonical_dims(deg4_rank: int, deg6_rank: int, deg8_rank: int) -> CanonicalD
 # ---------------------------------------------------------------------------
 # trace averaging over the sign-extended two-torsion group
 
-# the order-32 group: the identity, fifteen translations, sixteen reflections
-TRANSLATION_COUNT = 15
-REFLECTION_COUNT = 16
+# the order-32 group: the identity, a translation by each nonzero
+# two-torsion label and a reflection through each label
+TRANSLATION_COUNT = LABEL_COUNT - 1
+REFLECTION_COUNT = LABEL_COUNT
 
 
 class TraceAverages(NamedTuple):

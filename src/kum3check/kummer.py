@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .linalg import ZERO as RATIONAL_ZERO, Matrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
 
@@ -266,7 +266,9 @@ def d_gram_certificate(
     G_i - G_{i-1} for i = 1, ..., n-1 followed by G_0, each written from
     the three constants.  det P = +-1, so M has the rank, pivot columns,
     reduced echelon kernel basis and kernel of G (see the module
-    docstring); only its last row is dense.
+    docstring).  M and the difference relations are written from their
+    nonzero cells, as ``{column: value}`` rows, so no zero cell of either
+    is built or scanned; only the last row of M is dense.
     """
     row_total = diagonal + (block_size - 1) * same_block
     cross_block = Fraction(row_total, block_size)
@@ -276,24 +278,22 @@ def d_gram_certificate(
     ]
 
     m = blocks * block_size
-    zero = RATIONAL_ZERO
     inside = diagonal - same_block  # G_i - G_{i-1} at i, inside a block
     boundary = diagonal - cross_block  # the same at a block boundary
     spread = same_block - cross_block  # rest of the block of i at a boundary
 
-    def step_row(i: int) -> list[Fraction]:
-        """G_i - G_{i-1}; the block of i-1 holds the negated values."""
-        row = [zero] * m
+    def step_row(i: int) -> dict[int, Fraction]:
+        """The cells of G_i - G_{i-1}; the block of i-1 holds the negated values."""
         if i % block_size:
-            row[i - 1], row[i] = -inside, inside
-        else:
-            row[i - block_size : i] = [-spread] * block_size
-            row[i : i + block_size] = [spread] * block_size
-            row[i - 1], row[i] = -boundary, boundary
+            return {i - 1: -inside, i: inside}
+        row = dict.fromkeys(range(i - block_size, i), -spread)
+        row.update(dict.fromkeys(range(i, i + block_size), spread))
+        row[i - 1], row[i] = -boundary, boundary
         return row
 
-    first_row = [diagonal] + [same_block] * (block_size - 1) + [cross_block] * (m - block_size)
-    steps = Matrix([*(step_row(i) for i in range(1, m)), first_row])
+    first_row = {j: same_block if j < block_size else cross_block for j in range(m)}
+    first_row[0] = diagonal
+    steps = Matrix([*(step_row(i) for i in range(1, m)), first_row], m)
 
     gram_rank = rank(steps)
     kernel = kernel_basis(steps)
@@ -311,17 +311,17 @@ def d_gram_certificate(
 
     # the fifteen relations: block 0 sum minus block b sum
     one = Fraction(1)
-    diff_rows = []
-    in_kernel = True
-    for b in range(1, blocks):
-        vec = [zero] * m
-        for a in range(block_size):
-            vec[a] = one
-            vec[b * block_size + a] = -one
-        diff_rows.append(vec)
-        if any(steps.mat_vec(vec)):
-            in_kernel = False
-    diff_rank = rank(Matrix(diff_rows))
+    relations = Matrix(
+        [
+            dict.fromkeys(range(block_size), one)
+            | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -one)
+            for b in range(1, blocks)
+        ],
+        m,
+    )
+    # a list, so that every relation is multiplied even after one fails
+    in_kernel = not any([any(steps.mat_vec(vec)) for vec in relations.entries])
+    diff_rank = rank(relations)
 
     block_square = block_size * row_total
     trail.append(

@@ -6,15 +6,27 @@ lowest terms with a positive denominator.  ``str(Fraction)`` gives ``p/q``
 of every config file and report in this package; f-strings with an empty
 format spec give the same string.
 
-Matrices are immutable and hold their entries as ``Fraction`` rows.
-``Fraction`` is the boundary type: it goes in and comes out, but the inner
-loops run on Python integers.  Each matrix lazily builds one integer form:
-for every row, the lcm of its denominators and the nonzero cells scaled by
-it, as (columns, values).  Only the nonzero cells are read and scaled; a
-cell that is the shared ``ZERO`` is skipped without calling into
-``Fraction``, so a sparse row costs what its support costs.  Products
-(``mat_vec``, ``pair``) scale the vector to integers once and build one
-``Fraction`` per nonzero result; a zero result is ``ZERO`` itself.
+Matrices are immutable and have one stored form: for every row, the lcm
+of its denominators and the nonzero cells scaled by it to integers, as
+(columns, values).  ``Fraction`` is the boundary type: it goes in and comes
+out, but the inner loops run on Python integers.  A row is given either as
+a sequence of cells or as a ``{column: value}`` mapping of its cells, with
+``cols`` giving the width; both become the same sparse integer row when
+the matrix is built, and zeros are dropped from both.  Only the nonzero
+cells of a sequence are read and scaled; a cell that is the shared
+``ZERO`` is skipped without calling into ``Fraction``, and a mapping is
+never scanned beyond its cells, so a sparse row costs what its support
+costs.  The dense ``Fraction`` rows (``entries``) are built from the
+sparse rows only when something reads them, such as equality, hashing or
+rendering; their zero cells are ``ZERO`` itself.
+
+``mat_vec`` is a product by columns over a column index built on first
+use: the vector is scaled to integers once, each of its nonzero cells
+adds into the rows that meet its column, and a zero cell costs nothing.
+A row that meets no nonzero cell of the vector yields ``ZERO`` without a
+``Fraction`` call; every other result is one ``Fraction``.  ``pair``
+forms the integer row combination first and reads the second vector only
+where that combination is nonzero.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
 same sparse rows: a row below the pivot is updated by cross-multiplication
@@ -23,13 +35,17 @@ the two rows are touched, and rows are kept by their first nonzero column,
 so the rows to update below a pivot are found without a scan.  A matrix is
 eliminated at most once: the sparse echelon rows are memoised on the matrix
 and shared by ``rank``, ``kernel_basis`` and ``solve_linear``.  Back
-substitution reads the cells right of each pivot, so it skips the zero
-cells, and it keeps one common denominator, so it stays in integers too.
+substitution splits each echelon row into its pivot and the cells right
+of it once per call, reads only those cells, and keeps one common
+denominator, so it stays in integers too; a row whose cells sum to 0
+against the vector leaves its pivot coordinate 0 and costs no gcd and no
+rescale.
 The unit tests compare every routine with textbook ``Fraction`` formulas,
 and the elimination with the dense integer elimination, on random
 matrices.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -68,13 +84,11 @@ def support(values: Sequence[Fraction]) -> list[int]:
     return [j for j, x in enumerate(values) if x is not ZERO and x]
 
 
-def _scaled_support(values: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
-    """``(L, index, [values[j] * L for j in index])`` over the nonzero values,
-    for the lcm ``L`` of their denominators."""
-    index = support(values)
-    dens = [values[j].denominator for j in index]
+def _integer_cells(cells: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(L, [x * L for x in cells])`` for the lcm ``L`` of their denominators."""
+    dens = [x.denominator for x in cells]
     scale = lcm(*dens)
-    return scale, index, [values[j].numerator * (scale // d) for j, d in zip(index, dens)]
+    return scale, [x.numerator * (scale // d) for x, d in zip(cells, dens)]
 
 
 def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -82,7 +96,8 @@ def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
     Only the nonzero values are read; every other cell of the result is 0.
     """
-    scale, index, ints = _scaled_support(values)
+    index = support(values)
+    scale, ints = _integer_cells([values[j] for j in index])
     out = [0] * len(values)
     for j, a in zip(index, ints):
         out[j] = a
@@ -95,32 +110,71 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries.
+    """Immutable matrix with exact rational entries, stored as sparse
+    integer rows.
 
-    ``_scaled`` (per-row denominators and the nonzero cells of each row
-    scaled by its denominator, as ``SparseRow`` pairs) and ``_echelon``
-    (the sparse rows and pivots of the forward elimination) are filled on
-    first use.  Neither takes part in equality or hashing.
+    Each row is a sequence of cells or a ``{column: value}`` mapping of its
+    cells; ``cols`` gives the width, and is needed when no row is a
+    sequence.  ``_scaled`` (per-row denominators and the nonzero cells of
+    each row scaled by its denominator, as ``SparseRow`` pairs) is built
+    with the matrix.  ``_entries`` (the dense rows), ``_columns`` (the
+    nonzero cells of each column, as rows and values) and ``_echelon`` (the
+    sparse rows and pivots of the forward elimination) are filled on first
+    use.  Equality and hashing read the dense rows.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_scaled", "_echelon")
+    __slots__ = ("rows", "cols", "_scaled", "_entries", "_columns", "_echelon")
 
-    def __init__(self, entries: Iterable[Iterable[RationalLike]]):
-        data = tuple(map(vector, entries))
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows in matrix")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_scaled", None)
+    def __init__(
+        self,
+        entries: Iterable[Iterable[RationalLike] | Mapping[int, RationalLike]],
+        cols: int | None = None,
+    ):
+        dens, sparse = [], []
+        for row in entries:
+            if isinstance(row, Mapping):
+                if cols is None:
+                    raise ValueError("a row given as a mapping needs cols")
+                keys = sorted(row)
+                if keys and not (0 <= keys[0] and keys[-1] < cols):
+                    raise ValueError("mapping row has a column outside the matrix")
+                values = vector(map(row.__getitem__, keys))
+                index = [j for j, x in zip(keys, values) if x is not ZERO and x]
+                cells = [x for x in values if x is not ZERO and x]
+            else:
+                values = vector(row)
+                if cols is None:
+                    cols = len(values)
+                elif len(values) != cols:
+                    raise ValueError("ragged rows in matrix")
+                index = support(values)
+                cells = [values[j] for j in index]
+            den, ints = _integer_cells(cells)
+            dens.append(den)
+            sparse.append((tuple(index), tuple(ints)))
+        object.__setattr__(self, "rows", len(dens))
+        object.__setattr__(self, "cols", cols or 0)
+        object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as ``Fraction`` cells; every zero cell is ``ZERO``."""
+        if self._entries is None:
+            data = []
+            for den, (index, ints) in zip(*self._integer_form()):
+                cells = {a: Fraction(a, den) for a in set(ints)}
+                row = [ZERO] * self.cols
+                for j, a in zip(index, ints):
+                    row[j] = cells[a]
+                data.append(tuple(row))
+            object.__setattr__(self, "_entries", tuple(data))
+        return self._entries
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
@@ -137,14 +191,20 @@ class Matrix:
     def _integer_form(self) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
         """Per-row denominators, and the nonzero cells of each row scaled
         by its denominator to integers."""
-        if self._scaled is None:
-            dens, sparse = [], []
-            for row in self.entries:
-                den, index, ints = _scaled_support(row)
-                dens.append(den)
-                sparse.append((tuple(index), tuple(ints)))
-            object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
         return self._scaled
+
+    def _column_index(self) -> list[tuple[list[int], list[int]]]:
+        """For each column, the rows of its nonzero integer cells and their
+        values."""
+        if self._columns is None:
+            columns = [([], []) for _ in range(self.cols)]
+            for i, (index, ints) in enumerate(self._integer_form()[1]):
+                for j, a in zip(index, ints):
+                    rows, values = columns[j]
+                    rows.append(i)
+                    values.append(a)
+            object.__setattr__(self, "_columns", columns)
+        return self._columns
 
     def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
@@ -154,14 +214,21 @@ class Matrix:
         return self._echelon
 
     def mat_vec(self, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+        """M x, summed by columns over the nonzero cells of x."""
         v = vector(x)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        scale, ints = scaled_integers(v)
-        dens, sparse = self._integer_form()
+        index = support(v)
+        scale, ints = _integer_cells([v[j] for j in index])
+        dens = self._integer_form()[0]
+        columns = self._column_index()
+        acc = [0] * self.rows
+        for j, a in zip(index, ints):
+            rows, values = columns[j]
+            for i, b in zip(rows, values):
+                acc[i] += a * b
         return tuple(
-            _fraction(sum(map(mul, values, map(ints.__getitem__, cols))), den * scale)
-            for den, (cols, values) in zip(dens, sparse)
+            _fraction(total, den * scale) for total, den in zip(acc, dens)
         )
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
@@ -248,26 +315,37 @@ def _forward_echelon(
     return tuple(tuple(zip(*sorted(row.items()))) for row in rows[:r]), pivots
 
 
-def _back_substitute(echelon: Sequence[SparseRow], x: list[int]) -> list[Fraction]:
-    """Solve the echelon system for the pivot coordinates of x.
+def _back_substitute(
+    echelon: Sequence[SparseRow], starts: Sequence[list[int]]
+) -> list[tuple[Fraction, ...]]:
+    """Solve the echelon system for the pivot coordinates of each start vector.
 
     ``echelon`` holds the rows of ``Matrix._echelon_form()``, each led by
-    its pivot cell, and ``x`` holds integers at the non-pivot positions.
-    The pivot entries are solved from the bottom row up over one common
-    denominator, which grows only when a new entry needs it, so the full
-    vector satisfies every echelon row.
+    its pivot cell.  Each start vector holds integers at the non-pivot
+    positions and 0 at every pivot position.  Each row is split once, for
+    all the vectors, into its pivot column, pivot value and the columns
+    and values of its tail.  The pivot entries are solved from the bottom
+    row up over one common denominator, which grows only when a new entry
+    needs it, so the full vector satisfies every echelon row.  A row whose
+    tail sums to 0 against the vector is skipped with no gcd and no
+    rescale: its pivot coordinate is 0 on entry, and 0 is its solution.
     """
-    den = 1
-    for cols, vals in reversed(echelon):
-        c, p = cols[0], vals[0]
-        acc = sum(map(mul, vals[1:], map(x.__getitem__, cols[1:])))
-        s = abs(p) // gcd(acc, p)
-        if s > 1:
-            x = [a * s for a in x]
-            den *= s
-            acc *= s
-        x[c] = -(acc // p)
-    return [_fraction(a, den) for a in x]
+    split = [(cols[0], vals[0], cols[1:], vals[1:]) for cols, vals in reversed(echelon)]
+    solutions = []
+    for x in starts:
+        den = 1
+        for c, p, tail_cols, tail_vals in split:
+            acc = sum(map(mul, tail_vals, map(x.__getitem__, tail_cols)))
+            if not acc:
+                continue
+            s = abs(p) // gcd(acc, p)
+            if s > 1:
+                x = [a * s for a in x]
+                den *= s
+                acc *= s
+            x[c] = -(acc // p)
+        solutions.append(tuple(_fraction(a, den) for a in x))
+    return solutions
 
 
 def rank(m: Matrix) -> int:
@@ -283,14 +361,13 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """
     echelon, pivots = m._echelon_form()
     pivot_set = set(pivots)
-    basis = []
+    starts = []
     for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        x = [0] * m.cols
-        x[f] = 1
-        basis.append(tuple(_back_substitute(echelon, x)))
-    return basis
+        if f not in pivot_set:
+            x = [0] * m.cols
+            x[f] = 1
+            starts.append(x)
+    return _back_substitute(echelon, starts)
 
 
 class SolveResult(NamedTuple):
@@ -335,5 +412,5 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
         )
     x = [0] * (a.cols + 1)
     x[a.cols] = -1
-    solution = _back_substitute(ech, x)[: a.cols]
-    return SolveResult(status="unique", solution=tuple(solution))
+    solution = _back_substitute(ech, [x])[0][: a.cols]
+    return SolveResult(status="unique", solution=solution)

@@ -39,6 +39,14 @@ def test_matrix_shape_and_immutability():
         m.rows = 5
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]], 3)
+    with pytest.raises(ValueError):
+        Matrix([{0: 1}])
+    with pytest.raises(ValueError):
+        Matrix([{2: 1}], 2)
+    with pytest.raises(ValueError):
+        Matrix([{-1: 0}], 2)
 
 
 def _transpose(m):
@@ -404,6 +412,9 @@ def test_memoised_matrix_equals_and_hashes_like_a_fresh_one():
     memo.mat_vec([1, 1, 1])
     fresh = Matrix(_sample())
     assert memo == fresh and hash(memo) == hash(fresh)
+    mapped = Matrix([dict(reversed(list(enumerate(row)))) for row in _sample()], 3)
+    assert memo == mapped and hash(memo) == hash(mapped)
+    assert mapped._integer_form() == memo._integer_form()
     with pytest.raises(AttributeError):
         memo._echelon = None
     with pytest.raises(AttributeError):
@@ -456,6 +467,16 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     product = mat.mat_vec(v)
     assert product == _ref_mat_vec(entries, v)
     assert all(x is ZERO for x in product if x == 0)
+    # the same cells as {column: value} rows, zeros included, last column first
+    mapped = Matrix([dict(reversed(list(enumerate(row)))) for row in entries], m)
+    assert mapped._integer_form() == mat._integer_form()
+    assert mapped == mat and hash(mapped) == hash(mat)
+    assert mapped.to_lists() == mat.to_lists() == [list(map(str, row)) for row in entries]
+    assert all(x is ZERO for row in mapped.entries for x in row if x == 0)
+    assert (rank(mapped), kernel_basis(mapped)) == (rank(mat), kernel_basis(mat))
+    mapped_product = mapped.mat_vec(v)
+    assert mapped_product == product
+    assert all(x is ZERO for x in mapped_product if x == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kum3check import engine as engine_module
-from kum3check import wgeometry
+from kum3check import kummer, linalg, wgeometry
 from kum3check.config import default_config
 from kum3check.engine import Engine
 from kum3check.kummer import ZERO
@@ -464,6 +464,23 @@ def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
     assert run_suite(Engine(default_config()), "all").status == "pass"
     assert len(surface_pairings) == 1
     assert sorted(slot_maps) == sorted([THETAS[0], *THETAS])
+
+
+def test_d_gram_certificate_scans_only_the_vectors_it_multiplies(monkeypatch):
+    # M and the relations are built from their nonzero cells, so the only
+    # cells scanned for their support are those of the 15 relation vectors
+    # handed to mat_vec: 15 * 256, where dense rows scan 73,216
+    scanned = []
+    true_support = linalg.support
+
+    def counted_support(values):
+        scanned.append(len(values))
+        return true_support(values)
+
+    monkeypatch.setattr(linalg, "support", counted_support)
+    cert = kummer.d_gram_certificate(Fraction(-52), Fraction(12), 16, 16)
+    assert (cert.rank, cert.difference_relations_in_kernel) == (241, True)
+    assert sum(scanned) <= 3840
 
 
 def test_verify_all_builds_each_sprime_product_once(monkeypatch):
