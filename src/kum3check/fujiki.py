@@ -93,15 +93,15 @@ def deg8(qbar2: RationalLike, qbarz: RationalLike) -> Deg8:
 class ZRelations(NamedTuple):
     """Derived structure constants of the canonical basis.
 
-    top_* values are integrals of top-degree monomials; z2, c2_squared and
-    c4 are expansions in the degree-8 basis {qbar^2, qbar*z}.
+    top_* values are integrals of top-degree monomials (in degree 12 the
+    constant is the integral, so top_qbar_z2 is also C(qbar*z^2)); z2,
+    c2_squared and c4 are expansions in the degree-8 basis {qbar^2, qbar*z}.
     """
 
     ratio: Fraction                 # C(c2)/C(qbar), the coefficient in z = c2 - ratio*qbar
     factor_deg8: Fraction
     c_z: Fraction
     c_z2: Fraction
-    c_qbar_z2: Fraction
     top_qbar3: Fraction
     top_qbar2_z: Fraction
     top_qbar_z2: Fraction
@@ -163,8 +163,7 @@ def derive_z_relations(table: Mapping[str, Fraction]) -> ZRelations:
     )
     trail.append(f"z^3 = {z3}")
 
-    c_qbar_z2 = top_qbar_z2  # degree 12: the constant is the integral
-    c_z2 = c_qbar_z2 / factor8
+    c_z2 = top_qbar_z2 / factor8  # degree 12: C(qbar*z^2) is the integral
     direct_c_z2 = table["C(c2^2)"] - ratio**2 * table["C(qbar^2)"] - 2 * ratio * c_qbarz
     if direct_c_z2 != c_z2:
         raise FujikiTableError(
@@ -202,7 +201,6 @@ def derive_z_relations(table: Mapping[str, Fraction]) -> ZRelations:
         factor_deg8=factor8,
         c_z=c_z,
         c_z2=c_z2,
-        c_qbar_z2=c_qbar_z2,
         top_qbar3=top_qbar3,
         top_qbar2_z=top_qbar2_z,
         top_qbar_z2=top_qbar_z2,

@@ -6,19 +6,20 @@ lowest terms with a positive denominator.  ``str(Fraction)`` gives ``p/q``
 of every config file and report in this package; f-strings with an empty
 format spec give the same string.
 
-Matrices are immutable and have one stored form: for every row, the lcm
-of its denominators and the nonzero cells scaled by it to integers, as
+Matrices are immutable and have one stored form: for every row, the lcm of
+its denominators and the nonzero cells scaled by it to integers, as
 (columns, values).  ``Fraction`` is the boundary type: it goes in and comes
-out, but the inner loops run on Python integers.  A row is given either as
-a sequence of cells or as a ``{column: value}`` mapping of its cells, with
-``cols`` giving the width; both become the same sparse integer row when
-the matrix is built, and zeros are dropped from both.  Only the nonzero
-cells of a sequence are read and scaled; a cell that is the shared
+out, but the inner loops run on Python integers, and one helper,
+``scaled_integers``, brings every row and vector to them.  A row is given
+either as a sequence of cells or as a ``{column: value}`` mapping of its
+cells, with ``cols`` giving the width; both become the same sparse integer
+row when the matrix is built, and zeros are dropped from both.  Only the
+nonzero cells of a sequence are read and scaled; a cell that is the shared
 ``ZERO`` is skipped without calling into ``Fraction``, and a mapping is
 never scanned beyond its cells, so a sparse row costs what its support
-costs.  The dense ``Fraction`` rows (``entries``) are built from the
-sparse rows only when something reads them, such as equality, hashing or
-rendering; their zero cells are ``ZERO`` itself.
+costs.  The dense ``Fraction`` rows (``entries``) are built from the sparse
+rows only when something reads them, such as equality or rendering; their
+zero cells are ``ZERO`` itself.  A matrix is not hashable.
 
 ``mat_vec`` is a product by columns over a column index built on first
 use: the vector is scaled to integers once, each of its nonzero cells
@@ -35,21 +36,21 @@ the two rows are touched, and rows are kept by their first nonzero column,
 so the rows to update below a pivot are found without a scan.  A matrix is
 eliminated at most once: the sparse echelon rows are memoised on the matrix
 and shared by ``rank``, ``kernel_basis`` and ``solve_linear``.  Back
-substitution splits each echelon row into its pivot and the cells right
-of it once per call, reads only those cells, and keeps one common
-denominator, so it stays in integers too; a row whose cells sum to 0
-against the vector leaves its pivot coordinate 0 and costs no gcd and no
-rescale.
-The unit tests compare every routine with textbook ``Fraction`` formulas,
-and the elimination with the dense integer elimination, on random
-matrices.
+substitution splits each echelon row into its pivot and the cells right of
+it once per call, reads only those cells, and keeps one common denominator,
+so it stays in integers too; a row whose cells sum to 0 against the vector
+leaves its pivot coordinate 0 and costs no gcd and no rescale.
+``solve_linear`` returns the unique solution of a system and raises
+``ValueError`` when there is none or more than one.  The unit tests compare
+every routine with textbook ``Fraction`` formulas, and the elimination with
+the dense integer elimination, on random matrices.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 # The nonzero cells of one integer row: their columns and their values.
@@ -84,24 +85,15 @@ def support(values: Sequence[Fraction]) -> list[int]:
     return [j for j, x in enumerate(values) if x is not ZERO and x]
 
 
-def _integer_cells(cells: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(L, [x * L for x in cells])`` for the lcm ``L`` of their denominators."""
-    dens = [x.denominator for x in cells]
-    scale = lcm(*dens)
-    return scale, [x.numerator * (scale // d) for x, d in zip(cells, dens)]
-
-
 def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators.
 
-    Only the nonzero values are read; every other cell of the result is 0.
+    A zero cell has denominator 1 and scales to 0; callers with sparse
+    values pass only their nonzero cells.
     """
-    index = support(values)
-    scale, ints = _integer_cells([values[j] for j in index])
-    out = [0] * len(values)
-    for j, a in zip(index, ints):
-        out[j] = a
-    return scale, out
+    dens = [x.denominator for x in values]
+    scale = lcm(*dens)
+    return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
 
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
@@ -120,7 +112,7 @@ class Matrix:
     with the matrix.  ``_entries`` (the dense rows), ``_columns`` (the
     nonzero cells of each column, as rows and values) and ``_echelon`` (the
     sparse rows and pivots of the forward elimination) are filled on first
-    use.  Equality and hashing read the dense rows.
+    use.  Equality reads the dense rows.
     """
 
     __slots__ = ("rows", "cols", "_scaled", "_entries", "_columns", "_echelon")
@@ -149,7 +141,7 @@ class Matrix:
                     raise ValueError("ragged rows in matrix")
                 index = support(values)
                 cells = [values[j] for j in index]
-            den, ints = _integer_cells(cells)
+            den, ints = scaled_integers(cells)
             dens.append(den)
             sparse.append((tuple(index), tuple(ints)))
         object.__setattr__(self, "rows", len(dens))
@@ -167,7 +159,7 @@ class Matrix:
         """The rows as ``Fraction`` cells; every zero cell is ``ZERO``."""
         if self._entries is None:
             data = []
-            for den, (index, ints) in zip(*self._integer_form()):
+            for den, (index, ints) in zip(*self._scaled):
                 cells = {a: Fraction(a, den) for a in set(ints)}
                 row = [ZERO] * self.cols
                 for j, a in zip(index, ints):
@@ -176,29 +168,18 @@ class Matrix:
             object.__setattr__(self, "_entries", tuple(data))
         return self._entries
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-    def _integer_form(self) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
-        """Per-row denominators, and the nonzero cells of each row scaled
-        by its denominator to integers."""
-        return self._scaled
 
     def _column_index(self) -> list[tuple[list[int], list[int]]]:
         """For each column, the rows of its nonzero integer cells and their
         values."""
         if self._columns is None:
             columns = [([], []) for _ in range(self.cols)]
-            for i, (index, ints) in enumerate(self._integer_form()[1]):
+            for i, (index, ints) in enumerate(self._scaled[1]):
                 for j, a in zip(index, ints):
                     rows, values = columns[j]
                     rows.append(i)
@@ -209,7 +190,7 @@ class Matrix:
     def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
-            rows = [dict(zip(*row)) for row in self._integer_form()[1]]
+            rows = [dict(zip(*row)) for row in self._scaled[1]]
             object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
         return self._echelon
 
@@ -219,8 +200,8 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         index = support(v)
-        scale, ints = _integer_cells([v[j] for j in index])
-        dens = self._integer_form()[0]
+        scale, ints = scaled_integers([v[j] for j in index])
+        dens = self._scaled[0]
         columns = self._column_index()
         acc = [0] * self.rows
         for j, a in zip(index, ints):
@@ -239,7 +220,7 @@ class Matrix:
         """
         if len(u) != self.rows or len(v) != self.cols:
             raise ValueError("vector length does not match matrix shape")
-        dens, sparse = self._integer_form()
+        dens, sparse = self._scaled
         u_index = [i for i, a in enumerate(u) if a]
         u_scale, u_ints = scaled_integers([rat(u[i]) for i in u_index])
         row_scale = lcm(*(dens[i] for i in u_index))
@@ -370,25 +351,9 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     return _back_substitute(echelon, starts)
 
 
-class SolveResult(NamedTuple):
-    """Outcome of an exact linear solve.
-
-    status is "unique", "inconsistent", or "underdetermined"; solution is
-    None unless status is "unique".  Inconsistency is an outcome, not an
-    exception: callers report it.
-    """
-
-    status: str
-    solution: tuple[Fraction, ...] | None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "unique"
-
-
-def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
-    """Solve A x = b exactly for square or overdetermined A."""
+def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """The unique solution of A x = b, for square or overdetermined A;
+    raises ``ValueError`` when the system is inconsistent or underdetermined."""
     rhs = vector(b)
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length does not match row count")
@@ -398,19 +363,12 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> SolveResult:
     ech, pivots = augmented._echelon_form()
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
-        return SolveResult(
-            status="inconsistent",
-            solution=None,
-            detail=f"row {i} reduces to 0 = {Fraction(ech[i][1][0])}",
+        raise ValueError(
+            f"inconsistent system: row {i} reduces to 0 = {Fraction(ech[i][1][0])}"
         )
     if len(pivots) < a.cols:
         free = [c for c in range(a.cols) if c not in set(pivots)]
-        return SolveResult(
-            status="underdetermined",
-            solution=None,
-            detail=f"free columns {free}",
-        )
+        raise ValueError(f"underdetermined system: free columns {free}")
     x = [0] * (a.cols + 1)
     x[a.cols] = -1
-    solution = _back_substitute(ech, [x])[0][: a.cols]
-    return SolveResult(status="unique", solution=solution)
+    return _back_substitute(ech, [x])[0][: a.cols]

@@ -14,16 +14,17 @@ monomial rather than a symmetrised half-sum, so the square of a sum,
 ``sym2_product(space, u, u)``, doubles every mixed coefficient.  On an
 orthogonal basis the rule leaves two kinds of term: the product of the
 two traces sum_a x_aa q_a, and one term for each monomial that both
-classes carry.  All coefficients are exact rationals, but the arithmetic
-on them runs on integers: a class memoises its coefficients scaled by
-their common denominator, products and sums (``sym2_product`` and
+classes carry.  All coefficients are exact rationals, and a class has one
+stored form: its monomials, and their coefficients as integers over one
+reduced common denominator.  Products and sums (``sym2_product`` and
 ``sym2_sum``, the one way to add or scale classes) accumulate integers
-over one common denominator, and the pairing reads the squares scaled
-the same way.  Each builds one ``Fraction`` per result monomial or value.
+over one common denominator, and the pairing reads the squares scaled the
+same way and builds one ``Fraction`` per value.  The ``Fraction``
+coefficients (``coeffs``) are a view, built on first read.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import ZERO, Matrix, RationalLike, rat, scaled_integers, support, vector
@@ -90,46 +91,48 @@ class QuadSpace:
 
 
 class Sym2Vector:
-    """Element of Sym^2 of a quadratic space, as monomial coefficients.
+    """Element of Sym^2 of a quadratic space, as reduced integers.
 
-    Keys are index pairs (i, j) with i <= j.  Zero coefficients are never
-    stored, so equality of space and coefficient maps is equality of
-    classes.  ``_scaled`` memoises ``scaled``.
+    ``Sym2Vector(space, acc, den)`` is the class with coefficient
+    ``acc[k] / den`` (den > 0) at each monomial k = (i, j), i <= j.  It
+    keeps the nonzero ones as sorted ``keys`` and their ``ints`` over
+    ``scale``, with scale > 0 and gcd(scale, *ints) == 1, so equal fields
+    mean equal classes.  ``coeffs`` is the ``(key, Fraction)`` view, built
+    on first read.
     """
 
-    __slots__ = ("space", "coeffs", "_scaled")
+    __slots__ = ("space", "scale", "keys", "ints", "_coeffs")
 
-    def __init__(
-        self, space: QuadSpace, coeffs: tuple[tuple[tuple[int, int], Fraction], ...] = ()
-    ):
+    def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
+        keys = sorted(k for k, a in acc.items() if a)
+        ints = [acc[k] for k in keys]
+        g = gcd(den, *ints)
         self.space = space
-        self.coeffs = coeffs
-        self._scaled = None
+        self.scale = den // g
+        self.keys = tuple(keys)
+        self.ints = tuple(a // g for a in ints)
+        self._coeffs = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sym2Vector) and (
-            self.space, self.coeffs
-        ) == (other.space, other.coeffs)
+            self.space, self.scale, self.keys, self.ints
+        ) == (other.space, other.scale, other.keys, other.ints)
 
     @staticmethod
     def from_map(space: QuadSpace, coeffs: Mapping[tuple[int, int], Fraction]) -> "Sym2Vector":
-        items = []
-        for (i, j), c in coeffs.items():
-            if i > j:
-                raise ValueError("monomial indices must satisfy i <= j")
-            c = rat(c)
-            if c:
-                items.append(((i, j), c))
-        items.sort(key=lambda kv: kv[0])
-        return Sym2Vector(space, tuple(items))
+        if any(i > j for i, j in coeffs):
+            raise ValueError("monomial indices must satisfy i <= j")
+        scale, ints = scaled_integers([rat(c) for c in coeffs.values()])
+        return Sym2Vector(space, dict(zip(coeffs, ints)), scale)
 
     @property
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
-        """(L, monomials, L * coefficients) for the lcm L of the denominators."""
-        if self._scaled is None:
-            scale, ints = scaled_integers([c for _, c in self.coeffs])
-            self._scaled = scale, tuple(k for k, _ in self.coeffs), ints
-        return self._scaled
+    def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The ``(key, Fraction)`` pairs, in key order; read only."""
+        if self._coeffs is None:
+            self._coeffs = tuple(
+                (k, Fraction(a, self.scale)) for k, a in zip(self.keys, self.ints)
+            )
+        return self._coeffs
 
     def render(self) -> str:
         labels = self.space.labels
@@ -137,14 +140,6 @@ class Sym2Vector:
             f"{c}*{labels[i]}.{labels[j]}" for (i, j), c in self.coeffs
         ]
         return " + ".join(parts) if parts else "0"
-
-
-def _from_integers(
-    space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int
-) -> Sym2Vector:
-    """The class with coefficients ``acc[k] / den``, zeros dropped."""
-    items = tuple((k, Fraction(a, den)) for k, a in sorted(acc.items()) if a)
-    return Sym2Vector(space, items)
 
 
 def sym2_sum(
@@ -162,18 +157,17 @@ def sym2_sum(
         if x.space is not space:
             raise ValueError("cannot add Sym2 vectors from different spaces")
         c = rat(c)
-        if not c or not x.coeffs:
+        if not c or not x.keys:
             continue
-        x_scale, keys, ints = x.scaled
-        d = c.denominator * x_scale
-        parts.append((c.numerator, d, keys, ints))
+        d = c.denominator * x.scale
+        parts.append((c.numerator, d, x.keys, x.ints))
         den = lcm(den, d)
     acc: dict[tuple[int, int], int] = {}
     for num, d, keys, ints in parts:
         f = num * (den // d)
         for k, a in zip(keys, ints):
             acc[k] = acc.get(k, 0) + f * a
-    return _from_integers(space, acc, den)
+    return Sym2Vector(space, acc, den)
 
 
 def sym2_product(
@@ -191,7 +185,7 @@ def sym2_product(
         for j, b in zip(v_index, v_ints):
             key = (i, j) if i <= j else (j, i)
             acc[key] = acc.get(key, 0) + a * b
-    return _from_integers(space, acc, u_scale * v_scale)
+    return Sym2Vector(space, acc, u_scale * v_scale)
 
 
 def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
@@ -206,21 +200,19 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
     q_scale, q = x.space._scaled_squares
-    x_scale, x_keys, x_ints = x.scaled
-    y_scale, y_keys, y_ints = y.scaled
-    y_coeffs = dict(zip(y_keys, y_ints))
+    y_coeffs = dict(zip(y.keys, y.ints))
     x_trace = shared = 0
-    for (a, b), xc in zip(x_keys, x_ints):
+    for (a, b), xc in zip(x.keys, x.ints):
         if a == b:
             x_trace += xc * q[a]
         yc = y_coeffs.get((a, b))
         if yc:
             shared += xc * yc * q[a] * q[b] * (2 if a == b else 1)
-    y_trace = sum(yc * q[c] for (c, d), yc in zip(y_keys, y_ints) if c == d)
-    return Fraction(x_trace * y_trace + shared, x_scale * y_scale * q_scale * q_scale)
+    y_trace = sum(yc * q[c] for (c, d), yc in zip(y.keys, y.ints) if c == d)
+    return Fraction(x_trace * y_trace + shared, x.scale * y.scale * q_scale * q_scale)
 
 
-def sym2_gram(space: QuadSpace, vectors: Sequence[Sym2Vector]) -> Matrix:
+def sym2_gram(vectors: Sequence[Sym2Vector]) -> Matrix:
     """Gram matrix of a family of Sym^2 classes under the three-matching pairing."""
     n = len(vectors)
     rows = [[Fraction(0)] * n for _ in range(n)]

@@ -103,7 +103,7 @@ def _fujiki_table_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "auxiliary square against dual", REF_Z, Fraction(2688, 11),
-        lambda: e.relations.c_qbar_z2,
+        lambda: e.relations.top_qbar_z2,
     )
     _add(
         checks, "z3 derivation", REF_Z, Fraction(-22016, 121),
@@ -128,7 +128,7 @@ def _basis_lemma_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "square against dual", REF_EXPANSION, Fraction(2688, 11),
-        lambda: e.relations.c_qbar_z2,
+        lambda: e.relations.top_qbar_z2,
     )
     _add(
         checks, "cube", REF_EXPANSION, Fraction(-22016, 121),

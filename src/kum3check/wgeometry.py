@@ -222,7 +222,7 @@ def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
 
 
 def build_gram19(model: WModel) -> Matrix:
-    return sym2_gram(model.space, model.basis)
+    return sym2_gram(model.basis)
 
 
 def combination(model: WModel, coeffs: Sequence[Fraction]) -> Sym2Vector:
@@ -235,12 +235,12 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     The decomposition is rigid: the dual-class coefficient is read off the
     lambda squares, which must be uniform with opposite signs, and every
     remaining monomial family must be constant.  Raises when x is not in
-    the span.  The matching runs on x's integer coefficients
-    (``Sym2Vector.scaled``); one ``Fraction`` is built per result.
+    the span.  The matching runs on x's integer coefficients over
+    ``x.scale``; one ``Fraction`` is built per result.
     """
     space = model.space
-    scale, keys, ints = x.scaled
-    m = dict(zip(keys, ints))
+    scale = x.scale
+    m = dict(zip(x.keys, x.ints))
 
     def take(i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
@@ -442,9 +442,8 @@ def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
     near-side image; the pairings are read from the table and summed in
     integers.
     """
-    scale, keys, ints = x.scaled
-    total = sum(c * _NEAR_PAIRINGS[slot[i]][slot[j]] for (i, j), c in zip(keys, ints))
-    return Fraction(total, scale * _NEAR_SCALE)
+    total = sum(c * _NEAR_PAIRINGS[slot[i]][slot[j]] for (i, j), c in zip(x.keys, x.ints))
+    return Fraction(total, x.scale * _NEAR_SCALE)
 
 
 class VRestrictionData(NamedTuple):
@@ -542,9 +541,7 @@ def restrict_w_other(
         qbar_rhs if k == QBAR else near_pairing(slot, vec) for k, vec in enumerate(model.basis)
     ]
 
-    solved = solve_linear(gram, rhs)
-    if not solved.ok:
-        raise ValueError(f"singular intersection matrix: {solved.detail}")
+    coeffs = solve_linear(gram, rhs)
     trail = surface.trail + (
         f"dual-class pairing = ({deg_c2_v} + "
         f"{deg_c2_nvw}) / {c2_qbar_ratio} "
@@ -553,7 +550,7 @@ def restrict_w_other(
     )
     return WOtherRestriction(
         theta=theta,
-        coeffs=solved.solution,
+        coeffs=coeffs,
         rhs=tuple(rhs),
         trail=trail,
     )
@@ -700,10 +697,7 @@ def restrict_w_self(
     )
     qbar_rhs = (c4_w_component - c4_degree) / c2_qbar_ratio
     rhs = (qbar_rhs, len(THETAS) * w_sq_w_other, qbar_w_sq)
-    solved = solve_linear(system, rhs)
-    if not solved.ok:
-        raise ValueError(f"self-restriction system not solvable: {solved.detail}")
-    eta, beta, gamma = solved.solution
+    eta, beta, gamma = solve_linear(system, rhs)
 
     final = tuple(
         eta * a + beta * b + gamma * c for a, b, c in zip(g1, g2, g3)

@@ -66,7 +66,7 @@ def test_auxiliary_class_relations(criterion, engine):
         rel = engine.relations
         assert rel.c_z == 0
         assert rel.c_z2 == Fraction(384, 11)
-        assert rel.c_qbar_z2 == Fraction(2688, 11)
+        assert rel.top_qbar_z2 == Fraction(2688, 11)
         assert rel.z3 == Fraction(-22016, 121)
         assert rel.z2 == deg8(Fraction(32, 363), Fraction(-172, 231))
         assert rel.c2_squared == deg8(Fraction(160, 33), Fraction(76, 21))
@@ -113,8 +113,8 @@ def test_nineteen_class_matrix(criterion, engine):
         assert (gram.rows, gram.cols) == (19, 19)
         for i in range(19):
             for j in range(19):
-                assert gram[i][j] == reference[i][j], (i, j)
-                assert gram[i][j] == gram[j][i], (i, j)
+                assert gram.entries[i][j] == reference.entries[i][j], (i, j)
+                assert gram.entries[i][j] == gram.entries[j][i], (i, j)
 
 
 def test_restriction_solutions(criterion, engine):

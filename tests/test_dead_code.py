@@ -1,6 +1,6 @@
 """A standing guard against code in ``src/kum3check`` that only tests read.
 
-Two passes over the package source:
+Three passes over the package source:
 
 * Every module-level name that a package module defines (function, class
   or assigned name) must be named somewhere else in the package: loaded by
@@ -16,6 +16,10 @@ Two passes over the package source:
   (``__name__``) are exempt, because the language calls them.  A
   constructor keyword or an assignment is not a read: a field that is set
   but never read is dead.
+* Every parameter of a package function or method, nested functions
+  included, must be loaded by name in that function's body (a closure's
+  read counts).  ``self``, ``cls`` and the parameters of special methods
+  are exempt, because the language passes them.
 
 Oracles and helpers that only tests use belong in ``tests/``.
 """
@@ -136,12 +140,51 @@ def unread_members(root: Path = SRC) -> list[str]:
     return unread
 
 
+def _functions(node: ast.AST, prefix: str):
+    """(qualified name, node) for each function under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def unread_parameters(root: Path = SRC) -> list[str]:
+    """``module.function.parameter`` for each parameter its function never reads."""
+    unread = []
+    for module, tree in _parse(root).items():
+        for name, node in _functions(tree, module):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            loaded = {
+                leaf.id
+                for statement in node.body
+                for leaf in ast.walk(statement)
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)
+            }
+            unread += [
+                f"{name}.{p.arg}"
+                for p in params
+                if p and p.arg not in ("self", "cls") and p.arg not in loaded
+            ]
+    return unread
+
+
 def test_every_module_level_name_is_named_by_other_package_code():
     assert unnamed_definitions() == []
 
 
 def test_every_class_member_is_read_by_package_code():
     assert unread_members() == []
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters() == []
 
 
 def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
@@ -169,12 +212,23 @@ def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
         "class Descriptor:\n"
         "    def __set_name__(self, owner, name):\n        self.key = name\n"
         "    def __get__(self, instance, owner=None):\n        return self.key\n"
+        "def keyed(used, unused, *rest, flag, **extra):\n"
+        "    def inner(value):\n        return used + flag\n"
+        "    return inner, rest\n"
+        "class Owner:\n"
+        "    def pick(self, kept, dropped):\n        return kept\n"
+        "    @classmethod\n"
+        "    def make(cls, kept):\n        return kept\n"
     )
     (tmp_path / "b.py").write_text(
-        "from .a import Descriptor, Entry, Record, used\n"
+        "from .a import Descriptor, Entry, Owner, Record, keyed, used\n"
         "seen = set()\n"
         "seen.add(used())\n"
         "print(Record(read=1, unread=2).shown, Entry(key='k'), Descriptor)\n"
+        "print(keyed, Owner.make, Owner().pick)\n"
     )
     assert unnamed_definitions(tmp_path) == ["a.orphan", "a.add", "a.Unread", "a.TABLE"]
     assert unread_members(tmp_path) == ["a.Record.unread", "a.Record.method", "a.Entry.key"]
+    assert unread_parameters(tmp_path) == [
+        "a.keyed.unused", "a.keyed.extra", "a.keyed.inner.value", "a.Owner.pick.dropped"
+    ]

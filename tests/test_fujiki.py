@@ -78,7 +78,6 @@ def test_z_relations_values(rel):
     assert rel.c_qbarz == 0
     assert rel.top_qbar2_z == 0
     assert rel.c_z2 == Fraction(384, 11)
-    assert rel.c_qbar_z2 == Fraction(2688, 11)
     assert rel.top_qbar_z2 == Fraction(2688, 11)
     assert rel.z3 == Fraction(-22016, 121)
     assert (rel.z2.qbar2, rel.z2.qbarz) == (Fraction(32, 363), Fraction(-172, 231))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -62,11 +63,31 @@ def test_dual_square_on_the_ambient_space():
     assert sym2_pair(dual, dual) == 63
 
 
+def _assert_normal_form(x, coeffs):
+    """x is the class with these {key: Fraction} coefficients, stored in its
+    normal form: sorted nonzero keys, scale > 0 and gcd(scale, *ints) == 1."""
+    keys = sorted(k for k, c in coeffs.items() if c)
+    scale = lcm(*(coeffs[k].denominator for k in keys))
+    ints = tuple(int(coeffs[k] * scale) for k in keys)
+    assert (x.scale, x.keys, x.ints) == (scale, tuple(keys), ints)
+    assert x.scale > 0 and gcd(x.scale, *x.ints) == 1
+    assert x.coeffs == tuple((k, coeffs[k]) for k in keys)
+
+
 def test_sym2_vector_is_canonical():
-    a = Sym2Vector.from_map(AMBIENT, {(0, 0): Fraction(1), (0, 1): Fraction(0)})
-    b = Sym2Vector.from_map(AMBIENT, {(0, 0): Fraction(1)})
-    assert a == b
-    assert sym2_sum(AMBIENT, [(1, a), (-1, b)]).coeffs == ()
+    want = {(0, 0): Fraction(1, 2), (2, 2): Fraction(-3, 4)}
+    # keys out of order and a zero coefficient, as a map and as an accumulator
+    a = Sym2Vector.from_map(
+        AMBIENT, {(2, 2): Fraction(-3, 4), (0, 1): Fraction(0), (0, 0): Fraction(1, 2)}
+    )
+    b = Sym2Vector.from_map(AMBIENT, want)
+    c = Sym2Vector(AMBIENT, {(2, 2): -6, (0, 1): 0, (0, 0): 4}, 8)
+    for x in (a, b, c):
+        _assert_normal_form(x, want)
+        assert (x.space, x.scale, x.keys, x.ints) == (AMBIENT, 4, ((0, 0), (2, 2)), (2, -3))
+    assert a == b == c
+    zero = sym2_sum(AMBIENT, [(1, a), (-1, b)])
+    assert (zero.scale, zero.keys, zero.ints, zero.coeffs) == (1, (), (), ())
     with pytest.raises(ValueError):
         Sym2Vector.from_map(AMBIENT, {(1, 0): Fraction(1)})
 
@@ -79,9 +100,9 @@ def test_sym2_gram_is_symmetric():
         sym2_product(AMBIENT, xi, xi),
         qbar_dual(AMBIENT),
     ]
-    g = sym2_gram(AMBIENT, vectors)
+    g = sym2_gram(vectors)
     assert g == Matrix(zip(*g.entries))
-    assert g[0][0] == sym2_pair(vectors[0], vectors[0])
+    assert g.entries[0][0] == sym2_pair(vectors[0], vectors[0])
 
 
 coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -216,12 +237,13 @@ def _ref_sym2_product(space, u, v):
     return Sym2Vector.from_map(space, out)
 
 
-def _ref_sym2_sum(space, terms):
+def _ref_sym2_sum(terms):
+    """The {key: Fraction} coefficients of the sum."""
     out = {}
     for c, x in terms:
         for k, xc in x.coeffs:
             out[k] = out.get(k, Fraction(0)) + Fraction(c) * xc
-    return Sym2Vector.from_map(space, out)
+    return out
 
 
 # zeros as the shared ZERO, as other zero objects and as ints; non-integers
@@ -243,12 +265,16 @@ def test_sym2_sum_matches_the_fraction_accumulation(space, data):
     terms = data.draw(
         st.lists(st.tuples(st.one_of(cells, st.integers(-3, 3)), sym2_vectors(space)), max_size=5)
     )
-    assert sym2_sum(space, terms) == _ref_sym2_sum(space, terms)
+    got = sym2_sum(space, terms)
+    assert got == Sym2Vector.from_map(space, _ref_sym2_sum(terms))
+    _assert_normal_form(got, _ref_sym2_sum(terms))
     x = data.draw(sym2_vectors(space))
     y = data.draw(sym2_vectors(space))
     c = data.draw(cells)
     for pair in ([(1, x), (1, y)], [(1, x), (-1, y)], [(c, x)]):
-        assert sym2_sum(space, pair) == _ref_sym2_sum(space, pair)
+        got = sym2_sum(space, pair)
+        assert got == Sym2Vector.from_map(space, _ref_sym2_sum(pair))
+        _assert_normal_form(got, _ref_sym2_sum(pair))
     assert sym2_sum(space, [(1, x), (-1, x)]).coeffs == ()
 
 

@@ -166,11 +166,11 @@ def test_w_model_shape(model):
 
 def test_gram19_matches_reference(model, gram):
     assert gram == expected_gram19(QBAR_SQUARE, QBAR_FUJIKI)
-    head = [[gram[i][j] for j in range(3)] for i in range(3)]
+    head = [[gram.entries[i][j] for j in range(3)] for i in range(3)]
     assert head == [[575, -50, -800], [-50, 12, 64], [-800, 64, 1152]]
     for k in range(3, 18):
-        assert gram[k][k] == 128
-    assert gram[18][18] == 64
+        assert gram.entries[k][k] == 128
+    assert gram.entries[18][18] == 64
 
 
 def test_expand_in_basis_round_trips(model):
@@ -318,7 +318,7 @@ def test_w_self_restriction(w_self):
         Fraction(9, 640),
         Fraction(1, 640),
     )
-    sys_rows = [[w_self.system[i][j] for j in range(3)] for i in range(3)]
+    sys_rows = [[w_self.system.entries[i][j] for j in range(3)] for i in range(3)]
     assert sys_rows == [
         [350, -13600, -12000],
         [420, -8640, -22080],
@@ -495,6 +495,21 @@ def test_verify_all_builds_each_sprime_product_once(monkeypatch):
     monkeypatch.setattr(wgeometry, "sym2_product", counted_product)
     assert run_suite(Engine(default_config()), "all").status == "pass"
     assert len(calls) == 143
+
+
+def test_verify_all_reads_the_fraction_coefficients_at_most_twice(monkeypatch):
+    # the restriction of the ambient dual class and its render in the trail;
+    # every sum, pairing and expansion reads the integer fields
+    reads = []
+    true_coeffs = Sym2Vector.coeffs.fget
+
+    def counted_coeffs(x):
+        reads.append(x)
+        return true_coeffs(x)
+
+    monkeypatch.setattr(Sym2Vector, "coeffs", property(counted_coeffs))
+    assert run_suite(Engine(default_config()), "all").status == "pass"
+    assert len(reads) <= 2
 
 
 def test_surface_checks_reject_a_split_coset(model, gram, surface, monkeypatch):
