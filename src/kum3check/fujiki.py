@@ -218,8 +218,6 @@ def derive_z_relations(table: Mapping[str, Fraction]) -> ZRelations:
 
 def multiply(a: Deg4 | Deg8, b: Deg4 | Deg8, rel: ZRelations) -> Deg8 | Fraction:
     """Graded product; degree 4 x 4 gives Deg8, degree 4 x 8 gives the top integral."""
-    if isinstance(a, Deg8) and isinstance(b, Deg4):
-        a, b = b, a
     if isinstance(a, Deg4) and isinstance(b, Deg4):
         # (a1 qbar + a2 z)(b1 qbar + b2 z), with z^2 rewritten in the basis
         qbar2 = a.qbar * b.qbar + a.z * b.z * rel.z2.qbar2
@@ -234,13 +232,9 @@ def multiply(a: Deg4 | Deg8, b: Deg4 | Deg8, rel: ZRelations) -> Deg8 | Fraction
     raise FujikiTableError("degree overflow: product exceeds the top degree")
 
 
-def c_of(x: Deg4 | Deg8 | Fraction, rel: ZRelations) -> Fraction:
-    """The Fujiki constant of a graded class, linear in the basis constants."""
-    if isinstance(x, Deg4):
-        return x.qbar * rel.c_qbar + x.z * rel.c_z
-    if isinstance(x, Deg8):
-        return x.qbar2 * rel.c_qbar2 + x.qbarz * rel.c_qbarz
-    return rat(x)
+def c_of(x: Deg8, rel: ZRelations) -> Fraction:
+    """The Fujiki constant of a degree-8 class, linear in the basis constants."""
+    return x.qbar2 * rel.c_qbar2 + x.qbarz * rel.c_qbarz
 
 
 class WVClasses(NamedTuple):

@@ -41,7 +41,9 @@ it once per call, reads only those cells, and keeps one common denominator,
 so it stays in integers too; a row whose cells sum to 0 against the vector
 leaves its pivot coordinate 0 and costs no gcd and no rescale.
 ``solve_linear`` returns the unique solution of a system and raises
-``ValueError`` when there is none or more than one.  The unit tests compare
+``ValueError`` when there is none or more than one; it augments the sparse
+integer rows of A, each with b_i times the row's denominator, so it does
+not read ``entries``.  The unit tests compare
 every routine with textbook ``Fraction`` formulas, and the elimination with
 the dense integer elimination, on random matrices.
 """
@@ -359,8 +361,8 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         raise ValueError("right-hand side length does not match row count")
     if a.rows < a.cols:
         raise ValueError("system is underdetermined by shape (rows < cols)")
-    augmented = Matrix([row + (v,) for row, v in zip(a.entries, rhs)])
-    ech, pivots = augmented._echelon_form()
+    rows = [{**dict(zip(*cells)), a.cols: den * v} for den, cells, v in zip(*a._scaled, rhs)]
+    ech, pivots = Matrix(rows, a.cols + 1)._echelon_form()
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
         raise ValueError(

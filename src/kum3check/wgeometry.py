@@ -26,9 +26,12 @@ The 19 invariant classes come in one order, named once next to
 sum s^2 (``S_SQ``), the mixed sum sum s*s[theta] of each of the fifteen
 shifts theta (``MIXED[theta]``, in ``THETAS`` order) and delta*sum s
 (``DELTA_S``).  Every coefficient vector over the 19 classes is indexed
-through these names.
+through these names.  Only qbar_W carries the lambda squares (of the six
+restricted classes), and the other 18 classes have pairwise disjoint
+monomials, so ``expand_in_basis`` needs no value of the restriction factor.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -148,9 +151,6 @@ class WModel(NamedTuple):
     basis: tuple[Sym2Vector, ...]
     xi_restriction: tuple[Fraction, ...]
 
-    def s_index(self, alpha: Pt) -> int:
-        return self.space.index(s_label(alpha))
-
 
 PLUS_LABELS = ("lp1", "lp2", "lp3")
 MINUS_LABELS = ("lm1", "lm2", "lm3")
@@ -229,67 +229,31 @@ def combination(model: WModel, coeffs: Sequence[Fraction]) -> Sym2Vector:
     return sym2_sum(model.space, zip(coeffs, model.basis))
 
 
+def _ratio_at_first_monomial(y: Sym2Vector, v: Sym2Vector) -> Fraction:
+    """y's coefficient at v's first monomial over v's own coefficient there."""
+    i = bisect_left(y.keys, v.keys[0])
+    c = y.ints[i] if y.keys[i : i + 1] == v.keys[:1] else 0
+    return Fraction(c * v.scale, y.scale * v.ints[0])
+
+
 def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
-    """Coefficients of x over the 19 classes, by monomial matching.
+    """Coefficients of x over the 19 classes, each read at one monomial.
 
-    The decomposition is rigid: the dual-class coefficient is read off the
-    lambda squares, which must be uniform with opposite signs, and every
-    remaining monomial family must be constant.  Raises when x is not in
-    the span.  The matching runs on x's integer coefficients over
-    ``x.scale``; one ``Fraction`` is built per result.
+    By the premise in the module docstring, the dual-class coefficient a is
+    x's coefficient at qbar_W's first monomial over qbar_W's own, and every
+    other coefficient is the same ratio of x - a*qbar_W at its class's first
+    monomial.  Raises when they do not rebuild x: x is not in the span.
     """
-    space = model.space
-    scale = x.scale
-    m = dict(zip(x.keys, x.ints))
-
-    def take(i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        return m.pop(key, 0)
-
-    plus_sq = [take(space.index(l), space.index(l)) for l in PLUS_LABELS]
-    minus_sq = [take(space.index(l), space.index(l)) for l in MINUS_LABELS]
-    if len(set(plus_sq)) != 1 or len(set(minus_sq)) != 1:
-        raise ValueError("lambda square coefficients are not uniform")
-    if minus_sq[0] != -plus_sq[0]:
-        raise ValueError("lambda square coefficients do not mirror")
-    a = 4 * plus_sq[0]
-
-    s_idx = [model.s_index(alpha) for alpha in ALPHAS]
-    d_idx = space.index("delta")
-    b = take(d_idx, d_idx) + a // 2
-    s_sq = {take(i, i) for i in s_idx}
-    if len(s_sq) != 1:
-        raise ValueError("s square coefficients are not uniform")
-    c = s_sq.pop() + a // 2
-
-    mixed = {}
-    for theta in THETAS:
-        vals = {take(s_idx[i], s_idx[j]) for i, j in COSETS[theta]}
-        if len(vals) != 1:
-            raise ValueError(f"mixed s coefficients not uniform at shift {_bits(theta)}")
-        mixed[MIXED[theta]] = Fraction(vals.pop(), 2 * scale)
-
-    e_vals = {take(d_idx, i) for i in s_idx}
-    if len(e_vals) != 1:
-        raise ValueError("delta*s coefficients are not uniform")
-    e = e_vals.pop()
-
-    leftover = {k: v for k, v in m.items() if v}
-    if leftover:
-        raise ValueError(f"monomials outside the invariant span: {sorted(leftover)}")
-
-    coeffs = class_coeffs(
-        {
-            QBAR: Fraction(a, scale),
-            DELTA_SQ: Fraction(b, scale),
-            S_SQ: Fraction(c, scale),
-            DELTA_S: Fraction(e, scale),
-            **mixed,
-        }
-    )
-    if combination(model, coeffs) != x:
-        raise ValueError("basis expansion failed to reproduce the class")
-    return coeffs
+    qbar_w = model.basis[QBAR]
+    a = _ratio_at_first_monomial(x, qbar_w)
+    rest = sym2_sum(model.space, [(1, x), (-a, qbar_w)])
+    coeffs = [_ratio_at_first_monomial(rest, v) for v in model.basis]
+    coeffs[QBAR] = a
+    rebuilt = combination(model, coeffs)
+    if rebuilt != x:
+        residue = sym2_sum(model.space, [(1, x), (-1, rebuilt)]).render()
+        raise ValueError(f"class not in the span of the 19 invariant classes; residue {residue}")
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

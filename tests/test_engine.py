@@ -38,6 +38,14 @@ def test_a_fractional_euler_number_names_its_entry():
     )
 
 
+@pytest.mark.parametrize("xi_square", ["-4", "-3", "1/2", "-7"])
+def test_a_restriction_factor_other_than_two_runs_every_derivation(xi_square):
+    # 16/|xi_square| is the factor; the expansions must not depend on it
+    report = run_suite(Engine(_document("geometry_pack", "xi_square", xi_square)), "all")
+    assert report.status == "fail"  # verify all exits 1
+    assert [c.id for c in report.checks if c.expected == "no error"] == []
+
+
 def test_failing_stage_reraises_the_same_exception():
     engine = Engine(_document("geometry_pack", "xi_square", "0"))
     with pytest.raises(ZeroDivisionError) as first:

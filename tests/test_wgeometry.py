@@ -145,22 +145,20 @@ def test_w_model_shape(model):
     space = model.space
     assert space.dim == 23
     assert len(model.basis) == CLASS_COUNT == 19
-    assert model.s_index(ALPHAS[0]) == 6
+    assert space.index(s_label(ALPHAS[0])) == 6
     assert MIXED[THETAS[0]] == 3
     assert sorted(MIXED) == sorted(THETAS)
     assert sorted((QBAR, DELTA_SQ, S_SQ, DELTA_S, *MIXED.values())) == list(range(19))
     d = space.index("delta")
-    s_idx = [model.s_index(alpha) for alpha in ALPHAS]
+    s_idx = [space.index(s_label(alpha)) for alpha in ALPHAS]
     assert model.basis[QBAR] == qbar_dual(space)
     assert dict(model.basis[DELTA_SQ].coeffs) == {(d, d): 1}
     assert dict(model.basis[S_SQ].coeffs) == {(i, i): 1 for i in s_idx}
-    for theta, pos in MIXED.items():
-        cosets = {
-            tuple(sorted((model.s_index(alpha), model.s_index(add(alpha, theta)))))
-            for alpha in ALPHAS
-        }
+    pos = dict(zip(ALPHAS, s_idx))
+    for theta, k in MIXED.items():
+        cosets = {tuple(sorted((pos[alpha], pos[add(alpha, theta)]))) for alpha in ALPHAS}
         assert len(cosets) == 8
-        assert dict(model.basis[pos].coeffs) == dict.fromkeys(cosets, 2)
+        assert dict(model.basis[k].coeffs) == dict.fromkeys(cosets, 2)
     assert dict(model.basis[DELTA_S].coeffs) == {(min(d, i), max(d, i)): 1 for i in s_idx}
 
 
@@ -180,13 +178,38 @@ def test_expand_in_basis_round_trips(model):
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# restriction factors 16/|xi_square| of xi_square = -8, -4, -32, -3, -7 and -16
+FACTORS = tuple(map(Fraction, (2, 4, Fraction(1, 2), Fraction(16, 3), Fraction(16, 7), 1)))
+_MODELS = {}
 
 
-@given(st.lists(small, min_size=19, max_size=19))
-def test_expand_in_basis_is_linear(coeffs):
-    model = build_w_model(Fraction(2))
+def _model_for(factor):
+    if factor not in _MODELS:
+        _MODELS[factor] = build_w_model(factor)
+    return _MODELS[factor]
+
+
+@given(st.sampled_from(FACTORS), st.lists(small, min_size=19, max_size=19))
+def test_expand_in_basis_is_linear(factor, coeffs):
+    model = _model_for(factor)
     x = combination(model, coeffs)
     assert expand_in_basis(model, x) == tuple(Fraction(c) for c in coeffs)
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+def test_expansion_premise_holds_for_every_factor(factor):
+    # expand_in_basis reads qbar_W off the lambda squares and every other
+    # class at its own monomials; both need this shape of the basis
+    model = _model_for(factor)
+    space = model.space
+    lambda_squares = {
+        (space.index(l), space.index(l)) for l in wgeometry.PLUS_LABELS + wgeometry.MINUS_LABELS
+    }
+    assert lambda_squares <= set(model.basis[QBAR].keys)
+    others = [set(v.keys) for k, v in enumerate(model.basis) if k != QBAR]
+    assert len(others) == 18 and all(others)
+    assert all(not keys & lambda_squares for keys in others)
+    assert sum(map(len, others)) == len(set().union(*others))
 
 
 def test_expand_in_basis_rejects_outside_span(model):
@@ -585,62 +608,53 @@ def test_near_pairing_matches_surface_pairings_on_every_monomial(model):
 
 
 # ---------------------------------------------------------------------------
-# the integer basis expansion against the Fraction matching it replaced
+# the basis expansion against a projection by the Gram of the 19 classes
+
+
+def _fraction_solve(rows, rhs):
+    """The solution of a nonsingular square system, by Gauss-Jordan over Fraction."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return tuple(row[n] for row in aug)
+
+
+_GRAMS = {}
 
 
 def _ref_expand_in_basis(model, x):
-    space = model.space
-    m = dict(x.coeffs)
-
-    def take(i, j):
-        return m.pop((i, j) if i <= j else (j, i), Fraction(0))
-
-    plus_sq = [take(space.index(l), space.index(l)) for l in wgeometry.PLUS_LABELS]
-    minus_sq = [take(space.index(l), space.index(l)) for l in wgeometry.MINUS_LABELS]
-    if len(set(plus_sq)) != 1 or len(set(minus_sq)) != 1:
-        raise ValueError("lambda square coefficients are not uniform")
-    if minus_sq[0] != -plus_sq[0]:
-        raise ValueError("lambda square coefficients do not mirror")
-    a = 4 * plus_sq[0]
-    s_idx = [model.s_index(alpha) for alpha in ALPHAS]
-    d_idx = space.index("delta")
-    b = take(d_idx, d_idx) + a / 2
-    s_sq = [take(i, i) for i in s_idx]
-    if len(set(s_sq)) != 1:
-        raise ValueError("s square coefficients are not uniform")
-    c = s_sq[0] + a / 2
-    pos = dict(zip(ALPHAS, s_idx))
-    d_coeffs = []
-    for theta in THETAS:
-        vals = {
-            take(pos[alpha], pos[add(alpha, theta)])
-            for alpha in ALPHAS
-            if alpha < add(alpha, theta)
-        }
-        if len(vals) != 1:
-            raise ValueError(
-                f"mixed s coefficients not uniform at shift {wgeometry._bits(theta)}"
-            )
-        d_coeffs.append(vals.pop() / 2)
-    e_vals = {take(d_idx, i) for i in s_idx}
-    if len(e_vals) != 1:
-        raise ValueError("delta*s coefficients are not uniform")
-    leftover = {k: v for k, v in m.items() if v}
-    if leftover:
-        raise ValueError(f"monomials outside the invariant span: {sorted(leftover)}")
-    return (a, b, c, *d_coeffs, e_vals.pop())
+    """Pair x with the 19 classes and solve against their Gram; x is in the
+    span exactly when that solution rebuilds x."""
+    if model.factor not in _GRAMS:
+        _GRAMS[model.factor] = [[sym2_pair(u, v) for v in model.basis] for u in model.basis]
+    coeffs = _fraction_solve(_GRAMS[model.factor], [sym2_pair(v, x) for v in model.basis])
+    rebuilt = {}
+    for c, v in zip(coeffs, model.basis):
+        for key, value in v.coeffs:
+            rebuilt[key] = rebuilt.get(key, 0) + c * value
+    if {k: v for k, v in rebuilt.items() if v} != dict(x.coeffs):
+        raise ValueError("not in the span")
+    return coeffs
 
 
 def _outcome(expand, model, x):
     try:
         return expand(model, x)
-    except ValueError as exc:
-        return str(exc)
+    except ValueError:
+        return "not in the span"
 
 
 @settings(max_examples=40)
-@given(st.lists(small, min_size=19, max_size=19), st.data())
-def test_integer_expansion_matches_the_fraction_matching(model, coeffs, data):
+@given(st.sampled_from(FACTORS), st.lists(small, min_size=19, max_size=19), st.data())
+def test_expansion_matches_the_gram_projection(factor, coeffs, data):
+    model = _model_for(factor)
     x = combination(model, coeffs)
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, model.space.dim - 1))
