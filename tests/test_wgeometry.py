@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -180,13 +181,7 @@ def test_expand_in_basis_round_trips(model):
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 # restriction factors 16/|xi_square| of xi_square = -8, -4, -32, -3, -7 and -16
 FACTORS = tuple(map(Fraction, (2, 4, Fraction(1, 2), Fraction(16, 3), Fraction(16, 7), 1)))
-_MODELS = {}
-
-
-def _model_for(factor):
-    if factor not in _MODELS:
-        _MODELS[factor] = build_w_model(factor)
-    return _MODELS[factor]
+_model_for = cache(build_w_model)
 
 
 @given(st.sampled_from(FACTORS), st.lists(small, min_size=19, max_size=19))
@@ -626,15 +621,16 @@ def _fraction_solve(rows, rhs):
     return tuple(row[n] for row in aug)
 
 
-_GRAMS = {}
+@cache
+def _gram_rows(factor):
+    basis = _model_for(factor).basis
+    return [[sym2_pair(u, v) for v in basis] for u in basis]
 
 
 def _ref_expand_in_basis(model, x):
     """Pair x with the 19 classes and solve against their Gram; x is in the
     span exactly when that solution rebuilds x."""
-    if model.factor not in _GRAMS:
-        _GRAMS[model.factor] = [[sym2_pair(u, v) for v in model.basis] for u in model.basis]
-    coeffs = _fraction_solve(_GRAMS[model.factor], [sym2_pair(v, x) for v in model.basis])
+    coeffs = _fraction_solve(_gram_rows(model.factor), [sym2_pair(v, x) for v in model.basis])
     rebuilt = {}
     for c, v in zip(coeffs, model.basis):
         for key, value in v.coeffs:
