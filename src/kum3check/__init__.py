@@ -4,35 +4,41 @@ The package recomputes, over the rationals and with no floating point,
 the constant table, basis expansions, restriction solves, rank and kernel
 certificates and cohomology bookkeeping for Kum3-type sixfolds, and
 compares every value against its expected result.
-"""
 
-from .config import (
-    ConfigDocument,
-    ConfigError,
-    default_config,
-    default_config_text,
-    load_config,
-    parse_config,
-)
-from .engine import Engine
-from .report import Check, SuiteReport, emit_json, emit_markdown
-from .suites import SUITE_NAMES, run_suite
+Importing the package loads none of its modules: each public name is
+imported from its defining module on first use (PEP 562).  So ``import
+kum3check.cli`` and a config load compile only ``cli`` and ``config``; the
+derivation modules (``engine``, ``suites``, ``wgeometry``, ``kummer``,
+``quadspace``, ``fujiki``, ``bookkeeping``) are compiled when a suite runs.
+"""
 
 __version__ = "0.1.0"
 
+# Each public name and the module that defines it.  The table is written
+# inside ``__all__``, so each public name is listed once, in ``__all__``.
 __all__ = [
-    "Check",
-    "ConfigDocument",
-    "ConfigError",
-    "Engine",
-    "SUITE_NAMES",
-    "SuiteReport",
-    "default_config",
-    "default_config_text",
-    "emit_json",
-    "emit_markdown",
-    "load_config",
-    "parse_config",
-    "run_suite",
     "__version__",
+    *(_HOME := {
+        "ConfigDocument": "config",
+        "ConfigError": "config",
+        "default_config": "config",
+        "default_config_text": "config",
+        "load_config": "config",
+        "parse_config": "config",
+        "Engine": "engine",
+        "Check": "report",
+        "SuiteReport": "report",
+        "emit_json": "report",
+        "emit_markdown": "report",
+        "SUITE_NAMES": "suites",
+        "run_suite": "suites",
+    }),
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

@@ -2,6 +2,10 @@
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
 configuration or usage errors.
+
+Loading or rejecting a document needs only ``config``: the engine, the
+suites and the report are imported when a suite runs, and ``list-suites``
+imports the suite names it prints.
 """
 
 import argparse
@@ -9,9 +13,20 @@ import json
 import sys
 
 from .config import ConfigDocument, ConfigError, default_config, load_config
-from .engine import Engine
-from .report import emit_json, emit_markdown
-from .suites import SUITE_NAMES, run_suite
+
+
+def run_suite(doc: ConfigDocument, suite: str):
+    """The report of ``suite`` on a fresh engine over ``doc``."""
+    from .engine import Engine
+    from .suites import run_suite as run
+
+    return run(Engine(doc), suite)
+
+
+def emit_json(report) -> str:
+    from .report import emit_json as emit
+
+    return emit(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +70,8 @@ def _load(path: str | None) -> ConfigDocument:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-suites":
+        from .suites import SUITE_NAMES
+
         for name in SUITE_NAMES:
             print(name)
         return 0
@@ -67,11 +84,16 @@ def main(argv=None) -> int:
         print(json.dumps(doc.to_json_obj(), indent=2, sort_keys=True))
         return 0
     try:
-        report = run_suite(Engine(doc), args.suite)
+        report = run_suite(doc, args.suite)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    text = emit_json(report) if args.format == "json" else emit_markdown(report)
+    if args.format == "json":
+        text = emit_json(report)
+    else:
+        from .report import emit_markdown
+
+        text = emit_markdown(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

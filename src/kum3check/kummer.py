@@ -174,10 +174,12 @@ def deg4_independence_certificate(
     matrix = Matrix(rows)
     gap = data.w_cube - data.w_sq_w_other
     # column of w_t^2 minus column of w_u^2 must be gap * (e_t - e_u) on W rows,
-    # that is, each row's w^2 cells, less gap in the row's own column, agree
+    # that is, each row's w^2 cells, less gap in the row's own column, agree;
+    # read on the sparse integer rows, each scaled by its one denominator
+    dens, sparse = matrix._scaled
     levels = [
-        [row[2 + t] - gap if r == 1 + t else row[2 + t] for t in range(n)]
-        for r, row in enumerate(matrix.entries)
+        [cells.get(2 + t, 0) - (gap * den if r == 1 + t else 0) for t in range(n)]
+        for r, (den, cells) in enumerate(zip(dens, (dict(zip(*row)) for row in sparse)))
     ]
     if any(level.count(level[0]) != n for level in levels):
         r, t, u = next(

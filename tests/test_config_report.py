@@ -1,8 +1,15 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
+import kum3check
 from kum3check.cli import main
 from kum3check.config import (
     ABELIAN_HODGE_PAIRS,
@@ -508,6 +515,61 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["verify", "all", "--format", "yaml"])
     assert info.value.code == 2
+
+
+def test_python_dash_m_runs_each_command():
+    env = {**os.environ, "PYTHONPATH": str(Path(kum3check.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "kum3check.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+
+    verify = run("verify", "basis-lemma")
+    assert verify.returncode == 0 and json.loads(verify.stdout)["status"] == "pass"
+    listed = run("list-suites")
+    assert listed.returncode == 0 and listed.stdout.splitlines() == list(SUITE_NAMES)
+    shown = run("show-config")
+    assert shown.returncode == 0 and json.loads(shown.stdout) == default_config().to_json_obj()
+    usage = run("verify", "all", "--format", "yaml")
+    assert usage.returncode == 2 and usage.stdout == "" and "invalid choice" in usage.stderr
+
+
+# ---------------------------------------------------------------------------
+# package names
+
+PUBLIC = {
+    "config": (
+        "ConfigDocument",
+        "ConfigError",
+        "default_config",
+        "default_config_text",
+        "load_config",
+        "parse_config",
+    ),
+    "engine": ("Engine",),
+    "report": ("Check", "SuiteReport", "emit_json", "emit_markdown"),
+    "suites": ("SUITE_NAMES", "run_suite"),
+}
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    assert sorted(kum3check.__all__) == sorted(["__version__", *chain(*PUBLIC.values())])
+    for module_name, names in PUBLIC.items():
+        module = importlib.import_module(f"kum3check.{module_name}")
+        for name in names:
+            namespace = {}
+            exec(f"from kum3check import {name}", namespace)
+            assert namespace[name] is getattr(module, name)
+            assert getattr(namespace[name], "__module__", module.__name__) == module.__name__
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kum3check.no_such_name
+    with pytest.raises(ImportError):
+        exec("from kum3check import Matrix", {})
 
 
 def test_default_config_matches_packaged_file(doc):

@@ -5,9 +5,10 @@ Three passes over the package source:
 * Every module-level name that a package module defines (function, class
   or assigned name) must be named somewhere else in the package: loaded by
   name in its own module, imported by another module, or listed in a
-  module's ``__all__`` (``__all__`` itself is exempt).  An attribute of the
-  same name does not count, so ``seen.add(x)`` does not keep a function
-  ``add`` alive.
+  module's ``__all__``.  ``__all__`` itself is exempt, and so is a module
+  ``__getattr__`` (PEP 562), because the language calls it.  An attribute
+  of the same name does not count, so ``seen.add(x)`` does not keep a
+  function ``add`` alive.
 * Every method, property, ``NamedTuple`` field and ``__slots__`` name of a
   package class must be read as an attribute (``x.name``) somewhere in the
   package outside its own definition.  A read of ``self.name`` inside a
@@ -70,7 +71,7 @@ def unnamed_definitions(root: Path = SRC) -> list[str]:
     unnamed = []
     for module, tree in trees.items():
         for name, definition in _definitions(tree):
-            if name != "__all__" and not any(
+            if name not in ("__all__", "__getattr__") and not any(
                 name in names for node, names in statements if node is not definition
             ):
                 unnamed.append(f"{module}.{name}")
@@ -227,7 +228,13 @@ def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
         "print(Record(read=1, unread=2).shown, Entry(key='k'), Descriptor)\n"
         "print(keyed, Owner.make, Owner().pick)\n"
     )
-    assert unnamed_definitions(tmp_path) == ["a.orphan", "a.add", "a.Unread", "a.TABLE"]
+    (tmp_path / "c.py").write_text(
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def stray():\n    return 1\n"
+    )
+    assert unnamed_definitions(tmp_path) == [
+        "a.orphan", "a.add", "a.Unread", "a.TABLE", "c.stray"
+    ]
     assert unread_members(tmp_path) == ["a.Record.unread", "a.Record.method", "a.Entry.key"]
     assert unread_parameters(tmp_path) == [
         "a.keyed.unused", "a.keyed.extra", "a.keyed.inner.value", "a.Owner.pick.dropped"

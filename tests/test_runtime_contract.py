@@ -16,10 +16,13 @@ A static pass over ``src/kum3check`` flags:
   a ``ForwardRef`` at import.  Annotations are evaluated where they are
   defined; ``requires-python >= 3.10`` covers ``X | None``.
 
-A subprocess test pins the cold-start side of the last rule.
+A subprocess test pins the cold-start side of the last rule, and the load
+path: importing ``kum3check.cli`` and loading a document, accepted or
+rejected, compiles none of the derivation modules.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -96,13 +99,28 @@ def test_the_scan_flags_each_rule(tmp_path):
     ]
 
 
-def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site's own imports out of the picture
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import kum3check.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert proc.stdout == "[]\n"
+DERIVATION = ("engine", "suites", "wgeometry", "kummer", "quadspace", "fujiki", "bookkeeping")
+
+
+def test_the_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    raw = json.loads((SRC / "data" / "default_config.json").read_text())
+    raw["h2_space"]["labels"][0] = "zz"
+    rejected = tmp_path / "renamed.json"
+    rejected.write_text(json.dumps(raw))
+    watched = {"dataclasses", "inspect", *(f"kum3check.{name}" for name in DERIVATION)}
+    # each case ends on the status it returns; -S keeps site's own imports out of the picture
+    cases = {
+        "import kum3check.cli; from kum3check.config import default_config_text, parse_config; "
+        "parse_config(default_config_text()); status = 0": "0",
+        "from kum3check.cli import main; status = main(['show-config'])": "0",
+        f"from kum3check.cli import main; status = main(['verify', 'all', '--config', {str(rejected)!r}])": "2",
+    }
+    for statements, status in cases.items():
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statements}; "
+            f"print(status, sorted({sorted(watched)!r} & sys.modules.keys()))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == f"{status} []", statements
