@@ -30,9 +30,10 @@ so the elimination of M is cheap where that of the dense G is not.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import NamedTuple
 
+from .linalg import ZERO as ZERO_Q
 from .linalg import Matrix, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
@@ -311,19 +312,18 @@ def d_gram_certificate(
             block_structured = False
             break
 
-    # the fifteen relations: block 0 sum minus block b sum
+    # the fifteen relations, block 0 sum minus block b sum, as {column: value}
+    # cells for their matrix and as the dense rows that mat_vec multiplies
     one = Fraction(1)
-    relations = Matrix(
-        [
-            dict.fromkeys(range(block_size), one)
-            | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -one)
-            for b in range(1, blocks)
-        ],
-        m,
-    )
+    relations = [
+        dict.fromkeys(range(block_size), one)
+        | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -one)
+        for b in range(1, blocks)
+    ]
+    dense = [tuple(map(row.get, range(m), repeat(ZERO_Q))) for row in relations]
     # a list, so that every relation is multiplied even after one fails
-    in_kernel = not any([any(steps.mat_vec(vec)) for vec in relations.entries])
-    diff_rank = rank(relations)
+    in_kernel = not any([any(steps.mat_vec(vec)) for vec in dense])
+    diff_rank = rank(Matrix(relations, m))
 
     block_square = block_size * row_total
     trail.append(

@@ -30,26 +30,27 @@ forms the integer row combination first and reads the second vector only
 where that combination is nonzero.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
-same sparse rows: a row below the pivot is updated by cross-multiplication
-and divided by its content (gcd of the entries).  Only the nonzero cells of
-the two rows are touched, and rows are kept by their first nonzero column,
-so the rows to update below a pivot are found without a scan.  A matrix is
-eliminated at most once: the sparse echelon rows are memoised on the matrix
-and shared by ``rank``, ``kernel_basis`` and ``solve_linear``.  Back
-substitution splits each echelon row into its pivot and the cells right of
-it once per call, reads only those cells, and keeps one common denominator,
-so it stays in integers too; a row whose cells sum to 0 against the vector
-leaves its pivot coordinate 0 and costs no gcd and no rescale.
-``solve_linear`` returns the unique solution of a system and raises
-``ValueError`` when there is none or more than one; it augments the sparse
-integer rows of A, each with b_i times the row's denominator, so it does
-not read ``entries``.  The unit tests compare
-every routine with textbook ``Fraction`` formulas, and the elimination with
-the dense integer elimination, on random matrices.
+same sparse rows: the pivot row is divided by its content (gcd of the
+entries) once, and a row below it is cross-multiplied with that row over
+the gcd of their pivot-column cells and divided by its content.  An update
+reads only the pivot's cells, and rows are kept by their first nonzero
+column, so the rows to update below a pivot are found without a scan.  A
+matrix is eliminated at most once: the sparse echelon rows are memoised on
+the matrix and shared by ``rank`` and ``kernel_basis``.  Back substitution
+splits each echelon row into its pivot and tail once per call, visits
+bottom-up only the rows that a vector reaches through its nonzero
+coordinates, and keeps one common denominator, so it stays in integers
+too.  ``solve_linear`` returns the unique solution of a system and raises
+``ValueError`` when there is none or more than one; it eliminates the
+integer rows of [A | b] that an augmented ``Matrix`` would hold, without
+building one.  The unit tests compare every routine with textbook
+``Fraction`` formulas, and the elimination with the dense integer
+elimination, on random matrices.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -96,11 +97,6 @@ def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     dens = [x.denominator for x in values]
     scale = lcm(*dens)
     return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
-
-
-def _fraction(numerator: int, denominator: int) -> Fraction:
-    """``Fraction(numerator, denominator)``, or the shared ``ZERO``."""
-    return Fraction(numerator, denominator) if numerator else ZERO
 
 
 class Matrix:
@@ -211,7 +207,7 @@ class Matrix:
             for i, b in zip(rows, values):
                 acc[i] += a * b
         return tuple(
-            _fraction(total, den * scale) for total, den in zip(acc, dens)
+            Fraction(t, den * scale) if t else ZERO for t, den in zip(acc, dens)
         )
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
@@ -234,7 +230,7 @@ class Matrix:
         v_index = [j for j, c in enumerate(w) if c]
         v_scale, v_ints = scaled_integers([rat(v[j]) for j in v_index])
         total = sum(map(mul, map(w.__getitem__, v_index), v_ints))
-        return _fraction(total, u_scale * row_scale * v_scale)
+        return Fraction(total, u_scale * row_scale * v_scale) if total else ZERO
 
     def to_lists(self) -> list[list[str]]:
         """Rows rendered in the ``p/q`` wire format (for reports and trails)."""
@@ -249,11 +245,14 @@ def _forward_echelon(
     Returns the echelon rows, as ``SparseRow`` pairs in column order, and
     their pivot columns; the rows that eliminate to zero are dropped.
     The pivot of column c is the first row at or below the current one
-    with a nonzero cell in c, swapped up.  Every row below it with a
-    nonzero cell in c is cross-multiplied with it and divided by its
-    content (gcd of the entries).  Rows at or below the current one are
-    zero left of c, so those rows are the ones whose first column is c;
-    they are kept in ``leading`` by first column and never searched for.
+    with a nonzero cell in c, swapped up.  Rows at or below the current
+    one are zero left of c, so the rows to update are those whose first
+    column is c, kept in ``leading`` by first column.  With k the pivot
+    row's content (gcd of the entries) and p its cell in c, a row cur with
+    m in c becomes a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0)
+    and b = m/g0, divided by its content: as that is (p*cur - m*pivot)/(k*g0)
+    with k*g0 > 0, the echelon is the cross-multiplied one.  Only the
+    pivot's cells are read, and when a == 1 cur is updated in place.
     """
     leading: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -276,23 +275,28 @@ def _forward_echelon(
                 moved.remove(r)
                 moved.add(sel)
         pivot = rows[r]
+        k = gcd(*pivot.values())
+        if k > 1:
+            pivot = {j: w // k for j, w in pivot.items()}
         p = pivot[c]
         for i in below:
             cur = rows[i]
-            m = cur[c]
-            row = {j: p * a for j, a in cur.items()}
-            for j, b in pivot.items():
-                a = row.get(j, 0) - m * b
-                if a:
-                    row[j] = a
+            g0 = gcd(p, cur[c])
+            a, b = p // g0, cur[c] // g0
+            if a != 1:
+                cur = {j: a * v for j, v in cur.items()}
+            for j, w in pivot.items():
+                v = cur.get(j, 0) - b * w
+                if v:
+                    cur[j] = v
                 else:
-                    del row[j]
-            g = gcd(*row.values())
+                    del cur[j]
+            g = gcd(*cur.values())
             if g > 1:
-                row = {j: a // g for j, a in row.items()}
-            rows[i] = row
-            if row:
-                leading.setdefault(min(row), set()).add(i)
+                cur = {j: v // g for j, v in cur.items()}
+            rows[i] = cur
+            if cur:
+                leading.setdefault(c + 1 if c + 1 in cur else min(cur), set()).add(i)
         pivots.append(c)
         r += 1
     return tuple(tuple(zip(*sorted(row.items()))) for row in rows[:r]), pivots
@@ -307,17 +311,27 @@ def _back_substitute(
     its pivot cell.  Each start vector holds integers at the non-pivot
     positions and 0 at every pivot position.  Each row is split once, for
     all the vectors, into its pivot column, pivot value and the columns
-    and values of its tail.  The pivot entries are solved from the bottom
-    row up over one common denominator, which grows only when a new entry
-    needs it, so the full vector satisfies every echelon row.  A row whose
-    tail sums to 0 against the vector is skipped with no gcd and no
-    rescale: its pivot coordinate is 0 on entry, and 0 is its solution.
+    and values of its tail, and each tail column indexes the rows whose
+    tails meet it.  The pivot entries are solved from the bottom row up
+    over one common denominator, which grows only when a new entry needs
+    it, so the full vector satisfies every echelon row.  A min-heap of row
+    positions, counted from the bottom, holds the rows that meet a nonzero
+    coordinate of the start or a pivot solved nonzero (rows above it); a
+    row never reached, or whose tail sums to 0, is skipped with no gcd
+    and no rescale, as 0 is its solution.
     """
     split = [(cols[0], vals[0], cols[1:], vals[1:]) for cols, vals in reversed(echelon)]
+    meets: dict[int, list[int]] = {}
+    for pos, (_, _, tail_cols, _) in enumerate(split):
+        for j in tail_cols:
+            meets.setdefault(j, []).append(pos)
     solutions = []
     for x in starts:
         den = 1
-        for c, p, tail_cols, tail_vals in split:
+        queued = {pos for j, a in enumerate(x) if a for pos in meets.get(j, ())}
+        heap = sorted(queued)
+        while heap:
+            c, p, tail_cols, tail_vals = split[heappop(heap)]
             acc = sum(map(mul, tail_vals, map(x.__getitem__, tail_cols)))
             if not acc:
                 continue
@@ -327,7 +341,11 @@ def _back_substitute(
                 den *= s
                 acc *= s
             x[c] = -(acc // p)
-        solutions.append(tuple(_fraction(a, den) for a in x))
+            for pos in meets.get(c, ()):
+                if pos not in queued:
+                    queued.add(pos)
+                    heappush(heap, pos)
+        solutions.append(tuple(Fraction(a, den) if a else ZERO for a in x))
     return solutions
 
 
@@ -361,8 +379,14 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         raise ValueError("right-hand side length does not match row count")
     if a.rows < a.cols:
         raise ValueError("system is underdetermined by shape (rows < cols)")
-    rows = [{**dict(zip(*cells)), a.cols: den * v} for den, cells, v in zip(*a._scaled, rhs)]
-    ech, pivots = Matrix(rows, a.cols + 1)._echelon_form()
+    rows = []
+    for den, (index, ints), v in zip(*a._scaled, rhs):
+        # row i of [A | b] over the lcm den * q of its denominators
+        q = v.denominator // gcd(den, v.denominator)
+        rows.append({j: n * q for j, n in zip(index, ints)})
+        if v:
+            rows[-1][a.cols] = den * q // v.denominator * v.numerator
+    ech, pivots = _forward_echelon(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
         raise ValueError(

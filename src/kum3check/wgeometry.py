@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, two_torsion
-from .linalg import Matrix, RationalLike, scaled_integers, solve_linear, support
+from .linalg import Matrix, RationalLike, scaled_integers, solve_linear
 from .quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -351,6 +351,20 @@ def _pairing_table(
 
 # SURFACE is fixed, so its 45 pairings among the near-side images are too.
 _NEAR_SCALE, _NEAR_PAIRINGS = _pairing_table(_IMAGES[0])
+_XI_SCALE, _XI_INTS = scaled_integers(list(XI_ON_W.values()))
+
+
+def _push_target(images: Sequence[tuple[Fraction, ...]]) -> tuple[list, list[int]]:
+    """The nonzero (k, value) cells of each image by slot and XI_ON_V, over
+    one lcm, and XI_ON_V also times _XI_SCALE: the integer push of XI_ON_W."""
+    n = SURFACE.dim
+    _, ints = scaled_integers([x for vec in (*images, XI_ON_V) for x in vec])
+    *rows, target = (ints[k : k + n] for k in range(0, len(ints), n))
+    cells = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
+    return cells, [a * _XI_SCALE for a in target]
+
+
+_PUSH_TARGETS = tuple(map(_push_target, _IMAGES))
 
 
 def surface_slots(theta: Pt) -> dict[str, int]:
@@ -385,16 +399,16 @@ def _same_coset_pairing(slots: dict[str, int], theta: Pt) -> Fraction:
 
 
 def _compositions_agree(slots: dict[str, int]) -> bool:
-    """Both fourfolds send xi|_W = XI_ON_W to xi|_V."""
-    weights = [Fraction(0)] * (SIDE + 1)
-    for label, c in XI_ON_W.items():
+    """Both fourfolds send xi|_W = XI_ON_W to xi|_V, compared in integers."""
+    weights = [0] * (SIDE + 1)
+    for label, c in zip(XI_ON_W, _XI_INTS):
         weights[slots[label]] += c
-    for images in _IMAGES:
-        pushed = [Fraction(0)] * SURFACE.dim
-        for w, image in zip(weights, images):
-            for k in support(image):
-                pushed[k] += w * image[k]
-        if tuple(pushed) != XI_ON_V:
+    for cells, target in _PUSH_TARGETS:
+        pushed = [0] * SURFACE.dim
+        for w, image in zip(weights, cells):
+            for k, a in image:
+                pushed[k] += w * a
+        if pushed != target:
             return False
     return True
 

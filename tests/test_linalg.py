@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kum3check.linalg import (
@@ -367,6 +367,23 @@ def test_sparse_back_substitution_matches_fraction_formulas_on_banded_matrices()
         assert len(got[1]) == 3
         for v in got[1]:
             assert mat.mat_vec(v) == (Fraction(0),) * 30
+    # Kernel vectors and solutions whose start reaches the rows above it only
+    # through pivots solved before them, and a start that meets two rows at
+    # once, so that the lower one must be solved first.
+    chains = [
+        ([[2, 3, 0, 0], [0, 5, 7, 0], [0, 0, 3, 4]], [0, 0, 1]),
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], [0, 0, 2]),
+        ([[1, 1, 1], [0, 1, 1], [0, 0, 1]], [1, 1, 0]),
+    ]
+    for rows, b in chains:
+        entries, width = _fixed(rows)
+        mat = Matrix(entries)
+        assert (rank(mat), kernel_basis(mat)) == _ref_rank_and_kernel(entries, width)
+        assert all(x for v in kernel_basis(mat) for x in v)
+        square = [row[:3] for row in entries]
+        assert _solve_against_oracle(square, [Fraction(x) for x in b], 3) == "unique"
+    # a row reached through a solved pivot whose tail still sums to 0
+    assert kernel_basis(Matrix([[1, 1, 1], [0, 1, 1]])) == [(0, -1, 1)]
 
 
 def test_matrix_coerces_only_rows_that_need_it():
@@ -491,7 +508,18 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
 # the sparse elimination against the dense integer elimination it replaced
 
 
+def _fixed(rows):
+    """A fixed (entries, width) input in the form ``matrices()`` draws."""
+    return [[Fraction(x) for x in row] for row in rows], len(rows[0])
+
+
 @given(matrices(max_rows=7, max_cols=7))
+# pivot rows with content 2 and 4, each update with a == 1 done in place
+@example(_fixed([[2, 4, 6, 0], [0, 4, 8, 12], [3, 1, 0, 2], [1, 0, 5, 1]]))
+# updates with a != 1 under negative pivots (a = -3 twice, then a = -17)
+@example(_fixed([[-3, 1, 2], [2, 5, 1], [4, -1, 7]]))
+# a != 1 where g0 = gcd(p/k, m) > 1: pivot 6 (content 1) against m = 4
+@example(_fixed([[6, 1, 5], [4, 3, 0], [-9, 2, 2]]))
 def test_sparse_echelon_matches_the_dense_elimination(matrix):
     entries, m = matrix
     echelon, pivots = Matrix(entries)._echelon_form()

@@ -289,6 +289,39 @@ def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, surface, monke
         )
 
 
+def _delta_to_slot_7(theta, slots):
+    slots["delta"] = 7
+    return slots
+
+
+def _s_to_another_coset(theta, slots):
+    # a class outside the coset of s_0, so the same-coset pairing still holds
+    label = next(s_label(a) for a in ALPHAS[1:] if a != add(ALPHAS[0], theta))
+    slots[label] = (slots[label] + 1) % wgeometry.SIDE
+    return slots
+
+
+@pytest.mark.parametrize("wrong_slots", [_delta_to_slot_7, _s_to_another_coset])
+def test_compositions_disagree_under_a_wrong_slot_map(
+    model, gram, surface, monkeypatch, wrong_slots
+):
+    true_slots = wgeometry.surface_slots
+
+    def mutated(theta):
+        return wrong_slots(theta, true_slots(theta))
+
+    for theta in THETAS:
+        assert wgeometry._compositions_agree(true_slots(theta))
+        assert not wgeometry._compositions_agree(mutated(theta))
+    monkeypatch.setattr(wgeometry, "surface_slots", mutated)
+    message = "^xi restrictions to the surface disagree between the two sides$"
+    for theta in (THETAS[0], THETAS[-1]):
+        with pytest.raises(ValueError, match=message):
+            restrict_w_other(
+                model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
+            )
+
+
 def test_w_other_restrictions(model, others):
     for other in others:
         coeffs = other.coeffs
