@@ -520,6 +520,8 @@ def _fixed(rows):
 @example(_fixed([[-3, 1, 2], [2, 5, 1], [4, -1, 7]]))
 # a != 1 where g0 = gcd(p/k, m) > 1: pivot 6 (content 1) against m = 4
 @example(_fixed([[6, 1, 5], [4, 3, 0], [-9, 2, 2]]))
+# updated rows whose new first column is c + 1 and one whose is past it
+@example(_fixed([[1, 1, 1, 0], [1, 1, 0, 1], [1, 2, 0, 0]]))
 def test_sparse_echelon_matches_the_dense_elimination(matrix):
     entries, m = matrix
     echelon, pivots = Matrix(entries)._echelon_form()
