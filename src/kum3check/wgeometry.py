@@ -355,8 +355,8 @@ _XI_SCALE, _XI_INTS = scaled_integers(list(XI_ON_W.values()))
 
 
 def _push_target(images: Sequence[tuple[Fraction, ...]]) -> tuple[list, list[int]]:
-    """The nonzero (k, value) cells of each image by slot and XI_ON_V, over
-    one lcm, and XI_ON_V also times _XI_SCALE: the integer push of XI_ON_W."""
+    """The images by slot as nonzero (k, value) cells, and XI_ON_V times
+    _XI_SCALE, over one lcm: the cells that push _XI_INTS, and its target."""
     n = SURFACE.dim
     _, ints = scaled_integers([x for vec in (*images, XI_ON_V) for x in vec])
     *rows, target = (ints[k : k + n] for k in range(0, len(ints), n))
