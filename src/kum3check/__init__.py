@@ -5,8 +5,9 @@ the constant table, basis expansions, restriction solves, rank and kernel
 certificates and cohomology bookkeeping for Kum3-type sixfolds, and
 compares every value against its expected result.
 
-Importing the package loads none of its modules: each public name is
-imported from its defining module on first use (PEP 562).  So ``import
+Importing the package loads none of its modules: each public name but
+``__version__`` and ``SUITE_NAMES`` is imported from its defining module
+on first use (PEP 562).  So ``import
 kum3check.cli`` and a config load compile only ``cli`` and ``config``; the
 derivation modules (``engine``, ``suites``, ``wgeometry``, ``kummer``,
 ``quadspace``, ``fujiki``, ``bookkeeping``) are compiled when a suite runs.
@@ -14,10 +15,19 @@ derivation modules (``engine``, ``suites``, ``wgeometry``, ``kummer``,
 
 __version__ = "0.1.0"
 
+# The suites in report order, then "all".  They are written here, on the
+# load path, so that ``list-suites`` compiles no derivation module;
+# ``suites`` checks its builder table against them when it is imported.
+SUITE_NAMES = (
+    "fujiki-table", "basis-lemma", "w-classes", "w17-rank",
+    "gram19", "restrictions", "d-classes", "bookkeeping", "all",
+)
+
 # Each public name and the module that defines it.  The table is written
 # inside ``__all__``, so each public name is listed once, in ``__all__``.
 __all__ = [
     "__version__",
+    "SUITE_NAMES",
     *(_HOME := {
         "ConfigDocument": "config",
         "ConfigError": "config",
@@ -30,7 +40,6 @@ __all__ = [
         "SuiteReport": "report",
         "emit_json": "report",
         "emit_markdown": "report",
-        "SUITE_NAMES": "suites",
         "run_suite": "suites",
     }),
 ]

@@ -5,13 +5,14 @@ configuration or usage errors.
 
 Loading or rejecting a document needs only ``config``: the engine, the
 suites and the report are imported when a suite runs, and ``list-suites``
-imports the suite names it prints.
+prints the names that the package itself holds.
 """
 
 import argparse
 import json
 import sys
 
+from . import SUITE_NAMES
 from .config import ConfigDocument, ConfigError, default_config, load_config
 
 
@@ -70,8 +71,6 @@ def _load(path: str | None) -> ConfigDocument:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-suites":
-        from .suites import SUITE_NAMES
-
         for name in SUITE_NAMES:
             print(name)
         return 0

@@ -13,20 +13,27 @@ and its kin).  The sign-translation group acting on the labels, and the
 orbit sums that check these counts by brute force, live with the tests
 in ``tests/label_group.py``.
 
-The three certificate builders produce exact Gram-style matrices whose
-ranks establish that {c2, the sixteen W classes} are independent in
-degree 4, that multiplication by qbar is injective on their span, and
-that the 256 D classes span a 241-dimensional space.
+The three certificate builders establish that {c2, the sixteen W
+classes} are independent in degree 4, that multiplication by qbar is
+injective on their span, and that the 256 D classes span a
+241-dimensional space.  None builds its pairing matrix A: each eliminates
+M = P*A, for P a row permutation times a unit lower-bidiagonal matrix.
+det P = +-1, so M has the rank, pivot columns, reduced echelon kernel
+basis and kernel of A.  The rows of M are differences of rows of A,
+written from their nonzero cells: for the independence (17x138) and
+injectivity (17x17) matrices, the c2 row, W_0, then W_t - W_{t-1}; for
+the D-class Gram G, which takes one value on the diagonal, one inside a
+block and one across blocks, G_i - G_{i-1} (two nonzero cells inside a
+block, at most 2*block_size at a boundary), then G_0.
 
-The D-class Gram G takes three values: one on the diagonal, one inside a
-block and one across blocks.  Its certificate never builds G.  It
-eliminates M = P*G instead, whose rows are the differences of consecutive
-Gram rows followed by the first row.  P is a row permutation times a unit
-lower-bidiagonal matrix, so it is invertible over the integers and M has
-the same row space as G: the same rank, pivot columns and reduced echelon
-kernel basis, and G*v = 0 exactly when M*v = 0.  A difference row has two
-nonzero cells inside a block and at most 2*block_size at a block boundary,
-so the elimination of M is cheap where that of the dense G is not.
+The order of M's rows sets the cost of the elimination, which pivots each
+column on the first row that leads there.  The D step rows come in pivot
+order: the inside rows, then the boundary rows, then G_0.  So each column
+that an inside row leads is pivoted by that two-cell row, whose pivot
+cell is 1 once its content is divided out, and every row it updates keeps
+its multiplier 1 and changes in place.  In the order i = 1, ..., n-1 a
+reduced boundary row would pivot the next block's columns, and its pivot
+cell would rescale every row below it.
 """
 
 from fractions import Fraction
@@ -149,39 +156,42 @@ def deg4_independence_certificate(
     """Rows c2 and the sixteen W classes; full rank means independence.
 
     Columns pair against qbar^2, qbar*z, all W squares and all W pairs.
+    The certificate matrix is M = P*A for the pairing matrix A (see the
+    module docstring): the c2 row, W_0, then W_t - W_{t-1}, nonzero only
+    in the squares of t and t-1 and the 28 pairs that hold one of them.
     The separating gap is the single nonzero entry pattern by which the
-    column of one W square distinguishes its own row from every other.
+    column of one W square distinguishes its own row of A from every
+    other; on M, column w_t^2 less column w_u^2 is gap * P(e_{1+t} - e_{1+u}).
     """
     n = LABEL_COUNT
     pairings = derive_w_pairings(data)
     pairs = list(combinations(range(n), 2))
-
-    rows = []
-    c2_row = (
-        [data.c2_qbar2, data.c2_qbarz]
-        + [pairings.c2_w_sq] * n
-        + [pairings.c2_w_pair] * len(pairs)
-    )
-    rows.append(c2_row)
-    for t in range(n):
-        row = [data.qbar2_w, data.qbarz_w]
-        row += [data.w_cube if s == t else data.w_sq_w_other for s in range(n)]
-        row += [
-            data.w_sq_w_other if t in (s, u) else data.w_triple_distinct
-            for s, u in pairs
-        ]
-        rows.append(row)
-
-    matrix = Matrix(rows)
+    column = [[0] * n for _ in range(n)]  # the column of the pair {s, u}
+    for k, (s, u) in enumerate(pairs, 2 + n):
+        column[s][u] = column[u][s] = k
     gap = data.w_cube - data.w_sq_w_other
-    # column of w_t^2 minus column of w_u^2 must be gap * (e_t - e_u) on W rows,
-    # that is, each row's w^2 cells, less gap in the row's own column, agree;
-    # read on the sparse integer rows, each scaled by its one denominator
-    dens, sparse = matrix._scaled
-    levels = [
-        [cells.get(2 + t, 0) - (gap * den if r == 1 + t else 0) for t in range(n)]
-        for r, (den, cells) in enumerate(zip(dens, (dict(zip(*row)) for row in sparse)))
-    ]
+    apart = data.w_sq_w_other - data.w_triple_distinct
+
+    def step_row(t: int) -> dict[int, Fraction]:
+        """The cells of W_t - W_{t-1}: the pairs of t and of t-1 with a third label."""
+        third = [s for s in range(n) if s != t and s != t - 1]
+        row = dict.fromkeys(map(column[t].__getitem__, third), apart)
+        row.update(dict.fromkeys(map(column[t - 1].__getitem__, third), -apart))
+        row[1 + t], row[2 + t] = -gap, gap
+        return row
+
+    c2_row = [data.c2_qbar2, data.c2_qbarz, *repeat(pairings.c2_w_sq, n)]
+    c2_row += repeat(pairings.c2_w_pair, len(pairs))
+    w0_row = [data.qbar2_w, data.qbarz_w, data.w_cube, *repeat(data.w_sq_w_other, n - 1)]
+    w0_row += [data.w_sq_w_other if s == 0 else data.w_triple_distinct for s, _ in pairs]
+    matrix = Matrix([c2_row, w0_row, *map(step_row, range(1, n))])
+    # row r of P is e_r, less e_{r-1} from r = 2 on: the identity holds when
+    # each row's w^2 cells, less gap * P[r][1+t] in the column of w_t^2,
+    # agree; read on the sparse integer rows, each scaled by its denominator
+    levels = []
+    for r, (den, row) in enumerate(zip(*matrix._scaled)):
+        cells, shift = dict(zip(*row)), {r - 1: gap * den, r - 2: -gap * den}
+        levels.append([cells.get(2 + t, 0) - shift.get(t, 0) for t in range(n)])
     if any(level.count(level[0]) != n for level in levels):
         r, t, u = next(
             (r, t, u)
@@ -215,17 +225,19 @@ class InjectivityCertificate(NamedTuple):
 def qbar_injectivity_certificate(
     data: FixedClassIntersections,
 ) -> InjectivityCertificate:
-    """Full rank means multiplication by qbar is injective on the span."""
+    """Full rank means multiplication by qbar is injective on the span.
+
+    The certificate matrix is M = P*A for the Gram A: the c2 row, W_0,
+    then W_t - W_{t-1}, whose two cells are +-(qbar*w_tau^2 - qbar*w_tau*w_tau').
+    """
     n = LABEL_COUNT
     qbar_c2_w = data.ratio * data.qbar2_w + data.qbarz_w
-    rows = [[data.qbar_c2_sq] + [qbar_c2_w] * n]
-    for t in range(n):
-        row = [qbar_c2_w]
-        row += [
-            data.qbar_w_sq if s == t else data.qbar_w_pair for s in range(n)
-        ]
-        rows.append(row)
-    matrix = Matrix(rows)
+    step = data.qbar_w_sq - data.qbar_w_pair
+    matrix = Matrix([
+        [data.qbar_c2_sq, *repeat(qbar_c2_w, n)],
+        [qbar_c2_w, data.qbar_w_sq, *repeat(data.qbar_w_pair, n - 1)],
+        *({t: -step, 1 + t: step} for t in range(1, n)),
+    ])
     trail = (
         f"qbar*c2*w_tau = ratio*{data.qbar2_w} "
         f"+ {data.qbarz_w} = {qbar_c2_w}",
@@ -265,13 +277,14 @@ def d_gram_certificate(
 
     The Gram G (``diagonal`` on the diagonal, ``same_block`` inside a
     block, ``cross_block`` elsewhere) is never built.  Rank, kernel and the
-    difference-relation check run on M = P*G, whose rows are
-    G_i - G_{i-1} for i = 1, ..., n-1 followed by G_0, each written from
-    the three constants.  det P = +-1, so M has the rank, pivot columns,
-    reduced echelon kernel basis and kernel of G (see the module
-    docstring).  M and the difference relations are written from their
-    nonzero cells, as ``{column: value}`` rows, so no zero cell of either
-    is built or scanned; only the last row of M is dense.
+    difference-relation check run on M = P*G, whose rows are G_i - G_{i-1}
+    for the i inside a block, then for the i at a block boundary, then
+    G_0, each written from the three constants.  det P = +-1, so M has the
+    rank, pivot columns, reduced echelon kernel basis and kernel of G; the
+    module docstring says why the rows come in this order.  M and the
+    difference relations are written from their nonzero cells, as
+    ``{column: value}`` rows, so no zero cell of either is built or
+    scanned; only the last row of M is dense.
     """
     row_total = diagonal + (block_size - 1) * same_block
     cross_block = Fraction(row_total, block_size)
@@ -296,7 +309,8 @@ def d_gram_certificate(
 
     first_row = {j: same_block if j < block_size else cross_block for j in range(m)}
     first_row[0] = diagonal
-    steps = Matrix([*(step_row(i) for i in range(1, m)), first_row], m)
+    inside_first = sorted(range(1, m), key=lambda i: i % block_size == 0)
+    steps = Matrix([*map(step_row, inside_first), first_row], m)
 
     gram_rank = rank(steps)
     kernel = kernel_basis(steps)

@@ -25,9 +25,10 @@ zero cells are ``ZERO`` itself.  A matrix is not hashable.
 use: the vector is scaled to integers once, each of its nonzero cells
 adds into the rows that meet its column, and a zero cell costs nothing.
 A row that meets no nonzero cell of the vector yields ``ZERO`` without a
-``Fraction`` call; every other result is one ``Fraction``.  ``pair``
-forms the integer row combination first and reads the second vector only
-where that combination is nonzero.
+``Fraction`` call; every other result is one ``Fraction``.  ``pairings``
+gives u^T M v for two families of vectors: it scales each vector once and
+forms the integer row combination u^T M once per u.  ``combine`` sums
+c * v over one common denominator, one ``Fraction`` per cell.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
 same sparse rows: the pivot row is divided by its content (gcd of the
@@ -210,27 +211,36 @@ class Matrix:
             Fraction(t, den * scale) if t else ZERO for t, den in zip(acc, dens)
         )
 
-    def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
-        """The bilinear form u^T M v.
+    def pairings(
+        self, us: Iterable[Sequence[RationalLike]], vs: Iterable[Sequence[RationalLike]]
+    ) -> tuple[tuple[Fraction, ...], ...]:
+        """The bilinear forms u^T M v, one row per u and one cell per v.
 
-        The integer row combination w = u^T M is formed first, so only the
-        entries of v where w is nonzero are read.
+        Every vector is scaled to integers once, and the integer row
+        combination u^T M is formed once per u, over the lcm of all row
+        denominators.
         """
-        if len(u) != self.rows or len(v) != self.cols:
+        us, vs = [vector(u) for u in us], [vector(v) for v in vs]
+        if any(len(u) != self.rows for u in us) or any(len(v) != self.cols for v in vs):
             raise ValueError("vector length does not match matrix shape")
         dens, sparse = self._scaled
-        u_index = [i for i, a in enumerate(u) if a]
-        u_scale, u_ints = scaled_integers([rat(u[i]) for i in u_index])
-        row_scale = lcm(*(dens[i] for i in u_index))
-        w = [0] * self.cols
-        for i, a in zip(u_index, u_ints):
-            k = a * (row_scale // dens[i])
-            for j, b in zip(*sparse[i]):
-                w[j] += k * b
-        v_index = [j for j, c in enumerate(w) if c]
-        v_scale, v_ints = scaled_integers([rat(v[j]) for j in v_index])
-        total = sum(map(mul, map(w.__getitem__, v_index), v_ints))
-        return Fraction(total, u_scale * row_scale * v_scale) if total else ZERO
+        row_scale = lcm(*dens)
+        scaled_vs = [scaled_integers(v) for v in vs]
+        out = []
+        for u in us:
+            u_index = support(u)
+            u_scale, u_ints = scaled_integers([u[i] for i in u_index])
+            w = [0] * self.cols
+            for i, a in zip(u_index, u_ints):
+                k = a * (row_scale // dens[i])
+                for j, b in zip(*sparse[i]):
+                    w[j] += k * b
+            totals = [sum(map(mul, w, v_ints)) for _, v_ints in scaled_vs]
+            out.append(tuple(
+                Fraction(t, u_scale * row_scale * v_scale) if t else ZERO
+                for t, (v_scale, _) in zip(totals, scaled_vs)
+            ))
+        return tuple(out)
 
     def to_lists(self) -> list[list[str]]:
         """Rows rendered in the ``p/q`` wire format (for reports and trails)."""
@@ -347,6 +357,20 @@ def _back_substitute(
                     heappush(heap, pos)
         solutions.append(tuple(Fraction(a, den) if a else ZERO for a in x))
     return solutions
+
+
+def combine(terms: Iterable[tuple[RationalLike, Sequence[Fraction]]]) -> tuple[Fraction, ...]:
+    """The sum of c * v over the (c, v) terms, accumulated in integers over
+    one common denominator; () for no terms."""
+    scaled = [(rat(c), *scaled_integers(vector(v))) for c, v in terms]
+    if not scaled:
+        return ()
+    den = lcm(*(c.denominator * scale for c, scale, _ in scaled))
+    acc = [0] * len(scaled[0][2])
+    for c, scale, ints in scaled:
+        k = c.numerator * (den // (c.denominator * scale))
+        acc = [a + k * b for a, b in zip(acc, ints, strict=True)]
+    return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
 
 def rank(m: Matrix) -> int:

@@ -9,6 +9,7 @@ aborting the suite.
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from . import SUITE_NAMES
 from .bookkeeping import rank_table_matches_diamond, rep_dims
 from .engine import Engine
 from .fujiki import evaluate_fujiki, qbar_factor
@@ -421,9 +422,9 @@ def _restrictions_checks(e: Engine) -> list[Check]:
     )
     _add(
         checks, "dual square via nineteen classes", REF_REST, 252,
-        lambda: e.gram19.pair(
-            e.qbar_restriction.coeffs, e.qbar_restriction.coeffs
-        ),
+        lambda: e.gram19.pairings(
+            [e.qbar_restriction.coeffs], [e.qbar_restriction.coeffs]
+        )[0][0],
     )
     return checks
 
@@ -630,7 +631,8 @@ _BUILDERS: dict[str, Callable[[Engine], list[Check]]] = {
     "bookkeeping": _bookkeeping_checks,
 }
 
-SUITE_NAMES = tuple(_BUILDERS) + ("all",)
+if SUITE_NAMES != (*_BUILDERS, "all"):
+    raise ImportError("the suite builders do not match kum3check.SUITE_NAMES")
 
 
 def run_suite(engine: Engine, name: str) -> SuiteReport:

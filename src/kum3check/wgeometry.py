@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .config import H2_LABELS
 from .kummer import Pt, ZERO, two_torsion
-from .linalg import Matrix, RationalLike, scaled_integers, solve_linear
+from .linalg import Matrix, RationalLike, combine, scaled_integers, solve_linear
 from .quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -594,7 +594,7 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     return SPrimeVectors(
         products=products,
         sum_squares=sum_sq,
-        sum_mixed_all=tuple(map(sum, zip(*per_theta))),
+        sum_mixed_all=combine((1, v) for v in per_theta),
         per_theta=tuple(per_theta),
         identity_holds=identity,
     )
@@ -645,7 +645,8 @@ def restrict_w_self(
     others_by_theta = {o.theta: o.coeffs for o in others}
     if set(others_by_theta) != set(THETAS):
         raise ValueError("need the restriction of every other fourfold")
-    other_sum = tuple(map(sum, zip(*others_by_theta.values())))
+    other_vecs = [others_by_theta[theta] for theta in THETAS]
+    other_sum = combine((1, v) for v in other_vecs)
 
     # the class pairs equally with every other fourfold, so it pairs to zero
     # with any difference of two of them; on the shifted-divisor sums that
@@ -653,16 +654,14 @@ def restrict_w_self(
     # which forces one shared coefficient for all nonzero shifts
     uniform_ok = True
     t0, t1 = THETAS[0], THETAS[1]
-    diff = [
-        a - b for a, b in zip(others_by_theta[t0], others_by_theta[t1])
-    ]
-    base = gram.pair(sprime.per_theta[THETAS.index(t0)], diff)
+    diff = combine(((1, others_by_theta[t0]), (-1, others_by_theta[t1])))
+    shift_pairings = [got for (got,) in gram.pairings(sprime.per_theta, [diff])]
+    base = shift_pairings[THETAS.index(t0)]
     # support value fixed by the shifted-divisor normalisation: each other
     # fourfold carries its shift block with weight -16 * (128/4)
     if base != -16 * Fraction(128, 4):
         uniform_ok = False
-    for k, theta in enumerate(THETAS):
-        got = gram.pair(sprime.per_theta[k], diff)
+    for theta, got in zip(THETAS, shift_pairings):
         want = base if theta == t0 else (-base if theta == t1 else Fraction(0))
         if got != want:
             uniform_ok = False
@@ -670,32 +669,23 @@ def restrict_w_self(
     e_qbar = class_coeffs({QBAR: 1})
     tests = (e_qbar, other_sum, g1)
     generators = (g1, g2, g3)
-    system = Matrix(
-        [[gram.pair(t, g) for g in generators] for t in tests]
-    )
+    system = Matrix(gram.pairings(tests, generators))
     qbar_rhs = (c4_w_component - c4_degree) / c2_qbar_ratio
     rhs = (qbar_rhs, len(THETAS) * w_sq_w_other, qbar_w_sq)
     eta, beta, gamma = solve_linear(system, rhs)
 
-    final = tuple(
-        eta * a + beta * b + gamma * c for a, b, c in zip(g1, g2, g3)
-    )
-    pair_other_values = {
-        gram.pair(final, coeffs) for coeffs in others_by_theta.values()
-    }
+    final = combine(((eta, g1), (beta, g2), (gamma, g3)))
+    # the final class against each other restriction, the dual class,
+    # itself and the restricted ambient dual
+    *with_others, qbar_pairing, self_square, ambient_dual = gram.pairings(
+        [final], [*other_vecs, e_qbar, final, g1]
+    )[0]
+    pair_other_values = set(with_others)
     if len(pair_other_values) != 1:
         raise ValueError("self-restriction does not pair equally with the others")
-    cross_values = set()
-    self_other_values = set()
-    for ta in THETAS:
-        self_other_values.add(
-            gram.pair(others_by_theta[ta], others_by_theta[ta])
-        )
-        for tb in THETAS:
-            if ta < tb:
-                cross_values.add(
-                    gram.pair(others_by_theta[ta], others_by_theta[tb])
-                )
+    among = gram.pairings(other_vecs, other_vecs)
+    self_other_values = {row[a] for a, row in enumerate(among)}
+    cross_values = {x for a, row in enumerate(among) for x in row[a + 1 :]}
     if len(cross_values) != 1 or len(self_other_values) != 1:
         raise ValueError("pairings among other-fourfold restrictions are not uniform")
 
@@ -715,12 +705,12 @@ def restrict_w_self(
         gamma=gamma,
         system=system,
         rhs=rhs,
-        qbar_pairing=gram.pair(final, e_qbar),
-        self_square=gram.pair(final, final),
+        qbar_pairing=qbar_pairing,
+        self_square=self_square,
         pair_with_other=pair_other_values.pop(),
         other_self_square=self_other_values.pop(),
         other_cross=cross_values.pop(),
-        ambient_dual_pairing=gram.pair(final, g1),
+        ambient_dual_pairing=ambient_dual,
         shift_uniformity_ok=uniform_ok,
         trail=trail,
     )

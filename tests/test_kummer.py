@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from unittest import mock
 
@@ -291,12 +292,21 @@ def test_d_gram_certificate_matches_the_dense_gram(constants):
 # the square-column gap check against the pairwise loop it replaced
 
 
+def _row_transform(n):
+    """P with M = P*A for the 1 + n rows c2, W_0, ..., W_{n-1} of A: row r
+    of P is e_r, less e_{r-1} from r = 2 on."""
+    return [[int(c == r) - int(r >= 2 and c == r - 1) for c in range(n + 1)] for r in range(n + 1)]
+
+
 def _ref_gap_failure(rows, gap, n):
+    """The first (pair, row) at which column w_t^2 - column w_u^2 of the
+    rows of M differs from gap * P(e_{1+t} - e_{1+u})."""
+    p = _row_transform(n)
     for t in range(n):
         for u in range(t + 1, n):
             for r, row in enumerate(rows):
                 diff = row[2 + t] - row[2 + u]
-                want = gap * ((1 if r == 1 + t else 0) - (1 if r == 1 + u else 0))
+                want = gap * (p[r][1 + t] - p[r][1 + u])
                 if diff != want:
                     return f"square-column gap identity fails at row {r}, pair ({t},{u})"
     return None
@@ -310,8 +320,14 @@ def _ref_gap_failure(rows, gap, n):
 def test_gap_check_matches_the_pairwise_loop(intersections, r, t, delta):
     built = []
 
-    def perturbed(rows):
-        rows = [list(row) for row in rows]
+    def perturbed(rows, cols=None):
+        # rows of M come as cell sequences or as {column: value} mappings
+        rows = list(rows)
+        cols = cols or len(rows[0])
+        rows = [
+            [row.get(j, 0) for j in range(cols)] if isinstance(row, Mapping) else list(row)
+            for row in rows
+        ]
         rows[r][2 + t] += delta
         built.append(rows)
         return Matrix(rows)

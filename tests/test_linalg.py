@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kum3check.linalg import (
     ZERO,
     Matrix,
+    combine,
     kernel_basis,
     rank,
     rat,
@@ -450,10 +451,65 @@ def test_pair_is_the_bilinear_form():
     m = Matrix([[Fraction(1, 2), 3], [3, Fraction(-2, 5)]])
     u, v = (Fraction(2, 3), -1), (5, Fraction(1, 4))
     want = sum(u[i] * m.entries[i][j] * v[j] for i in range(2) for j in range(2))
-    assert m.pair(u, v) == want
-    assert Matrix([[1, 2, 3]]).pair((2,), (1, 0, -1)) == -4
+    assert m.pairings([u], [v]) == ((want,),)
+    assert Matrix([[1, 2, 3]]).pairings([(2,)], [(1, 0, -1)]) == ((-4,),)
     with pytest.raises(ValueError):
-        m.pair((1,), (1, 2))
+        m.pairings([(1,)], [(1, 2)])
+    with pytest.raises(ValueError):
+        m.pairings([(1, 2)], [(1,)])
+    with pytest.raises(ValueError):
+        combine([(1, (1, 2)), (1, (1,))])
+
+
+def _ref_combine(terms):
+    if not terms:
+        return ()
+    return tuple(
+        sum((c * v[j] for c, v in terms), Fraction(0)) for j in range(len(terms[0][1]))
+    )
+
+
+def _ref_pairings(entries, us, vs):
+    return tuple(
+        tuple(
+            sum(
+                (u[i] * row[j] * v[j] for i, row in enumerate(entries) for j in range(len(v))),
+                Fraction(0),
+            )
+            for v in vs
+        )
+        for u in us
+    )
+
+
+@st.composite
+def vector_families(draw):
+    """A matrix, families of left and right vectors for it, and one
+    coefficient per right vector."""
+    entries, m = draw(matrices(max_rows=5, max_cols=5))
+    us = draw(st.lists(st.lists(rationals, min_size=len(entries), max_size=len(entries)), max_size=3))
+    vs = draw(st.lists(st.lists(rationals, min_size=m, max_size=m), max_size=4))
+    coeffs = draw(st.lists(rationals, min_size=len(vs), max_size=len(vs)))
+    return entries, m, us, vs, coeffs
+
+
+_h, _t, _z = Fraction(1, 2), Fraction(-2, 3), Fraction(0)
+
+
+@given(vector_families())
+@example(([[_z, _z], [_z, _z]], 2, [[_z, _z], [1, _z]], [[_z, _z], [_h, _z]], [_z, _h]))
+@example(([[_h, _t], [Fraction(5, 6), 3]], 2, [[_t, _h]], [[_h, _t], [_t, Fraction(7, 4)]], [_h, _t]))
+@example(([[1, -1], [-1, 1]], 2, [[1, 1]], [[1, -1], [1, -1], [_t, _h]], [-1, 1, Fraction(-3)]))
+@example(([[1, 2]], 2, [], [], []))
+def test_combine_and_pairings_match_fraction_formulas(family):
+    entries, m, us, vs, coeffs = family
+    terms = list(zip(coeffs, vs))
+    combined = combine(terms)
+    assert combined == _ref_combine(terms)
+    paired = Matrix(entries, m).pairings(us, vs)
+    assert paired == _ref_pairings(entries, us, vs)
+    # every zero result is the shared ZERO
+    assert all(x is ZERO for x in (*combined, *(x for row in paired for x in row)) if not x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,16 @@
 
 For the D classes the witness eliminates the Gram G itself, written from
 its three constants, not the row-difference form M the engine eliminates,
-so it also checks that M has the rank and kernel of G.  G is scaled by the
+so it also checks that M has the rank and kernel of G.  The independence
+and injectivity matrices are written densely from the fixed intersections
+too: each engine matrix must be their row-difference form P*A, and A
+itself has rank 17 mod p.  G is scaled by the
 lcm of the constants' denominators and each vector by the lcm of its own,
 so the 256-cell products run on integers.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from unittest import mock
 
@@ -24,6 +28,7 @@ import pytest
 
 from kum3check import kummer
 from kum3check.engine import Engine
+from kum3check.kummer import derive_w_pairings
 from kum3check.linalg import rank
 
 P = 2**61 - 1
@@ -130,3 +135,35 @@ def test_full_rank_witnesses(engine):
     assert [r for _, r in certified] == [17, 17, 19]
     for matrix, r in certified:
         assert _rank_mod_p(matrix.entries) == matrix.rows == r
+
+
+def _row_differences(rows):
+    """P*A for A = rows: the first two rows, then each row less the one before."""
+    return [*rows[:2], *([a - b for a, b in zip(row, prev)] for prev, row in zip(rows[1:], rows[2:]))]
+
+
+def test_w_certificates_are_row_differences_of_their_dense_matrices(engine):
+    data = engine.fixed_intersections
+    pairings = derive_w_pairings(data)
+    n = 16
+    pairs = list(combinations(range(n), 2))
+    independence = [
+        [data.c2_qbar2, data.c2_qbarz]
+        + [pairings.c2_w_sq] * n
+        + [pairings.c2_w_pair] * len(pairs)
+    ]
+    independence += [
+        [data.qbar2_w, data.qbarz_w]
+        + [data.w_cube if s == t else data.w_sq_w_other for s in range(n)]
+        + [data.w_sq_w_other if t in pair else data.w_triple_distinct for pair in pairs]
+        for t in range(n)
+    ]
+    qbar_c2_w = data.ratio * data.qbar2_w + data.qbarz_w
+    injectivity = [[data.qbar_c2_sq] + [qbar_c2_w] * n]
+    injectivity += [
+        [qbar_c2_w] + [data.qbar_w_sq if s == t else data.qbar_w_pair for s in range(n)]
+        for t in range(n)
+    ]
+    for cert, dense in ((engine.independence, independence), (engine.injectivity, injectivity)):
+        assert cert.matrix.entries == tuple(map(tuple, _row_differences(dense)))
+        assert _rank_mod_p(dense) == len(dense) == cert.rank == 17

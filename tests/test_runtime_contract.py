@@ -18,7 +18,8 @@ A static pass over ``src/kum3check`` flags:
 
 A subprocess test pins the cold-start side of the last rule, and the load
 path: importing ``kum3check.cli`` and loading a document, accepted or
-rejected, compiles none of the derivation modules.
+rejected, compiles none of the derivation modules.  Another pins that
+``list-suites`` compiles none of them either.
 """
 
 import ast
@@ -116,11 +117,25 @@ def test_the_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
         f"from kum3check.cli import main; status = main(['verify', 'all', '--config', {str(rejected)!r}])": "2",
     }
     for statements, status in cases.items():
-        code = (
-            f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statements}; "
-            f"print(status, sorted({sorted(watched)!r} & sys.modules.keys()))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
-        )
-        assert proc.stdout.splitlines()[-1] == f"{status} []", statements
+        assert _run_and_list_modules(statements, watched)[-1] == f"{status} []", statements
+
+
+def _run_and_list_modules(statements, watched):
+    """The stdout lines of a fresh interpreter that runs ``statements`` and
+    then prints ``status`` and the watched modules it has loaded."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statements}; "
+        f"print(status, sorted({sorted(watched)!r} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    return proc.stdout.splitlines()
+
+
+def test_list_suites_loads_no_derivation_module():
+    from kum3check.suites import SUITE_NAMES
+
+    watched = {f"kum3check.{name}" for name in DERIVATION}
+    lines = _run_and_list_modules("from kum3check.cli import main; status = main(['list-suites'])", watched)
+    assert lines == [*SUITE_NAMES, "0 []"]

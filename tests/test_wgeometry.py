@@ -236,7 +236,7 @@ def test_qbar_restriction_coefficients(model, gram, qbar_rest):
     assert coeffs[2] == Fraction(31, 32)
     assert all(coeffs[3 + k] == Fraction(-1, 32) for k in range(15))
     assert coeffs[18] == Fraction(-1, 4)
-    assert gram.pair(coeffs, coeffs) == 252
+    assert gram.pairings([coeffs], [coeffs]) == ((252,),)
 
 
 def test_v_restriction_data():
@@ -428,7 +428,7 @@ def test_gram_pairing_matches_direct_pairing(model, gram):
     u = tuple(Fraction(k % 4 - 1, 2) for k in range(19))
     v = tuple(Fraction((k * 3) % 5 - 2, 3) for k in range(19))
     direct = sym2_pair(combination(model, u), combination(model, v))
-    assert gram.pair(u, v) == direct
+    assert gram.pairings([u], [v]) == ((direct,),)
 
 
 def test_sprime_squares_expand_by_hand(model):
