@@ -7,13 +7,15 @@ scan finds the fields in the class definition and flags, in every other
 module, an attribute access or a ``getattr`` with a literal name of any
 other field.  It matches by attribute name, so it also flags another
 package class that defines a member of the same name: such a name would
-hide a read of the document behind an unrelated class.
+hide a read of the document behind an unrelated class.  A path in a
+``SUITES`` row (``"doc.named_entries"``) is read by ``getattr`` segment by
+segment, so a segment that names a closed field is flagged as well.
 """
 
 import ast
 from pathlib import Path
 
-from test_dead_code import SRC, _members, _parse, _slot_names
+from test_dead_code import SRC, _members, _parse, _slot_names, row_paths
 
 OPEN_FIELDS = {"h2_labels", "h2_squares"}
 
@@ -40,6 +42,12 @@ def config_read_violations(root: Path = SRC) -> list[str]:
                 found.append(f"{module}:{node.lineno}: {cls}.{name} shadows a document field")
         if module == "config":
             continue
+        for cell, path in row_paths(tree):
+            found += [
+                f"{module}:{cell.lineno}: reads .{name}"
+                for name in path.split(".")
+                if name in closed
+            ]
         for leaf in ast.walk(tree):
             if isinstance(leaf, ast.Attribute) and leaf.attr in closed:
                 found.append(f"{module}:{leaf.lineno}: reads .{leaf.attr}")
@@ -80,9 +88,20 @@ def test_the_scan_flags_each_bypass(tmp_path):
         "class Cache:\n"
         "    __slots__ = ('named_entries',)\n"
     )
+    (tmp_path / "suites.py").write_text(
+        "SUITES = {\n"
+        "    'named_entries': (\n"
+        "        ('named_entries', 'named_entries', 'named_entries', 'doc.h2_labels'),\n"
+        "        ('row', 'ref', 1, ('doc.h2_squares', 'doc.named_entries')),\n"
+        "        ('trail', 'ref', 1, 'doc.h2_labels', 'doc.named_entries.keys'),\n"
+        "    ),\n"
+        "}\n"
+    )
     assert config_read_violations(tmp_path) == [
         "engine:3: reads .named_entries",
         "engine:4: reads .named_entries",
         "other:3: Table.named_entries shadows a document field",
         "other:5: Cache.named_entries shadows a document field",
+        "suites:4: reads .named_entries",
+        "suites:5: reads .named_entries",
     ]

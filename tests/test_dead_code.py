@@ -16,7 +16,11 @@ Three passes over the package source:
   class does not keep a field ``key`` of another alive.  Special methods
   (``__name__``) are exempt, because the language calls them.  A
   constructor keyword or an assignment is not a read: a field that is set
-  but never read is dead.
+  but never read is dead.  The suite table reads the engine by path
+  strings (``"relations.trail"``), so each segment of a path in the
+  ``value`` or ``trail`` column of a ``SUITES`` row counts as a read too,
+  as ``e.relations.trail`` would; suite names, check ids and other strings
+  do not.
 * Every parameter of a package function or method, nested functions
   included, must be loaded by name in that function's body (a closure's
   read counts).  ``self``, ``cls`` and the parameters of special methods
@@ -90,6 +94,28 @@ def _attribute_reads(node: ast.AST, owner: str | None) -> Counter:
     return reads
 
 
+def row_paths(tree: ast.Module):
+    """(node, path) for each path string in the ``value`` and ``trail``
+    columns of the module's ``SUITES = {suite: (row, ...)}``, whose rows are
+    ``(id, ref, expected, value[, trail])`` and whose columns hold a path, a
+    tuple of paths or a function."""
+    for node in tree.body:
+        if not (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "SUITES" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            continue
+        for rows in node.value.values:
+            for row in getattr(rows, "elts", ()):
+                if not isinstance(row, ast.Tuple):
+                    continue
+                for column in row.elts[3:5]:
+                    for cell in column.elts if isinstance(column, ast.Tuple) else [column]:
+                        if isinstance(cell, ast.Constant) and isinstance(cell.value, str):
+                            yield cell, cell.value
+
+
 def _is_named_tuple(node: ast.ClassDef) -> bool:
     """``class X(NamedTuple)``, as the package spells a record."""
     return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
@@ -130,6 +156,7 @@ def unread_members(root: Path = SRC) -> list[str]:
         for node in tree.body:
             owner = f"{module}.{node.name}" if isinstance(node, ast.ClassDef) else None
             reads += _attribute_reads(node, owner)
+        reads += Counter((None, name) for _, path in row_paths(tree) for name in path.split("."))
     unread = []
     for module, tree in trees.items():
         for cls, name, node in _members(tree):
@@ -239,3 +266,32 @@ def test_the_scan_finds_a_name_that_only_tests_read(tmp_path):
     assert unread_parameters(tmp_path) == [
         "a.keyed.unused", "a.keyed.extra", "a.keyed.inner.value", "a.Owner.pick.dropped"
     ]
+
+
+def test_the_scan_reads_the_paths_of_suite_rows(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Result(NamedTuple):\n"
+        "    by_path: int\n"
+        "    by_tuple: int\n"
+        "    by_trail: int\n"
+        "    nowhere: int\n"
+        "class Engine:\n"
+        "    def result(self):\n        return Result(1, 2, 3, 4)\n"
+        "    def gram19(self):\n        return 0\n"
+        "SUITES = {\n"
+        "    'gram19': (\n"
+        "        ('nowhere', 'gram19', 1, 'result.by_path'),\n"
+        "        ('two', 'ref', 'nowhere', ('result.by_tuple',), 'result.by_trail'),\n"
+        "        ('three', 'ref', 1, lambda e: e.gram19 and 'nowhere'),\n"
+        "    ),\n"
+        "}\n"
+        "print(SUITES, Engine)\n"
+    )
+    # a read inside a function row counts as any read does
+    assert unread_members(tmp_path) == ["a.Result.nowhere"]
+    (tmp_path / "a.py").write_text(
+        (tmp_path / "a.py").read_text().replace("lambda e: e.gram19 and ", "lambda e: ")
+    )
+    # the suite name and the ref "gram19" keep no member alive
+    assert unread_members(tmp_path) == ["a.Result.nowhere", "a.Engine.gram19"]

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kum3check.config import default_config_text, parse_config
-from kum3check.engine import Engine
+from kum3check.engine import Engine, stage
 from kum3check.report import emit_json, emit_markdown
-from kum3check.suites import EXPECTED_CONSTANTS, SUITE_NAMES, run_suite
+from kum3check.suites import EXPECTED_CONSTANTS, SUITE_NAMES, SUITES, run_suite
 
 EXPECTED_COUNTS = {
     "fujiki-table": 23,
@@ -28,6 +28,22 @@ def engine_with(mutate) -> Engine:
 
 def test_suite_names():
     assert SUITE_NAMES == tuple(EXPECTED_COUNTS) + ("all",)
+
+
+def test_rows_name_their_stage_without_a_run():
+    # Each path in a value or trail column starts at an engine stage, so
+    # the table alone tells which stage a row reads.
+    assert tuple(SUITES) == SUITE_NAMES[:-1]
+    rows = [row for suite in SUITES.values() for row in suite]
+    assert sum(not callable(row[3]) for row in rows) >= 100
+    paths = [
+        path
+        for row in rows
+        for column in row[3:]
+        for path in (column if isinstance(column, tuple) else (column,))
+        if isinstance(path, str)
+    ]
+    assert [p for p in paths if not isinstance(Engine.__dict__.get(p.split(".")[0]), stage)] == []
 
 
 def test_every_suite_passes(engine):
