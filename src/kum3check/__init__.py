@@ -16,8 +16,8 @@ derivation modules (``engine``, ``suites``, ``wgeometry``, ``kummer``,
 __version__ = "0.1.0"
 
 # The suites in report order, then "all".  They are written here, on the
-# load path, so that ``list-suites`` compiles no derivation module;
-# ``suites`` checks its suite table against them when it is imported.
+# load path, so that ``list-suites`` compiles no derivation module; a test
+# checks them against the suite table in ``suites``.
 SUITE_NAMES = (
     "fujiki-table", "basis-lemma", "w-classes", "w17-rank",
     "gram19", "restrictions", "d-classes", "bookkeeping", "all",

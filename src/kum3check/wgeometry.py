@@ -113,8 +113,9 @@ def derive_restriction_factor(
     xi_w = xi_restriction_on(nodal)
     xi_w_square = nodal.pair(xi_w, xi_w)
     c_w = fujiki_constant * xi_w_square**2 / xi_square**2
-    factor_sq = c_w / fujiki_constant
-    root = _exact_sqrt(factor_sq)
+    # C(w)/C(1) is the square of q(xi|_W)/xi_square, so its positive root is
+    # that square over |q(xi|_W)/xi_square|
+    root = c_w / fujiki_constant * abs(xi_square / xi_w_square)
     trail = (
         f"q(xi|_W) = {xi_w_square} from the exceptional classes",
         f"C(w) * {xi_square**2} = "
@@ -129,17 +130,6 @@ def derive_restriction_factor(
         xi_restriction_square=xi_w_square,
         trail=trail,
     )
-
-
-def _exact_sqrt(x: Fraction) -> Fraction:
-    if x < 0:
-        raise ValueError("no rational square root of a negative number")
-    from math import isqrt
-
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn != x.numerator or pd * pd != x.denominator:
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(pn, pd)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +379,6 @@ def _near_pair(slots: dict[str, int], a: str, b: str) -> Fraction:
     return Fraction(_NEAR_PAIRINGS[slots[a]][slots[b]], _NEAR_SCALE)
 
 
-def _same_coset_pairing(slots: dict[str, int], theta: Pt) -> Fraction:
-    """q_V of the images of s_0 and s_theta, which must equal that of s_0 with itself."""
-    s0 = s_label(ALPHAS[0])
-    same = _near_pair(slots, s0, s_label(ALPHAS[SHIFTED[theta][0]]))
-    if same != _near_pair(slots, s0, s0):
-        raise ValueError("curve classes in one coset do not pair equally")
-    return same
-
-
 def _compositions_agree(slots: dict[str, int]) -> bool:
     """Both fourfolds send xi|_W = XI_ON_W to xi|_V, compared in integers."""
     weights = [0] * (SIDE + 1)
@@ -451,7 +432,6 @@ def v_restriction_data(
     depends on theta, which only labels the curves.
     """
     slots = surface_slots(theta)
-    same = _same_coset_pairing(slots, theta)
     alpha0, partner = ALPHAS[0], ALPHAS[SHIFTED[theta][0]]
     other_alpha = next(a for a in ALPHAS if a not in (alpha0, partner))
     s0 = s_label(alpha0)
@@ -469,7 +449,7 @@ def v_restriction_data(
     return VRestrictionData(
         delta_sq=delta_sq,
         delta_s=_near_pair(slots, "delta", s0),
-        s_pair_same_coset=same,
+        s_pair_same_coset=_near_pair(slots, s0, s_label(partner)),
         s_pair_other=_near_pair(slots, s0, s_label(other_alpha)),
         xi_sq=xi_sq,
         c_v_pair=c_v,
@@ -505,14 +485,11 @@ def restrict_w_other(
     it is (c2 route) the surface Euler degree plus one normal-bundle term,
     divided by ``c2_qbar_ratio`` (c2 = ratio * qbar on the fourfold).  The
     19x19 system then has a unique solution.  ``surface`` holds the
-    theta-independent surface data; the labelling of the curves by theta is
-    checked here.
+    theta-independent surface data, whose pairings and compositions
+    ``v_restriction_data`` reports for one theta; theta enters here only
+    through its slot map ``surface_slots(theta)``.
     """
     slots = surface_slots(theta)
-    _same_coset_pairing(slots, theta)
-    if not _compositions_agree(slots):
-        raise ValueError("xi restrictions to the surface disagree between the two sides")
-
     slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / c2_qbar_ratio
     rhs = [

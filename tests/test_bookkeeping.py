@@ -22,6 +22,7 @@ from kum3check.bookkeeping import (
     trace_averages,
     weight4_kuenneth_total,
 )
+from kum3check.config import ABELIAN_HODGE_PAIRS, SIXFOLD_HODGE_PAIRS
 
 SIXFOLD_HALF = {
     (0, 0): 1,
@@ -73,31 +74,49 @@ def test_abelian_betti_numbers(abelian):
     assert abelian.row(2) == (1, 4, 1)
 
 
-def test_diamond_from_half_rejects_bad_keys():
-    with pytest.raises(ValueError):
-        diamond_from_half({(0, 1): 1}, 2)
-    with pytest.raises(ValueError):
-        diamond_from_half({(2, 1): 1}, 2)
+HALVES = ((SIXFOLD_HODGE_PAIRS, 6), (ABELIAN_HODGE_PAIRS, 2))
+
+
+def _images(p, q, dim):
+    """The orbit of (p, q) under conjugation and duality."""
+    return {(p, q), (q, p), (dim - p, dim - q), (dim - q, dim - p)}
+
+
+def test_config_hodge_pairs_share_no_image():
+    # the configured pairs lie in the generating half, and no two of them
+    # fill a common cell, so no cell can take two values
+    for pairs, dim in HALVES:
+        assert all(p >= q and p + q <= dim for p, q in pairs)
+        orbits = [_images(p, q, dim) for p, q in pairs]
+        assert sum(map(len, orbits)) == len(set().union(*orbits)), dim
 
 
 def test_diamond_from_half_requires_full_cover():
-    with pytest.raises(ValueError):
-        diamond_from_half({(0, 0): 1, (1, 0): 2, (2, 0): 1}, 2)
+    for pairs, dim in HALVES:
+        cells = set().union(*(_images(p, q, dim) for p, q in pairs))
+        assert cells == {(p, q) for p in range(dim + 1) for q in range(dim + 1)}, dim
 
 
-def test_diamond_validation():
-    with pytest.raises(ValueError):
-        HodgeDiamond(rows=((1,), (1, 1)))
-    with pytest.raises(ValueError):
-        HodgeDiamond(rows=((1,), (1, 1, 1), (0, 1, 0)))
-    with pytest.raises(ValueError):
+@given(st.data())
+def test_diamond_validation(data):
+    # drawn nonnegative halves give symmetric, self-dual rows inside the
+    # dimension; a negative value is the one thing the diamond rejects
+    for pairs, dim in HALVES:
+        half = {pair: data.draw(st.integers(0, 500)) for pair in pairs}
+        rows = diamond_from_half(half, dim).rows
+        assert [len(row) for row in rows] == list(range(1, 2 * dim + 2))
+        for w, row in enumerate(rows):
+            assert row == row[::-1]
+            for q, value in enumerate(row):
+                if w - q > dim or q > dim:
+                    assert value == 0
+                else:
+                    assert rows[2 * dim - w][dim - q] == value
+        half[data.draw(st.sampled_from(pairs))] = data.draw(st.integers(-500, -1))
+        with pytest.raises(ValueError, match="^Hodge numbers are nonnegative$"):
+            diamond_from_half(half, dim)
+    with pytest.raises(ValueError, match="^Hodge numbers are nonnegative$"):
         HodgeDiamond(rows=((1,), (-1, -1), (0, 1, 0)))
-    with pytest.raises(ValueError):
-        HodgeDiamond(rows=((1,), (1, 2), (0, 1, 0)))
-    with pytest.raises(ValueError):
-        HodgeDiamond(rows=((1,), (1, 1), (1, 1, 1)))
-    with pytest.raises(ValueError):
-        HodgeDiamond(rows=((1,), (1, 1), (0, 2, 0)))
 
 
 def test_row_operations():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kum3check.config import FUJIKI_KEYS
 from kum3check.fujiki import (
@@ -88,11 +90,44 @@ def test_z_relations_values(rel):
     assert (rel.c4.qbar2, rel.c4.qbarz) == (Fraction(40, 33), Fraction(-47, 21))
 
 
-def test_z_relations_reject_route_disagreement(table):
+def test_z_relations_reject_a_degree8_factor_break(table):
     broken = dict(table)
     broken["C(c2^2)"] = Fraction(1921)
-    with pytest.raises(FujikiTableError):
+    message = r"^qbar multiplication factors disagree in degree 8: C\(qbar\*c2\^2\) breaks the ratio 7$"
+    with pytest.raises(FujikiTableError, match=message):
         derive_z_relations(broken)
+
+
+constants = st.integers(-5000, 5000).map(Fraction)
+factors = st.fractions(-50, 50, max_denominator=20).filter(bool)
+
+
+@st.composite
+def consistent_tables(draw):
+    """Tables whose qbar factors agree in degrees 4 and 8; the other
+    constants are drawn freely."""
+    t = {key: draw(constants.filter(bool)) for key in ("C(qbar)", "C(c2)", "C(c2^2)", "C(c4)")}
+    t.update({key: draw(constants) for key in ("C(1)", "C(c2^3)", "C(c2*c4)", "C(c6)")})
+    factor4, factor8 = draw(factors), draw(factors)
+    t["C(qbar*c2)"], t["C(qbar^2)"] = factor4 * t["C(c2)"], factor4 * t["C(qbar)"]
+    for low, high in DUAL_PAIRS[8]:
+        t[high] = factor8 * t[low]
+    return t
+
+
+@settings(max_examples=50)
+@given(consistent_tables())
+def test_consistent_factors_give_the_z_relations_their_identities(t):
+    # C(qbar*z) and integral qbar^2*z vanish, and C(z^2) by the degree-8
+    # factor equals its direct expansion C(c2^2) - ratio^2 * C(qbar^2)
+    assert set(t) == set(FUJIKI_KEYS)
+    try:
+        rel = derive_z_relations(t)
+    except FujikiTableError as exc:
+        assert str(exc) == "integral qbar*z^2 vanishes; z-basis expansions are singular"
+        return
+    assert rel.c_qbarz == rel.top_qbar2_z == 0
+    assert rel.c_z2 == t["C(c2^2)"] - rel.ratio**2 * t["C(qbar^2)"]
 
 
 def test_multiply_and_integrate(rel):

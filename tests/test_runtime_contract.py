@@ -7,7 +7,7 @@ A static pass over ``src/kum3check`` flags:
 * a float literal;
 * a load of the name ``float``;
 * an import from ``math`` other than the integer functions ``comb``,
-  ``gcd``, ``isqrt`` and ``lcm`` (and ``import math`` as a whole);
+  ``gcd`` and ``lcm`` (and ``import math`` as a whole);
 * an import of ``dataclasses``, which builds its classes at every import
   and loads ``inspect``: records are ``NamedTuple`` or ``__slots__``
   classes;
@@ -15,6 +15,12 @@ A static pass over ``src/kum3check`` flags:
   string, and ``typing.NamedTuple`` then compiles each field's string into
   a ``ForwardRef`` at import.  Annotations are evaluated where they are
   defined; ``requires-python >= 3.10`` covers ``X | None``.
+
+A second pass keeps each module's private fields its own: a module may
+read ``obj._name`` only for a ``_name`` that it defines itself (binds, sets
+as an attribute, or lists in ``__slots__``).  Reads through ``self`` and
+``cls`` and the ``NamedTuple`` API (``_replace``, ``_asdict``,
+``_fields``) are exempt.
 
 A subprocess test pins the cold-start side of the last rule, and the load
 path: importing ``kum3check.cli`` and loading a document, accepted or
@@ -30,7 +36,8 @@ from pathlib import Path
 
 from test_dead_code import SRC, _parse
 
-MATH_ALLOWED = {"comb", "gcd", "isqrt", "lcm"}
+MATH_ALLOWED = {"comb", "gcd", "lcm"}
+NAMEDTUPLE_API = {"_replace", "_asdict", "_fields"}
 
 
 def runtime_violations(root: Path = SRC) -> list[str]:
@@ -79,7 +86,7 @@ def test_the_scan_flags_each_rule(tmp_path):
         "from __future__ import annotations\n"
         "import numpy\n"
         "from fractions import Fraction\n"
-        "from math import gcd, sqrt\n"
+        "from math import gcd, isqrt, sqrt\n"
         "from . import b\n"
         "x = 0.5\n"
         "y = Fraction(1, 2)\n"
@@ -91,6 +98,7 @@ def test_the_scan_flags_each_rule(tmp_path):
     assert runtime_violations(tmp_path) == [
         "a:1: defers annotations",
         "a:2: imports numpy outside the stdlib",
+        "a:4: imports math.isqrt",
         "a:4: imports math.sqrt",
         "a:6: float literal 0.5",
         "a:8: loads float",
@@ -98,6 +106,72 @@ def test_the_scan_flags_each_rule(tmp_path):
         "b:3: imports dataclasses",
         "b:4: imports dataclasses",
     ]
+
+
+def _own_private_names(tree: ast.Module) -> set[str]:
+    """The ``_name``s a module defines: bound names, attributes it sets and
+    ``__slots__`` entries."""
+    names = set()
+    for leaf in ast.walk(tree):
+        if isinstance(leaf, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(leaf.name)
+        elif isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store):
+            names.add(leaf.id)
+        elif isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store):
+            names.add(leaf.attr)
+        elif isinstance(leaf, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in leaf.targets
+        ):
+            names.update(
+                c.value for c in ast.walk(leaf.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return names
+
+
+def private_reads(root: Path = SRC) -> list[str]:
+    """``module:line: reads obj._name`` for each read of a private field that
+    the reading module does not define."""
+    found = []
+    for module, tree in _parse(root).items():
+        own = _own_private_names(tree) | NAMEDTUPLE_API
+        for leaf in ast.walk(tree):
+            if (
+                isinstance(leaf, ast.Attribute)
+                and isinstance(leaf.ctx, ast.Load)
+                and leaf.attr.startswith("_")
+                and not leaf.attr.startswith("__")
+                and leaf.attr not in own
+                and not (isinstance(leaf.value, ast.Name) and leaf.value.id in ("self", "cls"))
+            ):
+                found.append(f"{module}:{leaf.lineno}: reads {ast.unparse(leaf.value)}.{leaf.attr}")
+    return sorted(found)
+
+
+def test_no_module_reads_a_private_field_of_another():
+    assert private_reads() == []
+
+
+def test_the_private_read_scan_flags_a_foreign_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    __slots__ = ('_cells',)\n"
+        "    def total(self, other):\n"
+        "        return sum(self._cells) + sum(other._cells) + len(self._rows)\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._build()\n"
+        "def _build():\n"
+        "    return A()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import A, _build\n"
+        "def peek(x, row):\n"
+        "    row = row._replace(cells=x._cells)\n"
+        "    x._cache = row._asdict()\n"
+        "    return x._cache, row._fields, x.__class__, _build()\n"
+    )
+    assert private_reads(tmp_path) == ["b:3: reads x._cells"]
 
 
 DERIVATION = ("engine", "suites", "wgeometry", "kummer", "quadspace", "fujiki", "bookkeeping")

@@ -27,8 +27,8 @@ from kum3check.wgeometry import (
     MIXED,
     QBAR,
     S_SQ,
+    COSETS,
     THETAS,
-    _exact_sqrt,
     build_gram19,
     build_w_model,
     combination,
@@ -133,13 +133,16 @@ def test_nodal_space_and_scaling(factor):
     assert factor.xi_restriction_square == -16
 
 
-def test_exact_sqrt():
-    assert _exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert _exact_sqrt(Fraction(0)) == 0
-    with pytest.raises(ValueError):
-        _exact_sqrt(Fraction(2))
-    with pytest.raises(ValueError):
-        _exact_sqrt(Fraction(-4))
+nonzero_fractions = st.fractions(-1000, 1000, max_denominator=50).filter(bool)
+
+
+@given(nonzero_fractions, nonzero_fractions)
+def test_restriction_factor_is_the_positive_root(fujiki_constant, xi_square):
+    # C(w)/C(1) = (q(xi|_W)/xi_square)^2 is a rational square for every
+    # document, so the factor is read off without a square root
+    result = derive_restriction_factor(fujiki_constant, xi_square)
+    assert result.factor > 0
+    assert result.factor**2 == result.c_w_component / fujiki_constant
 
 
 def test_w_model_shape(model):
@@ -274,19 +277,35 @@ def test_v_model_rejects_zero_shift():
         v_restriction_data(ZERO, XI_SQUARE, Fraction(24), Fraction(12))
 
 
-def test_w_other_rejects_disagreeing_xi_restrictions(model, gram, surface, monkeypatch):
+def _assert_wrong_slots_fail_the_report(monkeypatch, wrong_slots):
+    """``wrong_slots`` applied to the slot map of every theta, or of every
+    theta but the one of the surface data, fails the restrictions suite on
+    the default document: the second-fourfold expansions solve, and their
+    pattern check reads false."""
     true_slots = wgeometry.surface_slots
+    for thetas in (THETAS, THETAS[1:]):
 
-    def wrong_delta(theta):
-        slots = true_slots(theta)
-        slots["delta"] = slots[s_label(ZERO)]
-        return slots
+        def mutated(theta):
+            slots = true_slots(theta)
+            return wrong_slots(theta, slots) if theta in thetas else slots
 
-    monkeypatch.setattr(wgeometry, "surface_slots", wrong_delta)
-    with pytest.raises(ValueError, match="xi restrictions to the surface disagree"):
-        restrict_w_other(
-            model, gram, C2_QBAR_RATIO, THETAS[0], Fraction(24), Fraction(12), surface
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(wgeometry, "surface_slots", mutated)
+            report = run_suite(Engine(default_config()), "restrictions")
+        uniform = next(c for c in report.checks if c.id == "second fourfold pattern uniform")
+        assert (uniform.status, uniform.computed) == ("fail", "false"), thetas
+
+
+def _delta_to_the_slot_of_s0(theta, slots):
+    slots["delta"] = slots[s_label(ZERO)]
+    return slots
+
+
+def test_w_other_rejects_disagreeing_xi_restrictions(monkeypatch):
+    for theta in THETAS:
+        slots = _delta_to_the_slot_of_s0(theta, wgeometry.surface_slots(theta))
+        assert not wgeometry._compositions_agree(slots)
+    _assert_wrong_slots_fail_the_report(monkeypatch, _delta_to_the_slot_of_s0)
 
 
 def _delta_to_slot_7(theta, slots):
@@ -302,24 +321,12 @@ def _s_to_another_coset(theta, slots):
 
 
 @pytest.mark.parametrize("wrong_slots", [_delta_to_slot_7, _s_to_another_coset])
-def test_compositions_disagree_under_a_wrong_slot_map(
-    model, gram, surface, monkeypatch, wrong_slots
-):
+def test_compositions_disagree_under_a_wrong_slot_map(monkeypatch, wrong_slots):
     true_slots = wgeometry.surface_slots
-
-    def mutated(theta):
-        return wrong_slots(theta, true_slots(theta))
-
     for theta in THETAS:
         assert wgeometry._compositions_agree(true_slots(theta))
-        assert not wgeometry._compositions_agree(mutated(theta))
-    monkeypatch.setattr(wgeometry, "surface_slots", mutated)
-    message = "^xi restrictions to the surface disagree between the two sides$"
-    for theta in (THETAS[0], THETAS[-1]):
-        with pytest.raises(ValueError, match=message):
-            restrict_w_other(
-                model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
-            )
+        assert not wgeometry._compositions_agree(wrong_slots(theta, true_slots(theta)))
+    _assert_wrong_slots_fail_the_report(monkeypatch, wrong_slots)
 
 
 def test_w_other_restrictions(model, others):
@@ -563,22 +570,21 @@ def test_verify_all_reads_the_fraction_coefficients_at_most_twice(monkeypatch):
     assert len(reads) <= 2
 
 
-def test_surface_checks_reject_a_split_coset(model, gram, surface, monkeypatch):
-    true_slots = wgeometry.surface_slots
+def _split_coset(theta, slots):
+    slots[s_label(ZERO)] = (slots[s_label(ZERO)] + 1) % wgeometry.SIDE
+    return slots
 
-    def split_coset(theta):
-        slots = true_slots(theta)
-        slots[s_label(ZERO)] = (slots[s_label(ZERO)] + 1) % wgeometry.SIDE
-        return slots
 
-    monkeypatch.setattr(wgeometry, "surface_slots", split_coset)
-    with pytest.raises(ValueError, match="curve classes in one coset do not pair equally"):
-        v_restriction_data(THETAS[1], XI_SQUARE, Fraction(24), Fraction(12))
-    for theta in (THETAS[0], THETAS[-1]):
-        with pytest.raises(ValueError, match="curve classes in one coset do not pair equally"):
-            restrict_w_other(
-                model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
-            )
+def test_surface_checks_reject_a_split_coset(monkeypatch):
+    # each coset's two labels share a slot for every theta, so the same-coset
+    # pairing that v_data reports for one theta holds for all of them
+    for theta in THETAS:
+        slots = wgeometry.surface_slots(theta)
+        for i, j in COSETS[theta]:
+            assert slots[s_label(ALPHAS[i])] == slots[s_label(ALPHAS[j])], theta
+        split = _split_coset(theta, wgeometry.surface_slots(theta))
+        assert any(split[s_label(ALPHAS[i])] != split[s_label(ALPHAS[j])] for i, j in COSETS[theta])
+    _assert_wrong_slots_fail_the_report(monkeypatch, _split_coset)
 
 
 def _ref_surface_pairing(model, theta, x):
