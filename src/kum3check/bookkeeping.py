@@ -75,15 +75,11 @@ def row_product(a: Row, b: Row) -> Row:
 
 
 def row_sum(a: Row, b: Row) -> Row:
-    if len(a) != len(b):
-        raise ValueError("rows of different weight cannot be added")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def row_diff(a: Row, b: Row) -> Row:
-    if len(a) != len(b):
-        raise ValueError("rows of different weight cannot be subtracted")
-    out = tuple(x - y for x, y in zip(a, b))
+    out = tuple(x - y for x, y in zip(a, b, strict=True))
     if any(x < 0 for x in out):
         raise ValueError(f"subtraction {a} - {b} leaves a negative dimension")
     return out
@@ -284,8 +280,6 @@ def rank_table_matches_diamond(table: RankTable, diamond: HodgeDiamond) -> bool:
 
 def rep_dims(n: int, k: int) -> tuple[int, int]:
     """Dimensions of the symmetric and exterior powers of an n-space."""
-    if n < 0 or k < 0:
-        raise ValueError("dimensions and powers are nonnegative")
     return comb(n + k - 1, k), comb(n, k)
 
 

@@ -365,8 +365,6 @@ def surface_slots(theta: Pt) -> dict[str, int]:
     and delta to slot ``SIDE``.  The two fourfolds share these slots;
     ``_IMAGES`` holds each side's images by slot.
     """
-    if theta == ZERO:
-        raise ValueError("the two fourfolds must have distinct labels")
     slots = {"delta": SIDE}
     for k, coset in enumerate(COSETS[theta]):
         for i in coset:
@@ -611,37 +609,29 @@ def restrict_w_self(
 
     The class lies in the span of the restricted ambient dual and the
     shifted-divisor sums; shift coefficients away from zero must agree
-    because the class pairs equally with every other fourfold.  Three
-    pairings (with the fourfold dual, the sum of all other restrictions,
-    and the restricted ambient dual) determine the three coefficients.
+    because the class pairs equally with every other fourfold (``others``,
+    in ``THETAS`` order).  Three pairings (with the fourfold dual, the sum
+    of all other restrictions, and the restricted ambient dual) determine
+    the three coefficients.  ``shift_uniformity_ok`` reports whether these
+    pairings, and those among the other restrictions, are uniform.
     """
     g1 = qbar_rest.coeffs
     g2 = sprime.sum_squares
     g3 = sprime.sum_mixed_all
 
-    others_by_theta = {o.theta: o.coeffs for o in others}
-    if set(others_by_theta) != set(THETAS):
-        raise ValueError("need the restriction of every other fourfold")
-    other_vecs = [others_by_theta[theta] for theta in THETAS]
+    other_vecs = [o.coeffs for o in others]
     other_sum = combine((1, v) for v in other_vecs)
 
     # the class pairs equally with every other fourfold, so it pairs to zero
     # with any difference of two of them; on the shifted-divisor sums that
     # pairing is supported at the two shifts with opposite nonzero values,
     # which forces one shared coefficient for all nonzero shifts
-    uniform_ok = True
-    t0, t1 = THETAS[0], THETAS[1]
-    diff = combine(((1, others_by_theta[t0]), (-1, others_by_theta[t1])))
+    diff = combine(((1, other_vecs[0]), (-1, other_vecs[1])))
     shift_pairings = [got for (got,) in gram.pairings(sprime.per_theta, [diff])]
-    base = shift_pairings[THETAS.index(t0)]
     # support value fixed by the shifted-divisor normalisation: each other
     # fourfold carries its shift block with weight -16 * (128/4)
-    if base != -16 * Fraction(128, 4):
-        uniform_ok = False
-    for theta, got in zip(THETAS, shift_pairings):
-        want = base if theta == t0 else (-base if theta == t1 else Fraction(0))
-        if got != want:
-            uniform_ok = False
+    base = -16 * Fraction(128, 4)
+    uniform_ok = shift_pairings == [base, -base] + [0] * (len(THETAS) - 2)
 
     e_qbar = class_coeffs({QBAR: 1})
     tests = (e_qbar, other_sum, g1)
@@ -657,14 +647,10 @@ def restrict_w_self(
     *with_others, qbar_pairing, self_square, ambient_dual = gram.pairings(
         [final], [*other_vecs, e_qbar, final, g1]
     )[0]
-    pair_other_values = set(with_others)
-    if len(pair_other_values) != 1:
-        raise ValueError("self-restriction does not pair equally with the others")
     among = gram.pairings(other_vecs, other_vecs)
     self_other_values = {row[a] for a, row in enumerate(among)}
     cross_values = {x for a, row in enumerate(among) for x in row[a + 1 :]}
-    if len(cross_values) != 1 or len(self_other_values) != 1:
-        raise ValueError("pairings among other-fourfold restrictions are not uniform")
+    uniform_ok &= len(set(with_others)) == len(cross_values) == len(self_other_values) == 1
 
     trail = (
         f"dual-class pairing = ({c4_w_component} - "
@@ -684,9 +670,9 @@ def restrict_w_self(
         rhs=rhs,
         qbar_pairing=qbar_pairing,
         self_square=self_square,
-        pair_with_other=pair_other_values.pop(),
-        other_self_square=self_other_values.pop(),
-        other_cross=cross_values.pop(),
+        pair_with_other=with_others[0],
+        other_self_square=among[0][0],
+        other_cross=among[0][1],
         ambient_dual_pairing=ambient_dual,
         shift_uniformity_ok=uniform_ok,
         trail=trail,

@@ -8,7 +8,12 @@ ids of its failing checks, run in process through ``cli.main``:
 * every one of the 57 scalar entries set to 0 and to 1/2;
 * the H^2 Gram edit, a renamed H^2 label and a duplicate key;
 * negative and fractional Hodge numbers;
-* the default document itself.
+* the default document itself;
+* a two-entry Fujiki edit that makes integral qbar*z^2 vanish;
+* one document for each loader check that the edits above leave unrun.
+
+The raise table (``test_raise_table.py``) names its document witnesses
+from this corpus.
 
 A change that alters failing output on purpose rewrites the manifest and
 shows as its diff:
@@ -20,8 +25,10 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import sys
 import tempfile
+from functools import reduce
 from pathlib import Path
 
 from kum3check.cli import main
@@ -31,10 +38,48 @@ MANIFEST = Path(__file__).resolve().parent / "failure_golden.json"
 SCALAR_PACKS = ("fujiki_constants", "fourfold_pack", "geometry_pack", "hodge_pack")
 
 
-def _with_entry(pack: str, key: str, value: str) -> str:
+DROP = object()  # an edit's value that deletes the item at its path
+
+# Documents that the loader rejects, one for each of its checks that the
+# entry edits leave unrun: (name, path into the default document, value).
+REJECTED = (
+    ("fujiki_constants.C(1): a bare value", ("fujiki_constants", "C(1)"), "60"),
+    ("fujiki_constants.C(1): empty source", ("fujiki_constants", "C(1)", "source"), ""),
+    ("fujiki_constants.C(1) = 60, a JSON number", ("fujiki_constants", "C(1)", "value"), 60),
+    ("fujiki_constants.C(1) = 1.5", ("fujiki_constants", "C(1)", "value"), "1.5"),
+    ("fujiki_constants.C(1) = 1/0", ("fujiki_constants", "C(1)", "value"), "1/0"),
+    ("fujiki_constants: a list", ("fujiki_constants",), []),
+    ("fujiki_constants.C(c6) dropped", ("fujiki_constants", "C(c6)"), DROP),
+    (
+        "fujiki_constants.C(c8) added",
+        ("fujiki_constants", "C(c8)"),
+        {"value": "1", "source": "an unknown key"},
+    ),
+    ("h2_space.gram dropped", ("h2_space", "gram"), DROP),
+    ("h2_space.labels empty", ("h2_space", "labels"), []),
+    ("h2_space.labels: y1 renamed y2", ("h2_space", "labels", 0), "y2"),
+    ("h2_space.gram: last row dropped", ("h2_space", "gram", 6), DROP),
+    ("h2_space.gram[0]: last entry dropped", ("h2_space", "gram", 0, 6), DROP),
+    ("h2_space.gram[0][1] = 1", ("h2_space", "gram", 0, 1), "1"),
+    ("hodge_pack dropped", ("hodge_pack",), DROP),
+    ("notes section added", ("notes",), {}),
+)
+
+
+def _edited(*edits) -> str:
+    """The default document with each ``(path, value)`` edit applied."""
     raw = json.loads(default_config_text())
-    raw[pack][key]["value"] = value
+    for (*parents, last), value in edits:
+        target = reduce(operator.getitem, parents, raw)
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
     return json.dumps(raw, indent=2)
+
+
+def _with_entry(pack: str, key: str, value: str) -> str:
+    return _edited(((pack, key, "value"), value))
 
 
 def corpus() -> dict[str, str]:
@@ -62,6 +107,17 @@ def corpus() -> dict[str, str]:
     first = '"fujiki_constants": {'
     duplicate = '"C(1)": {"value": "60", "source": "a second C(1)"},'
     docs["duplicate key fujiki_constants.C(1)"] = text.replace(first, first + duplicate, 1)
+
+    # both degree-8 entries keep the factor 7, and integral qbar*z^2 is 0
+    docs["fujiki_constants.C(qbar*c2^2) = 1596672/121, C(c2^2) = 228096/121"] = _edited(
+        (("fujiki_constants", "C(qbar*c2^2)", "value"), "1596672/121"),
+        (("fujiki_constants", "C(c2^2)", "value"), "228096/121"),
+    )
+    for name, path, value in REJECTED:
+        docs[name] = _edited((path, value))
+    docs["not JSON: the last brace dropped"] = text[:-1]
+    docs["JSON nested 100000 deep"] = "[" * 100_000 + "]" * 100_000
+    docs["document root a list"] = "[]"
     return docs
 
 

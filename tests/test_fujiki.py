@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kum3check.config import FUJIKI_KEYS
+from kum3check import suites
+from kum3check.config import FUJIKI_KEYS, default_config
+from kum3check.engine import Engine
 from kum3check.fujiki import (
     DUAL_PAIRS,
     Deg4,
@@ -145,14 +147,24 @@ def test_multiply_and_integrate(rel):
     assert multiply(Deg4(Fraction(0), Fraction(1)), deg8(0, 1), rel) == Fraction(2688, 11)
 
 
-def test_evaluate_fujiki():
+def test_evaluate_fujiki(monkeypatch):
     assert evaluate_fujiki(60, 0, 2) == 480
     assert evaluate_fujiki(132, 4, 3) == 1188
     assert evaluate_fujiki(448, 12, 7) == 448
-    with pytest.raises(ValueError):
-        evaluate_fujiki(60, 3, 2)
-    with pytest.raises(ValueError, match="no Fujiki power for degree 16"):
-        evaluate_fujiki(60, 16, 2)
+    # integral omega * gamma^(6 - deg/2) = C(omega) * q(gamma)^((12 - deg)/4)
+    for degree, power in ((0, 3), (4, 2), (8, 1), (12, 0)):
+        for c, q in ((60, 2), (132, -3), (Fraction(-7, 3), Fraction(5, 2))):
+            assert evaluate_fujiki(c, degree, q) == Fraction(c) * Fraction(q) ** power
+    # the suites evaluate only in that domain: multiples of 4 up to 12
+    degrees = []
+
+    def recorded(c_omega, deg_omega, q_gamma):
+        degrees.append(deg_omega)
+        return evaluate_fujiki(c_omega, deg_omega, q_gamma)
+
+    monkeypatch.setattr(suites, "evaluate_fujiki", recorded)
+    assert suites.run_suite(Engine(default_config()), "fujiki-table").status == "pass"
+    assert degrees and set(degrees) <= {0, 4, 8, 12}
 
 
 @pytest.fixture(scope="module")

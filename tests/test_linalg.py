@@ -94,6 +94,8 @@ def test_solve_reports_inconsistent_and_underdetermined():
         solve_linear(Matrix([[1, 1], [2, 2]]), (3, 6))
     with pytest.raises(ValueError):
         solve_linear(Matrix([[1, 1]]), (2,))
+    with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
+        solve_linear(Matrix([[1, 0], [0, 1]]), (1,))
 
 
 def _naive_rank(entries):

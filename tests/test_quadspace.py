@@ -286,3 +286,11 @@ def test_sym2_sum_rejects_a_class_of_another_space():
         sym2_sum(AMBIENT, [(1, x), (1, y)])
     with pytest.raises(ValueError, match="different spaces"):
         sym2_sum(AMBIENT, [(1, y)])
+
+
+def test_sym2_pair_rejects_a_class_of_another_space():
+    x = sym2_product(AMBIENT, AMBIENT.basis_vector("y1"), AMBIENT.basis_vector("y1"))
+    twin = QuadSpace(AMBIENT.labels, AMBIENT.squares, "twin")
+    y = sym2_product(twin, twin.basis_vector("y1"), twin.basis_vector("y1"))
+    with pytest.raises(ValueError, match="^cannot pair Sym2 vectors from different spaces$"):
+        sym2_pair(x, y)

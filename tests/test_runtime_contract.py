@@ -14,7 +14,9 @@ A static pass over ``src/kum3check`` flags:
 * ``from __future__ import annotations``: it keeps every annotation as a
   string, and ``typing.NamedTuple`` then compiles each field's string into
   a ``ForwardRef`` at import.  Annotations are evaluated where they are
-  defined; ``requires-python >= 3.10`` covers ``X | None``.
+  defined; ``requires-python >= 3.10`` covers ``X | None``;
+* an ``assert`` statement: ``python -O`` strips it, and the raise table
+  (``test_raise_table.py``) cannot see it.  A runtime check is a ``raise``.
 
 A second pass keeps each module's private fields its own: a module may
 read ``obj._name`` only for a ``_name`` that it defines itself (binds, sets
@@ -74,6 +76,8 @@ def runtime_violations(root: Path = SRC) -> list[str]:
             elif isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
                 if leaf.id == "float":
                     found.append(f"{where}: loads float")
+            elif isinstance(leaf, ast.Assert):
+                found.append(f"{where}: assert statement")
     return sorted(found)
 
 
@@ -94,6 +98,7 @@ def test_the_scan_flags_each_rule(tmp_path):
     )
     (tmp_path / "b.py").write_text(
         "import math\nimport os.path\nimport dataclasses\nfrom dataclasses import field\n"
+        "assert os.path.sep\n"
     )
     assert runtime_violations(tmp_path) == [
         "a:1: defers annotations",
@@ -105,6 +110,7 @@ def test_the_scan_flags_each_rule(tmp_path):
         "b:1: imports all of math",
         "b:3: imports dataclasses",
         "b:4: imports dataclasses",
+        "b:5: assert statement",
     ]
 
 
