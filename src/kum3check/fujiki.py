@@ -24,11 +24,10 @@ from .linalg import RationalLike, rat
 # the complex dimension of the sixfold
 COMPLEX_DIM = 6
 
-# (C(m), C(qbar*m)) for the table monomials m of each degree that have both.
-# The first pair of a degree sets the ratio the others must match, so this
-# order fixes the text of a disagreement error, which reports carry.
+# (C(m), C(qbar*m)) for the table monomials m of degrees 4 and 8 that have
+# both.  The first pair of a degree sets the ratio the others must match, so
+# this order fixes the text of a disagreement error, which reports carry.
 DUAL_PAIRS: dict[int, tuple[tuple[str, str], ...]] = {
-    0: (("C(1)", "C(qbar)"),),
     4: (("C(c2)", "C(qbar*c2)"), ("C(qbar)", "C(qbar^2)")),
     8: (
         ("C(c4)", "C(qbar*c4)"),

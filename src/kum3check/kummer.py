@@ -42,7 +42,6 @@ from fractions import Fraction
 from itertools import combinations, product, repeat
 from typing import NamedTuple
 
-from .linalg import ZERO as ZERO_Q
 from .linalg import Matrix, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
@@ -271,8 +270,9 @@ def d_gram_certificate(
     rank, pivot columns, reduced echelon kernel basis and kernel of G; the
     module docstring says why the rows come in this order.  M and the
     difference relations are written from their nonzero cells, as
-    ``{column: value}`` rows, so no zero cell of either is built or
-    scanned; only the last row of M is dense.
+    ``{column: value}`` rows, so no zero cell of either is scaled; only the
+    last row of M is dense.  ``mat_vec`` multiplies the relation matrix's
+    own ``entries``, and ``rank`` eliminates that same matrix.
     """
     row_total = diagonal + (block_size - 1) * same_block
     cross_block = Fraction(row_total, block_size)
@@ -314,18 +314,16 @@ def d_gram_certificate(
             block_structured = False
             break
 
-    # the fifteen relations, block 0 sum minus block b sum, as {column: value}
-    # cells for their matrix and as the dense rows that mat_vec multiplies
+    # the fifteen relations, block 0 sum minus block b sum
     one = Fraction(1)
-    relations = [
+    relation_matrix = Matrix([
         dict.fromkeys(range(block_size), one)
         | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -one)
         for b in range(1, blocks)
-    ]
-    dense = [tuple(map(row.get, range(m), repeat(ZERO_Q))) for row in relations]
+    ], m)
     # a list, so that every relation is multiplied even after one fails
-    in_kernel = not any([any(steps.mat_vec(vec)) for vec in dense])
-    diff_rank = rank(Matrix(relations, m))
+    in_kernel = not any([any(steps.mat_vec(vec)) for vec in relation_matrix.entries])
+    diff_rank = rank(relation_matrix)
 
     block_square = block_size * row_total
     trail.append(

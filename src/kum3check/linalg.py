@@ -18,8 +18,8 @@ nonzero cells of a sequence are read and scaled; a cell that is the shared
 ``ZERO`` is skipped without calling into ``Fraction``, and a mapping is
 never scanned beyond its cells, so a sparse row costs what its support
 costs.  The dense ``Fraction`` rows (``entries``) are built from the sparse
-rows only when something reads them, such as equality or rendering; their
-zero cells are ``ZERO`` itself.  A matrix is not hashable.
+rows only when something reads them: equality, rendering, or rows used as
+vectors; their zero cells are ``ZERO`` itself.  A matrix is not hashable.
 
 ``mat_vec`` is a product by columns over a column index built on first
 use: the vector is scaled to integers once, each of its nonzero cells
@@ -170,9 +170,6 @@ class Matrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
     def _column_index(self) -> list[tuple[list[int], list[int]]]:
         """For each column, the rows of its nonzero integer cells and their
         values."""
@@ -241,10 +238,6 @@ class Matrix:
                 for t, (v_scale, _) in zip(totals, scaled_vs)
             ))
         return tuple(out)
-
-    def to_lists(self) -> list[list[str]]:
-        """Rows rendered in the ``p/q`` wire format (for reports and trails)."""
-        return [list(map(str, row)) for row in self.entries]
 
 
 def _forward_echelon(

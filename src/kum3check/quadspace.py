@@ -34,7 +34,7 @@ class QuadSpace:
     """Labelled orthogonal basis with the nonzero square of each vector.
 
     ``_scaled_squares`` is (L, L * squares) for the lcm L of the squares'
-    denominators.  Spaces with the same labels, squares and name are equal.
+    denominators.  A space equals only itself: the same space is one object.
     """
 
     __slots__ = ("labels", "squares", "name", "_scaled_squares")
@@ -55,11 +55,6 @@ class QuadSpace:
         self.name = name
         scale, ints = scaled_integers(squares)
         self._scaled_squares = scale, tuple(ints)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadSpace) and (
-            self.labels, self.squares, self.name
-        ) == (other.labels, other.squares, other.name)
 
     @property
     def dim(self) -> int:
@@ -97,8 +92,8 @@ class Sym2Vector:
     ``acc[k] / den`` (den > 0) at each monomial k = (i, j), i <= j.  It
     keeps the nonzero ones as sorted ``keys`` and their ``ints`` over
     ``scale``, with scale > 0 and gcd(scale, *ints) == 1, so equal fields
-    mean equal classes.  ``coeffs`` is the ``(key, Fraction)`` view, built
-    on first read.
+    on one space object mean equal classes.  ``coeffs`` is the ``(key,
+    Fraction)`` view, built on first read.
     """
 
     __slots__ = ("space", "scale", "keys", "ints", "_coeffs")

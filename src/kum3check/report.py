@@ -4,10 +4,11 @@ A check records one verified equality: an identifier, a human-readable
 reference for where the expected value comes from, the expected and
 computed values rendered as exact strings, a pass/fail status, and a
 derivation trail of intermediate values.  A check is a ``NamedTuple``:
-a merged report renames its checks with ``_replace``, and the json report
-writes ``_asdict()``.  A record is not a value, so ``render_value`` renders
-only plain tuples and lists.  Reports sort their checks by identifier so
-the output is byte-identical however the checks were produced.
+the ``all`` suite renames its checks with ``_replace``, and the json report
+writes ``_asdict()``.  ``render_value`` renders rationals, booleans, the
+cells of a matrix and plain tuples and lists of them; a record or a string
+is not a value.  Reports sort their checks by identifier so the output is
+byte-identical however the checks were produced.
 """
 
 import json
@@ -23,10 +24,8 @@ def render_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, Matrix):
-        return render_value(value.to_lists())
+        return render_value(value.entries)
     if type(value) in (tuple, list):
         return "[" + ", ".join(render_value(x) for x in value) + "]"
     raise TypeError(f"cannot render {type(value).__name__} deterministically")
@@ -88,16 +87,6 @@ class SuiteReport:
     def counts(self) -> tuple[int, int]:
         passed = sum(1 for c in self.checks if c.status == "pass")
         return passed, len(self.checks) - passed
-
-
-def merge_reports(name: str, reports: list[SuiteReport]) -> SuiteReport:
-    """Combine per-suite reports, prefixing ids with their suite name."""
-    checks = tuple(
-        check._replace(id=f"{rep.suite}/{check.id}")
-        for rep in sorted(reports, key=lambda r: r.suite)
-        for check in rep.checks
-    )
-    return SuiteReport(suite=name, checks=checks)
 
 
 def emit_json(report: SuiteReport) -> str:

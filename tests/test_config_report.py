@@ -24,6 +24,7 @@ from kum3check.config import (
     load_config,
     parse_config,
 )
+from kum3check.engine import Engine
 from kum3check.fujiki import Deg4
 from kum3check.report import (
     SuiteReport,
@@ -31,10 +32,10 @@ from kum3check.report import (
     emit_markdown,
     error_check,
     make_check,
-    merge_reports,
     render_value,
 )
-from kum3check.suites import SUITE_NAMES
+from kum3check.linalg import Matrix
+from kum3check.suites import SUITE_NAMES, SUITES, run_suite
 
 
 def raw_default() -> dict:
@@ -151,7 +152,9 @@ def test_overlong_json_integer_is_a_config_error():
         parse_config('{"fujiki_constants": ' + "1" * 4301 + "}")
 
 
-DEEP = "[" * 1000 + "]" * 1000
+# deep enough to exhaust the recursion limit of the json decoder on every
+# supported interpreter, as the failure golden's witness is
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def test_deeply_nested_json_is_a_config_error():
@@ -361,8 +364,11 @@ def test_render_value():
     assert render_value(Fraction(-3, 7)) == "-3/7"
     assert render_value(True) == "true"
     assert render_value((1, Fraction(1, 2))) == "[1, 1/2]"
+    assert render_value(Matrix([[Fraction(1, 2), 3]])) == "[[1/2, 3]]"
     with pytest.raises(TypeError):
         render_value(object())
+    with pytest.raises(TypeError):  # a string is not a value either
+        render_value("x")
     with pytest.raises(TypeError):  # a record is a tuple, but not a value
         render_value(Deg4(Fraction(1), Fraction(2)))
 
@@ -393,12 +399,20 @@ def test_report_sorts_and_rejects_duplicates():
         SuiteReport(suite="s", checks=(a, a))
 
 
-def test_merge_reports_prefixes_ids():
-    r1 = SuiteReport(suite="one", checks=(make_check("x", "r", 1, 1),))
-    r2 = SuiteReport(suite="two", checks=(make_check("x", "r", 1, 2),))
-    merged = merge_reports("all", [r2, r1])
-    assert [c.id for c in merged.checks] == ["one/x", "two/x"]
-    assert merged.status == "fail" and merged.counts == (1, 1)
+def test_all_suite_is_every_suite_with_prefixed_ids(engine):
+    raw = raw_default()
+    raw["geometry_pack"]["xi_square"]["value"] = "0"
+    broken = Engine(parse_config(json.dumps(raw)))
+    for e, error_count in ((engine, 0), (broken, 70)):
+        merged = run_suite(e, "all")
+        prefixed = [
+            c._replace(id=f"{suite}/{c.id}")
+            for suite in SUITES
+            for c in run_suite(e, suite).checks
+        ]
+        assert merged.suite == "all"
+        assert list(merged.checks) == sorted(prefixed, key=lambda c: c.id)
+        assert sum(c.expected == "no error" for c in merged.checks) == error_count
 
 
 def test_emit_json_shape():
@@ -424,9 +438,8 @@ def test_emit_markdown_escapes_pipes():
 
 
 def test_emit_markdown_groups_merged_reports():
-    r1 = SuiteReport(suite="one", checks=(make_check("x", "r", 1, 1),))
-    r2 = SuiteReport(suite="two", checks=(make_check("y", "r", 1, 1),))
-    text = emit_markdown(merge_reports("all", [r1, r2]))
+    checks = (make_check("one/x", "r", 1, 1), make_check("two/y", "r", 1, 1))
+    text = emit_markdown(SuiteReport(suite="all", checks=checks))
     assert "## one" in text and "## two" in text
 
 

@@ -19,8 +19,14 @@ A change that alters failing output on purpose rewrites the manifest and
 shows as its diff:
 
     PYTHONPATH=src python tests/test_failure_golden.py
+
+With ``--check`` the script writes nothing: it prints the name of each
+document whose record differs from the manifest and exits 1 if there is
+one.  The module imports only the standard library and ``kum3check``, so
+the check runs on an interpreter without pytest.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -178,7 +184,18 @@ def test_an_edited_error_message_fails_the_golden(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the failure golden manifest.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the manifest instead; write nothing"
+    )
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
         records = run_corpus(Path(scratch))
+    if args.check:
+        changed = differences(records)
+        for name in changed:
+            print(name)
+        print(f"{len(changed)} of {len(records)} documents differ from {MANIFEST}", file=sys.stderr)
+        sys.exit(1 if changed else 0)
     MANIFEST.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} documents to {MANIFEST}", file=sys.stderr)
