@@ -19,6 +19,7 @@ from kum3check.linalg import (
     support,
     vector,
 )
+from kum3check.report import render_value
 
 
 def test_rat_accepts_ints_and_fractions_only():
@@ -61,6 +62,14 @@ def test_transpose_and_mat_vec():
     assert m.mat_vec([1, 0, -1]) == (Fraction(-2), Fraction(-2))
     with pytest.raises(ValueError):
         m.mat_vec([1, 2])
+
+
+def test_to_lists_renders_wire_format():
+    # A matrix goes on the wire as its entries, row by row, each cell in the
+    # wire format of a single value.
+    m = Matrix([[Fraction(1, 2), 3]])
+    assert [[render_value(x) for x in row] for row in m.entries] == [["1/2", "3"]]
+    assert render_value(m) == "[[1/2, 3]]"
 
 
 def test_solve_restriction_system_exactly():
