@@ -7,12 +7,14 @@ number comes from.  Scalar values and Gram cells share one wire format: a
 string ``n`` or ``p/q`` of ASCII digits with an optional leading minus,
 each integer at most 64 digits long.  JSON numbers, booleans, decimals and
 exponents are rejected, which also bounds the size of every integer the
-exact kernels see.  Validation is strict: duplicate keys, malformed
-rationals, missing required keys and unrecognised keys are all errors that
-name the offending key.  The H^2 labels must be the seven names of
-``H2_LABELS``, in any order, because the engine looks them up by name, and
-the H^2 Gram must be diagonal with nonzero diagonal cells, because every
-quadratic space of the engine is an orthogonal basis.
+exact kernels see.  The whole document is bounded too: text longer than
+``MAX_DOCUMENT_CHARS`` is rejected before it is parsed, and ``load_config``
+reads at most one character more.  Validation is strict: duplicate keys,
+malformed rationals, missing required keys and unrecognised keys are all
+errors that name the offending key.  The H^2 labels must be the seven
+names of ``H2_LABELS``, in any order, because the engine looks them up by
+name, and the H^2 Gram must be diagonal with nonzero diagonal cells,
+because every quadratic space of the engine is an orthogonal basis.
 
 A scalar entry has one name, ``<pack>.<key>`` (``geometry_pack.xi_square``),
 the name the loader's errors use.  ``ConfigDocument`` maps each name to
@@ -102,6 +104,10 @@ _PACKS = {
 
 _SECTIONS = tuple(_PACKS) + ("h2_space",)
 
+
+# The longest document the loader accepts, in characters (the default
+# document has 7,480).
+MAX_DOCUMENT_CHARS = 1 << 20
 
 # The one wire format of a rational: "n" or "p/q", at most 64 digits each.
 MAX_DIGITS = 64
@@ -260,6 +266,8 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], tuple[Fraction, ...]]
 
 
 def parse_config(text: str) -> ConfigDocument:
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise ConfigError(f"document is longer than {MAX_DOCUMENT_CHARS} characters")
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -284,7 +292,7 @@ def parse_config(text: str) -> ConfigDocument:
 def load_config(path: str) -> ConfigDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_DOCUMENT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return parse_config(text)

@@ -176,16 +176,11 @@ class Engine:
     def w_other_all(self) -> tuple[WOtherRestriction, ...]:
         model, gram = self.w_model, self.gram19
         surface = self.v_data
+        ratio = self.doc.value("fourfold_pack.c2_qbar_ratio")
+        deg_c2_v = self.doc.value("geometry_pack.surface_c2_degree")
+        deg_c2_nvw = self.doc.value("geometry_pack.normal_c2_degree")
         return tuple(
-            restrict_w_other(
-                model,
-                gram,
-                self.doc.value("fourfold_pack.c2_qbar_ratio"),
-                theta,
-                self.doc.value("geometry_pack.surface_c2_degree"),
-                self.doc.value("geometry_pack.normal_c2_degree"),
-                surface,
-            )
+            restrict_w_other(model, gram, ratio, theta, deg_c2_v, deg_c2_nvw, surface)
             for theta in THETAS
         )
 

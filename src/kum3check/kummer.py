@@ -25,8 +25,8 @@ injectivity (17x17) matrices, the c2 row, W_0, then W_t - W_{t-1}; for
 the D-class Gram G, which takes one value on the diagonal, one inside a
 block and one across blocks, G_i - G_{i-1} (two nonzero cells inside a
 block, at most 2*block_size at a boundary), then G_0.  M = P*A holds by
-how the rows are written, so no builder checks it at run time; the tests
-check it against the dense matrices.
+how the rows are written, so no builder checks it at run time;
+``tests/test_rank_witnesses.py`` checks it against the dense matrices.
 
 The order of M's rows sets the cost of the elimination, which pivots each
 column on the first row that leads there.  The D step rows come in pivot
@@ -49,16 +49,9 @@ Pt = tuple[int, int, int, int]
 ZERO: Pt = (0, 0, 0, 0)
 
 
-def double(p: Pt) -> Pt:
-    return tuple((2 * x) % 4 for x in p)  # type: ignore[return-value]
-
-
-def four_torsion() -> tuple[Pt, ...]:
-    return tuple(product(range(4), repeat=4))  # type: ignore[return-value]
-
-
 def two_torsion() -> tuple[Pt, ...]:
-    return tuple(p for p in four_torsion() if double(p) == ZERO)
+    """The points with 2*p = 0, {0, 2}^4, in the order ``wgeometry.SHIFTED`` needs."""
+    return tuple(product((0, 2), repeat=4))  # type: ignore[return-value]
 
 
 # the sixteen fixed fourfolds, one per two-torsion label

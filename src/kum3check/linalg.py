@@ -17,9 +17,10 @@ row when the matrix is built, and zeros are dropped from both.  Only the
 nonzero cells of a sequence are read and scaled; a cell that is the shared
 ``ZERO`` is skipped without calling into ``Fraction``, and a mapping is
 never scanned beyond its cells, so a sparse row costs what its support
-costs.  The dense ``Fraction`` rows (``entries``) are built from the sparse
-rows only when something reads them: equality, rendering, or rows used as
-vectors; their zero cells are ``ZERO`` itself.  A matrix is not hashable.
+costs.  Two matrices are equal when their widths and stored rows are.
+The dense ``Fraction`` rows (``entries``) are a view, built from the
+sparse rows at each read; their zero cells are ``ZERO`` itself.  A matrix
+is not hashable.
 
 ``mat_vec`` is a product by columns over a column index built on first
 use: the vector is scaled to integers once, each of its nonzero cells
@@ -108,13 +109,13 @@ class Matrix:
     cells; ``cols`` gives the width, and is needed when no row is a
     sequence.  ``_scaled`` (per-row denominators and the nonzero cells of
     each row scaled by its denominator, as ``SparseRow`` pairs) is built
-    with the matrix.  ``_entries`` (the dense rows), ``_columns`` (the
-    nonzero cells of each column, as rows and values) and ``_echelon`` (the
-    sparse rows and pivots of the forward elimination) are filled on first
-    use.  Equality reads the dense rows.
+    with the matrix; it is canonical, so equality compares it and ``cols``.
+    ``_columns`` (the nonzero cells of each column, as rows and values) and
+    ``_echelon`` (the sparse rows and pivots of the forward elimination)
+    are filled on first use.
     """
 
-    __slots__ = ("rows", "cols", "_scaled", "_entries", "_columns", "_echelon")
+    __slots__ = ("rows", "cols", "_scaled", "_columns", "_echelon")
 
     def __init__(
         self,
@@ -146,7 +147,6 @@ class Matrix:
         object.__setattr__(self, "rows", len(dens))
         object.__setattr__(self, "cols", cols or 0)
         object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
-        object.__setattr__(self, "_entries", None)
         object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_echelon", None)
 
@@ -156,19 +156,19 @@ class Matrix:
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as ``Fraction`` cells; every zero cell is ``ZERO``."""
-        if self._entries is None:
-            data = []
-            for den, (index, ints) in zip(*self._scaled):
-                cells = {a: Fraction(a, den) for a in set(ints)}
-                row = [ZERO] * self.cols
-                for j, a in zip(index, ints):
-                    row[j] = cells[a]
-                data.append(tuple(row))
-            object.__setattr__(self, "_entries", tuple(data))
-        return self._entries
+        data = []
+        for den, (index, ints) in zip(*self._scaled):
+            cells = {a: Fraction(a, den) for a in set(ints)}
+            row = [ZERO] * self.cols
+            for j, a in zip(index, ints):
+                row[j] = cells[a]
+            data.append(tuple(row))
+        return tuple(data)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return isinstance(other, Matrix) and (self.cols, self._scaled) == (
+            other.cols, other._scaled
+        )
 
     def _column_index(self) -> list[tuple[list[int], list[int]]]:
         """For each column, the rows of its nonzero integer cells and their

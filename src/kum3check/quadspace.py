@@ -20,7 +20,8 @@ reduced common denominator.  Products and sums (``sym2_product`` and
 ``sym2_sum``, the one way to add or scale classes) accumulate integers
 over one common denominator, and the pairing reads the squares scaled the
 same way and builds one ``Fraction`` per value.  The ``Fraction``
-coefficients (``coeffs``) are a view, built on first read.
+coefficients (``coeffs``) are a view, built at each read; only rendering
+a class and restricting an ambient class read it.
 """
 
 from fractions import Fraction
@@ -93,10 +94,10 @@ class Sym2Vector:
     keeps the nonzero ones as sorted ``keys`` and their ``ints`` over
     ``scale``, with scale > 0 and gcd(scale, *ints) == 1, so equal fields
     on one space object mean equal classes.  ``coeffs`` is the ``(key,
-    Fraction)`` view, built on first read.
+    Fraction)`` view, built at each read.
     """
 
-    __slots__ = ("space", "scale", "keys", "ints", "_coeffs")
+    __slots__ = ("space", "scale", "keys", "ints")
 
     def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
         keys = sorted(k for k, a in acc.items() if a)
@@ -106,7 +107,6 @@ class Sym2Vector:
         self.scale = den // g
         self.keys = tuple(keys)
         self.ints = tuple(a // g for a in ints)
-        self._coeffs = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sym2Vector) and (
@@ -122,12 +122,8 @@ class Sym2Vector:
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        """The ``(key, Fraction)`` pairs, in key order; read only."""
-        if self._coeffs is None:
-            self._coeffs = tuple(
-                (k, Fraction(a, self.scale)) for k, a in zip(self.keys, self.ints)
-            )
-        return self._coeffs
+        """The ``(key, Fraction)`` pairs, in key order."""
+        return tuple((k, Fraction(a, self.scale)) for k, a in zip(self.keys, self.ints))
 
     def render(self) -> str:
         labels = self.space.labels

@@ -9,7 +9,8 @@ side.  Only the labelling of each side's curves by the cosets of the
 difference label theta depends on theta: ``surface_slots(theta)`` maps
 each s class and delta to one of nine slots, and each side's nine images
 are one fixed tuple.  The surface constants are derived once per
-document, and each theta builds only its slot map.
+document, for the first theta, and each theta builds only its slot map,
+which depends on no document; the tests check it for every theta.
 
 Everything numeric flows from a handful of geometric inputs: the square
 of the half-exceptional class xi upstairs, its restrictions
@@ -58,6 +59,8 @@ def s_label(alpha: Pt) -> str:
 
 
 ALPHAS: tuple[Pt, ...] = two_torsion()
+# the label of the s class of each alpha, by position in ALPHAS
+S_LABELS: tuple[str, ...] = tuple(map(s_label, ALPHAS))
 THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
 # SHIFTED[theta][i]: the position in ALPHAS of ALPHAS[i] + theta.  ALPHAS
 # lists {0, 2}^4 in lexicographic order, so the binary digits of a position
@@ -71,8 +74,7 @@ COSETS: dict[Pt, tuple[tuple[int, int], ...]] = {
 }
 
 # xi|_W = 2*delta + (1/2) * sum of the s classes, by label
-XI_ON_W: dict[str, Fraction] = {s_label(a): Fraction(1, 2) for a in ALPHAS}
-XI_ON_W["delta"] = Fraction(2)
+XI_ON_W: dict[str, Fraction] = {**dict.fromkeys(S_LABELS, Fraction(1, 2)), "delta": Fraction(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ XI_ON_W["delta"] = Fraction(2)
 
 def nodal_space() -> QuadSpace:
     """The s classes and delta: seventeen orthogonal (-2)-classes."""
-    labels = tuple(s_label(a) for a in ALPHAS) + ("delta",)
+    labels = S_LABELS + ("delta",)
     return QuadSpace(labels, (Fraction(-2),) * len(labels), "nodal")
 
 
@@ -157,13 +159,11 @@ def class_coeffs(values: Mapping[int, RationalLike]) -> tuple[Fraction, ...]:
 
 
 def build_w_model(factor: Fraction) -> WModel:
-    labels = (
-        PLUS_LABELS + MINUS_LABELS + tuple(s_label(a) for a in ALPHAS) + ("delta",)
-    )
+    labels = PLUS_LABELS + MINUS_LABELS + S_LABELS + ("delta",)
     squares = (2 * factor,) * 3 + (-2 * factor,) * 3 + (Fraction(-2),) * 17
     space = QuadSpace(labels, squares, "fourfold")
 
-    s_idx = [space.index(s_label(a)) for a in ALPHAS]
+    s_idx = [space.index(label) for label in S_LABELS]
     d_idx = space.index("delta")
 
     vectors = {
@@ -315,46 +315,23 @@ SURFACE = QuadSpace(
     "surface",
 )
 _CURVES = tuple(SURFACE.basis_vector(label) for label in SURFACE.labels)
-_SIDES = (_CURVES[:SIDE], _CURVES[SIDE:])
-_HALF_SUMS = tuple(
-    tuple(sum(curve[k] for curve in side) / 2 for k in range(SURFACE.dim))
-    for side in _SIDES
-)
 # xi|_V: the sum of all sixteen curves
 XI_ON_V = (Fraction(1),) * SURFACE.dim
 # The nine images on V of the classes of a fourfold on either side, by slot:
 # the eight curves of its own side, then half the sum of the other side's
 # curves (slot SIDE).  The near side comes first.
-_IMAGES = (_SIDES[0] + (_HALF_SUMS[1],), _SIDES[1] + (_HALF_SUMS[0],))
-
-
-def _pairing_table(
-    images: Sequence[tuple[Fraction, ...]],
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(L, L * q_V(images[a], images[b]) by slot) from one pairing per slot pair."""
-    n = len(images)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    scale, ints = scaled_integers([SURFACE.pair(images[a], images[b]) for a, b in pairs])
-    cell = dict(zip(pairs, ints))
-    return scale, tuple(tuple(cell[min(a, b), max(a, b)] for b in range(n)) for a in range(n))
-
-
-# SURFACE is fixed, so its 45 pairings among the near-side images are too.
-_NEAR_SCALE, _NEAR_PAIRINGS = _pairing_table(_IMAGES[0])
-_XI_SCALE, _XI_INTS = scaled_integers(list(XI_ON_W.values()))
-
-
-def _push_target(images: Sequence[tuple[Fraction, ...]]) -> tuple[list, list[int]]:
-    """The images by slot as nonzero (k, value) cells, and XI_ON_V times
-    _XI_SCALE, over one lcm: the cells that push _XI_INTS, and its target."""
-    n = SURFACE.dim
-    _, ints = scaled_integers([x for vec in (*images, XI_ON_V) for x in vec])
-    *rows, target = (ints[k : k + n] for k in range(0, len(ints), n))
-    cells = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
-    return cells, [a * _XI_SCALE for a in target]
-
-
-_PUSH_TARGETS = tuple(map(_push_target, _IMAGES))
+_IMAGES = tuple(
+    own + (combine((Fraction(1, 2), curve) for curve in other),)
+    for own, other in ((_CURVES[:SIDE], _CURVES[SIDE:]), (_CURVES[SIDE:], _CURVES[:SIDE]))
+)
+# SURFACE is fixed, so the 81 pairings among the near-side images are too:
+# L * q_V(images[a], images[b]) by slot, over the lcm L of their denominators.
+_NEAR_SCALE, _NEAR_PAIRINGS = scaled_integers(
+    [SURFACE.pair(a, b) for a in _IMAGES[0] for b in _IMAGES[0]]
+)
+_NEAR_PAIRINGS = tuple(
+    tuple(_NEAR_PAIRINGS[k : k + SIDE + 1]) for k in range(0, len(_NEAR_PAIRINGS), SIDE + 1)
+)
 
 
 def surface_slots(theta: Pt) -> dict[str, int]:
@@ -368,7 +345,7 @@ def surface_slots(theta: Pt) -> dict[str, int]:
     slots = {"delta": SIDE}
     for k, coset in enumerate(COSETS[theta]):
         for i in coset:
-            slots[s_label(ALPHAS[i])] = k
+            slots[S_LABELS[i]] = k
     return slots
 
 
@@ -378,18 +355,11 @@ def _near_pair(slots: dict[str, int], a: str, b: str) -> Fraction:
 
 
 def _compositions_agree(slots: dict[str, int]) -> bool:
-    """Both fourfolds send xi|_W = XI_ON_W to xi|_V, compared in integers."""
+    """Both fourfolds send xi|_W = XI_ON_W, added per slot, to xi|_V by their images."""
     weights = [0] * (SIDE + 1)
-    for label, c in zip(XI_ON_W, _XI_INTS):
+    for label, c in XI_ON_W.items():
         weights[slots[label]] += c
-    for cells, target in _PUSH_TARGETS:
-        pushed = [0] * SURFACE.dim
-        for w, image in zip(weights, cells):
-            for k, a in image:
-                pushed[k] += w * a
-        if pushed != target:
-            return False
-    return True
+    return all(combine(zip(weights, images)) == XI_ON_V for images in _IMAGES)
 
 
 def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
@@ -430,9 +400,9 @@ def v_restriction_data(
     depends on theta, which only labels the curves.
     """
     slots = surface_slots(theta)
-    alpha0, partner = ALPHAS[0], ALPHAS[SHIFTED[theta][0]]
-    other_alpha = next(a for a in ALPHAS if a not in (alpha0, partner))
-    s0 = s_label(alpha0)
+    partner = SHIFTED[theta][0]
+    other = next(i for i in range(len(ALPHAS)) if i not in (0, partner))
+    s0 = S_LABELS[0]
     delta_sq = _near_pair(slots, "delta", "delta")
     xi_sq = SURFACE.pair(XI_ON_V, XI_ON_V)
     c_v = xi_sq / xi_square
@@ -447,8 +417,8 @@ def v_restriction_data(
     return VRestrictionData(
         delta_sq=delta_sq,
         delta_s=_near_pair(slots, "delta", s0),
-        s_pair_same_coset=_near_pair(slots, s0, s_label(partner)),
-        s_pair_other=_near_pair(slots, s0, s_label(other_alpha)),
+        s_pair_same_coset=_near_pair(slots, s0, S_LABELS[partner]),
+        s_pair_other=_near_pair(slots, s0, S_LABELS[other]),
         xi_sq=xi_sq,
         c_v_pair=c_v,
         c2_restriction_degree=c2_deg,
@@ -530,11 +500,6 @@ class SPrimeVectors(NamedTuple):
 SPRIME_SQUARE_SUM = class_coeffs({DELTA_SQ: 16, S_SQ: 16, DELTA_S: -8})
 
 
-def s_prime_vector(model: WModel, alpha: Pt) -> tuple[Fraction, ...]:
-    coeffs = {s_label(alpha): Fraction(4), "delta": Fraction(-1)}
-    return model.space.vector(coeffs)
-
-
 def s_prime_vectors(model: WModel) -> SPrimeVectors:
     """Build each product s'_a s'_b once; expand and check the shift sums.
 
@@ -545,7 +510,7 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     sum by sum s^2.
     """
     sp = model.space
-    svecs = [s_prime_vector(model, alpha) for alpha in ALPHAS]
+    svecs = [sp.vector({label: Fraction(4), "delta": Fraction(-1)}) for label in S_LABELS]
     n = len(svecs)
     products = {
         (i, j): sym2_product(sp, svecs[i], svecs[j]) for i in range(n) for j in range(i, n)

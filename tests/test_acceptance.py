@@ -14,13 +14,21 @@ import pytest
 from kum3check.config import FUJIKI_KEYS, default_config_text, parse_config
 from kum3check.engine import Engine
 from kum3check.fujiki import Deg4, deg8, qbar_factor
-from kum3check.kummer import ZERO, four_torsion, two_torsion
+from kum3check.kummer import ZERO, two_torsion
 from kum3check.linalg import Matrix, kernel_basis, rank
 from kum3check.quadspace import sym2_pair, sym2_product, sym2_sum
 from kum3check.suites import run_suite
 from kum3check.wgeometry import MIXED, expected_gram19
 
-from label_group import DClass, GroupElement, act, enumerated_sum, halving_fiber, orbit_sum
+from label_group import (
+    DClass,
+    GroupElement,
+    act,
+    enumerated_sum,
+    four_torsion,
+    halving_fiber,
+    orbit_sum,
+)
 
 
 @pytest.fixture

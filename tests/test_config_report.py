@@ -18,6 +18,7 @@ from kum3check.config import (
     GEOMETRY_KEYS,
     H2_LABELS,
     HODGE_KEYS,
+    MAX_DOCUMENT_CHARS,
     ConfigError,
     default_config,
     default_config_text,
@@ -168,6 +169,32 @@ def test_cli_rejects_deeply_nested_json_once(tmp_path, capsys):
     assert main(["verify", "all", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "configuration error" in err
+
+
+def test_document_length_is_bounded_at_load(tmp_path):
+    text = default_config_text()
+    padded = text + " " * (MAX_DOCUMENT_CHARS - len(text))
+    assert parse_config(padded) == default_config()
+    with pytest.raises(ConfigError, match=f"longer than {MAX_DOCUMENT_CHARS} characters"):
+        parse_config(padded + " ")
+    # the loader stops reading one character past the bound: a byte that is
+    # not UTF-8, a MiB further on, is never decoded
+    path = tmp_path / "long.json"
+    path.write_bytes(b" " * (2 * MAX_DOCUMENT_CHARS) + b"\xff")
+    with pytest.raises(ConfigError, match="longer than"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("command", (["verify", "all"], ["show-config"]), ids=("verify", "show"))
+def test_cli_rejects_an_overlong_source_note_once(tmp_path, capsys, command):
+    raw = raw_default()
+    raw["fujiki_constants"]["C(1)"]["source"] = "x" * MAX_DOCUMENT_CHARS
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    assert main([*command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "configuration error" in err and "longer than" in err
 
 
 def test_cli_rejects_a_non_utf8_config(tmp_path, capsys):

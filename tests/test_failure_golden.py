@@ -69,6 +69,11 @@ REJECTED = (
     ("h2_space.gram[0][1] = 1", ("h2_space", "gram", 0, 1), "1"),
     ("hodge_pack dropped", ("hodge_pack",), DROP),
     ("notes section added", ("notes",), {}),
+    (
+        "fujiki_constants.C(1): a source note of 2^20 characters",
+        ("fujiki_constants", "C(1)", "source"),
+        "x" * (1 << 20),
+    ),
 )
 
 

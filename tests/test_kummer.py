@@ -13,8 +13,6 @@ from kum3check.kummer import (
     component_cube_from_total,
     d_gram_certificate,
     deg4_independence_certificate,
-    double,
-    four_torsion,
     qbar_injectivity_certificate,
     two_torsion,
     w_dot_v_total,
@@ -33,7 +31,9 @@ from label_group import (
     apply_to_point,
     coincidence_pattern,
     compose,
+    double,
     enumerated_sum,
+    four_torsion,
     full_group,
     halving_fiber,
     invert,
@@ -58,6 +58,11 @@ def test_torsion_points():
         assert all(double(a) == tau for a in fiber)
     with pytest.raises(ValueError):
         halving_fiber((1, 0, 0, 0))
+
+
+def test_two_torsion_is_the_kernel_of_doubling_in_order():
+    # the kernel of doubling on the 256 four-torsion points is the oracle, order included
+    assert two_torsion() == tuple(p for p in four_torsion() if double(p) == ZERO)
 
 
 @given(group_elements, group_elements, group_elements)

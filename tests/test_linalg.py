@@ -453,6 +453,21 @@ def test_memoised_matrix_equals_a_fresh_one():
         memo.entries = ()
 
 
+def test_equality_reads_the_width_and_the_stored_rows():
+    # equal across cell types and row forms
+    assert Matrix([[1, 0]]) == Matrix([{0: Fraction(1)}], 2)
+    assert Matrix([[Fraction(2, 4), 0, 3]]) == Matrix([{2: 3, 0: Fraction(1, 2), 1: 0}], 3)
+    assert Matrix([[0, 0]]) == Matrix([{}], 2)
+    # zero rows store no cells, so the width tells them apart
+    assert Matrix([[0]]) != Matrix([[0, 0]])
+    assert Matrix([{}], 1) != Matrix([{}], 2)
+    # another row count, another cell, another matrix
+    assert Matrix([[1, 0]]) != Matrix([[1, 0], [0, 0]])
+    assert Matrix([[1, 0]]) != Matrix([[1, 1]])
+    assert Matrix([[1, 0]]) != Matrix([[Fraction(1, 2), 0]])
+    assert Matrix([[1, 0]]) != ((Fraction(1), ZERO),)
+
+
 def test_pair_is_the_bilinear_form():
     m = Matrix([[Fraction(1, 2), 3], [3, Fraction(-2, 5)]])
     u, v = (Fraction(2, 3), -1), (5, Fraction(1, 4))

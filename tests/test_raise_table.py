@@ -94,6 +94,8 @@ RAISES = {
         Witness("all", "h2_space.gram[0]: last entry dropped"),
     ("config", "_parse_h2_space", "h2_space.gram[{i}][{j}]: the Gram must be diagonal"):
         Witness("all", "h2_space.gram[0][1] = 1"),
+    ("config", "parse_config", "document is longer than {MAX_DOCUMENT_CHARS} characters"):
+        Witness("all", "fujiki_constants.C(1): a source note of 2^20 characters"),
     ("config", "parse_config", "not valid JSON: {exc}"):
         Witness("all", "not JSON: the last brace dropped"),
     ("config", "parse_config", "not valid JSON: nested too deeply"):
