@@ -284,26 +284,6 @@ def rep_dims(n: int, k: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# canonical subring dimensions certified elsewhere
-
-class CanonicalDims(NamedTuple):
-    degree4: int
-    degree6: int
-    degree8: int
-    symmetric: bool
-
-
-def canonical_dims(deg4_rank: int, deg6_rank: int, deg8_rank: int) -> CanonicalDims:
-    """Collect span dimensions from the three rank certificates."""
-    return CanonicalDims(
-        degree4=deg4_rank,
-        degree6=deg6_rank,
-        degree8=deg8_rank,
-        symmetric=deg4_rank == deg8_rank,
-    )
-
-
-# ---------------------------------------------------------------------------
 # trace averaging over the sign-extended two-torsion group
 
 # the order-32 group: the identity, a translation by each nonzero

@@ -14,7 +14,9 @@ malformed rationals, missing required keys and unrecognised keys are all
 errors that name the offending key.  The H^2 labels must be the seven
 names of ``H2_LABELS``, in any order, because the engine looks them up by
 name, and the H^2 Gram must be diagonal with nonzero diagonal cells,
-because every quadratic space of the engine is an orthogonal basis.
+because every quadratic space of the engine is an orthogonal basis.  The
+entries of ``NONZERO_ENTRIES`` must be nonzero, because a derivation
+divides by each.
 
 A scalar entry has one name, ``<pack>.<key>`` (``geometry_pack.xi_square``),
 the name the loader's errors use.  ``ConfigDocument`` maps each name to
@@ -104,6 +106,13 @@ _PACKS = {
 
 _SECTIONS = tuple(_PACKS) + ("h2_space",)
 
+# The entries a derivation divides by: the low sides of ``fujiki.DUAL_PAIRS``,
+# C(1) of a fixed fourfold, its c2 to qbar ratio, and the square of xi.
+NONZERO_ENTRIES = frozenset(
+    [f"fujiki_constants.C({m})" for m in ("qbar", "qbar^2", "c2", "qbar*c2", "c2^2", "c4")]
+    + ["fourfold_pack.fujiki_constant", "fourfold_pack.c2_qbar_ratio", "geometry_pack.xi_square"]
+)
+
 
 # The longest document the loader accepts, in characters (the default
 # document has 7,480).
@@ -191,7 +200,10 @@ def _parse_entry(where: str, raw: object) -> ConfigEntry:
     source = raw["source"]
     if not isinstance(source, str) or not source:
         raise ConfigError(f"{where}: source must be a nonempty string")
-    return ConfigEntry(value=_parse_rational(where, raw["value"]), source=source)
+    value = _parse_rational(where, raw["value"])
+    if not value and where in NONZERO_ENTRIES:
+        raise ConfigError(f"{where}: must be nonzero, because a derivation divides by it")
+    return ConfigEntry(value=value, source=source)
 
 
 def _parse_rational(where: str, value: object) -> Fraction:

@@ -3,10 +3,8 @@
 Every quantity is computed at most once and cached; downstream steps see
 exactly the objects their derivations consume, so one engine instance
 reproduces the whole chain from the constant table to the rank, kernel
-and bookkeeping certificates.  The surface data (``v_data``) is one such
-stage: the restriction of every second fourfold reads it instead of
-deriving it again.  A stage that raises is computed once too: every later
-read raises the same exception object again.
+and bookkeeping certificates.  A stage that raises is computed once too:
+every later read raises the same exception object again.
 
 Stages read the configuration by entry name only: ``doc.value(name)`` for
 ``<pack>.<key>`` (``doc.integer(name)`` for the entries that must be
@@ -20,7 +18,6 @@ from typing import Callable
 
 from .bookkeeping import (
     BlowupComparison,
-    CanonicalDims,
     HodgeDiamond,
     InvariantWeight4,
     InvariantWeight6,
@@ -29,7 +26,6 @@ from .bookkeeping import (
     TraceAverages,
     blowup_comparison,
     build_rank_table,
-    canonical_dims,
     diamond_from_half,
     invariant_weight4,
     invariant_weight6,
@@ -54,6 +50,7 @@ from .fujiki import (
 )
 from .kummer import (
     LABEL_COUNT,
+    THETAS,
     DGramCertificate,
     FixedClassIntersections,
     IndependenceCertificate,
@@ -65,7 +62,6 @@ from .kummer import (
 from .linalg import Matrix
 from .quadspace import QuadSpace
 from .wgeometry import (
-    THETAS,
     DPairings,
     QbarRestriction,
     RestrictionFactor,
@@ -175,12 +171,11 @@ class Engine:
     @stage
     def w_other_all(self) -> tuple[WOtherRestriction, ...]:
         model, gram = self.w_model, self.gram19
-        surface = self.v_data
         ratio = self.doc.value("fourfold_pack.c2_qbar_ratio")
         deg_c2_v = self.doc.value("geometry_pack.surface_c2_degree")
         deg_c2_nvw = self.doc.value("geometry_pack.normal_c2_degree")
         return tuple(
-            restrict_w_other(model, gram, ratio, theta, deg_c2_v, deg_c2_nvw, surface)
+            restrict_w_other(model, gram, ratio, theta, deg_c2_v, deg_c2_nvw)
             for theta in THETAS
         )
 
@@ -322,10 +317,9 @@ class Engine:
         )
 
     @stage
-    def canonical(self) -> CanonicalDims:
-        return canonical_dims(
-            self.independence.rank, self.d_gram.rank, self.injectivity.rank
-        )
+    def canonical(self) -> bool:
+        # the canonical span has the same dimension in degrees 4 and 8
+        return self.independence.rank == self.injectivity.rank
 
     @stage
     def traces(self) -> TraceAverages:

@@ -3,6 +3,7 @@
 Labels live on the four-torsion group T4 = (Z/4)^4 of an abelian surface:
 
 * two-torsion points tau index the sixteen fixed fourfolds (W labels),
+  tabled here once, as ``ALPHAS``, ``THETAS``, ``SHIFTED`` and ``COSETS``,
 * unordered pairs of distinct tau index their pairwise intersections (V),
 * a D label is a block tau together with a point alpha in the halving
   fiber {alpha : 2*alpha = tau}, sixteen per block.
@@ -48,14 +49,20 @@ Pt = tuple[int, int, int, int]
 
 ZERO: Pt = (0, 0, 0, 0)
 
-
-def two_torsion() -> tuple[Pt, ...]:
-    """The points with 2*p = 0, {0, 2}^4, in the order ``wgeometry.SHIFTED`` needs."""
-    return tuple(product((0, 2), repeat=4))  # type: ignore[return-value]
-
-
-# the sixteen fixed fourfolds, one per two-torsion label
-LABEL_COUNT = len(two_torsion())
+# the two-torsion points {0, 2}^4, the labels of the sixteen fixed fourfolds
+ALPHAS: tuple[Pt, ...] = tuple(product((0, 2), repeat=4))  # type: ignore[assignment]
+THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
+# SHIFTED[theta][i]: the position in ALPHAS of ALPHAS[i] + theta.  ALPHAS
+# lists {0, 2}^4 in lexicographic order, so the binary digits of a position
+# are the point's coordinates halved, and adding two points XORs positions.
+SHIFTED: dict[Pt, tuple[int, ...]] = {
+    theta: tuple(i ^ t for i in range(len(ALPHAS))) for t, theta in enumerate(ALPHAS)
+}
+# COSETS[theta]: the eight cosets {alpha, alpha + theta} as position pairs i < j
+COSETS: dict[Pt, tuple[tuple[int, int], ...]] = {
+    theta: tuple((i, j) for i, j in enumerate(SHIFTED[theta]) if i < j) for theta in THETAS
+}
+LABEL_COUNT = len(ALPHAS)
 
 
 def w_dot_v_total(pair: Fraction, distinct: Fraction, n: int) -> Fraction:

@@ -389,13 +389,11 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """The unique solution of A x = b, for square or overdetermined A;
-    raises ``ValueError`` when the system is inconsistent or underdetermined."""
+    """The unique solution of A x = b; raises ``ValueError`` when the
+    system is inconsistent or underdetermined (fewer pivots than columns)."""
     rhs = vector(b)
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    if a.rows < a.cols:
-        raise ValueError("system is underdetermined by shape (rows < cols)")
     rows = []
     for den, (index, ints), v in zip(*a._scaled, rhs):
         # row i of [A | b] over the lcm den * q of its denominators

@@ -25,9 +25,10 @@ divisors d = iota_*(4s - delta).
 The 19 invariant classes come in one order, named once next to
 ``build_w_model``: the dual class qbar_W (``QBAR``), delta^2 (``DELTA_SQ``),
 sum s^2 (``S_SQ``), the mixed sum sum s*s[theta] of each of the fifteen
-shifts theta (``MIXED[theta]``, in ``THETAS`` order) and delta*sum s
+shifts theta (``MIXED[theta]``, in ``kummer.THETAS`` order) and delta*sum s
 (``DELTA_S``).  Every coefficient vector over the 19 classes is indexed
-through these names.  Only qbar_W carries the lambda squares (of the six
+through these names, and every label through ``kummer``'s tables, which
+this module imports and does not restate.  Only qbar_W carries the lambda squares (of the six
 restricted classes), and the other 18 classes have pairwise disjoint
 monomials, so ``expand_in_basis`` needs no value of the restriction factor.
 """
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .config import H2_LABELS
-from .kummer import Pt, ZERO, two_torsion
+from .kummer import ALPHAS, COSETS, SHIFTED, THETAS, Pt, ZERO
 from .linalg import Matrix, RationalLike, combine, scaled_integers, solve_linear
 from .quadspace import (
     QuadSpace,
@@ -58,20 +59,8 @@ def s_label(alpha: Pt) -> str:
     return f"s{_bits(alpha)}"
 
 
-ALPHAS: tuple[Pt, ...] = two_torsion()
 # the label of the s class of each alpha, by position in ALPHAS
 S_LABELS: tuple[str, ...] = tuple(map(s_label, ALPHAS))
-THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
-# SHIFTED[theta][i]: the position in ALPHAS of ALPHAS[i] + theta.  ALPHAS
-# lists {0, 2}^4 in lexicographic order, so the binary digits of a position
-# are the point's coordinates halved, and adding two points XORs positions.
-SHIFTED: dict[Pt, tuple[int, ...]] = {
-    theta: tuple(i ^ t for i in range(len(ALPHAS))) for t, theta in enumerate(ALPHAS)
-}
-# COSETS[theta]: the eight cosets {alpha, alpha + theta} as position pairs i < j
-COSETS: dict[Pt, tuple[tuple[int, int], ...]] = {
-    theta: tuple((i, j) for i, j in enumerate(SHIFTED[theta]) if i < j) for theta in THETAS
-}
 
 # xi|_W = 2*delta + (1/2) * sum of the s classes, by label
 XI_ON_W: dict[str, Fraction] = {**dict.fromkeys(S_LABELS, Fraction(1, 2)), "delta": Fraction(2)}
@@ -84,11 +73,6 @@ def nodal_space() -> QuadSpace:
     """The s classes and delta: seventeen orthogonal (-2)-classes."""
     labels = S_LABELS + ("delta",)
     return QuadSpace(labels, (Fraction(-2),) * len(labels), "nodal")
-
-
-def xi_restriction_on(space: QuadSpace) -> tuple[Fraction, ...]:
-    """The class xi|_W = 2*delta + (1/2) * sum of the s classes."""
-    return space.vector(XI_ON_W)
 
 
 class RestrictionFactor(NamedTuple):
@@ -112,7 +96,7 @@ def derive_restriction_factor(
     gamma^4 = C(1) q(gamma)^2).
     """
     nodal = nodal_space()
-    xi_w = xi_restriction_on(nodal)
+    xi_w = nodal.vector(XI_ON_W)
     xi_w_square = nodal.pair(xi_w, xi_w)
     c_w = fujiki_constant * xi_w_square**2 / xi_square**2
     # C(w)/C(1) is the square of q(xi|_W)/xi_square, so its positive root is
@@ -141,7 +125,6 @@ class WModel(NamedTuple):
     space: QuadSpace
     factor: Fraction
     basis: tuple[Sym2Vector, ...]
-    xi_restriction: tuple[Fraction, ...]
 
 
 PLUS_LABELS = ("lp1", "lp2", "lp3")
@@ -183,7 +166,6 @@ def build_w_model(factor: Fraction) -> WModel:
         space=space,
         factor=factor,
         basis=tuple(vectors[k] for k in range(CLASS_COUNT)),
-        xi_restriction=xi_restriction_on(space),
     )
 
 
@@ -254,7 +236,7 @@ def restriction_images(model: WModel) -> dict[str, tuple[Fraction, ...]]:
     images = {}
     for src, dst in zip(H2_LABELS[:6], PLUS_LABELS + MINUS_LABELS):
         images[src] = model.space.basis_vector(dst)
-    images[H2_LABELS[6]] = model.xi_restriction
+    images[H2_LABELS[6]] = model.space.vector(XI_ON_W)
     return images
 
 
@@ -444,7 +426,6 @@ def restrict_w_other(
     theta: Pt,
     deg_c2_v: Fraction,
     deg_c2_nvw: Fraction,
-    surface: VRestrictionData,
 ) -> WOtherRestriction:
     """Expand the class of a second fourfold over the 19 classes.
 
@@ -452,10 +433,9 @@ def restrict_w_other(
     the surface V and is read off the curve Gram; against the dual class,
     it is (c2 route) the surface Euler degree plus one normal-bundle term,
     divided by ``c2_qbar_ratio`` (c2 = ratio * qbar on the fourfold).  The
-    19x19 system then has a unique solution.  ``surface`` holds the
-    theta-independent surface data, whose pairings and compositions
-    ``v_restriction_data`` reports for one theta; theta enters here only
-    through its slot map ``surface_slots(theta)``.
+    19x19 system then has a unique solution.  The surface pairings do not
+    depend on theta (``v_restriction_data`` reports them for one theta);
+    theta enters here only through its slot map ``surface_slots(theta)``.
     """
     slots = surface_slots(theta)
     slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
@@ -465,7 +445,7 @@ def restrict_w_other(
     ]
 
     coeffs = solve_linear(gram, rhs)
-    trail = surface.trail + (
+    trail = (
         f"dual-class pairing = ({deg_c2_v} + "
         f"{deg_c2_nvw}) / {c2_qbar_ratio} "
         f"= {qbar_rhs}",

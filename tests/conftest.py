@@ -44,3 +44,11 @@ def doc():
 @pytest.fixture(scope="session")
 def engine(doc):
     return Engine(doc)
+
+
+@pytest.fixture(scope="session")
+def failure_corpus_runs(tmp_path_factory):
+    """Each failure-corpus document's exit code, stdout and stderr, run once."""
+    from test_failure_golden import run_corpus
+
+    return run_corpus(tmp_path_factory.mktemp("failure-corpus"))

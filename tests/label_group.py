@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
 
-from kum3check.kummer import ZERO, Pt, two_torsion
+from kum3check.kummer import ALPHAS, ZERO, Pt
 
 
 def double(p: Pt) -> Pt:
@@ -114,7 +114,7 @@ def translation_subgroup() -> tuple[GroupElement, ...]:
 
 def sign_two_torsion_subgroup() -> tuple[GroupElement, ...]:
     return tuple(
-        GroupElement(t, s) for s in (1, -1) for t in two_torsion()
+        GroupElement(t, s) for s in (1, -1) for t in ALPHAS
     )
 
 

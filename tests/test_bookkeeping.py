@@ -8,7 +8,6 @@ from kum3check.bookkeeping import (
     HodgeDiamond,
     blowup_comparison,
     build_rank_table,
-    canonical_dims,
     diamond_from_half,
     invariant_weight4,
     invariant_weight6,
@@ -207,13 +206,6 @@ def test_rep_dims():
     assert rep_dims(7, 3) == (84, 35)
     with pytest.raises(ValueError):
         rep_dims(-1, 2)
-
-
-def test_canonical_dims():
-    dims = canonical_dims(17, 241, 17)
-    assert (dims.degree4, dims.degree6, dims.degree8) == (17, 241, 17)
-    assert dims.symmetric
-    assert not canonical_dims(17, 241, 18).symmetric
 
 
 def test_trace_averages():

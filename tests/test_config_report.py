@@ -19,6 +19,7 @@ from kum3check.config import (
     H2_LABELS,
     HODGE_KEYS,
     MAX_DOCUMENT_CHARS,
+    NONZERO_ENTRIES,
     ConfigError,
     default_config,
     default_config_text,
@@ -26,7 +27,7 @@ from kum3check.config import (
     parse_config,
 )
 from kum3check.engine import Engine
-from kum3check.fujiki import Deg4
+from kum3check.fujiki import DUAL_PAIRS, Deg4
 from kum3check.report import (
     SuiteReport,
     emit_json,
@@ -354,6 +355,34 @@ def test_h2_gram_must_be_diagonal_with_nonzero_diagonal(tmp_path, capsys):
         assert captured.err.splitlines() == [f"configuration error: {caught.value}"]
 
 
+def test_nonzero_entries_are_the_divisors_of_the_derivations():
+    # the low side of each dual pair divides, and the three entries that the
+    # restriction factor, the pair-class constant and the c2 route divide by
+    lows = {f"fujiki_constants.{low}" for pairs in DUAL_PAIRS.values() for low, _ in pairs}
+    others = {
+        "fourfold_pack.fujiki_constant",
+        "fourfold_pack.c2_qbar_ratio",
+        "geometry_pack.xi_square",
+    }
+    assert NONZERO_ENTRIES == lows | others
+    assert len(NONZERO_ENTRIES) == 9
+
+
+@pytest.mark.parametrize("name", sorted(NONZERO_ENTRIES))
+def test_cli_rejects_a_zero_divisor_once(name, tmp_path, capsys):
+    pack, key = name.split(".", 1)
+    raw = raw_default()
+    raw[pack][key]["value"] = "0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: {name}: must be nonzero, because a derivation divides by it"
+    ]
+
+
 def test_cli_rejects_a_renamed_label_once(tmp_path, capsys):
     raw = raw_default()
     raw["h2_space"]["labels"][0] = "zz"
@@ -428,9 +457,9 @@ def test_report_sorts_and_rejects_duplicates():
 
 def test_all_suite_is_every_suite_with_prefixed_ids(engine):
     raw = raw_default()
-    raw["geometry_pack"]["xi_square"]["value"] = "0"
+    raw["fujiki_constants"]["C(qbar)"]["value"] = "1/2"
     broken = Engine(parse_config(json.dumps(raw)))
-    for e, error_count in ((engine, 0), (broken, 70)):
+    for e, error_count in ((engine, 0), (broken, 63)):
         merged = run_suite(e, "all")
         prefixed = [
             c._replace(id=f"{suite}/{c.id}")

@@ -6,6 +6,7 @@ import pytest
 from kum3check import engine as engine_module
 from kum3check.config import default_config_text, parse_config
 from kum3check.engine import Engine, stage
+from kum3check.fujiki import FujikiTableError
 from kum3check.suites import run_suite
 
 
@@ -17,14 +18,14 @@ def _document(pack: str, key: str, value: str):
 
 def test_failing_stage_runs_once_per_engine(monkeypatch):
     calls = []
-    derive = engine_module.derive_restriction_factor
+    derive = engine_module.derive_z_relations
 
     def counting(*args):
         calls.append(args)
         return derive(*args)
 
-    monkeypatch.setattr(engine_module, "derive_restriction_factor", counting)
-    report = run_suite(Engine(_document("geometry_pack", "xi_square", "0")), "all")
+    monkeypatch.setattr(engine_module, "derive_z_relations", counting)
+    report = run_suite(Engine(_document("fujiki_constants", "C(qbar)", "1/2")), "all")
     assert report.status == "fail"
     assert len(calls) == 1
 
@@ -47,13 +48,13 @@ def test_a_restriction_factor_other_than_two_runs_every_derivation(xi_square):
 
 
 def test_failing_stage_reraises_the_same_exception():
-    engine = Engine(_document("geometry_pack", "xi_square", "0"))
-    with pytest.raises(ZeroDivisionError) as first:
-        engine.restriction_factor
-    with pytest.raises(ZeroDivisionError) as again:
-        engine.restriction_factor
-    with pytest.raises(ZeroDivisionError) as downstream:
-        engine.w_model
+    engine = Engine(_document("fujiki_constants", "C(qbar)", "1/2"))
+    with pytest.raises(FujikiTableError) as first:
+        engine.relations
+    with pytest.raises(FujikiTableError) as again:
+        engine.relations
+    with pytest.raises(FujikiTableError) as downstream:
+        engine.aux
     assert again.value is first.value
     assert downstream.value is first.value
 

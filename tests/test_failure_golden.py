@@ -13,7 +13,9 @@ ids of its failing checks, run in process through ``cli.main``:
 * one document for each loader check that the edits above leave unrun.
 
 The raise table (``test_raise_table.py``) names its document witnesses
-from this corpus.
+from this corpus.  The same run also checks that no check of any document
+prints the text of an interpreter exception (``ZeroDivisionError: ...``),
+which the interpreter, not the checker, words.
 
 A change that alters failing output on purpose rewrites the manifest and
 shows as its diff:
@@ -132,28 +134,39 @@ def corpus() -> dict[str, str]:
     return docs
 
 
-def run_document(text: str, path: Path) -> dict:
-    """The record of one document through ``kum3check verify all``."""
+def run_document(text: str, path: Path) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one document through ``kum3check verify all``."""
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "all", "--config", str(path)])
-    stdout = out.getvalue()
-    failing = []
-    if code in (0, 1):
-        failing = [c["id"] for c in json.loads(stdout)["checks"] if c["status"] == "fail"]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _checks(code: int, stdout: str) -> list[dict]:
+    """The checks of a report; none when the run printed no report."""
+    return json.loads(stdout)["checks"] if code in (0, 1) else []
+
+
+def record(code: int, stdout: str, stderr: str) -> dict:
+    """A document's manifest record: exit code, output hashes and failing checks."""
     return {
         "exit": code,
         "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
-        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-        "failing": failing,
+        "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest(),
+        "failing": [c["id"] for c in _checks(code, stdout) if c["status"] == "fail"],
     }
 
 
-def run_corpus(directory: Path, names=None) -> dict[str, dict]:
+def run_corpus(directory: Path, names=None) -> dict[str, tuple[int, str, str]]:
+    """``run_document`` of each document of the corpus, or of ``names``."""
     docs = corpus()
     path = directory / "document.json"
     return {name: run_document(docs[name], path) for name in names or docs}
+
+
+def records_of(runs: dict[str, tuple[int, str, str]]) -> dict[str, dict]:
+    return {name: record(*run) for name, run in runs.items()}
 
 
 def differences(records: dict[str, dict]) -> list[str]:
@@ -163,10 +176,42 @@ def differences(records: dict[str, dict]) -> list[str]:
     return sorted(name for name in names if pinned.get(name) != records.get(name))
 
 
-def test_failing_output_matches_the_golden(tmp_path):
-    records = run_corpus(tmp_path)
-    assert len(records) >= 110
-    assert differences(records) == []
+# Error texts that an interpreter exception wrote: its type, then its message.
+INTERPRETER_ERRORS = (
+    "ZeroDivisionError:", "KeyError:", "IndexError:", "TypeError:", "AttributeError:"
+)
+
+
+def interpreter_errors(runs: dict[str, tuple[int, str, str]]) -> list[str]:
+    """``<document>: <check>`` for each check whose computed text starts
+    with an interpreter exception's name."""
+    return [
+        f"{name}: {c['id']}"
+        for name, (code, stdout, _) in runs.items()
+        for c in _checks(code, stdout)
+        if c["computed"].startswith(INTERPRETER_ERRORS)
+    ]
+
+
+def test_failing_output_matches_the_golden(failure_corpus_runs):
+    assert len(failure_corpus_runs) >= 110
+    assert differences(records_of(failure_corpus_runs)) == []
+
+
+def test_no_check_prints_interpreter_exception_text(failure_corpus_runs):
+    assert interpreter_errors(failure_corpus_runs) == []
+
+
+def test_a_stage_that_divides_by_zero_is_flagged(tmp_path, monkeypatch):
+    from kum3check import engine
+
+    def divide(constant, square):
+        """A restriction factor that divides by a zero it makes itself."""
+        return constant / (square * 0)
+
+    monkeypatch.setattr(engine, "derive_restriction_factor", divide)
+    flagged = interpreter_errors(run_corpus(tmp_path, ["default"]))
+    assert "default: gram19/restriction scaling factor" in flagged
 
 
 # A document whose report carries a FujikiTableError message.
@@ -178,11 +223,11 @@ def test_an_edited_error_message_fails_the_golden(tmp_path, monkeypatch):
 
     pinned = json.loads(MANIFEST.read_text())
     names = [FUJIKI_ERROR_DOCUMENT]
-    assert differences({**pinned, **run_corpus(tmp_path, names)}) == []
+    assert differences({**pinned, **records_of(run_corpus(tmp_path, names))}) == []
     monkeypatch.setattr(
         FujikiTableError, "__str__", lambda self: f"edited: {ValueError.__str__(self)}"
     )
-    edited = run_corpus(tmp_path, names)
+    edited = records_of(run_corpus(tmp_path, names))
     assert differences({**pinned, **edited}) == names
     # the same checks fail; only the message in the report moved
     assert edited[FUJIKI_ERROR_DOCUMENT]["failing"] == pinned[FUJIKI_ERROR_DOCUMENT]["failing"]
@@ -195,12 +240,12 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        records = run_corpus(Path(scratch))
+        pinned = records_of(run_corpus(Path(scratch)))
     if args.check:
-        changed = differences(records)
+        changed = differences(pinned)
         for name in changed:
             print(name)
-        print(f"{len(changed)} of {len(records)} documents differ from {MANIFEST}", file=sys.stderr)
+        print(f"{len(changed)} of {len(pinned)} documents differ from {MANIFEST}", file=sys.stderr)
         sys.exit(1 if changed else 0)
-    MANIFEST.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} documents to {MANIFEST}", file=sys.stderr)
+    MANIFEST.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(pinned)} documents to {MANIFEST}", file=sys.stderr)

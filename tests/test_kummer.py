@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from kum3check import kummer
 from kum3check.kummer import (
+    ALPHAS,
     ZERO,
     FixedClassIntersections,
     component_cube_from_total,
     d_gram_certificate,
     deg4_independence_certificate,
     qbar_injectivity_certificate,
-    two_torsion,
     w_dot_v_total,
     w_times_w_pair,
     w_times_w_sq,
@@ -49,10 +49,10 @@ group_elements = st.sampled_from(full_group())
 
 def test_torsion_points():
     assert len(four_torsion()) == 256
-    assert len(two_torsion()) == 16
+    assert len(ALPHAS) == 16
     assert all(double(double(p)) == ZERO for p in four_torsion())
-    assert all(double(t) == ZERO for t in two_torsion())
-    for tau in two_torsion():
+    assert all(double(t) == ZERO for t in ALPHAS)
+    for tau in ALPHAS:
         fiber = halving_fiber(tau)
         assert len(fiber) == 16
         assert all(double(a) == tau for a in fiber)
@@ -62,7 +62,7 @@ def test_torsion_points():
 
 def test_two_torsion_is_the_kernel_of_doubling_in_order():
     # the kernel of doubling on the 256 four-torsion points is the oracle, order included
-    assert two_torsion() == tuple(p for p in four_torsion() if double(p) == ZERO)
+    assert ALPHAS == tuple(p for p in four_torsion() if double(p) == ZERO)
 
 
 @given(group_elements, group_elements, group_elements)
@@ -87,11 +87,11 @@ def test_group_orders():
 
 
 def test_action_on_labels():
-    tau = two_torsion()[3]
+    tau = ALPHAS[3]
     w = WClass(tau)
     assert orbit(w, sign_two_torsion_subgroup()) == {w}
     assert len(orbit(w, full_group())) == 16
-    a, b = two_torsion()[1], two_torsion()[2]
+    a, b = ALPHAS[1], ALPHAS[2]
     v = VClass.of(a, b)
     assert act(IDENTITY, v) == v
     alpha = halving_fiber(tau)[0]
@@ -115,10 +115,10 @@ def test_pairings_are_equivariant_on_generators():
     # one translation of order four, one two-torsion shift, one reflection
     generators = (
         GroupElement(four_torsion()[1], 1),
-        GroupElement(two_torsion()[1], 1),
+        GroupElement(ALPHAS[1], 1),
         GroupElement(ZERO, -1),
     )
-    labels = [DClass(t, halving_fiber(t)[k]) for t in two_torsion()[:3] for k in (0, 5)]
+    labels = [DClass(t, halving_fiber(t)[k]) for t in ALPHAS[:3] for k in (0, 5)]
 
     def pairing(x, y):
         # depends only on block equality and fiber-point equality

@@ -96,7 +96,8 @@ def test_solve_reports_inconsistent_and_underdetermined():
         solve_linear(Matrix([[1, 1], [1, 1]]), (0, 1))
     with pytest.raises(ValueError, match=r"^underdetermined system: free columns \[1\]$"):
         solve_linear(Matrix([[1, 1], [2, 2]]), (3, 6))
-    with pytest.raises(ValueError):
+    # fewer rows than columns leaves a free column, found by the same pivot count
+    with pytest.raises(ValueError, match=r"^underdetermined system: free columns \[1\]$"):
         solve_linear(Matrix([[1, 1]]), (2,))
     with pytest.raises(ValueError, match="^right-hand side length does not match row count$"):
         solve_linear(Matrix([[1, 0], [0, 1]]), (1,))

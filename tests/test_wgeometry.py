@@ -9,7 +9,7 @@ from kum3check import engine as engine_module
 from kum3check import kummer, linalg, wgeometry
 from kum3check.config import default_config
 from kum3check.engine import Engine
-from kum3check.kummer import ZERO
+from kum3check.kummer import ALPHAS, COSETS, SHIFTED, THETAS, ZERO
 from kum3check.quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -20,15 +20,13 @@ from kum3check.quadspace import (
 )
 from kum3check.suites import run_suite
 from kum3check.wgeometry import (
-    ALPHAS,
     CLASS_COUNT,
     DELTA_S,
     DELTA_SQ,
     MIXED,
     QBAR,
     S_SQ,
-    COSETS,
-    THETAS,
+    XI_ON_W,
     build_gram19,
     build_w_model,
     combination,
@@ -45,7 +43,6 @@ from kum3check.wgeometry import (
     s_label,
     s_prime_vectors,
     v_restriction_data,
-    xi_restriction_on,
 )
 
 from label_group import add
@@ -84,16 +81,9 @@ def qbar_rest(model, ambient):
 
 
 @pytest.fixture(scope="module")
-def surface():
-    return v_restriction_data(THETAS[0], XI_SQUARE, Fraction(24), Fraction(12))
-
-
-@pytest.fixture(scope="module")
-def others(model, gram, surface):
+def others(model, gram):
     return tuple(
-        restrict_w_other(
-            model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12), surface
-        )
+        restrict_w_other(model, gram, C2_QBAR_RATIO, theta, Fraction(24), Fraction(12))
         for theta in THETAS
     )
 
@@ -126,7 +116,7 @@ def test_labels():
 
 def test_nodal_space_and_scaling(factor):
     nodal = nodal_space()
-    xi_w = xi_restriction_on(nodal)
+    xi_w = nodal.vector(XI_ON_W)
     assert nodal.pair(xi_w, xi_w) == -16
     assert factor.c_w_component == 12
     assert factor.factor == 2
@@ -715,8 +705,8 @@ def test_expansion_matches_the_gram_projection(factor, coeffs, data):
 
 def test_shift_table_is_the_group_law():
     for theta in ALPHAS:
-        assert [ALPHAS[j] for j in wgeometry.SHIFTED[theta]] == [add(a, theta) for a in ALPHAS]
+        assert [ALPHAS[j] for j in SHIFTED[theta]] == [add(a, theta) for a in ALPHAS]
     for theta in THETAS:
-        cosets = wgeometry.COSETS[theta]
+        cosets = COSETS[theta]
         assert sorted(i for pair in cosets for i in pair) == list(range(16))
         assert all(add(ALPHAS[i], theta) == ALPHAS[j] and i < j for i, j in cosets)
