@@ -12,9 +12,10 @@ exact kernels see.  The whole document is bounded too: text longer than
 reads at most one character more.  Validation is strict: duplicate keys,
 malformed rationals, missing required keys and unrecognised keys are all
 errors that name the offending key.  The H^2 labels must be the seven
-names of ``H2_LABELS``, in any order, because the engine looks them up by
-name, and the H^2 Gram must be diagonal with nonzero diagonal cells,
-because every quadratic space of the engine is an orthogonal basis.  The
+names of ``H2_LABELS``, in any order, and the H^2 Gram must be diagonal
+with nonzero diagonal cells, because every quadratic space of the engine
+is an orthogonal basis.  The loader keeps the squares in ``H2_LABELS``
+order, so documents that differ only in label order are equal.  The
 entries of ``NONZERO_ENTRIES`` must be nonzero, because a derivation
 divides by each.
 
@@ -22,8 +23,8 @@ A scalar entry has one name, ``<pack>.<key>`` (``geometry_pack.xi_square``),
 the name the loader's errors use.  ``ConfigDocument`` maps each name to
 its entry, and ``value(name)`` is the one way the engine and the suites
 read an entry; ``integer(name)`` reads the entries that must be integers.
-The H^2 space is kept as its labels and the squares on the diagonal of its
-checked Gram.  The default document is the file
+The H^2 space is kept as the squares on the diagonal of its checked Gram,
+in ``H2_LABELS`` order.  The default document is the file
 ``data/default_config.json`` next to this module, read by ``load_config``.
 """
 
@@ -93,8 +94,8 @@ HODGE_KEYS = (
     )
 )
 
-# The ambient H^2 basis, in the order of the default document; the engine
-# restricts each of these classes by name.
+# The ambient H^2 basis, in the one order the loader stores its squares in;
+# ``wgeometry.restriction_images`` gives the images in the same order.
 H2_LABELS = ("y1", "y2", "y3", "z1", "z2", "z3", "xi")
 
 _PACKS = {
@@ -134,29 +135,26 @@ class ConfigEntry(NamedTuple):
 
 class ConfigDocument:
     """The validated document: each scalar entry under its name
-    ``<pack>.<key>``, and the H^2 basis as its labels and squares.
+    ``<pack>.<key>``, and the H^2 squares in ``H2_LABELS`` order.
 
     Not a tuple or a mapping: indexing or iterating the document would
     bypass ``value`` and ``integer``.  Documents with the same entries and
-    H^2 basis are equal.
+    H^2 squares are equal, so documents that differ only in label order
+    are equal.
     """
 
-    __slots__ = ("named_entries", "h2_labels", "h2_squares")
+    __slots__ = ("named_entries", "h2_squares")
 
     def __init__(
-        self,
-        named_entries: Mapping[str, ConfigEntry],
-        h2_labels: tuple[str, ...],
-        h2_squares: tuple[Fraction, ...],
+        self, named_entries: Mapping[str, ConfigEntry], h2_squares: tuple[Fraction, ...]
     ):
         self.named_entries = named_entries
-        self.h2_labels = h2_labels
         self.h2_squares = h2_squares
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConfigDocument) and (
-            self.named_entries, self.h2_labels, self.h2_squares
-        ) == (other.named_entries, other.h2_labels, other.h2_squares)
+            self.named_entries, self.h2_squares
+        ) == (other.named_entries, other.h2_squares)
 
     def value(self, name: str) -> Fraction:
         """The value of the entry ``<pack>.<key>``."""
@@ -176,7 +174,7 @@ class ConfigDocument:
             out[pack][key] = {"value": str(e.value), "source": e.source}
         squares = self.h2_squares
         out["h2_space"] = {
-            "labels": list(self.h2_labels),
+            "labels": list(H2_LABELS),
             "gram": [
                 [str(q) if i == j else "0" for j in range(len(squares))]
                 for i, q in enumerate(squares)
@@ -237,7 +235,8 @@ def _parse_pack(pack: str, raw: object, required: tuple[str, ...]) -> dict[str, 
     }
 
 
-def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], tuple[Fraction, ...]]:
+def _parse_h2_space(raw: object) -> tuple[Fraction, ...]:
+    """The squares of the checked H^2 Gram, in ``H2_LABELS`` order."""
     if not isinstance(raw, dict) or set(raw) != {"labels", "gram"}:
         raise ConfigError("h2_space: must be an object with labels and gram")
     labels = raw["labels"]
@@ -274,7 +273,7 @@ def _parse_h2_space(raw: object) -> tuple[tuple[str, ...], tuple[Fraction, ...]]
                     f"h2_space.gram[{i}][{j}]: the Gram must be diagonal with a "
                     f"nonzero diagonal (an orthogonal basis); got {cell}"
                 )
-    return tuple(labels), tuple(row[i] for i, row in enumerate(rows))
+    return tuple(rows[i][i] for i in map(labels.index, H2_LABELS))
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -297,8 +296,7 @@ def parse_config(text: str) -> ConfigDocument:
     entries: dict[str, ConfigEntry] = {}
     for pack, required in _PACKS.items():
         entries.update(_parse_pack(pack, raw[pack], required))
-    labels, squares = _parse_h2_space(raw["h2_space"])
-    return ConfigDocument(named_entries=entries, h2_labels=labels, h2_squares=squares)
+    return ConfigDocument(named_entries=entries, h2_squares=_parse_h2_space(raw["h2_space"]))
 
 
 def load_config(path: str) -> ConfigDocument:

@@ -9,8 +9,8 @@ every later read raises the same exception object again.
 Stages read the configuration by entry name only: ``doc.value(name)`` for
 ``<pack>.<key>`` (``doc.integer(name)`` for the entries that must be
 integers: the Hodge entries, and ``fourfold_pack.c4_degree`` where
-``traces`` reads it as an Euler number), plus the H^2 labels and squares
-of ``ambient``.  Each derivation takes the scalars it reads as arguments.
+``traces`` reads it as an Euler number), plus the H^2 squares of
+``ambient``.  Each derivation takes the scalars it reads as arguments.
 """
 
 from fractions import Fraction
@@ -35,6 +35,7 @@ from .bookkeeping import (
 from .config import (
     ABELIAN_HODGE_PAIRS,
     FUJIKI_KEYS,
+    H2_LABELS,
     SIXFOLD_HODGE_PAIRS,
     ConfigDocument,
 )
@@ -151,9 +152,7 @@ class Engine:
 
     @stage
     def ambient(self) -> QuadSpace:
-        return QuadSpace(
-            labels=self.doc.h2_labels, squares=self.doc.h2_squares, name="ambient"
-        )
+        return QuadSpace(H2_LABELS, self.doc.h2_squares, "ambient")
 
     @stage
     def qbar_restriction(self) -> QbarRestriction:
@@ -201,17 +200,13 @@ class Engine:
 
     @stage
     def wv(self) -> WVClasses:
-        # read before relations: the error that a document failing in more
-        # than one of these stages reports depends on the order
-        c_w_component = self.restriction_factor.c_w_component
-        c_v_pair = self.v_data.c_v_pair
         return express_w_v(
             self.relations,
             self.doc.value("geometry_pack.normal_c2_degree"),
             self.doc.value("geometry_pack.transversal_points"),
             self.doc.value("geometry_pack.restricted_c2_degree"),
-            c_w_component,
-            c_v_pair,
+            self.restriction_factor.c_w_component,
+            self.v_data.c_v_pair,
         )
 
     @stage

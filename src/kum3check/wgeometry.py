@@ -37,7 +37,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .config import H2_LABELS
 from .kummer import ALPHAS, COSETS, SHIFTED, THETAS, Pt, ZERO
 from .linalg import Matrix, RationalLike, combine, scaled_integers, solve_linear
 from .quadspace import (
@@ -231,34 +230,19 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # restriction from the config's rank-7 h2_space and the restricted dual class
 
-def restriction_images(model: WModel) -> dict[str, tuple[Fraction, ...]]:
-    """Images of the ambient classes named by ``config.H2_LABELS``."""
-    images = {}
-    for src, dst in zip(H2_LABELS[:6], PLUS_LABELS + MINUS_LABELS):
-        images[src] = model.space.basis_vector(dst)
-    images[H2_LABELS[6]] = model.space.vector(XI_ON_W)
-    return images
-
-
-def restrict_sym2(model: WModel, ambient: QuadSpace, x: Sym2Vector) -> Sym2Vector:
-    """Push a degree-4 class of the sixfold into Sym^2 of the fourfold."""
-    images = restriction_images(model)
-    labels = ambient.labels
-    return sym2_sum(
-        model.space,
-        (
-            (coeff, sym2_product(model.space, images[labels[i]], images[labels[j]]))
-            for (i, j), coeff in x.coeffs
-        ),
-    )
+def restriction_images(model: WModel) -> tuple[tuple[Fraction, ...], ...]:
+    """Images of the seven ambient classes, in ``config.H2_LABELS`` order:
+    y_k goes to lp_k, z_k to lm_k and xi to xi|_W."""
+    yz_images = map(model.space.basis_vector, PLUS_LABELS + MINUS_LABELS)
+    return (*yz_images, model.space.vector(XI_ON_W))
 
 
 def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     """q_W(images) = factor * q_X on every pair of basis vectors."""
     images = restriction_images(model)
-    for i, a in enumerate(ambient.labels):
-        for j, b in enumerate(ambient.labels):
-            got = model.space.pair(images[a], images[b])
+    for i, u in enumerate(images):
+        for j, v in enumerate(images):
+            got = model.space.pair(u, v)
             want = model.factor * ambient.squares[i] if i == j else 0
             if got != want:
                 return False
@@ -273,7 +257,11 @@ class QbarRestriction(NamedTuple):
 def restrict_qbar(model: WModel, ambient: QuadSpace) -> QbarRestriction:
     """Expand the restricted ambient dual class over the 19 classes."""
     dual = qbar_dual(ambient)
-    restricted = restrict_sym2(model, ambient, dual)
+    images = restriction_images(model)
+    restricted = sym2_sum(
+        model.space,
+        ((c, sym2_product(model.space, images[i], images[j])) for (i, j), c in dual.coeffs),
+    )
     coeffs = expand_in_basis(model, restricted)
     trail = (
         "ambient dual class = " + dual.render(),

@@ -1,8 +1,8 @@
 """A standing guard on the one read path from the configuration document.
 
 Outside ``config.py``, package code reads a ``ConfigDocument`` through its
-methods (``value`` and ``integer`` for the scalar entries) and the two H^2
-fields ``h2_labels`` and ``h2_squares``, never through another field.  The
+methods (``value`` and ``integer`` for the scalar entries) and the H^2
+field ``h2_squares``, never through another field.  The
 scan finds the fields in the class definition and flags, in every other
 module, an attribute access or a ``getattr`` with a literal name of any
 other field.  It matches by attribute name, so it also flags another
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from test_dead_code import SRC, _members, _parse, _slot_names, row_paths
 
-OPEN_FIELDS = {"h2_labels", "h2_squares"}
+OPEN_FIELDS = {"h2_squares"}
 
 
 def _closed_fields(config: ast.Module) -> set[str]:
@@ -70,7 +70,7 @@ def test_the_package_reads_the_document_through_one_path():
 def test_the_scan_flags_each_bypass(tmp_path):
     (tmp_path / "config.py").write_text(
         "class ConfigDocument:\n"
-        "    __slots__ = ('named_entries', 'h2_labels', 'h2_squares')\n"
+        "    __slots__ = ('named_entries', 'h2_squares')\n"
         "    def value(self, name):\n"
         "        return self.named_entries[name].value\n"
     )
@@ -79,7 +79,7 @@ def test_the_scan_flags_each_bypass(tmp_path):
         "    a = doc.value('geometry_pack.xi_square')\n"
         "    b = doc.named_entries['geometry_pack.xi_square'].value\n"
         "    c = getattr(doc, 'named_entries')\n"
-        "    return a, b, c, doc.h2_labels, doc.h2_squares\n"
+        "    return a, b, c, doc.h2_squares\n"
     )
     (tmp_path / "other.py").write_text(
         "from typing import NamedTuple\n"
@@ -91,9 +91,9 @@ def test_the_scan_flags_each_bypass(tmp_path):
     (tmp_path / "suites.py").write_text(
         "SUITES = {\n"
         "    'named_entries': (\n"
-        "        ('named_entries', 'named_entries', 'named_entries', 'doc.h2_labels'),\n"
+        "        ('named_entries', 'named_entries', 'named_entries', 'doc.h2_squares'),\n"
         "        ('row', 'ref', 1, ('doc.h2_squares', 'doc.named_entries')),\n"
-        "        ('trail', 'ref', 1, 'doc.h2_labels', 'doc.named_entries.keys'),\n"
+        "        ('trail', 'ref', 1, 'doc.h2_squares', 'doc.named_entries.keys'),\n"
         "    ),\n"
         "}\n"
     )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kum3check import engine as engine_module
 from kum3check import kummer, linalg, wgeometry
-from kum3check.config import default_config
+from kum3check.config import H2_LABELS, default_config
 from kum3check.engine import Engine
 from kum3check.kummer import ALPHAS, COSETS, SHIFTED, THETAS, ZERO
 from kum3check.quadspace import (
@@ -215,7 +215,7 @@ def test_expand_in_basis_rejects_non_uniform_squares(model):
 
 def test_restriction_is_similitude(model, ambient):
     assert restriction_is_similitude(model, ambient)
-    images = restriction_images(model)
+    images = dict(zip(H2_LABELS, restriction_images(model)))
     for name in ("y1", "z2", "xi"):
         u = images[name]
         v = ambient.basis_vector(name)
