@@ -43,15 +43,15 @@ from fractions import Fraction
 from itertools import combinations, product, repeat
 from typing import NamedTuple
 
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import ZERO, Matrix, kernel_basis, rank, scaled_integers
 
 Pt = tuple[int, int, int, int]
 
-ZERO: Pt = (0, 0, 0, 0)
+ORIGIN: Pt = (0, 0, 0, 0)
 
 # the two-torsion points {0, 2}^4, the labels of the sixteen fixed fourfolds
 ALPHAS: tuple[Pt, ...] = tuple(product((0, 2), repeat=4))  # type: ignore[assignment]
-THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ZERO)
+THETAS: tuple[Pt, ...] = tuple(t for t in ALPHAS if t != ORIGIN)
 # SHIFTED[theta][i]: the position in ALPHAS of ALPHAS[i] + theta.  ALPHAS
 # lists {0, 2}^4 in lexicographic order, so the binary digits of a position
 # are the point's coordinates halved, and adding two points XORs positions.
@@ -270,9 +270,14 @@ def d_gram_certificate(
     rank, pivot columns, reduced echelon kernel basis and kernel of G; the
     module docstring says why the rows come in this order.  M and the
     difference relations are written from their nonzero cells, as
-    ``{column: value}`` rows, so no zero cell of either is scaled; only the
-    last row of M is dense.  ``mat_vec`` multiplies the relation matrix's
-    own ``entries``, and ``rank`` eliminates that same matrix.
+    ``{column: value}`` rows of integers, so no zero cell of either is
+    scaled and no cell is converted; only the last row of M is dense.  M
+    is written over the lcm L of the three constants' denominators, so it
+    is L*P*G, which has the rank and kernel of G.  ``mat_vec`` multiplies
+    the relation matrix's own ``entries``, and ``rank`` eliminates that
+    same matrix.  The kernel vectors and the products are compared cell by
+    cell through object identity: ``linalg`` builds one ``Fraction`` per
+    distinct value of a result and gives every zero as ``ZERO``.
     """
     row_total = diagonal + (block_size - 1) * same_block
     cross_block = Fraction(row_total, block_size)
@@ -282,47 +287,55 @@ def d_gram_certificate(
     ]
 
     m = blocks * block_size
-    inside = diagonal - same_block  # G_i - G_{i-1} at i, inside a block
-    boundary = diagonal - cross_block  # the same at a block boundary
-    spread = same_block - cross_block  # rest of the block of i at a boundary
+    # the three constants over the lcm of their denominators
+    _, (diag, same, cross) = scaled_integers([diagonal, same_block, cross_block])
+    inside = diag - same  # G_i - G_{i-1} at i, inside a block
+    boundary = diag - cross  # the same at a block boundary
+    spread = same - cross  # rest of the block of i at a boundary
 
-    def step_row(i: int) -> dict[int, Fraction]:
-        """The cells of G_i - G_{i-1}; the block of i-1 holds the negated values."""
-        if i % block_size:
-            return {i - 1: -inside, i: inside}
+    def boundary_row(i: int) -> dict[int, int]:
+        """The cells of G_i - G_{i-1} for i at a block boundary; the block
+        of i-1 holds the negated values."""
         row = dict.fromkeys(range(i - block_size, i), -spread)
         row.update(dict.fromkeys(range(i, i + block_size), spread))
         row[i - 1], row[i] = -boundary, boundary
         return row
 
-    first_row = {j: same_block if j < block_size else cross_block for j in range(m)}
-    first_row[0] = diagonal
-    inside_first = sorted(range(1, m), key=lambda i: i % block_size == 0)
-    steps = Matrix([*map(step_row, inside_first), first_row], m)
+    first_row = dict.fromkeys(range(block_size), same)
+    first_row.update(dict.fromkeys(range(block_size, m), cross))
+    first_row[0] = diag
+    steps = Matrix([
+        *({i - 1: -inside, i: inside} for i in range(1, m) if i % block_size),
+        *map(boundary_row, range(block_size, m, block_size)),
+        first_row,
+    ], m)
 
     gram_rank = rank(steps)
     kernel = kernel_basis(steps)
     nullity = len(kernel)
 
+    # equal cells of a chunk are one object, so ``count`` compares them by
+    # identity; the chunk values are summed over one common denominator
     block_structured = True
     for vec in kernel:
         chunks = [vec[b * block_size : (b + 1) * block_size] for b in range(blocks)]
         if any(chunk.count(chunk[0]) != block_size for chunk in chunks):
             block_structured = False
             break
-        if sum(chunk[0] for chunk in chunks) != 0:
+        if sum(scaled_integers([chunk[0] for chunk in chunks])[1]):
             block_structured = False
             break
 
     # the fifteen relations, block 0 sum minus block b sum
-    one = Fraction(1)
     relation_matrix = Matrix([
-        dict.fromkeys(range(block_size), one)
-        | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -one)
+        dict.fromkeys(range(block_size), 1)
+        | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -1)
         for b in range(1, blocks)
     ], m)
     # a list, so that every relation is multiplied even after one fails
-    in_kernel = not any([any(steps.mat_vec(vec)) for vec in relation_matrix.entries])
+    in_kernel = all([
+        steps.mat_vec(vec).count(ZERO) == m for vec in relation_matrix.entries
+    ])
     diff_rank = rank(relation_matrix)
 
     block_square = block_size * row_total

@@ -9,37 +9,43 @@ format spec give the same string.
 Matrices are immutable and have one stored form: for every row, the lcm of
 its denominators and the nonzero cells scaled by it to integers, as
 (columns, values).  ``Fraction`` is the boundary type: it goes in and comes
-out, but the inner loops run on Python integers, and one helper,
-``scaled_integers``, brings every row and vector to them.  A row is given
-either as a sequence of cells or as a ``{column: value}`` mapping of its
-cells, with ``cols`` giving the width; both become the same sparse integer
-row when the matrix is built, and zeros are dropped from both.  Only the
-nonzero cells of a sequence are read and scaled; a cell that is the shared
-``ZERO`` is skipped without calling into ``Fraction``, and a mapping is
-never scanned beyond its cells, so a sparse row costs what its support
-costs.  Two matrices are equal when their widths and stored rows are.
-The dense ``Fraction`` rows (``entries``) are a view, built from the
-sparse rows at each read; their zero cells are ``ZERO`` itself.  A matrix
-is not hashable.
+out, but the inner loops run on Python integers.  One helper,
+``integer_cells``, brings a row or vector to them: it skips a cell that is
+the shared ``ZERO`` by identity and reads every other cell once, through
+``as_integer_ratio()``, so no loop calls ``Fraction.__bool__`` or the
+``numerator`` and ``denominator`` properties; cells that are all ints are
+their own integer form.  A row is given either as a sequence of cells or
+as a ``{column: value}`` mapping of its cells, with ``cols`` giving the
+width; both become the same sparse integer row when the matrix is built,
+and zeros are dropped from both.  A mapping is never scanned beyond its
+cells, so a sparse row costs what its support costs.  Two matrices are
+equal when their widths and stored rows are.  The dense ``Fraction`` rows
+(``entries``) are a view, built from the sparse rows at each read; their
+zero cells are ``ZERO`` itself, and equal cells of one row are one object.
+A matrix is not hashable.
 
+Every zero cell of a result is ``ZERO``, and ``kernel_basis``,
+``solve_linear``, ``combine``, ``pairings`` and ``mat_vec`` (on a matrix
+whose rows share one denominator) build one ``Fraction`` per distinct
+value of a result, so that equal cells are one object and callers compare
+cells by identity (``is ZERO``, ``list.count``) without calling into
+``Fraction``.
 ``mat_vec`` is a product by columns over a column index built on first
 use: the vector is scaled to integers once, each of its nonzero cells
 adds into the rows that meet its column, and a zero cell costs nothing.
-A row that meets no nonzero cell of the vector yields ``ZERO`` without a
-``Fraction`` call; every other result is one ``Fraction``.  ``pairings``
-gives u^T M v for two families of vectors: it scales each vector once and
-forms the integer row combination u^T M once per u.  ``combine`` sums
-c * v over one common denominator, one ``Fraction`` per cell.
+``pairings`` gives u^T M v for two families of vectors: it scales each
+vector once and forms the integer row combination u^T M once per u.
+``combine`` sums c * v over one common denominator.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
 same sparse rows: the pivot row is divided by its content (gcd of the
 entries) once, and a row below it is cross-multiplied with that row over
 the gcd of their pivot-column cells and divided by its content.  An update
-reads only the pivot's cells, and rows are kept by their first nonzero
-column, so the rows to update below a pivot are found without a scan.  A
-matrix is eliminated at most once: the sparse echelon rows are memoised on
-the matrix and shared by ``rank`` and ``kernel_basis``.  Back substitution
-splits each echelon row into its pivot and tail once per call, visits
+reads the updated row at the pivot's columns, and then every cell of it
+for its content; rows are kept by their first nonzero column, so the rows
+to update below a pivot are found without a scan.  A matrix is eliminated
+at most once: the sparse echelon rows are memoised on the matrix and
+shared by ``rank`` and ``kernel_basis``.  Back substitution visits
 bottom-up only the rows that a vector reaches through its nonzero
 coordinates, and keeps one common denominator, so it stays in integers
 too.  ``solve_linear`` returns the unique solution of a system and raises
@@ -85,20 +91,67 @@ def vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(rat, values))
 
 
-def support(values: Sequence[Fraction]) -> list[int]:
-    """Indices of the nonzero values; a ``ZERO`` cell costs no ``Fraction`` call."""
-    return [j for j, x in enumerate(values) if x is not ZERO and x]
+# The cell types whose ``as_integer_ratio()`` is read as it is; a sequence
+# that holds a cell of any other type goes through ``rat`` first.  Cells
+# that are all ints are their own integer form.
+_EXACT = {Fraction, int}
+_INT = {int}
 
 
-def scaled_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """``(L, [n * (L // d) for n, d in ratios])`` for the lcm ``L`` of the
+    denominators; with L == 1 the numerators are returned as they are."""
+    scale = lcm(*[d for _, d in ratios])
+    if scale == 1:
+        return 1, [n for n, _ in ratios]
+    return scale, [n * (scale // d) for n, d in ratios]
+
+
+def scaled_integers(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
     """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators.
 
     A zero cell has denominator 1 and scales to 0; callers with sparse
-    values pass only their nonzero cells.
+    values pass only their nonzero cells.  Each value is read once, through
+    ``as_integer_ratio()``.
     """
-    dens = [x.denominator for x in values]
-    scale = lcm(*dens)
-    return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
+    return _over_lcm([x.as_integer_ratio() for x in values])
+
+
+def integer_cells(values: Sequence[RationalLike]) -> tuple[int, list[int], list[int]]:
+    """``(L, index, ints)``: the positions of the nonzero values, and those
+    values times the lcm ``L`` of their denominators.
+
+    A ``ZERO`` cell is skipped by identity, and only the other cells are
+    type-checked.  Cells that are all ints are their own integer form;
+    otherwise each cell is read once, through ``as_integer_ratio()``, and
+    dropped when its numerator is 0.
+    """
+    index = [j for j, x in enumerate(values) if x is not ZERO]
+    cells = [values[j] for j in index]
+    types = set(map(type, cells))
+    if types <= _INT:
+        if not all(cells):
+            index = [j for j, a in zip(index, cells) if a]
+            cells = [a for a in cells if a]
+        return 1, index, cells
+    if not types <= _EXACT:
+        cells = list(map(rat, cells))
+    ratios = [x.as_integer_ratio() for x in cells]
+    if not all([n for n, _ in ratios]):
+        index = [j for j, (n, _) in zip(index, ratios) if n]
+        ratios = [r for r in ratios if r[0]]
+    scale, ints = _over_lcm(ratios)
+    return scale, index, ints
+
+
+def _fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """``Fraction(a, den)`` for each integer, built once per distinct value:
+    equal cells are one object, and every zero is ``ZERO``."""
+    ints = tuple(ints)
+    if not any(ints):
+        return (ZERO,) * len(ints)
+    cells = {a: Fraction(a, den) if a else ZERO for a in set(ints)}
+    return tuple(map(cells.__getitem__, ints))
 
 
 class Matrix:
@@ -124,24 +177,25 @@ class Matrix:
     ):
         dens, sparse = [], []
         for row in entries:
-            if isinstance(row, Mapping):
+            if type(row) is dict or isinstance(row, Mapping):
                 if cols is None:
                     raise ValueError("a row given as a mapping needs cols")
                 keys = sorted(row)
                 if keys and not (0 <= keys[0] and keys[-1] < cols):
                     raise ValueError("mapping row has a column outside the matrix")
-                values = vector(map(row.__getitem__, keys))
-                index = [j for j, x in zip(keys, values) if x is not ZERO and x]
-                cells = [x for x in values if x is not ZERO and x]
+                values = [row[k] for k in keys]
+                if set(map(type, values)) <= _INT and all(values):
+                    den, index, ints = 1, keys, values
+                else:
+                    den, index, ints = integer_cells(values)
+                    index = [keys[k] for k in index]
             else:
-                values = vector(row)
+                values = tuple(row)
                 if cols is None:
                     cols = len(values)
                 elif len(values) != cols:
                     raise ValueError("ragged rows in matrix")
-                index = support(values)
-                cells = [values[j] for j in index]
-            den, ints = scaled_integers(cells)
+                den, index, ints = integer_cells(values)
             dens.append(den)
             sparse.append((tuple(index), tuple(ints)))
         object.__setattr__(self, "rows", len(dens))
@@ -174,29 +228,29 @@ class Matrix:
         """For each column, the rows of its nonzero integer cells and their
         values."""
         if self._columns is None:
-            columns = [([], []) for _ in range(self.cols)]
+            rows = [[] for _ in range(self.cols)]
+            values = [[] for _ in range(self.cols)]
             for i, (index, ints) in enumerate(self._scaled[1]):
                 for j, a in zip(index, ints):
-                    rows, values = columns[j]
-                    rows.append(i)
-                    values.append(a)
-            object.__setattr__(self, "_columns", columns)
+                    rows[j].append(i)
+                    values[j].append(a)
+            object.__setattr__(self, "_columns", list(zip(rows, values)))
         return self._columns
 
     def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
-            rows = [dict(zip(*row)) for row in self._scaled[1]]
-            object.__setattr__(self, "_echelon", _forward_echelon(rows, self.cols))
+            object.__setattr__(
+                self, "_echelon", _forward_echelon(list(self._scaled[1]), self.cols)
+            )
         return self._echelon
 
     def mat_vec(self, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """M x, summed by columns over the nonzero cells of x."""
-        v = vector(x)
+        v = tuple(x)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        index = support(v)
-        scale, ints = scaled_integers([v[j] for j in index])
+        scale, index, ints = integer_cells(v)
         dens = self._scaled[0]
         columns = self._column_index()
         acc = [0] * self.rows
@@ -204,6 +258,8 @@ class Matrix:
             rows, values = columns[j]
             for i, b in zip(rows, values):
                 acc[i] += a * b
+        if dens and dens.count(dens[0]) == len(dens):
+            return _fractions(acc, dens[0] * scale)
         return tuple(
             Fraction(t, den * scale) if t else ZERO for t, den in zip(acc, dens)
         )
@@ -215,35 +271,55 @@ class Matrix:
 
         Every vector is scaled to integers once, and the integer row
         combination u^T M is formed once per u, over the lcm of all row
-        denominators.
+        denominators.  Equal nonzero results are one ``Fraction`` object,
+        and zero results are ``ZERO``.
         """
-        us, vs = [vector(u) for u in us], [vector(v) for v in vs]
+        us, vs = [tuple(u) for u in us], [tuple(v) for v in vs]
         if any(len(u) != self.rows for u in us) or any(len(v) != self.cols for v in vs):
             raise ValueError("vector length does not match matrix shape")
         dens, sparse = self._scaled
         row_scale = lcm(*dens)
-        scaled_vs = [scaled_integers(v) for v in vs]
+        scaled_vs = [integer_cells(v) for v in vs]
+        # one Fraction per distinct value (keyed by its reduced numerator
+        # and denominator), so that equal pairings are one object
+        made: dict[tuple[int, int], Fraction] = {}
         out = []
         for u in us:
-            u_index = support(u)
-            u_scale, u_ints = scaled_integers([u[i] for i in u_index])
+            u_scale, u_index, u_ints = integer_cells(u)
             w = [0] * self.cols
             for i, a in zip(u_index, u_ints):
                 k = a * (row_scale // dens[i])
                 for j, b in zip(*sparse[i]):
                     w[j] += k * b
-            totals = [sum(map(mul, w, v_ints)) for _, v_ints in scaled_vs]
-            out.append(tuple(
-                Fraction(t, u_scale * row_scale * v_scale) if t else ZERO
-                for t, (v_scale, _) in zip(totals, scaled_vs)
-            ))
+            row = []
+            for v_scale, v_index, v_ints in scaled_vs:
+                t = sum(map(mul, map(w.__getitem__, v_index), v_ints))
+                if t:
+                    den = u_scale * row_scale * v_scale
+                    g = gcd(t, den)
+                    key = t // g, den // g
+                    cell = made.get(key)
+                    if cell is None:
+                        cell = made[key] = Fraction(*key)
+                    row.append(cell)
+                else:
+                    row.append(ZERO)
+            out.append(tuple(row))
         return tuple(out)
 
 
+def _first_column(row: SparseRow | dict[int, int]) -> int | None:
+    """The first column of a row held as a ``SparseRow`` or as a
+    ``{column: value}`` dict; None when the row is empty."""
+    if type(row) is tuple:
+        return row[0][0] if row[0] else None
+    return min(row) if row else None
+
+
 def _forward_echelon(
-    rows: list[dict[int, int]], cols: int
+    rows: list[SparseRow], cols: int
 ) -> tuple[tuple[SparseRow, ...], list[int]]:
-    """Forward elimination of rows given as {column: nonzero value}.
+    """Forward elimination of ``SparseRow`` rows, each in column order.
 
     Returns the echelon rows, as ``SparseRow`` pairs in column order, and
     their pivot columns; the rows that eliminate to zero are dropped.
@@ -254,13 +330,22 @@ def _forward_echelon(
     row's content (gcd of the entries) and p its cell in c, a row cur with
     m in c becomes a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0)
     and b = m/g0, divided by its content: as that is (p*cur - m*pivot)/(k*g0)
-    with k*g0 > 0, the echelon is the cross-multiplied one.  Only the
-    pivot's cells are read, and when a == 1 cur is updated in place.
+    with k*g0 > 0, the echelon is the cross-multiplied one.
+
+    What is read: each pivot row's cells once, for its content k.  Each
+    row it updates is read at c and at the pivot's columns, and then at
+    every cell for its content (the gcd of all its cells).  With a == 1
+    the row changes in place at the pivot's columns; a != 1 rewrites every
+    cell, and so does a content above 1.  A row stays the ``SparseRow`` it
+    came as until its first update makes it a ``{column: value}`` dict,
+    and it is sorted back into a ``SparseRow`` when it becomes a pivot; a
+    row that no pivot updates (in the D certificate, every two-cell step
+    row) is returned as it came.
     """
     leading: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        if row:
-            leading.setdefault(min(row), set()).add(i)
+    for i, (row_cols, _) in enumerate(rows):
+        if row_cols:
+            leading.setdefault(row_cols[0], set()).add(i)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -273,71 +358,84 @@ def _forward_echelon(
         below.remove(sel)
         if sel != r:
             rows[r], rows[sel] = rows[sel], rows[r]
-            if rows[sel]:
-                moved = leading[min(rows[sel])]
+            first = _first_column(rows[sel])
+            if first is not None:
+                moved = leading[first]
                 moved.remove(r)
                 moved.add(sel)
         pivot = rows[r]
-        k = gcd(*pivot.values())
+        if type(pivot) is not tuple:
+            rows[r] = pivot = tuple(zip(*sorted(pivot.items())))
+        pivots.append(c)
+        r += 1
+        if not below:
+            continue
+        pivot_cols, pivot_vals = pivot
+        k = gcd(*pivot_vals)
         if k > 1:
-            pivot = {j: w // k for j, w in pivot.items()}
-        p = pivot[c]
+            pivot_vals = [w // k for w in pivot_vals]
+        p = pivot_vals[0]
+        # the cells right of c; the cell in c cancels in every update
+        tail = list(zip(pivot_cols[1:], pivot_vals[1:]))
         for i in below:
             cur = rows[i]
-            g0 = gcd(p, cur[c])
-            a, b = p // g0, cur[c] // g0
+            if type(cur) is tuple:
+                cur = dict(zip(*cur))
+            m = cur.pop(c)
+            g0 = gcd(p, m)
+            a, b = p // g0, m // g0
             if a != 1:
                 cur = {j: a * v for j, v in cur.items()}
-            for j, w in pivot.items():
-                v = cur.get(j, 0) - b * w
+            for j, w in tail:
+                v = cur.pop(j, 0) - b * w
                 if v:
                     cur[j] = v
-                else:
-                    del cur[j]
             g = gcd(*cur.values())
             if g > 1:
                 cur = {j: v // g for j, v in cur.items()}
             rows[i] = cur
             if cur:
                 leading.setdefault(c + 1 if c + 1 in cur else min(cur), set()).add(i)
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(zip(*sorted(row.items()))) for row in rows[:r]), pivots
+    return tuple(rows[:r]), pivots
 
 
 def _back_substitute(
-    echelon: Sequence[SparseRow], starts: Sequence[list[int]]
+    echelon: Sequence[SparseRow], width: int, starts: Sequence[dict[int, int]]
 ) -> list[tuple[Fraction, ...]]:
     """Solve the echelon system for the pivot coordinates of each start vector.
 
     ``echelon`` holds the rows of ``Matrix._echelon_form()``, each led by
-    its pivot cell.  Each start vector holds integers at the non-pivot
-    positions and 0 at every pivot position.  Each row is split once, for
-    all the vectors, into its pivot column, pivot value and the columns
-    and values of its tail, and each tail column indexes the rows whose
-    tails meet it.  The pivot entries are solved from the bottom row up
-    over one common denominator, which grows only when a new entry needs
-    it, so the full vector satisfies every echelon row.  A min-heap of row
-    positions, counted from the bottom, holds the rows that meet a nonzero
-    coordinate of the start or a pivot solved nonzero (rows above it); a
-    row never reached, or whose tail sums to 0, is skipped with no gcd
-    and no rescale, as 0 is its solution.
+    its pivot cell.  Each start vector, of length ``width``, is given by
+    its nonzero integer cells, all at non-pivot positions.  Each tail
+    column (a column right of a row's pivot) indexes the rows whose tails
+    meet it.  The pivot entries are solved from the bottom row up over one
+    common denominator, which grows only when a new entry needs it, so the
+    full vector satisfies every echelon row.  A min-heap of row positions,
+    counted from the bottom, holds the rows that meet a nonzero coordinate
+    of the start or a pivot solved nonzero (rows above it); a row never
+    reached, or whose tail sums to 0, is skipped with no gcd and no
+    rescale, as 0 is its solution.  A row is reached once, while its pivot
+    coordinate is still 0, so its tail sum is the sum over all its cells.
     """
-    split = [(cols[0], vals[0], cols[1:], vals[1:]) for cols, vals in reversed(echelon)]
+    rows = echelon[::-1]
     meets: dict[int, list[int]] = {}
-    for pos, (_, _, tail_cols, _) in enumerate(split):
-        for j in tail_cols:
+    for pos, (cols, _) in enumerate(rows):
+        for j in cols[1:]:
             meets.setdefault(j, []).append(pos)
     solutions = []
-    for x in starts:
+    for start in starts:
+        x = [0] * width
+        for j, a in start.items():
+            x[j] = a
         den = 1
-        queued = {pos for j, a in enumerate(x) if a for pos in meets.get(j, ())}
+        queued = {pos for j in start for pos in meets.get(j, ())}
         heap = sorted(queued)
         while heap:
-            c, p, tail_cols, tail_vals = split[heappop(heap)]
-            acc = sum(map(mul, tail_vals, map(x.__getitem__, tail_cols)))
+            cols, vals = rows[heappop(heap)]
+            acc = sum(map(mul, vals, map(x.__getitem__, cols)))
             if not acc:
                 continue
+            c, p = cols[0], vals[0]
             s = abs(p) // gcd(acc, p)
             if s > 1:
                 x = [a * s for a in x]
@@ -348,7 +446,7 @@ def _back_substitute(
                 if pos not in queued:
                     queued.add(pos)
                     heappush(heap, pos)
-        solutions.append(tuple(Fraction(a, den) if a else ZERO for a in x))
+        solutions.append(_fractions(x, den))
     return solutions
 
 
@@ -363,7 +461,7 @@ def combine(terms: Iterable[tuple[RationalLike, Sequence[Fraction]]]) -> tuple[F
     for c, scale, ints in scaled:
         k = c.numerator * (den // (c.denominator * scale))
         acc = [a + k * b for a, b in zip(acc, ints, strict=True)]
-    return tuple(Fraction(a, den) if a else ZERO for a in acc)
+    return _fractions(acc, den)
 
 
 def rank(m: Matrix) -> int:
@@ -379,28 +477,26 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """
     echelon, pivots = m._echelon_form()
     pivot_set = set(pivots)
-    starts = []
-    for f in range(m.cols):
-        if f not in pivot_set:
-            x = [0] * m.cols
-            x[f] = 1
-            starts.append(x)
-    return _back_substitute(echelon, starts)
+    starts = [{f: 1} for f in range(m.cols) if f not in pivot_set]
+    return _back_substitute(echelon, m.cols, starts)
 
 
 def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     """The unique solution of A x = b; raises ``ValueError`` when the
     system is inconsistent or underdetermined (fewer pivots than columns)."""
-    rhs = vector(b)
+    rhs = tuple(b)
+    if not set(map(type, rhs)) <= _EXACT:
+        rhs = tuple(map(rat, rhs))
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length does not match row count")
     rows = []
     for den, (index, ints), v in zip(*a._scaled, rhs):
         # row i of [A | b] over the lcm den * q of its denominators
-        q = v.denominator // gcd(den, v.denominator)
-        rows.append({j: n * q for j, n in zip(index, ints)})
-        if v:
-            rows[-1][a.cols] = den * q // v.denominator * v.numerator
+        n, d = v.as_integer_ratio()
+        q = d // gcd(den, d)
+        if q != 1:
+            ints = tuple(x * q for x in ints)
+        rows.append((index + (a.cols,), ints + (den * q // d * n,)) if n else (index, ints))
     ech, pivots = _forward_echelon(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
@@ -410,6 +506,4 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     if len(pivots) < a.cols:
         free = [c for c in range(a.cols) if c not in set(pivots)]
         raise ValueError(f"underdetermined system: free columns {free}")
-    x = [0] * (a.cols + 1)
-    x[a.cols] = -1
-    return _back_substitute(ech, [x])[0][: a.cols]
+    return _back_substitute(ech, a.cols + 1, [{a.cols: -1}])[0][: a.cols]

@@ -18,17 +18,20 @@ classes carry.  All coefficients are exact rationals, and a class has one
 stored form: its monomials, and their coefficients as integers over one
 reduced common denominator.  Products and sums (``sym2_product`` and
 ``sym2_sum``, the one way to add or scale classes) accumulate integers
-over one common denominator, and the pairing reads the squares scaled the
-same way and builds one ``Fraction`` per value.  The ``Fraction``
+over one common denominator; a coefficient or factor cell is read once,
+through ``as_integer_ratio()``.  The pairing reads the squares scaled the
+same way and builds one ``Fraction`` per nonzero value; a zero pairing is
+the shared ``linalg.ZERO``.  The ``Fraction``
 coefficients (``coeffs``) are a view, built at each read; only rendering
 a class and restricting an ambient class read it.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ZERO, Matrix, RationalLike, rat, scaled_integers, support, vector
+from .linalg import ZERO, Matrix, RationalLike, integer_cells, rat, scaled_integers, vector
 
 
 class QuadSpace:
@@ -100,13 +103,16 @@ class Sym2Vector:
     __slots__ = ("space", "scale", "keys", "ints")
 
     def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
-        keys = sorted(k for k, a in acc.items() if a)
-        ints = [acc[k] for k in keys]
+        keys = sorted([k for k, a in acc.items() if a])
+        ints = tuple(map(acc.__getitem__, keys))
         g = gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = tuple([a // g for a in ints])
         self.space = space
-        self.scale = den // g
+        self.scale = den
         self.keys = tuple(keys)
-        self.ints = tuple(a // g for a in ints)
+        self.ints = ints
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sym2Vector) and (
@@ -114,11 +120,14 @@ class Sym2Vector:
         ) == (other.space, other.scale, other.keys, other.ints)
 
     @staticmethod
-    def from_map(space: QuadSpace, coeffs: Mapping[tuple[int, int], Fraction]) -> "Sym2Vector":
+    def from_map(
+        space: QuadSpace, coeffs: Mapping[tuple[int, int], RationalLike]
+    ) -> "Sym2Vector":
         if any(i > j for i, j in coeffs):
             raise ValueError("monomial indices must satisfy i <= j")
-        scale, ints = scaled_integers([rat(c) for c in coeffs.values()])
-        return Sym2Vector(space, dict(zip(coeffs, ints)), scale)
+        keys = list(coeffs)
+        scale, index, ints = integer_cells(tuple(coeffs.values()))
+        return Sym2Vector(space, {keys[k]: a for k, a in zip(index, ints)}, scale)
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -147,11 +156,11 @@ def sym2_sum(
     for c, x in terms:
         if x.space is not space:
             raise ValueError("cannot add Sym2 vectors from different spaces")
-        c = rat(c)
-        if not c or not x.keys:
+        num, d = (c if type(c) is Fraction or type(c) is int else rat(c)).as_integer_ratio()
+        if not num or not x.keys:
             continue
-        d = c.denominator * x.scale
-        parts.append((c.numerator, d, x.keys, x.ints))
+        d *= x.scale
+        parts.append((num, d, x.keys, x.ints))
         den = lcm(den, d)
     acc: dict[tuple[int, int], int] = {}
     for num, d, keys, ints in parts:
@@ -167,10 +176,8 @@ def sym2_product(
     v: Sequence[RationalLike],
 ) -> Sym2Vector:
     """The product of two degree-1 vectors as a Sym^2 class."""
-    uu, vv = vector(u), vector(v)
-    u_index, v_index = support(uu), support(vv)
-    u_scale, u_ints = scaled_integers([uu[i] for i in u_index])
-    v_scale, v_ints = scaled_integers([vv[j] for j in v_index])
+    u_scale, u_index, u_ints = integer_cells(tuple(u))
+    v_scale, v_index, v_ints = integer_cells(tuple(v))
     acc: dict[tuple[int, int], int] = {}
     for i, a in zip(u_index, u_ints):
         for j, b in zip(v_index, v_ints):
@@ -186,27 +193,37 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     2 [a = c] q_a^2, (a*b, c*d) = [(a, b) = (c, d)] q_a q_b for a < b, and
     a squared monomial pairs to 0 with a mixed one.  So the pairing is the
     product of the traces sum x_aa q_a and sum y_cc q_c plus one weighted
-    term per monomial of x that y also carries: one pass over each class.
+    term per monomial that both classes carry.  The shorter class is
+    scanned once, each of its monomials is looked up in the longer class's
+    sorted keys by bisection, and the longer class's trace is summed only
+    when the shorter one's is not 0.  A zero pairing is ``ZERO``.
     """
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
     q_scale, q = x.space._scaled_squares
-    y_coeffs = dict(zip(y.keys, y.ints))
-    x_trace = shared = 0
-    for (a, b), xc in zip(x.keys, x.ints):
+    short, long = (x, y) if len(x.keys) <= len(y.keys) else (y, x)
+    long_keys, long_ints = long.keys, long.ints
+    n = len(long_keys)
+    trace = shared = k = 0
+    for key, c in zip(short.keys, short.ints):
+        a, b = key
         if a == b:
-            x_trace += xc * q[a]
-        yc = y_coeffs.get((a, b))
-        if yc:
-            shared += xc * yc * q[a] * q[b] * (2 if a == b else 1)
-    y_trace = sum(yc * q[c] for (c, d), yc in zip(y.keys, y.ints) if c == d)
-    return Fraction(x_trace * y_trace + shared, x.scale * y.scale * q_scale * q_scale)
+            trace += c * q[a]
+        k = bisect_left(long_keys, key, k)
+        if k < n and long_keys[k] == key:
+            shared += c * long_ints[k] * q[a] * q[b] * (2 if a == b else 1)
+    if trace:
+        trace *= sum([c * q[a] for (a, b), c in zip(long_keys, long_ints) if a == b])
+    total = trace + shared
+    if not total:
+        return ZERO
+    return Fraction(total, x.scale * y.scale * q_scale * q_scale)
 
 
 def sym2_gram(vectors: Sequence[Sym2Vector]) -> Matrix:
     """Gram matrix of a family of Sym^2 classes under the three-matching pairing."""
     n = len(vectors)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             value = sym2_pair(vectors[i], vectors[j])

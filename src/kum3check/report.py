@@ -3,19 +3,28 @@
 A check records one verified equality: an identifier, a human-readable
 reference for where the expected value comes from, the expected and
 computed values rendered as exact strings, a pass/fail status, and a
-derivation trail of intermediate values.  A check is a ``NamedTuple``:
-the ``all`` suite renames its checks with ``_replace``, and the json report
-writes ``_asdict()``.  ``render_value`` renders rationals, booleans, the
-cells of a matrix and plain tuples and lists of them; a record or a string
-is not a value.  Reports sort their checks by identifier so the output is
-byte-identical however the checks were produced.
+derivation trail of intermediate values.  A check is a ``NamedTuple``;
+the ``all`` suite prefixes each id with its suite.  ``render_value``
+renders rationals, booleans, the cells of a matrix and plain tuples and
+lists of them; a record or a string is not a value.  Reports sort their
+checks by identifier so the output is byte-identical however the checks
+were produced.  The json report is the text ``json.dumps(obj, indent=2)``
+gives for the report object; ``emit_json`` writes that fixed layout
+itself and encodes only the strings with ``json.dumps``, which runs the
+C encoder (an indent makes ``json.dumps`` run the pure-Python one).
 """
 
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Matrix
+from .linalg import ZERO, Matrix
+
+
+# The cell types that render as ``str(x)``; a list of only these is
+# rendered without a call per cell, and its ``ZERO`` cells without one
+# into ``Fraction``.
+_NUMBERS = {int, Fraction}
 
 
 def render_value(value) -> str:
@@ -27,7 +36,11 @@ def render_value(value) -> str:
     if isinstance(value, Matrix):
         return render_value(value.entries)
     if type(value) in (tuple, list):
-        return "[" + ", ".join(render_value(x) for x in value) + "]"
+        if set(map(type, value)) <= _NUMBERS:
+            cells = ["0" if x is ZERO else str(x) for x in value]
+        else:
+            cells = map(render_value, value)
+        return "[" + ", ".join(cells) + "]"
     raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 
@@ -89,14 +102,39 @@ class SuiteReport:
         return passed, len(self.checks) - passed
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """The ``indent=2`` layout of an array whose items are already encoded,
+    at the nesting of ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def emit_json(report: SuiteReport) -> str:
-    obj = {
-        "suite": report.suite,
-        "status": report.status,
-        # json writes the trail tuple as an array
-        "checks": [c._asdict() for c in report.checks],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"`` for the object ``{"suite",
+    "status", "checks"}`` whose checks are ``Check._asdict()``, with the
+    trail as an array; the layout is written here and only the strings
+    go through ``json.dumps``."""
+    dumps = json.dumps
+    checks = [
+        "{\n"
+        f'      "id": {dumps(c.id)},\n'
+        f'      "ref": {dumps(c.ref)},\n'
+        f'      "expected": {dumps(c.expected)},\n'
+        f'      "computed": {dumps(c.computed)},\n'
+        f'      "status": {dumps(c.status)},\n'
+        f'      "trail": {_json_array(list(map(dumps, c.trail)), "      ")}\n'
+        "    }"
+        for c in report.checks
+    ]
+    return (
+        "{\n"
+        f'  "suite": {dumps(report.suite)},\n'
+        f'  "status": {dumps(report.status)},\n'
+        f'  "checks": {_json_array(checks, "  ")}\n'
+        "}\n"
+    )
 
 
 def emit_markdown(report: SuiteReport) -> str:

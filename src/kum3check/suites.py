@@ -485,7 +485,7 @@ def run_suite(engine: Engine, name: str) -> SuiteReport:
         # one call per suite through the module-level name, so a tracer that
         # wraps run_suite times each suite (bench: suites.<suite>.ms)
         checks = [(base, c) for base in SUITES for c in run_suite(engine, base).checks]
-        return SuiteReport("all", tuple(c._replace(id=f"{base}/{c.id}") for base, c in checks))
+        return SuiteReport("all", tuple(Check(f"{base}/{c.id}", *c[1:]) for base, c in checks))
     try:
         rows = SUITES[name]
     except KeyError:

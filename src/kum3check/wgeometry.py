@@ -37,8 +37,17 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .kummer import ALPHAS, COSETS, SHIFTED, THETAS, Pt, ZERO
-from .linalg import Matrix, RationalLike, combine, scaled_integers, solve_linear
+from .kummer import ALPHAS, COSETS, ORIGIN, SHIFTED, THETAS, Pt
+from .linalg import (
+    ZERO,
+    Matrix,
+    RationalLike,
+    combine,
+    integer_cells,
+    rat,
+    scaled_integers,
+    solve_linear,
+)
 from .quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -136,8 +145,9 @@ CLASS_COUNT = 19
 
 
 def class_coeffs(values: Mapping[int, RationalLike]) -> tuple[Fraction, ...]:
-    """Coefficients over the 19 classes: ``values`` by position, 0 elsewhere."""
-    return tuple(Fraction(values.get(k, 0)) for k in range(CLASS_COUNT))
+    """Coefficients over the 19 classes: ``values`` by position, ``ZERO``
+    elsewhere."""
+    return tuple(rat(values[k]) if k in values else ZERO for k in range(CLASS_COUNT))
 
 
 def build_w_model(factor: Fraction) -> WModel:
@@ -150,15 +160,13 @@ def build_w_model(factor: Fraction) -> WModel:
 
     vectors = {
         QBAR: qbar_dual(space),
-        DELTA_SQ: Sym2Vector.from_map(space, {(d_idx, d_idx): Fraction(1)}),
-        S_SQ: Sym2Vector.from_map(space, {(i, i): Fraction(1) for i in s_idx}),
-        DELTA_S: Sym2Vector.from_map(
-            space, {(min(d_idx, i), max(d_idx, i)): Fraction(1) for i in s_idx}
-        ),
+        DELTA_SQ: Sym2Vector.from_map(space, {(d_idx, d_idx): 1}),
+        S_SQ: Sym2Vector.from_map(space, {(i, i): 1 for i in s_idx}),
+        DELTA_S: Sym2Vector.from_map(space, {(min(d_idx, i), max(d_idx, i)): 1 for i in s_idx}),
     }
     for theta in THETAS:
         # alpha and alpha + theta both give the monomial of their coset
-        coeffs = {(s_idx[i], s_idx[j]): Fraction(2) for i, j in COSETS[theta]}
+        coeffs = {(s_idx[i], s_idx[j]): 2 for i, j in COSETS[theta]}
         vectors[MIXED[theta]] = Sym2Vector.from_map(space, coeffs)
 
     return WModel(
@@ -186,9 +194,9 @@ def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
         (DELTA_S, DELTA_S): 64,
         **{(k, k): 128 for k in MIXED.values()},
     }
-    rows = [[Fraction(0)] * CLASS_COUNT for _ in range(CLASS_COUNT)]
+    rows = [[ZERO] * CLASS_COUNT for _ in range(CLASS_COUNT)]
     for (i, j), value in cells.items():
-        rows[i][j] = rows[j][i] = Fraction(value)
+        rows[i][j] = rows[j][i] = rat(value)
     return Matrix(rows)
 
 
@@ -200,11 +208,10 @@ def combination(model: WModel, coeffs: Sequence[Fraction]) -> Sym2Vector:
     return sym2_sum(model.space, zip(coeffs, model.basis))
 
 
-def _ratio_at_first_monomial(y: Sym2Vector, v: Sym2Vector) -> Fraction:
-    """y's coefficient at v's first monomial over v's own coefficient there."""
-    i = bisect_left(y.keys, v.keys[0])
-    c = y.ints[i] if y.keys[i : i + 1] == v.keys[:1] else 0
-    return Fraction(c * v.scale, y.scale * v.ints[0])
+def _cell(x: Sym2Vector, key: tuple[int, int]) -> int:
+    """x's integer coefficient at the monomial ``key``, 0 when x lacks it."""
+    i = bisect_left(x.keys, key)
+    return x.ints[i] if x.keys[i : i + 1] == (key,) else 0
 
 
 def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
@@ -213,13 +220,23 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     By the premise in the module docstring, the dual-class coefficient a is
     x's coefficient at qbar_W's first monomial over qbar_W's own, and every
     other coefficient is the same ratio of x - a*qbar_W at its class's first
-    monomial.  Raises when they do not rebuild x: x is not in the span.
+    monomial.  Each ratio is formed in integers and is one ``Fraction``
+    (``ZERO`` when it is 0).  Raises when they do not rebuild x: x is not
+    in the span.
     """
     qbar_w = model.basis[QBAR]
-    a = _ratio_at_first_monomial(x, qbar_w)
-    rest = sym2_sum(model.space, [(1, x), (-a, qbar_w)])
-    coeffs = [_ratio_at_first_monomial(rest, v) for v in model.basis]
-    coeffs[QBAR] = a
+    first = qbar_w.keys[0]
+    # a = an / ad, over x's and qbar_W's scales
+    an, ad = _cell(x, first) * qbar_w.scale, x.scale * qbar_w.ints[0]
+    coeffs = []
+    for v in model.basis:
+        key = v.keys[0]
+        # (x - a*qbar_W) at key, over x.scale * ad * qbar_W.scale
+        rest = _cell(x, key) * ad * qbar_w.scale - an * _cell(qbar_w, key) * x.scale
+        coeffs.append(
+            Fraction(rest * v.scale, x.scale * ad * qbar_w.scale * v.ints[0]) if rest else ZERO
+        )
+    coeffs[QBAR] = Fraction(an, ad) if an else ZERO
     rebuilt = combination(model, coeffs)
     if rebuilt != x:
         residue = sym2_sum(model.space, [(1, x), (-1, rebuilt)]).render()
@@ -238,13 +255,22 @@ def restriction_images(model: WModel) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
-    """q_W(images) = factor * q_X on every pair of basis vectors."""
-    images = restriction_images(model)
-    for i, u in enumerate(images):
-        for j, v in enumerate(images):
-            got = model.space.pair(u, v)
-            want = model.factor * ambient.squares[i] if i == j else 0
-            if got != want:
+    """q_W(images) = factor * q_X on every pair of basis vectors.
+
+    The squares and each image are scaled to integers once; a pair of
+    distinct images must pair to 0, and only the seven squares are
+    ``Fraction``s.
+    """
+    q_scale, q = scaled_integers(model.space.squares)
+    images = [integer_cells(u) for u in restriction_images(model)]
+    for i, (u_scale, u_index, u_ints) in enumerate(images):
+        weighted = {a: c * q[a] for a, c in zip(u_index, u_ints)}
+        for j, (v_scale, v_index, v_ints) in enumerate(images):
+            total = sum([weighted[a] * c for a, c in zip(v_index, v_ints) if a in weighted])
+            if i != j:
+                if total:
+                    return False
+            elif Fraction(total, u_scale * v_scale * q_scale) != model.factor * ambient.squares[i]:
                 return False
     return True
 
@@ -332,15 +358,18 @@ def _compositions_agree(slots: dict[str, int]) -> bool:
     return all(combine(zip(weights, images)) == XI_ON_V for images in _IMAGES)
 
 
-def near_pairing(slot: dict[int, int], x: Sym2Vector) -> Fraction:
+def near_pairing(slot: Sequence[int | None], x: Sym2Vector) -> Fraction:
     """q_V summed over the monomials of x: sum of c * q_V(image_i, image_j).
 
-    ``slot`` maps each index of x's space that x uses to the slot of its
-    near-side image; the pairings are read from the table and summed in
-    integers.
+    ``slot`` lists, by index of x's space, the slot of each near-side
+    image (None for an index with no image on V); the pairings are read
+    from the table and summed in integers.  A zero pairing is ``ZERO``.
     """
-    total = sum(c * _NEAR_PAIRINGS[slot[i]][slot[j]] for (i, j), c in zip(x.keys, x.ints))
-    return Fraction(total, x.scale * _NEAR_SCALE)
+    table = _NEAR_PAIRINGS
+    total = 0
+    for (i, j), c in zip(x.keys, x.ints):
+        total += c * table[slot[i]][slot[j]]
+    return Fraction(total, x.scale * _NEAR_SCALE) if total else ZERO
 
 
 class VRestrictionData(NamedTuple):
@@ -426,7 +455,7 @@ def restrict_w_other(
     theta enters here only through its slot map ``surface_slots(theta)``.
     """
     slots = surface_slots(theta)
-    slot = {i: slots[label] for i, label in enumerate(model.space.labels) if label in slots}
+    slot = [slots.get(label) for label in model.space.labels]
     qbar_rhs = (deg_c2_v + deg_c2_nvw) / c2_qbar_ratio
     rhs = [
         qbar_rhs if k == QBAR else near_pairing(slot, vec) for k, vec in enumerate(model.basis)
@@ -478,7 +507,14 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     sum by sum s^2.
     """
     sp = model.space
-    svecs = [sp.vector({label: Fraction(4), "delta": Fraction(-1)}) for label in S_LABELS]
+    # s' = 4s - delta with int cells and ZERO elsewhere, so the integer form
+    # of a factor is its two cells as they are
+    delta = sp.index("delta")
+    svecs = []
+    for label in S_LABELS:
+        cells = [ZERO] * sp.dim
+        cells[sp.index(label)], cells[delta] = 4, -1
+        svecs.append(tuple(cells))
     n = len(svecs)
     products = {
         (i, j): sym2_product(sp, svecs[i], svecs[j]) for i in range(n) for j in range(i, n)
@@ -489,7 +525,7 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
             sp, ((1, products[min(i, j), max(i, j)]) for i, j in enumerate(SHIFTED[theta]))
         )
 
-    sum_sq = expand_in_basis(model, sprime_sum(ZERO))
+    sum_sq = expand_in_basis(model, sprime_sum(ORIGIN))
     identity = sum_sq == SPRIME_SQUARE_SUM
 
     per_theta = []
@@ -581,9 +617,13 @@ def restrict_w_self(
         [final], [*other_vecs, e_qbar, final, g1]
     )[0]
     among = gram.pairings(other_vecs, other_vecs)
-    self_other_values = {row[a] for a, row in enumerate(among)}
-    cross_values = {x for a, row in enumerate(among) for x in row[a + 1 :]}
-    uniform_ok &= len(set(with_others)) == len(cross_values) == len(self_other_values) == 1
+    self_other_values = [row[a] for a, row in enumerate(among)]
+    cross_values = [x for a, row in enumerate(among) for x in row[a + 1 :]]
+    # each value is compared with the first of its kind, not hashed
+    uniform_ok &= all(
+        vals.count(vals[0]) == len(vals)
+        for vals in (with_others, cross_values, self_other_values)
+    )
 
     trail = (
         f"dual-class pairing = ({c4_w_component} - "
@@ -633,14 +673,12 @@ def d_self_pairings(
     are read from ``sprime.products``.
     """
     w_self = combination(model, self_coeffs)
-    diag_vals = set()
-    off_vals = set()
+    diag_vals, off_vals = [], []
     for (i, j), product in sprime.products.items():
-        value = sym2_pair(w_self, product)
-        (diag_vals if i == j else off_vals).add(value)
-    uniform = len(diag_vals) == 1 and len(off_vals) == 1
-    diagonal = diag_vals.pop()
-    same_block = off_vals.pop()
+        (diag_vals if i == j else off_vals).append(sym2_pair(w_self, product))
+    # each value is compared with the first of its kind, not hashed
+    uniform = all(vals.count(vals[0]) == len(vals) for vals in (diag_vals, off_vals))
+    diagonal, same_block = diag_vals[0], off_vals[0]
     trail = (
         f"divisor self-pairing {diagonal}, "
         f"same-fourfold pairing {same_block}, "

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
 
-from kum3check.kummer import ALPHAS, ZERO, Pt
+from kum3check.kummer import ALPHAS, ORIGIN, Pt
 
 
 def double(p: Pt) -> Pt:
@@ -41,7 +41,7 @@ def neg(p: Pt) -> Pt:
 
 def halving_fiber(tau: Pt) -> tuple[Pt, ...]:
     """Points alpha with 2*alpha = tau; a torsor under the two-torsion."""
-    if double(tau) != ZERO:
+    if double(tau) != ORIGIN:
         raise ValueError(f"{tau} is not a two-torsion point")
     return tuple(p for p in four_torsion() if double(p) == tau)
 
@@ -84,7 +84,7 @@ class GroupElement:
             raise ValueError("sign must be +1 or -1")
 
 
-IDENTITY = GroupElement(ZERO, 1)
+IDENTITY = GroupElement(ORIGIN, 1)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:

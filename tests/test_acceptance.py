@@ -14,7 +14,7 @@ import pytest
 from kum3check.config import FUJIKI_KEYS, default_config_text, parse_config
 from kum3check.engine import Engine
 from kum3check.fujiki import Deg4, deg8, qbar_factor
-from kum3check.kummer import ALPHAS, ZERO
+from kum3check.kummer import ALPHAS, ORIGIN
 from kum3check.linalg import Matrix, kernel_basis, rank
 from kum3check.quadspace import sym2_pair, sym2_product, sym2_sum
 from kum3check.suites import run_suite
@@ -245,7 +245,7 @@ def _pairings_are_equivariant_on_generators():
     generators = (
         GroupElement(four_torsion()[1], 1),
         GroupElement(ALPHAS[1], 1),
-        GroupElement(ZERO, -1),
+        GroupElement(ORIGIN, -1),
     )
     labels = [
         DClass(t, halving_fiber(t)[k]) for t in ALPHAS[:4] for k in (0, 7)

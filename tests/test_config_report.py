@@ -29,6 +29,7 @@ from kum3check.config import (
 from kum3check.engine import Engine
 from kum3check.fujiki import DUAL_PAIRS, Deg4
 from kum3check.report import (
+    Check,
     SuiteReport,
     emit_json,
     emit_markdown,
@@ -483,6 +484,67 @@ def test_emit_json_shape():
         "status": "pass",
         "trail": [],
     }
+
+
+def _stdlib_json(report: SuiteReport) -> str:
+    """The report as the standard library writes it, with an indent of 2."""
+    obj = {
+        "suite": report.suite,
+        "status": report.status,
+        "checks": [c._asdict() for c in report.checks],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# texts that json escapes: quotes, backslashes, control characters and
+# non-ASCII text (an accent, a symbol, a character outside the BMP, and a
+# line separator), and the empty string
+AWKWARD_TEXTS = (
+    'say "x" and \\"y\\"',
+    "back\\slash \\n",
+    "tab\tnew\nline\rnul\x00unit\x1fdel\x7f",
+    "caf\u00e9 \u2264 \u221e \U0001f600",
+    "\u2028 \u2029 \ufeff",
+    "",
+)
+
+
+def test_emit_json_writes_what_the_stdlib_writes():
+    checks = [
+        Check(
+            id=f"{k} {text}",
+            ref=text or "r",
+            expected=text[::-1],
+            computed=text,
+            status="fail",
+            trail=(text, "plain", text + text),
+        )
+        for k, text in enumerate(AWKWARD_TEXTS)
+    ]
+    reports = [
+        run_suite(Engine(default_config()), "all"),
+        SuiteReport(suite="awkward", checks=tuple(checks)),
+        SuiteReport(suite='a "suite"\n', checks=(make_check("no trail", "r", 1, 1),)),
+        SuiteReport(suite="empty", checks=()),
+    ]
+    assert reports[2].checks[0].trail == ()
+    for report in reports:
+        assert emit_json(report) == _stdlib_json(report)
+
+
+def test_emit_json_writes_what_the_stdlib_writes_for_the_failure_corpus():
+    from test_failure_golden import corpus
+
+    loaded = 0
+    for name, text in corpus().items():
+        try:
+            doc = parse_config(text)
+        except ConfigError:
+            continue
+        report = run_suite(Engine(doc), "all")
+        assert emit_json(report) == _stdlib_json(report), name
+        loaded += 1
+    assert loaded == 111
 
 
 def test_emit_markdown_escapes_pipes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kum3check import kummer
 from kum3check.kummer import (
     ALPHAS,
-    ZERO,
+    ORIGIN,
     FixedClassIntersections,
     component_cube_from_total,
     d_gram_certificate,
@@ -50,8 +50,8 @@ group_elements = st.sampled_from(full_group())
 def test_torsion_points():
     assert len(four_torsion()) == 256
     assert len(ALPHAS) == 16
-    assert all(double(double(p)) == ZERO for p in four_torsion())
-    assert all(double(t) == ZERO for t in ALPHAS)
+    assert all(double(double(p)) == ORIGIN for p in four_torsion())
+    assert all(double(t) == ORIGIN for t in ALPHAS)
     for tau in ALPHAS:
         fiber = halving_fiber(tau)
         assert len(fiber) == 16
@@ -62,7 +62,7 @@ def test_torsion_points():
 
 def test_two_torsion_is_the_kernel_of_doubling_in_order():
     # the kernel of doubling on the 256 four-torsion points is the oracle, order included
-    assert ALPHAS == tuple(p for p in four_torsion() if double(p) == ZERO)
+    assert ALPHAS == tuple(p for p in four_torsion() if double(p) == ORIGIN)
 
 
 @given(group_elements, group_elements, group_elements)
@@ -116,7 +116,7 @@ def test_pairings_are_equivariant_on_generators():
     generators = (
         GroupElement(four_torsion()[1], 1),
         GroupElement(ALPHAS[1], 1),
-        GroupElement(ZERO, -1),
+        GroupElement(ORIGIN, -1),
     )
     labels = [DClass(t, halving_fiber(t)[k]) for t in ALPHAS[:3] for k in (0, 5)]
 

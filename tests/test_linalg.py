@@ -11,12 +11,12 @@ from kum3check.linalg import (
     ZERO,
     Matrix,
     combine,
+    integer_cells,
     kernel_basis,
     rank,
     rat,
     scaled_integers,
     solve_linear,
-    support,
     vector,
 )
 from kum3check.report import render_value
@@ -267,12 +267,22 @@ def _ref_solve(entries, b, cols):
     return "unique", tuple(_ref_back_substitute(ech, pivots, x, width)[:cols]), ""
 
 
+def _shares_cells(cells):
+    """Every zero cell is the shared ``ZERO`` and equal cells are one object."""
+    first = {}
+    return all(x is ZERO for x in cells if not x) and all(
+        first.setdefault(x, x) is x for x in cells
+    )
+
+
 def _solve_against_oracle(entries, b, cols):
     """``solve_linear`` gives the oracle's unique solution, or raises with
     its outcome and detail text; returns the oracle's outcome."""
     status, solution, detail = _ref_solve(entries, b, cols)
     if status == "unique":
-        assert solve_linear(Matrix(entries), b) == solution
+        got = solve_linear(Matrix(entries), b)
+        assert got == solution
+        assert _shares_cells(got)
     else:
         with pytest.raises(ValueError, match=f"^{status} system: {re.escape(detail)}$"):
             solve_linear(Matrix(entries), b)
@@ -310,6 +320,7 @@ def test_rank_and_kernel_match_fraction_formulas(matrix):
     mat = Matrix(entries)
     assert (rank(mat), kernel_basis(mat)) == _ref_rank_and_kernel(entries, m)
     assert rank(mat) == _naive_rank(entries)
+    assert all(_shares_cells(v) for v in kernel_basis(mat))
 
 
 @given(matrices(max_cols=4, min_rows=4), st.data())
@@ -530,8 +541,9 @@ def test_combine_and_pairings_match_fraction_formulas(family):
     assert combined == _ref_combine(terms)
     paired = Matrix(entries, m).pairings(us, vs)
     assert paired == _ref_pairings(entries, us, vs)
-    # every zero result is the shared ZERO
+    # every zero result is the shared ZERO, and equal results are one object
     assert all(x is ZERO for x in (*combined, *(x for row in paired for x in row)) if not x)
+    assert _shares_cells(combined) and _shares_cells([x for row in paired for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +563,12 @@ cells = st.one_of(st.just(ZERO), st.builds(Fraction, st.just(0)), rationals)
 @given(st.lists(cells, max_size=12))
 def test_scaled_integers_skips_zeros_but_matches_the_old_formula(values):
     assert scaled_integers(values) == _ref_scaled_integers(values)
-    assert support(values) == [j for j, x in enumerate(values) if x != 0]
+    index = [j for j, x in enumerate(values) if x != 0]
+    scale, ints = _ref_scaled_integers([values[j] for j in index])
+    assert integer_cells(values) == (scale, index, ints)
+    # the same cells as ints where they are integers
+    as_ints = [int(x) if x.denominator == 1 else x for x in values]
+    assert integer_cells(as_ints) == (scale, index, ints)
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
@@ -570,12 +587,20 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     product = mat.mat_vec(v)
     assert product == _ref_mat_vec(entries, v)
     assert all(x is ZERO for x in product if x == 0)
+    if len(set(dens)) == 1:
+        # rows over one denominator: equal cells of the product are one object
+        assert _shares_cells(product)
+    # the solutions and the kernel of the same matrix share their cells too
+    assert all(_shares_cells(x) for x in kernel_basis(mat))
+    if n == m and rank(mat) == m:
+        assert _shares_cells(solve_linear(mat, v))
     # the same cells as {column: value} rows, zeros included, last column first
     mapped = Matrix([dict(reversed(list(enumerate(row)))) for row in entries], m)
     assert mapped._scaled == mat._scaled
     assert mapped == mat
     assert mapped.entries == tuple(map(tuple, entries))
     assert all(x is ZERO for row in mapped.entries for x in row if x == 0)
+    assert all(_shares_cells(row) for row in mapped.entries)
     assert (rank(mapped), kernel_basis(mapped)) == (rank(mat), kernel_basis(mat))
     mapped_product = mapped.mat_vec(v)
     assert mapped_product == product

@@ -9,7 +9,7 @@ from kum3check import engine as engine_module
 from kum3check import kummer, linalg, wgeometry
 from kum3check.config import H2_LABELS, default_config
 from kum3check.engine import Engine
-from kum3check.kummer import ALPHAS, COSETS, SHIFTED, THETAS, ZERO
+from kum3check.kummer import ALPHAS, COSETS, ORIGIN, SHIFTED, THETAS
 from kum3check.quadspace import (
     QuadSpace,
     Sym2Vector,
@@ -110,8 +110,8 @@ def w_self(model, gram, qbar_rest, sprime, others):
 
 def test_labels():
     assert len(ALPHAS) == 16 and len(THETAS) == 15
-    assert ALPHAS[0] == ZERO and ZERO not in THETAS
-    assert s_label(ZERO) == "s0000"
+    assert ALPHAS[0] == ORIGIN and ORIGIN not in THETAS
+    assert s_label(ORIGIN) == "s0000"
 
 
 def test_nodal_space_and_scaling(factor):
@@ -266,7 +266,7 @@ def test_v_model_never_sees_the_zero_shift():
     # the two fourfolds of a surface have distinct labels, so no slot map
     # exists for theta = 0; every theta that a verify all passes is one of
     # THETAS (test_surface_constants_are_derived_once_per_verify_all)
-    assert ZERO not in THETAS and ZERO not in COSETS
+    assert ORIGIN not in THETAS and ORIGIN not in COSETS
     assert len(THETAS) == len(ALPHAS) - 1
 
 
@@ -291,7 +291,7 @@ def _assert_wrong_slots_fail_the_report(monkeypatch, wrong_slots):
 
 
 def _delta_to_the_slot_of_s0(theta, slots):
-    slots["delta"] = slots[s_label(ZERO)]
+    slots["delta"] = slots[s_label(ORIGIN)]
     return slots
 
 
@@ -463,7 +463,7 @@ def test_theta_sum_closure():
     for a in THETAS[:5]:
         for b in THETAS[:5]:
             s = add(a, b)
-            assert s == ZERO or s in THETAS
+            assert s == ORIGIN or s in THETAS
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,7 @@ def surface_images(theta, far=False):
     {alpha, alpha + theta}, in order of first appearance, and delta to half
     the sum of the far curves; with ``far`` the sides swap.
     """
-    if theta == ZERO:
+    if theta == ORIGIN:
         raise ValueError("the two fourfolds must have distinct labels")
     surface = wgeometry.SURFACE
     curves = [surface.basis_vector(label) for label in surface.labels]
@@ -501,7 +501,7 @@ def test_surface_slots_match_the_labelling_by_the_group_law():
             images = surface_images(theta, far)
             assert set(slots) == set(images)
             assert {label: wgeometry._IMAGES[side][k] for label, k in slots.items()} == images
-    assert ZERO not in THETAS
+    assert ORIGIN not in THETAS
 
 
 def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
@@ -528,17 +528,18 @@ def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
 
 
 def test_d_gram_certificate_scans_only_the_vectors_it_multiplies(monkeypatch):
-    # M and the relations are built from their nonzero cells, so the only
-    # cells scanned for their support are those of the 15 relation vectors
-    # handed to mat_vec: 15 * 256, where dense rows scan 73,216
+    # M and the relations are built from their nonzero integer cells, so
+    # the only cells scanned for their integer form are those of the 15
+    # relation vectors handed to mat_vec: 15 * 256, where dense rows scan
+    # 73,216
     scanned = []
-    true_support = linalg.support
+    true_cells = linalg.integer_cells
 
-    def counted_support(values):
+    def counted_cells(values):
         scanned.append(len(values))
-        return true_support(values)
+        return true_cells(values)
 
-    monkeypatch.setattr(linalg, "support", counted_support)
+    monkeypatch.setattr(linalg, "integer_cells", counted_cells)
     cert = kummer.d_gram_certificate(Fraction(-52), Fraction(12), 16, 16)
     assert (cert.rank, cert.difference_relations_in_kernel) == (241, True)
     assert sum(scanned) <= 3840
@@ -574,7 +575,7 @@ def test_verify_all_reads_the_fraction_coefficients_at_most_twice(monkeypatch):
 
 
 def _split_coset(theta, slots):
-    slots[s_label(ZERO)] = (slots[s_label(ZERO)] + 1) % wgeometry.SIDE
+    slots[s_label(ORIGIN)] = (slots[s_label(ORIGIN)] + 1) % wgeometry.SIDE
     return slots
 
 
@@ -625,7 +626,7 @@ def test_near_pairing_matches_surface_pairings(model, theta, data):
         space, data.draw(st.dictionaries(keys, surface_coefficient, max_size=10))
     )
     slots = wgeometry.surface_slots(theta)
-    slot = {i: slots[space.labels[i]] for i in indices}
+    slot = [slots.get(label) for label in space.labels]
     assert wgeometry.near_pairing(slot, x) == _ref_surface_pairing(model, theta, x)
 
 
@@ -637,7 +638,7 @@ def test_near_pairing_matches_surface_pairings_on_every_monomial(model):
     assert len(monomials) == 153
     for theta in THETAS:
         slots = wgeometry.surface_slots(theta)
-        slot = {i: slots[space.labels[i]] for i in indices}
+        slot = [slots.get(label) for label in space.labels]
         for key in monomials:
             x = Sym2Vector.from_map(space, {key: Fraction(1)})
             got = wgeometry.near_pairing(slot, x)
