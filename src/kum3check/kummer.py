@@ -29,14 +29,15 @@ block, at most 2*block_size at a boundary), then G_0.  M = P*A holds by
 how the rows are written, so no builder checks it at run time;
 ``tests/test_rank_witnesses.py`` checks it against the dense matrices.
 
-The order of M's rows sets the cost of the elimination, which pivots each
-column on the first row that leads there.  The D step rows come in pivot
-order: the inside rows, then the boundary rows, then G_0.  So each column
-that an inside row leads is pivoted by that two-cell row, whose pivot
-cell is 1 once its content is divided out, and every row it updates keeps
-its multiplier 1 and changes in place.  In the order i = 1, ..., n-1 a
-reduced boundary row would pivot the next block's columns, and its pivot
-cell would rescale every row below it.
+The order of M's rows sets the cost of the elimination, which takes the
+rows in order and reduces each by the pivots of the rows before it.  The
+D step rows come in pivot order: the inside rows, then the boundary rows,
+then G_0.  So each column that an inside row leads is pivoted by that
+two-cell row, whose pivot cell is 1 once its content is divided out, and
+each of the elimination's 465 row updates keeps its multiplier 1 and
+changes in place: none rescales a whole row.  In the order i = 1, ..., n-1
+a reduced boundary row would pivot the next block's columns, and its pivot
+cell would rescale every row it reduces.
 """
 
 from fractions import Fraction

@@ -25,35 +25,40 @@ zero cells are ``ZERO`` itself, and equal cells of one row are one object.
 A matrix is not hashable.
 
 Every zero cell of a result is ``ZERO``, and ``kernel_basis``,
-``solve_linear``, ``combine``, ``pairings`` and ``mat_vec`` (on a matrix
-whose rows share one denominator) build one ``Fraction`` per distinct
-value of a result, so that equal cells are one object and callers compare
-cells by identity (``is ZERO``, ``list.count``) without calling into
-``Fraction``.
+``solve_linear``, ``combine``, ``pairings`` and ``mat_vec`` build one
+``Fraction`` per distinct value of a result, so that equal cells are one
+object and callers compare cells by identity (``is ZERO``, ``list.count``)
+without calling into ``Fraction``.
 ``mat_vec`` is a product by columns over a column index built on first
-use: the vector is scaled to integers once, each of its nonzero cells
-adds into the rows that meet its column, and a zero cell costs nothing.
+use, with its cells scaled then to the lcm of the row denominators: the
+vector is scaled to integers once, each of its nonzero cells adds into the
+rows that meet its column, and a zero cell costs nothing.
 ``pairings`` gives u^T M v for two families of vectors: it scales each
 vector once and forms the integer row combination u^T M once per u.
 ``combine`` sums c * v over one common denominator.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
-same sparse rows: the pivot row is divided by its content (gcd of the
-entries) once, and a row below it is cross-multiplied with that row over
-the gcd of their pivot-column cells and divided by its content.  An update
-reads the updated row at the pivot's columns, and then every cell of it
-for its content; rows are kept by their first nonzero column, so the rows
-to update below a pivot are found without a scan.  A matrix is eliminated
-at most once: the sparse echelon rows are memoised on the matrix and
-shared by ``rank`` and ``kernel_basis``.  Back substitution visits
-bottom-up only the rows that a vector reaches through its nonzero
-coordinates, and keeps one common denominator, so it stays in integers
-too.  ``solve_linear`` returns the unique solution of a system and raises
-``ValueError`` when there is none or more than one; it eliminates the
-integer rows of [A | b] that an augmented ``Matrix`` would hold, without
-building one.  The unit tests compare every routine with textbook
-``Fraction`` formulas, and the elimination with the dense integer
-elimination, on random matrices.
+same sparse rows, one row at a time in the order given: a row is reduced
+by the pivot of its first column for as long as that column has one, and
+then becomes the pivot of the column where it stops, or is dropped when it
+reduces to zero.  No row moves; the pivots are sorted by column at the
+end.  Fraction-free elimination is exact for any choice of pivot row, and
+the rank, the free columns, the reduced echelon kernel basis and a unique
+solution do not depend on it.  A pivot row is divided by its content (gcd
+of the entries) on its first use, and a row it reduces is cross-multiplied
+with it over the gcd of their pivot-column cells and divided by its
+content.  An update reads the updated row at the pivot's columns, and then
+every cell of it for its content.  A matrix is eliminated at most once:
+the sparse echelon rows are memoised on the matrix and shared by ``rank``
+and ``kernel_basis``.  Back substitution visits bottom-up only the rows
+that a vector reaches through its nonzero coordinates, and keeps one
+common denominator, so it stays in integers too.  ``solve_linear`` returns
+the unique solution of a system and raises ``ValueError`` when there is
+none or more than one; it eliminates the integer rows of [A | b] that an
+augmented ``Matrix`` would hold, without building one.  The unit tests
+compare every routine with textbook ``Fraction`` formulas, and the
+elimination with a dense integer column sweep under the same pivot rule,
+on random matrices.
 """
 
 from collections.abc import Mapping
@@ -163,9 +168,9 @@ class Matrix:
     sequence.  ``_scaled`` (per-row denominators and the nonzero cells of
     each row scaled by its denominator, as ``SparseRow`` pairs) is built
     with the matrix; it is canonical, so equality compares it and ``cols``.
-    ``_columns`` (the nonzero cells of each column, as rows and values) and
-    ``_echelon`` (the sparse rows and pivots of the forward elimination)
-    are filled on first use.
+    ``_columns`` (the lcm of the row denominators, and the nonzero cells of
+    each column over it, as rows and values) and ``_echelon`` (the sparse
+    rows and pivots of the forward elimination) are filled on first use.
     """
 
     __slots__ = ("rows", "cols", "_scaled", "_columns", "_echelon")
@@ -224,25 +229,27 @@ class Matrix:
             other.cols, other._scaled
         )
 
-    def _column_index(self) -> list[tuple[list[int], list[int]]]:
-        """For each column, the rows of its nonzero integer cells and their
-        values."""
+    def _column_index(self) -> tuple[int, list[tuple[list[int], list[int]]]]:
+        """The lcm L of the row denominators and, for each column, the rows
+        of its nonzero cells and their values times L, as integers."""
         if self._columns is None:
+            dens, sparse = self._scaled
+            scale = lcm(*dens)
             rows = [[] for _ in range(self.cols)]
             values = [[] for _ in range(self.cols)]
-            for i, (index, ints) in enumerate(self._scaled[1]):
+            for i, (den, (index, ints)) in enumerate(zip(dens, sparse)):
+                if den != scale:
+                    ints = [a * (scale // den) for a in ints]
                 for j, a in zip(index, ints):
                     rows[j].append(i)
                     values[j].append(a)
-            object.__setattr__(self, "_columns", list(zip(rows, values)))
+            object.__setattr__(self, "_columns", (scale, list(zip(rows, values))))
         return self._columns
 
     def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
-            object.__setattr__(
-                self, "_echelon", _forward_echelon(list(self._scaled[1]), self.cols)
-            )
+            object.__setattr__(self, "_echelon", _forward_echelon(self._scaled[1]))
         return self._echelon
 
     def mat_vec(self, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -251,18 +258,13 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         scale, index, ints = integer_cells(v)
-        dens = self._scaled[0]
-        columns = self._column_index()
+        row_scale, columns = self._column_index()
         acc = [0] * self.rows
         for j, a in zip(index, ints):
             rows, values = columns[j]
             for i, b in zip(rows, values):
                 acc[i] += a * b
-        if dens and dens.count(dens[0]) == len(dens):
-            return _fractions(acc, dens[0] * scale)
-        return tuple(
-            Fraction(t, den * scale) if t else ZERO for t, den in zip(acc, dens)
-        )
+        return _fractions(acc, row_scale * scale)
 
     def pairings(
         self, us: Iterable[Sequence[RationalLike]], vs: Iterable[Sequence[RationalLike]]
@@ -308,31 +310,24 @@ class Matrix:
         return tuple(out)
 
 
-def _first_column(row: SparseRow | dict[int, int]) -> int | None:
-    """The first column of a row held as a ``SparseRow`` or as a
-    ``{column: value}`` dict; None when the row is empty."""
-    if type(row) is tuple:
-        return row[0][0] if row[0] else None
-    return min(row) if row else None
-
-
-def _forward_echelon(
-    rows: list[SparseRow], cols: int
-) -> tuple[tuple[SparseRow, ...], list[int]]:
+def _forward_echelon(rows: Iterable[SparseRow]) -> tuple[tuple[SparseRow, ...], list[int]]:
     """Forward elimination of ``SparseRow`` rows, each in column order.
 
     Returns the echelon rows, as ``SparseRow`` pairs in column order, and
-    their pivot columns; the rows that eliminate to zero are dropped.
-    The pivot of column c is the first row at or below the current one
-    with a nonzero cell in c, swapped up.  Rows at or below the current
-    one are zero left of c, so the rows to update are those whose first
-    column is c, kept in ``leading`` by first column.  With k the pivot
-    row's content (gcd of the entries) and p its cell in c, a row cur with
-    m in c becomes a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0)
-    and b = m/g0, divided by its content: as that is (p*cur - m*pivot)/(k*g0)
-    with k*g0 > 0, the echelon is the cross-multiplied one.
+    their pivot columns; the rows that eliminate to zero are dropped.  One
+    pass takes the rows in the order given and moves none: a row is
+    reduced by the pivot of its first column while that column has one,
+    and then becomes the pivot of the column where it stops.  So a row is
+    updated only by pivots of earlier rows, in increasing column order, as
+    in a column sweep that pivots each column on the first row, not yet a
+    pivot, with a nonzero cell there.  With k the pivot row's content (gcd
+    of the entries) and p its cell in c, a row cur with m in c becomes
+    a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0) and b = m/g0,
+    divided by its content: as that is (p*cur - m*pivot)/(k*g0) with
+    k*g0 > 0, the echelon is the cross-multiplied one.
 
-    What is read: each pivot row's cells once, for its content k.  Each
+    What is read: each pivot row's cells once, for its content k, on the
+    pivot's first use; a pivot that updates no row is never read.  Each
     row it updates is read at c and at the pivot's columns, and then at
     every cell for its content (the gcd of all its cells).  With a == 1
     the row changes in place at the pivot's columns; a != 1 rewrites every
@@ -342,43 +337,24 @@ def _forward_echelon(
     row that no pivot updates (in the D certificate, every two-cell step
     row) is returned as it came.
     """
-    leading: dict[int, set[int]] = {}
-    for i, (row_cols, _) in enumerate(rows):
-        if row_cols:
-            leading.setdefault(row_cols[0], set()).add(i)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if not leading:
-            break
-        below = leading.pop(c, None)
-        if below is None:
+    echelon: dict[int, SparseRow] = {}
+    # each used pivot's cell in its column and the cells right of it (the
+    # cell in the column cancels in every update), over its content
+    reducers: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    for cur in rows:
+        if not cur[0]:
             continue
-        sel = min(below)
-        below.remove(sel)
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-            first = _first_column(rows[sel])
-            if first is not None:
-                moved = leading[first]
-                moved.remove(r)
-                moved.add(sel)
-        pivot = rows[r]
-        if type(pivot) is not tuple:
-            rows[r] = pivot = tuple(zip(*sorted(pivot.items())))
-        pivots.append(c)
-        r += 1
-        if not below:
-            continue
-        pivot_cols, pivot_vals = pivot
-        k = gcd(*pivot_vals)
-        if k > 1:
-            pivot_vals = [w // k for w in pivot_vals]
-        p = pivot_vals[0]
-        # the cells right of c; the cell in c cancels in every update
-        tail = list(zip(pivot_cols[1:], pivot_vals[1:]))
-        for i in below:
-            cur = rows[i]
+        c = cur[0][0]
+        while c in echelon:
+            reducer = reducers.get(c)
+            if reducer is None:
+                pivot_cols, pivot_vals = echelon[c]
+                k = gcd(*pivot_vals)
+                if k > 1:
+                    pivot_vals = [w // k for w in pivot_vals]
+                tail = list(zip(pivot_cols[1:], pivot_vals[1:]))
+                reducer = reducers[c] = pivot_vals[0], tail
+            p, tail = reducer
             if type(cur) is tuple:
                 cur = dict(zip(*cur))
             m = cur.pop(c)
@@ -390,13 +366,18 @@ def _forward_echelon(
                 v = cur.pop(j, 0) - b * w
                 if v:
                     cur[j] = v
+            if not cur:
+                break
             g = gcd(*cur.values())
             if g > 1:
                 cur = {j: v // g for j, v in cur.items()}
-            rows[i] = cur
-            if cur:
-                leading.setdefault(c + 1 if c + 1 in cur else min(cur), set()).add(i)
-    return tuple(rows[:r]), pivots
+            c = c + 1 if c + 1 in cur else min(cur)
+        else:  # c has no pivot yet; a row that reduced to zero broke out
+            if type(cur) is not tuple:
+                cur = tuple(zip(*sorted(cur.items())))
+            echelon[c] = cur
+    pivots = sorted(echelon)
+    return tuple(map(echelon.__getitem__, pivots)), pivots
 
 
 def _back_substitute(
@@ -497,7 +478,7 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         if q != 1:
             ints = tuple(x * q for x in ints)
         rows.append((index + (a.cols,), ints + (den * q // d * n,)) if n else (index, ints))
-    ech, pivots = _forward_echelon(rows, a.cols + 1)
+    ech, pivots = _forward_echelon(rows)
     if pivots and pivots[-1] == a.cols:
         i = len(pivots) - 1
         raise ValueError(

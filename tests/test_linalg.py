@@ -213,22 +213,24 @@ def _ref_reduce_content(row):
 
 
 def _ref_forward_echelon(rows, cols):
-    pivots = []
-    r = 0
+    """The dense column sweep.  The pivot of column c is the first row, not
+    yet a pivot, with a nonzero cell in c, and no row moves.  Returns the
+    pivot rows in column order, then the other rows, and the pivot columns."""
+    pivot_rows, pivots = [], []
     for c in range(cols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        sel = next((i for i, row in enumerate(rows) if row[c] and i not in pivot_rows), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv_row = rows[r]
+        piv_row = rows[sel]
         p = piv_row[c]
-        for i in range(r + 1, len(rows)):
+        for i in range(sel + 1, len(rows)):
             m = rows[i][c]
-            if m:
+            if m and i not in pivot_rows:
                 rows[i] = _ref_reduce_content([p * a - m * b for a, b in zip(rows[i], piv_row)])
+        pivot_rows.append(sel)
         pivots.append(c)
-        r += 1
-    return rows, pivots
+    rest = [i for i in range(len(rows)) if i not in pivot_rows]
+    return [rows[i] for i in pivot_rows + rest], pivots
 
 
 def _ref_back_substitute(ech, pivots, x, width):
@@ -332,7 +334,8 @@ def test_solve_linear_matches_fraction_formula(matrix, data):
 
 # Systems whose echelon rows (of the augmented matrix) each carry a nonzero
 # cell in the last column right of the pivot; each comes with a copy whose
-# rows are reversed, so the elimination swaps rows.
+# rows are reversed, so that rows reach their pivot columns out of order and
+# the echelon is sorted by column after the pass.
 TAIL_SYSTEMS = [
     ([[2, 1, 3], [0, 5, 7], [0, 0, 4]], [1, 2, 3]),
     ([[1, 2, 3], [2, 1, 1], [3, 1, 2], [6, 4, 6]], [5, 3, 6, 14]),
@@ -343,10 +346,10 @@ TAIL_SYSTEMS = [
 ]
 
 
-@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("reversed_rows", [False, True])
 @pytest.mark.parametrize("entries, b", TAIL_SYSTEMS)
-def test_solve_linear_reads_the_last_cell_of_every_echelon_row(entries, b, swapped):
-    if swapped:
+def test_solve_linear_reads_the_last_cell_of_every_echelon_row(entries, b, reversed_rows):
+    if reversed_rows:
         entries, b = entries[::-1], b[::-1]
     entries = [[Fraction(x) for x in row] for row in entries]
     b = [Fraction(x) for x in b]
@@ -587,9 +590,8 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     product = mat.mat_vec(v)
     assert product == _ref_mat_vec(entries, v)
     assert all(x is ZERO for x in product if x == 0)
-    if len(set(dens)) == 1:
-        # rows over one denominator: equal cells of the product are one object
-        assert _shares_cells(product)
+    # equal cells of the product are one object, whatever the row denominators
+    assert _shares_cells(product)
     # the solutions and the kernel of the same matrix share their cells too
     assert all(_shares_cells(x) for x in kernel_basis(mat))
     if n == m and rank(mat) == m:
@@ -608,7 +610,9 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
 
 
 # ---------------------------------------------------------------------------
-# the sparse elimination against the dense integer elimination it replaced
+# the sparse elimination against a dense integer column sweep with the same
+# pivot rule: the pivot of each column is the first row, not yet a pivot,
+# with a nonzero cell there, and no row moves
 
 
 def _fixed(rows):
