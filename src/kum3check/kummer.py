@@ -42,9 +42,10 @@ cell would rescale every row it reduces.
 
 from fractions import Fraction
 from itertools import combinations, product, repeat
+from math import lcm
 from typing import NamedTuple
 
-from .linalg import ZERO, Matrix, kernel_basis, rank, scaled_integers
+from .linalg import ZERO, Matrix, integer_cells, kernel_basis, rank
 
 Pt = tuple[int, int, int, int]
 
@@ -289,7 +290,9 @@ def d_gram_certificate(
 
     m = blocks * block_size
     # the three constants over the lcm of their denominators
-    _, (diag, same, cross) = scaled_integers([diagonal, same_block, cross_block])
+    constants = (diagonal, same_block, cross_block)
+    scale = lcm(*(x.denominator for x in constants))
+    diag, same, cross = (int(x * scale) for x in constants)
     inside = diag - same  # G_i - G_{i-1} at i, inside a block
     boundary = diag - cross  # the same at a block boundary
     spread = same - cross  # rest of the block of i at a boundary
@@ -323,7 +326,7 @@ def d_gram_certificate(
         if any(chunk.count(chunk[0]) != block_size for chunk in chunks):
             block_structured = False
             break
-        if sum(scaled_integers([chunk[0] for chunk in chunks])[1]):
+        if sum(integer_cells([chunk[0] for chunk in chunks])[2]):
             block_structured = False
             break
 

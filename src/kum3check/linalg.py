@@ -7,16 +7,17 @@ of every config file and report in this package; f-strings with an empty
 format spec give the same string.
 
 Matrices are immutable and have one stored form: for every row, the lcm of
-its denominators and the nonzero cells scaled by it to integers, as
-(columns, values).  ``Fraction`` is the boundary type: it goes in and comes
-out, but the inner loops run on Python integers.  One helper,
-``integer_cells``, brings a row or vector to them: it skips a cell that is
-the shared ``ZERO`` by identity and reads every other cell once, through
+its denominators and the nonzero cells scaled by it to integers, as a
+``{column: int}`` dict whose keys run in ascending column order.
+``Fraction`` is the boundary type: it goes in and comes out, but the inner
+loops run on Python integers.  One helper, ``integer_cells``, is the one
+way from a vector of rationals to integers: it skips a cell that is the
+shared ``ZERO`` by identity and reads every other cell once, through
 ``as_integer_ratio()``, so no loop calls ``Fraction.__bool__`` or the
 ``numerator`` and ``denominator`` properties; cells that are all ints are
 their own integer form.  A row is given either as a sequence of cells or
 as a ``{column: value}`` mapping of its cells, with ``cols`` giving the
-width; both become the same sparse integer row when the matrix is built,
+width; both become the same integer row dict when the matrix is built,
 and zeros are dropped from both.  A mapping is never scanned beyond its
 cells, so a sparse row costs what its support costs.  Two matrices are
 equal when their widths and stored rows are.  The dense ``Fraction`` rows
@@ -38,25 +39,26 @@ vector once and forms the integer row combination u^T M once per u.
 ``combine`` sums c * v over one common denominator.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
-same sparse rows, one row at a time in the order given: a row is reduced
-by the pivot of its first column for as long as that column has one, and
-then becomes the pivot of the column where it stops, or is dropped when it
-reduces to zero.  No row moves; the pivots are sorted by column at the
-end.  Fraction-free elimination is exact for any choice of pivot row, and
-the rank, the free columns, the reduced echelon kernel basis and a unique
-solution do not depend on it.  A pivot row is divided by its content (gcd
-of the entries) on its first use, and a row it reduces is cross-multiplied
-with it over the gcd of their pivot-column cells and divided by its
-content.  An update reads the updated row at the pivot's columns, and then
-every cell of it for its content.  A matrix is eliminated at most once:
-the sparse echelon rows are memoised on the matrix and shared by ``rank``
-and ``kernel_basis``.  Back substitution visits bottom-up only the rows
-that a vector reaches through its nonzero coordinates, and keeps one
-common denominator, so it stays in integers too.  ``solve_linear`` returns
-the unique solution of a system and raises ``ValueError`` when there is
-none or more than one; it eliminates the integer rows of [A | b] that an
-augmented ``Matrix`` would hold, without building one.  The unit tests
-compare every routine with textbook ``Fraction`` formulas, and the
+same row dicts, one row at a time in the order given: a row is reduced by
+the pivot of its least column for as long as that column has one, and then
+becomes the pivot of the column where it stops, or is dropped when it
+reduces to zero.  No row moves: a row is copied at its first update; a
+pivot is kept as it is, and the ``{pivot column: row}`` echelon is sorted
+by column at the end.  Fraction-free elimination is exact for any choice
+of pivot row, and the rank, the free columns, the reduced echelon kernel
+basis and a unique solution do not depend on it.  A pivot row is divided
+by its content (gcd of the entries) on its first use, and a row it reduces
+is cross-multiplied with it over the gcd of their pivot-column cells and
+divided by its content.  An update reads the updated row at the pivot's
+columns, and then every cell of it for its content.  A matrix is
+eliminated at most once: the echelon is memoised on the matrix and shared
+by ``rank`` and ``kernel_basis``.  Back substitution visits bottom-up only
+the rows that a vector reaches through its nonzero coordinates, and keeps
+one common denominator, so it stays in integers too.  ``solve_linear``
+returns the unique solution of a system and raises ``ValueError`` when
+there is none or more than one; it eliminates the integer rows of [A | b]
+that an augmented ``Matrix`` would hold, without building one.  The unit
+tests compare every routine with textbook ``Fraction`` formulas, and the
 elimination with a dense integer column sweep under the same pivot rule,
 on random matrices.
 """
@@ -69,8 +71,6 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
-# The nonzero cells of one integer row: their columns and their values.
-SparseRow = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -86,40 +86,11 @@ def rat(value: RationalLike) -> Fraction:
 # ``Fraction`` for the commonest cell of a sparse row.
 ZERO = Fraction(0)
 
-
-def vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """The values as a tuple of ``Fraction``; ``rat`` runs only on values
-    that hold a cell of another type."""
-    values = tuple(values)
-    if set(map(type, values)) <= {Fraction}:
-        return values
-    return tuple(map(rat, values))
-
-
 # The cell types whose ``as_integer_ratio()`` is read as it is; a sequence
 # that holds a cell of any other type goes through ``rat`` first.  Cells
 # that are all ints are their own integer form.
 _EXACT = {Fraction, int}
 _INT = {int}
-
-
-def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """``(L, [n * (L // d) for n, d in ratios])`` for the lcm ``L`` of the
-    denominators; with L == 1 the numerators are returned as they are."""
-    scale = lcm(*[d for _, d in ratios])
-    if scale == 1:
-        return 1, [n for n, _ in ratios]
-    return scale, [n * (scale // d) for n, d in ratios]
-
-
-def scaled_integers(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
-    """``(L, [x * L for x in values])`` for the lcm ``L`` of the denominators.
-
-    A zero cell has denominator 1 and scales to 0; callers with sparse
-    values pass only their nonzero cells.  Each value is read once, through
-    ``as_integer_ratio()``.
-    """
-    return _over_lcm([x.as_integer_ratio() for x in values])
 
 
 def integer_cells(values: Sequence[RationalLike]) -> tuple[int, list[int], list[int]]:
@@ -145,8 +116,10 @@ def integer_cells(values: Sequence[RationalLike]) -> tuple[int, list[int], list[
     if not all([n for n, _ in ratios]):
         index = [j for j, (n, _) in zip(index, ratios) if n]
         ratios = [r for r in ratios if r[0]]
-    scale, ints = _over_lcm(ratios)
-    return scale, index, ints
+    scale = lcm(*[d for _, d in ratios])
+    if scale == 1:
+        return 1, index, [n for n, _ in ratios]
+    return scale, index, [n * (scale // d) for n, d in ratios]
 
 
 def _fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
@@ -166,11 +139,12 @@ class Matrix:
     Each row is a sequence of cells or a ``{column: value}`` mapping of its
     cells; ``cols`` gives the width, and is needed when no row is a
     sequence.  ``_scaled`` (per-row denominators and the nonzero cells of
-    each row scaled by its denominator, as ``SparseRow`` pairs) is built
-    with the matrix; it is canonical, so equality compares it and ``cols``.
-    ``_columns`` (the lcm of the row denominators, and the nonzero cells of
-    each column over it, as rows and values) and ``_echelon`` (the sparse
-    rows and pivots of the forward elimination) are filled on first use.
+    each row scaled by its denominator, as ``{column: int}`` dicts in
+    column order) is built with the matrix; it is canonical, so equality
+    compares it and ``cols``.  ``_columns`` (the lcm of the row
+    denominators, and the nonzero cells of each column over it, as rows
+    and values) and ``_echelon`` (the ``{pivot column: row}`` dict of the
+    forward elimination) are filled on first use.
     """
 
     __slots__ = ("rows", "cols", "_scaled", "_columns", "_echelon")
@@ -202,7 +176,7 @@ class Matrix:
                     raise ValueError("ragged rows in matrix")
                 den, index, ints = integer_cells(values)
             dens.append(den)
-            sparse.append((tuple(index), tuple(ints)))
+            sparse.append(dict(zip(index, ints)))
         object.__setattr__(self, "rows", len(dens))
         object.__setattr__(self, "cols", cols or 0)
         object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
@@ -216,11 +190,11 @@ class Matrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as ``Fraction`` cells; every zero cell is ``ZERO``."""
         data = []
-        for den, (index, ints) in zip(*self._scaled):
-            cells = {a: Fraction(a, den) for a in set(ints)}
+        for den, cells in zip(*self._scaled):
+            made = {a: Fraction(a, den) for a in set(cells.values())}
             row = [ZERO] * self.cols
-            for j, a in zip(index, ints):
-                row[j] = cells[a]
+            for j, a in cells.items():
+                row[j] = made[a]
             data.append(tuple(row))
         return tuple(data)
 
@@ -237,16 +211,15 @@ class Matrix:
             scale = lcm(*dens)
             rows = [[] for _ in range(self.cols)]
             values = [[] for _ in range(self.cols)]
-            for i, (den, (index, ints)) in enumerate(zip(dens, sparse)):
-                if den != scale:
-                    ints = [a * (scale // den) for a in ints]
-                for j, a in zip(index, ints):
+            for i, (den, cells) in enumerate(zip(dens, sparse)):
+                k = scale // den
+                for j, a in cells.items():
                     rows[j].append(i)
-                    values[j].append(a)
+                    values[j].append(k * a)
             object.__setattr__(self, "_columns", (scale, list(zip(rows, values))))
         return self._columns
 
-    def _echelon_form(self) -> tuple[tuple[SparseRow, ...], list[int]]:
+    def _echelon_form(self) -> dict[int, dict[int, int]]:
         """The memoised forward elimination of the integer rows; read only."""
         if self._echelon is None:
             object.__setattr__(self, "_echelon", _forward_echelon(self._scaled[1]))
@@ -291,7 +264,7 @@ class Matrix:
             w = [0] * self.cols
             for i, a in zip(u_index, u_ints):
                 k = a * (row_scale // dens[i])
-                for j, b in zip(*sparse[i]):
+                for j, b in sparse[i].items():
                     w[j] += k * b
             row = []
             for v_scale, v_index, v_ints in scaled_vs:
@@ -310,16 +283,16 @@ class Matrix:
         return tuple(out)
 
 
-def _forward_echelon(rows: Iterable[SparseRow]) -> tuple[tuple[SparseRow, ...], list[int]]:
-    """Forward elimination of ``SparseRow`` rows, each in column order.
+def _forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of ``{column: int}`` rows, each in column order.
 
-    Returns the echelon rows, as ``SparseRow`` pairs in column order, and
-    their pivot columns; the rows that eliminate to zero are dropped.  One
-    pass takes the rows in the order given and moves none: a row is
-    reduced by the pivot of its first column while that column has one,
-    and then becomes the pivot of the column where it stops.  So a row is
-    updated only by pivots of earlier rows, in increasing column order, as
-    in a column sweep that pivots each column on the first row, not yet a
+    Returns the echelon as a ``{pivot column: row}`` dict in column order;
+    the rows that eliminate to zero are dropped.  One pass takes the rows
+    in the order given and moves none: a row is reduced by the pivot of its
+    least column (its first key) while that column has one, and then
+    becomes the pivot of the column where it stops.  So a row is updated
+    only by pivots of earlier rows, in increasing column order, as in a
+    column sweep that pivots each column on the first row, not yet a
     pivot, with a nonzero cell there.  With k the pivot row's content (gcd
     of the entries) and p its cell in c, a row cur with m in c becomes
     a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0) and b = m/g0,
@@ -331,32 +304,33 @@ def _forward_echelon(rows: Iterable[SparseRow]) -> tuple[tuple[SparseRow, ...], 
     row it updates is read at c and at the pivot's columns, and then at
     every cell for its content (the gcd of all its cells).  With a == 1
     the row changes in place at the pivot's columns; a != 1 rewrites every
-    cell, and so does a content above 1.  A row stays the ``SparseRow`` it
-    came as until its first update makes it a ``{column: value}`` dict,
-    and it is sorted back into a ``SparseRow`` when it becomes a pivot; a
-    row that no pivot updates (in the D certificate, every two-cell step
-    row) is returned as it came.
+    cell, and so does a content above 1.  A row is copied at its first
+    update, so the rows given are never changed, and a pivot is kept as
+    the dict it is: an updated pivot's keys need not run in column order,
+    but no cell lies left of its pivot column.  A row that no pivot
+    updates (in the D certificate, every two-cell step row) is returned
+    as it came.
     """
-    echelon: dict[int, SparseRow] = {}
-    # each used pivot's cell in its column and the cells right of it (the
-    # cell in the column cancels in every update), over its content
+    echelon: dict[int, dict[int, int]] = {}
+    # each used pivot's cell in its column and its other cells (the cell in
+    # the column cancels in every update), over its content
     reducers: dict[int, tuple[int, list[tuple[int, int]]]] = {}
-    for cur in rows:
-        if not cur[0]:
+    for row in rows:
+        if not row:
             continue
-        c = cur[0][0]
+        cur = row
+        c = next(iter(row))
         while c in echelon:
             reducer = reducers.get(c)
             if reducer is None:
-                pivot_cols, pivot_vals = echelon[c]
-                k = gcd(*pivot_vals)
-                if k > 1:
-                    pivot_vals = [w // k for w in pivot_vals]
-                tail = list(zip(pivot_cols[1:], pivot_vals[1:]))
-                reducer = reducers[c] = pivot_vals[0], tail
+                pivot = echelon[c]
+                k = gcd(*pivot.values())
+                reducer = reducers[c] = (
+                    pivot[c] // k, [(j, w // k) for j, w in pivot.items() if j != c]
+                )
             p, tail = reducer
-            if type(cur) is tuple:
-                cur = dict(zip(*cur))
+            if cur is row:
+                cur = dict(row)
             m = cur.pop(c)
             g0 = gcd(p, m)
             a, b = p // g0, m // g0
@@ -373,36 +347,35 @@ def _forward_echelon(rows: Iterable[SparseRow]) -> tuple[tuple[SparseRow, ...], 
                 cur = {j: v // g for j, v in cur.items()}
             c = c + 1 if c + 1 in cur else min(cur)
         else:  # c has no pivot yet; a row that reduced to zero broke out
-            if type(cur) is not tuple:
-                cur = tuple(zip(*sorted(cur.items())))
             echelon[c] = cur
-    pivots = sorted(echelon)
-    return tuple(map(echelon.__getitem__, pivots)), pivots
+    return dict(sorted(echelon.items()))
 
 
 def _back_substitute(
-    echelon: Sequence[SparseRow], width: int, starts: Sequence[dict[int, int]]
+    echelon: dict[int, dict[int, int]], width: int, starts: Sequence[dict[int, int]]
 ) -> list[tuple[Fraction, ...]]:
     """Solve the echelon system for the pivot coordinates of each start vector.
 
-    ``echelon`` holds the rows of ``Matrix._echelon_form()``, each led by
-    its pivot cell.  Each start vector, of length ``width``, is given by
-    its nonzero integer cells, all at non-pivot positions.  Each tail
-    column (a column right of a row's pivot) indexes the rows whose tails
-    meet it.  The pivot entries are solved from the bottom row up over one
-    common denominator, which grows only when a new entry needs it, so the
-    full vector satisfies every echelon row.  A min-heap of row positions,
+    ``echelon`` is ``Matrix._echelon_form()``: each row by its pivot
+    column, in column order.  Each start vector, of length ``width``, is
+    given by its nonzero integer cells, all at non-pivot positions.  Each
+    column indexes the rows that meet it other than at their pivot.  The
+    pivot entries are solved from the bottom row up over one common
+    denominator, which grows only when a new entry needs it, so the full
+    vector satisfies every echelon row.  A min-heap of row positions,
     counted from the bottom, holds the rows that meet a nonzero coordinate
     of the start or a pivot solved nonzero (rows above it); a row never
-    reached, or whose tail sums to 0, is skipped with no gcd and no
+    reached, or whose other cells sum to 0, is skipped with no gcd and no
     rescale, as 0 is its solution.  A row is reached once, while its pivot
-    coordinate is still 0, so its tail sum is the sum over all its cells.
+    coordinate is still 0, so the sum over its other cells is the sum over
+    all its cells.
     """
-    rows = echelon[::-1]
+    rows = list(echelon.items())[::-1]
     meets: dict[int, list[int]] = {}
-    for pos, (cols, _) in enumerate(rows):
-        for j in cols[1:]:
-            meets.setdefault(j, []).append(pos)
+    for pos, (c, row) in enumerate(rows):
+        for j in row:
+            if j != c:
+                meets.setdefault(j, []).append(pos)
     solutions = []
     for start in starts:
         x = [0] * width
@@ -412,11 +385,11 @@ def _back_substitute(
         queued = {pos for j in start for pos in meets.get(j, ())}
         heap = sorted(queued)
         while heap:
-            cols, vals = rows[heappop(heap)]
-            acc = sum(map(mul, vals, map(x.__getitem__, cols)))
+            c, row = rows[heappop(heap)]
+            acc = sum(map(mul, row.values(), map(x.__getitem__, row)))
             if not acc:
                 continue
-            c, p = cols[0], vals[0]
+            p = row[c]
             s = abs(p) // gcd(acc, p)
             if s > 1:
                 x = [a * s for a in x]
@@ -434,19 +407,24 @@ def _back_substitute(
 def combine(terms: Iterable[tuple[RationalLike, Sequence[Fraction]]]) -> tuple[Fraction, ...]:
     """The sum of c * v over the (c, v) terms, accumulated in integers over
     one common denominator; () for no terms."""
-    scaled = [(rat(c), *scaled_integers(vector(v))) for c, v in terms]
-    if not scaled:
+    terms = [(rat(c), v) for c, v in terms]
+    if not terms:
         return ()
-    den = lcm(*(c.denominator * scale for c, scale, _ in scaled))
-    acc = [0] * len(scaled[0][2])
-    for c, scale, ints in scaled:
+    width = len(terms[0][1])
+    if any(len(v) != width for _, v in terms):
+        raise ValueError("vectors of different lengths in combine")
+    scaled = [(c, *integer_cells(v)) for c, v in terms]
+    den = lcm(*(c.denominator * scale for c, scale, _, _ in scaled))
+    acc = [0] * width
+    for c, scale, index, ints in scaled:
         k = c.numerator * (den // (c.denominator * scale))
-        acc = [a + k * b for a, b in zip(acc, ints, strict=True)]
+        for j, b in zip(index, ints):
+            acc[j] += k * b
     return _fractions(acc, den)
 
 
 def rank(m: Matrix) -> int:
-    return len(m._echelon_form()[1])
+    return len(m._echelon_form())
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -456,9 +434,8 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     the other free coordinates are 0, and pivot coordinates are solved
     exactly.  Returns [] when the kernel is trivial.
     """
-    echelon, pivots = m._echelon_form()
-    pivot_set = set(pivots)
-    starts = [{f: 1} for f in range(m.cols) if f not in pivot_set]
+    echelon = m._echelon_form()
+    starts = [{f: 1} for f in range(m.cols) if f not in echelon]
     return _back_substitute(echelon, m.cols, starts)
 
 
@@ -471,20 +448,20 @@ def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length does not match row count")
     rows = []
-    for den, (index, ints), v in zip(*a._scaled, rhs):
+    for den, row, v in zip(*a._scaled, rhs):
         # row i of [A | b] over the lcm den * q of its denominators
         n, d = v.as_integer_ratio()
         q = d // gcd(den, d)
         if q != 1:
-            ints = tuple(x * q for x in ints)
-        rows.append((index + (a.cols,), ints + (den * q // d * n,)) if n else (index, ints))
-    ech, pivots = _forward_echelon(rows)
-    if pivots and pivots[-1] == a.cols:
-        i = len(pivots) - 1
+            row = {j: x * q for j, x in row.items()}
+        rows.append({**row, a.cols: den * q // d * n} if n else row)
+    ech = _forward_echelon(rows)
+    if a.cols in ech:
         raise ValueError(
-            f"inconsistent system: row {i} reduces to 0 = {Fraction(ech[i][1][0])}"
+            f"inconsistent system: row {len(ech) - 1} reduces to 0 = "
+            f"{Fraction(ech[a.cols][a.cols])}"
         )
-    if len(pivots) < a.cols:
-        free = [c for c in range(a.cols) if c not in set(pivots)]
+    if len(ech) < a.cols:
+        free = [c for c in range(a.cols) if c not in ech]
         raise ValueError(f"underdetermined system: free columns {free}")
     return _back_substitute(ech, a.cols + 1, [{a.cols: -1}])[0][: a.cols]

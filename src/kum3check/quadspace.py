@@ -15,23 +15,23 @@ monomial rather than a symmetrised half-sum, so the square of a sum,
 orthogonal basis the rule leaves two kinds of term: the product of the
 two traces sum_a x_aa q_a, and one term for each monomial that both
 classes carry.  All coefficients are exact rationals, and a class has one
-stored form: its monomials, and their coefficients as integers over one
-reduced common denominator.  Products and sums (``sym2_product`` and
-``sym2_sum``, the one way to add or scale classes) accumulate integers
-over one common denominator; a coefficient or factor cell is read once,
-through ``as_integer_ratio()``.  The pairing reads the squares scaled the
-same way and builds one ``Fraction`` per nonzero value; a zero pairing is
-the shared ``linalg.ZERO``.  The ``Fraction``
-coefficients (``coeffs``) are a view, built at each read; only rendering
-a class and restricting an ambient class read it.
+stored form: a ``{monomial: int}`` dict of its nonzero coefficients as
+integers over one reduced common denominator, in no set order.  Products
+and sums (``sym2_product`` and ``sym2_sum``, the one way to add or scale
+classes) accumulate integers over one common denominator; a coefficient
+or factor cell is read once, through ``as_integer_ratio()``.  The pairing
+reads the squares scaled the same way, looks the shared monomials up in
+the dicts and builds one ``Fraction`` per nonzero value; a zero pairing
+is the shared ``linalg.ZERO``.  The ``Fraction`` coefficients
+(``coeffs``) are a view in monomial order, built at each read; only
+rendering a class and restricting an ambient class read it.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ZERO, Matrix, RationalLike, integer_cells, rat, scaled_integers, vector
+from .linalg import ZERO, Matrix, RationalLike, integer_cells, rat
 
 
 class QuadSpace:
@@ -46,7 +46,7 @@ class QuadSpace:
     def __init__(
         self, labels: tuple[str, ...], squares: Iterable[RationalLike], name: str = ""
     ):
-        squares = vector(squares)
+        squares = tuple(map(rat, squares))
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in quadratic space")
         if len(squares) != len(labels):
@@ -57,7 +57,7 @@ class QuadSpace:
         self.labels = labels
         self.squares = squares
         self.name = name
-        scale, ints = scaled_integers(squares)
+        scale, _, ints = integer_cells(squares)
         self._scaled_squares = scale, tuple(ints)
 
     @property
@@ -94,30 +94,29 @@ class Sym2Vector:
 
     ``Sym2Vector(space, acc, den)`` is the class with coefficient
     ``acc[k] / den`` (den > 0) at each monomial k = (i, j), i <= j.  It
-    keeps the nonzero ones as sorted ``keys`` and their ``ints`` over
-    ``scale``, with scale > 0 and gcd(scale, *ints) == 1, so equal fields
-    on one space object mean equal classes.  ``coeffs`` is the ``(key,
-    Fraction)`` view, built at each read.
+    keeps the nonzero ones as ``cells``, a ``{monomial: int}`` dict over
+    ``scale``, with scale > 0 and gcd(scale, *cells.values()) == 1, so equal
+    fields on one space object mean equal classes, whatever the order of
+    the monomials.  ``coeffs`` is the ``(key, Fraction)`` view in key
+    order, built at each read.
     """
 
-    __slots__ = ("space", "scale", "keys", "ints")
+    __slots__ = ("space", "scale", "cells")
 
     def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
-        keys = sorted([k for k, a in acc.items() if a])
-        ints = tuple(map(acc.__getitem__, keys))
-        g = gcd(den, *ints)
+        cells = {k: a for k, a in acc.items() if a}
+        g = gcd(den, *cells.values())
         if g > 1:
             den //= g
-            ints = tuple([a // g for a in ints])
+            cells = {k: a // g for k, a in cells.items()}
         self.space = space
         self.scale = den
-        self.keys = tuple(keys)
-        self.ints = ints
+        self.cells = cells
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sym2Vector) and (
-            self.space, self.scale, self.keys, self.ints
-        ) == (other.space, other.scale, other.keys, other.ints)
+        return isinstance(other, Sym2Vector) and (self.space, self.scale, self.cells) == (
+            other.space, other.scale, other.cells
+        )
 
     @staticmethod
     def from_map(
@@ -132,7 +131,7 @@ class Sym2Vector:
     @property
     def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         """The ``(key, Fraction)`` pairs, in key order."""
-        return tuple((k, Fraction(a, self.scale)) for k, a in zip(self.keys, self.ints))
+        return tuple((k, Fraction(a, self.scale)) for k, a in sorted(self.cells.items()))
 
     def render(self) -> str:
         labels = self.space.labels
@@ -157,15 +156,15 @@ def sym2_sum(
         if x.space is not space:
             raise ValueError("cannot add Sym2 vectors from different spaces")
         num, d = (c if type(c) is Fraction or type(c) is int else rat(c)).as_integer_ratio()
-        if not num or not x.keys:
+        if not num or not x.cells:
             continue
         d *= x.scale
-        parts.append((num, d, x.keys, x.ints))
+        parts.append((num, d, x.cells))
         den = lcm(den, d)
     acc: dict[tuple[int, int], int] = {}
-    for num, d, keys, ints in parts:
+    for num, d, cells in parts:
         f = num * (den // d)
-        for k, a in zip(keys, ints):
+        for k, a in cells.items():
             acc[k] = acc.get(k, 0) + f * a
     return Sym2Vector(space, acc, den)
 
@@ -195,25 +194,24 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     product of the traces sum x_aa q_a and sum y_cc q_c plus one weighted
     term per monomial that both classes carry.  The shorter class is
     scanned once, each of its monomials is looked up in the longer class's
-    sorted keys by bisection, and the longer class's trace is summed only
-    when the shorter one's is not 0.  A zero pairing is ``ZERO``.
+    cells, and the longer class's trace is summed only when the shorter
+    one's is not 0.  A zero pairing is ``ZERO``.
     """
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
     q_scale, q = x.space._scaled_squares
-    short, long = (x, y) if len(x.keys) <= len(y.keys) else (y, x)
-    long_keys, long_ints = long.keys, long.ints
-    n = len(long_keys)
-    trace = shared = k = 0
-    for key, c in zip(short.keys, short.ints):
+    short, long = (x, y) if len(x.cells) <= len(y.cells) else (y, x)
+    long_cells = long.cells
+    trace = shared = 0
+    for key, c in short.cells.items():
         a, b = key
         if a == b:
             trace += c * q[a]
-        k = bisect_left(long_keys, key, k)
-        if k < n and long_keys[k] == key:
-            shared += c * long_ints[k] * q[a] * q[b] * (2 if a == b else 1)
+        d = long_cells.get(key)
+        if d:
+            shared += c * d * q[a] * q[b] * (2 if a == b else 1)
     if trace:
-        trace *= sum([c * q[a] for (a, b), c in zip(long_keys, long_ints) if a == b])
+        trace *= sum([c * q[a] for (a, b), c in long_cells.items() if a == b])
     total = trace + shared
     if not total:
         return ZERO

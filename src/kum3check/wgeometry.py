@@ -33,8 +33,8 @@ restricted classes), and the other 18 classes have pairwise disjoint
 monomials, so ``expand_in_basis`` needs no value of the restriction factor.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .kummer import ALPHAS, COSETS, ORIGIN, SHIFTED, THETAS, Pt
@@ -45,7 +45,6 @@ from .linalg import (
     combine,
     integer_cells,
     rat,
-    scaled_integers,
     solve_linear,
 )
 from .quadspace import (
@@ -208,33 +207,27 @@ def combination(model: WModel, coeffs: Sequence[Fraction]) -> Sym2Vector:
     return sym2_sum(model.space, zip(coeffs, model.basis))
 
 
-def _cell(x: Sym2Vector, key: tuple[int, int]) -> int:
-    """x's integer coefficient at the monomial ``key``, 0 when x lacks it."""
-    i = bisect_left(x.keys, key)
-    return x.ints[i] if x.keys[i : i + 1] == (key,) else 0
-
-
 def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     """Coefficients of x over the 19 classes, each read at one monomial.
 
     By the premise in the module docstring, the dual-class coefficient a is
-    x's coefficient at qbar_W's first monomial over qbar_W's own, and every
-    other coefficient is the same ratio of x - a*qbar_W at its class's first
+    x's coefficient at qbar_W's least monomial over qbar_W's own, and every
+    other coefficient is the same ratio of x - a*qbar_W at its class's least
     monomial.  Each ratio is formed in integers and is one ``Fraction``
     (``ZERO`` when it is 0).  Raises when they do not rebuild x: x is not
     in the span.
     """
     qbar_w = model.basis[QBAR]
-    first = qbar_w.keys[0]
+    first, q0 = min(qbar_w.cells.items())
     # a = an / ad, over x's and qbar_W's scales
-    an, ad = _cell(x, first) * qbar_w.scale, x.scale * qbar_w.ints[0]
+    an, ad = x.cells.get(first, 0) * qbar_w.scale, x.scale * q0
     coeffs = []
     for v in model.basis:
-        key = v.keys[0]
+        key, v0 = min(v.cells.items())
         # (x - a*qbar_W) at key, over x.scale * ad * qbar_W.scale
-        rest = _cell(x, key) * ad * qbar_w.scale - an * _cell(qbar_w, key) * x.scale
+        rest = x.cells.get(key, 0) * ad * qbar_w.scale - an * qbar_w.cells.get(key, 0) * x.scale
         coeffs.append(
-            Fraction(rest * v.scale, x.scale * ad * qbar_w.scale * v.ints[0]) if rest else ZERO
+            Fraction(rest * v.scale, x.scale * ad * qbar_w.scale * v0) if rest else ZERO
         )
     coeffs[QBAR] = Fraction(an, ad) if an else ZERO
     rebuilt = combination(model, coeffs)
@@ -261,7 +254,7 @@ def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     distinct images must pair to 0, and only the seven squares are
     ``Fraction``s.
     """
-    q_scale, q = scaled_integers(model.space.squares)
+    q_scale, _, q = integer_cells(model.space.squares)
     images = [integer_cells(u) for u in restriction_images(model)]
     for i, (u_scale, u_index, u_ints) in enumerate(images):
         weighted = {a: c * q[a] for a, c in zip(u_index, u_ints)}
@@ -322,12 +315,9 @@ _IMAGES = tuple(
 )
 # SURFACE is fixed, so the 81 pairings among the near-side images are too:
 # L * q_V(images[a], images[b]) by slot, over the lcm L of their denominators.
-_NEAR_SCALE, _NEAR_PAIRINGS = scaled_integers(
-    [SURFACE.pair(a, b) for a in _IMAGES[0] for b in _IMAGES[0]]
-)
-_NEAR_PAIRINGS = tuple(
-    tuple(_NEAR_PAIRINGS[k : k + SIDE + 1]) for k in range(0, len(_NEAR_PAIRINGS), SIDE + 1)
-)
+_NEAR_PAIRINGS = tuple(tuple(SURFACE.pair(a, b) for b in _IMAGES[0]) for a in _IMAGES[0])
+_NEAR_SCALE = lcm(*(x.denominator for row in _NEAR_PAIRINGS for x in row))
+_NEAR_PAIRINGS = tuple(tuple(int(x * _NEAR_SCALE) for x in row) for row in _NEAR_PAIRINGS)
 
 
 def surface_slots(theta: Pt) -> dict[str, int]:
@@ -367,7 +357,7 @@ def near_pairing(slot: Sequence[int | None], x: Sym2Vector) -> Fraction:
     """
     table = _NEAR_PAIRINGS
     total = 0
-    for (i, j), c in zip(x.keys, x.ints):
+    for (i, j), c in x.cells.items():
         total += c * table[slot[i]][slot[j]]
     return Fraction(total, x.scale * _NEAR_SCALE) if total else ZERO
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kum3check import linalg
 from kum3check.linalg import (
     ZERO,
     Matrix,
@@ -15,9 +16,7 @@ from kum3check.linalg import (
     kernel_basis,
     rank,
     rat,
-    scaled_integers,
     solve_linear,
-    vector,
 )
 from kum3check.report import render_value
 
@@ -81,13 +80,13 @@ def test_solve_restriction_system_exactly():
     b = (70, 180, 84)
     solution = solve_linear(a, b)
     assert solution == (Fraction(4, 5), Fraction(9, 640), Fraction(1, 640))
-    assert a.mat_vec(solution) == vector(b)
+    assert a.mat_vec(solution) == tuple(b)
 
 
 def test_solve_gram_head_system_exactly():
     a = Matrix([[575, -50, -800], [-50, 12, 64], [-800, 64, 1152]])
     b = (30, -4, -32)
-    assert a.mat_vec(solve_linear(a, b)) == vector(b)
+    assert a.mat_vec(solve_linear(a, b)) == tuple(b)
     assert rank(a) == 3
 
 
@@ -165,7 +164,7 @@ def test_solutions_satisfy_their_systems(entries, b):
     except ValueError as error:
         assert str(error).startswith(("inconsistent system: ", "underdetermined system: "))
     else:
-        assert a.mat_vec(solution) == vector(b)
+        assert a.mat_vec(solution) == tuple(b)
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.data())
@@ -199,10 +198,9 @@ def _ref_integer_rows(entries):
 
 
 def _dense(row, width):
-    """The cells of a sparse (columns, values) row."""
-    cols, values = row
+    """The cells of a sparse {column: value} row."""
     cells = [0] * width
-    for j, a in zip(cols, values):
+    for j, a in row.items():
         cells[j] = a
     return cells
 
@@ -354,9 +352,28 @@ def test_solve_linear_reads_the_last_cell_of_every_echelon_row(entries, b, rever
     entries = [[Fraction(x) for x in row] for row in entries]
     b = [Fraction(x) for x in b]
     cols = len(entries[0])
-    echelon, _ = Matrix([row + [v] for row, v in zip(entries, b)])._echelon_form()
-    assert all(row_cols[-1] == cols and len(row_cols) > 1 for row_cols, _ in echelon)
+    echelon = Matrix([row + [v] for row, v in zip(entries, b)])._echelon_form()
+    assert all(max(row) == cols and len(row) > 1 for row in echelon.values())
     assert _solve_against_oracle(entries, b, cols) == "unique"
+
+
+def test_solve_linear_augments_rows_in_column_order(monkeypatch):
+    # the elimination reads a row's least column as its first key
+    seen = []
+    forward = linalg._forward_echelon
+
+    def recording(rows):
+        rows = list(rows)
+        seen.extend(rows)
+        return forward(rows)
+
+    monkeypatch.setattr(linalg, "_forward_echelon", recording)
+    for entries, b in TAIL_SYSTEMS:
+        cols = len(entries[0])
+        mapped = Matrix([dict(reversed(list(enumerate(row)))) for row in entries], cols)
+        assert solve_linear(mapped, b) == solve_linear(Matrix(entries), b)
+    assert len(seen) == 2 * sum(len(entries) for entries, _ in TAIL_SYSTEMS)
+    assert all(list(row) == sorted(row) for row in seen)
 
 
 def _banded(rng, n, width):
@@ -383,9 +400,11 @@ def test_sparse_back_substitution_matches_fraction_formulas_on_banded_matrices()
         mat = Matrix(entries)
         got = (rank(mat), kernel_basis(mat))
         assert got == _ref_rank_and_kernel(entries, 30)
-        echelon, pivots = mat._echelon_form()
+        echelon = mat._echelon_form()
         ech, ref_pivots = _ref_forward_echelon(_ref_integer_rows(entries), 30)
-        assert (pivots, [_dense(row, 30) for row in echelon]) == (ref_pivots, ech[:27])
+        assert (list(echelon), [_dense(row, 30) for row in echelon.values()]) == (
+            ref_pivots, ech[:27]
+        )
         assert len(got[1]) == 3
         for v in got[1]:
             assert mat.mat_vec(v) == (Fraction(0),) * 30
@@ -564,8 +583,7 @@ cells = st.one_of(st.just(ZERO), st.builds(Fraction, st.just(0)), rationals)
 
 
 @given(st.lists(cells, max_size=12))
-def test_scaled_integers_skips_zeros_but_matches_the_old_formula(values):
-    assert scaled_integers(values) == _ref_scaled_integers(values)
+def test_integer_cells_skip_zeros_but_match_the_old_formula(values):
     index = [j for j, x in enumerate(values) if x != 0]
     scale, ints = _ref_scaled_integers([values[j] for j in index])
     assert integer_cells(values) == (scale, index, ints)
@@ -581,11 +599,10 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     mat = Matrix(entries)
     dens, sparse = mat._scaled
     rows = [_dense(row, m) for row in sparse]
-    assert [list(row) for row in rows] == _ref_integer_rows(entries)
+    assert rows == _ref_integer_rows(entries)
     assert list(dens) == [_ref_scaled_integers(row)[0] for row in entries]
-    assert list(sparse) == [
-        (tuple(j for j, a in enumerate(row) if a), tuple(a for a in row if a)) for row in rows
-    ]
+    assert list(sparse) == [{j: a for j, a in enumerate(row) if a} for row in rows]
+    assert all(list(row) == sorted(row) for row in sparse)
     v = data.draw(st.lists(cells, min_size=m, max_size=m))
     product = mat.mat_vec(v)
     assert product == _ref_mat_vec(entries, v)
@@ -599,6 +616,8 @@ def test_integer_form_skips_zeros_but_matches_the_old_formula(n, m, data):
     # the same cells as {column: value} rows, zeros included, last column first
     mapped = Matrix([dict(reversed(list(enumerate(row)))) for row in entries], m)
     assert mapped._scaled == mat._scaled
+    # a stored row iterates in column order, however its mapping was ordered
+    assert all(list(row) == sorted(row) for row in mapped._scaled[1])
     assert mapped == mat
     assert mapped.entries == tuple(map(tuple, entries))
     assert all(x is ZERO for row in mapped.entries for x in row if x == 0)
@@ -631,10 +650,11 @@ def _fixed(rows):
 @example(_fixed([[1, 1, 1, 0], [1, 1, 0, 1], [1, 2, 0, 0]]))
 def test_sparse_echelon_matches_the_dense_elimination(matrix):
     entries, m = matrix
-    echelon, pivots = Matrix(entries)._echelon_form()
+    echelon = Matrix(entries)._echelon_form()
     ech, ref_pivots = _ref_forward_echelon(_ref_integer_rows(entries), m)
-    assert pivots == ref_pivots
-    assert [_dense(row, m) for row in echelon] == ech[: len(pivots)]
-    assert all(not any(row) for row in ech[len(pivots) :])
-    assert all(cols and cols[0] == c for (cols, _), c in zip(echelon, pivots))
-    assert all(all(values) for _, values in echelon)
+    assert list(echelon) == ref_pivots
+    assert [_dense(row, m) for row in echelon.values()] == ech[: len(echelon)]
+    assert all(not any(row) for row in ech[len(echelon) :])
+    # the pivot is the row's least column: no cell lies left of it
+    assert all(row and min(row) == c for c, row in echelon.items())
+    assert all(all(row.values()) for row in echelon.values())

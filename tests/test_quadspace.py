@@ -65,12 +65,12 @@ def test_dual_square_on_the_ambient_space():
 
 def _assert_normal_form(x, coeffs):
     """x is the class with these {key: Fraction} coefficients, stored in its
-    normal form: sorted nonzero keys, scale > 0 and gcd(scale, *ints) == 1."""
+    normal form: nonzero cells, scale > 0 and gcd(scale, *cells) == 1."""
     keys = sorted(k for k, c in coeffs.items() if c)
     scale = lcm(*(coeffs[k].denominator for k in keys))
-    ints = tuple(int(coeffs[k] * scale) for k in keys)
-    assert (x.scale, x.keys, x.ints) == (scale, tuple(keys), ints)
-    assert x.scale > 0 and gcd(x.scale, *x.ints) == 1
+    assert (x.scale, x.cells) == (scale, {k: int(coeffs[k] * scale) for k in keys})
+    assert all(x.cells.values())
+    assert x.scale > 0 and gcd(x.scale, *x.cells.values()) == 1
     assert x.coeffs == tuple((k, coeffs[k]) for k in keys)
 
 
@@ -84,12 +84,26 @@ def test_sym2_vector_is_canonical():
     c = Sym2Vector(AMBIENT, {(2, 2): -6, (0, 1): 0, (0, 0): 4}, 8)
     for x in (a, b, c):
         _assert_normal_form(x, want)
-        assert (x.space, x.scale, x.keys, x.ints) == (AMBIENT, 4, ((0, 0), (2, 2)), (2, -3))
+        assert (x.space, x.scale, x.cells) == (AMBIENT, 4, {(0, 0): 2, (2, 2): -3})
     assert a == b == c
     zero = sym2_sum(AMBIENT, [(1, a), (-1, b)])
-    assert (zero.scale, zero.keys, zero.ints, zero.coeffs) == (1, (), (), ())
+    assert (zero.scale, zero.cells, zero.coeffs) == (1, {}, ())
     with pytest.raises(ValueError):
         Sym2Vector.from_map(AMBIENT, {(1, 0): Fraction(1)})
+
+
+monomials7 = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda k: (min(k), max(k)))
+
+
+@given(st.dictionaries(monomials7, st.integers(-6, 6), max_size=8), st.integers(1, 12))
+def test_sym2_vector_drops_zeros_and_ignores_the_order_of_acc(acc, den):
+    x = Sym2Vector(AMBIENT, acc, den)
+    y = Sym2Vector(AMBIENT, dict(reversed(list(acc.items()))), den)
+    assert all(x.cells.values()) and all(y.cells.values())
+    assert x == y
+    assert x.coeffs == y.coeffs == tuple(
+        (k, Fraction(a, den)) for k, a in sorted(acc.items()) if a
+    )
 
 
 def test_sym2_gram_is_symmetric():

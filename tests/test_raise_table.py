@@ -143,6 +143,8 @@ RAISES = {
         Guard(LINALG + "test_transpose_and_mat_vec"),
     ("linalg", "pairings", "vector length does not match matrix shape"):
         Guard(LINALG + "test_pair_is_the_bilinear_form"),
+    ("linalg", "combine", "vectors of different lengths"):
+        Guard(LINALG + "test_pair_is_the_bilinear_form"),
     ("linalg", "solve_linear", "right-hand side length does not match"):
         Guard(LINALG + "test_solve_reports_inconsistent_and_underdetermined"),
     ("linalg", "solve_linear", "inconsistent system"):

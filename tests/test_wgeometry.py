@@ -193,8 +193,8 @@ def test_expansion_premise_holds_for_every_factor(factor):
     lambda_squares = {
         (space.index(l), space.index(l)) for l in wgeometry.PLUS_LABELS + wgeometry.MINUS_LABELS
     }
-    assert lambda_squares <= set(model.basis[QBAR].keys)
-    others = [set(v.keys) for k, v in enumerate(model.basis) if k != QBAR]
+    assert lambda_squares <= set(model.basis[QBAR].cells)
+    others = [set(v.cells) for k, v in enumerate(model.basis) if k != QBAR]
     assert len(others) == 18 and all(others)
     assert all(not keys & lambda_squares for keys in others)
     assert sum(map(len, others)) == len(set().union(*others))
