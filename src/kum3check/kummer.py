@@ -42,7 +42,6 @@ cell would rescale every row it reduces.
 
 from fractions import Fraction
 from itertools import combinations, product, repeat
-from math import lcm
 from typing import NamedTuple
 
 from .linalg import ZERO, Matrix, integer_cells, kernel_basis, rank
@@ -290,9 +289,8 @@ def d_gram_certificate(
 
     m = blocks * block_size
     # the three constants over the lcm of their denominators
-    constants = (diagonal, same_block, cross_block)
-    scale = lcm(*(x.denominator for x in constants))
-    diag, same, cross = (int(x * scale) for x in constants)
+    _, ints = integer_cells((diagonal, same_block, cross_block))
+    diag, same, cross = (ints.get(k, 0) for k in range(3))
     inside = diag - same  # G_i - G_{i-1} at i, inside a block
     boundary = diag - cross  # the same at a block boundary
     spread = same - cross  # rest of the block of i at a boundary
@@ -326,7 +324,7 @@ def d_gram_certificate(
         if any(chunk.count(chunk[0]) != block_size for chunk in chunks):
             block_structured = False
             break
-        if sum(integer_cells([chunk[0] for chunk in chunks])[2]):
+        if sum(integer_cells([chunk[0] for chunk in chunks])[1].values()):
             block_structured = False
             break
 

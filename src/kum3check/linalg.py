@@ -8,22 +8,24 @@ format spec give the same string.
 
 Matrices are immutable and have one stored form: for every row, the lcm of
 its denominators and the nonzero cells scaled by it to integers, as a
-``{column: int}`` dict whose keys run in ascending column order.
-``Fraction`` is the boundary type: it goes in and comes out, but the inner
-loops run on Python integers.  One helper, ``integer_cells``, is the one
-way from a vector of rationals to integers: it skips a cell that is the
-shared ``ZERO`` by identity and reads every other cell once, through
-``as_integer_ratio()``, so no loop calls ``Fraction.__bool__`` or the
-``numerator`` and ``denominator`` properties; cells that are all ints are
-their own integer form.  A row is given either as a sequence of cells or
-as a ``{column: value}`` mapping of its cells, with ``cols`` giving the
-width; both become the same integer row dict when the matrix is built,
-and zeros are dropped from both.  A mapping is never scanned beyond its
+``{column: int}`` dict in no set key order.  ``Fraction`` is the boundary
+type: it goes in and comes out, but the inner loops run on Python
+integers.  One helper, ``integer_cells``, is the one way from rationals to
+integers: it takes a sequence or a ``{key: value}`` mapping and gives the
+nonzero cells as a ``{key: int}`` dict, by position or by key.  It skips a
+cell that is the shared ``ZERO`` by identity and reads every other cell
+once, through ``as_integer_ratio()``, so no loop calls
+``Fraction.__bool__`` or the ``numerator`` and ``denominator``
+properties; cells that are all ints are their own integer form.  A row is
+given either as a sequence of cells or as a ``{column: value}`` mapping
+of its cells, with ``cols`` giving the width; both go through
+``integer_cells`` to the same integer row dict, zeros dropped, and a
+mapping row keeps its key order.  A mapping is never scanned beyond its
 cells, so a sparse row costs what its support costs.  Two matrices are
-equal when their widths and stored rows are.  The dense ``Fraction`` rows
-(``entries``) are a view, built from the sparse rows at each read; their
-zero cells are ``ZERO`` itself, and equal cells of one row are one object.
-A matrix is not hashable.
+equal when their widths and stored rows are, whatever the key order.  The
+dense ``Fraction`` rows (``entries``) are a view, built from the sparse
+rows at each read; their zero cells are ``ZERO`` itself, and equal cells
+of one row are one object.  A matrix is not hashable.
 
 Every zero cell of a result is ``ZERO``, and ``kernel_basis``,
 ``solve_linear``, ``combine``, ``pairings`` and ``mat_vec`` build one
@@ -40,9 +42,10 @@ vector once and forms the integer row combination u^T M once per u.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
 same row dicts, one row at a time in the order given: a row is reduced by
-the pivot of its least column for as long as that column has one, and then
-becomes the pivot of the column where it stops, or is dropped when it
-reduces to zero.  No row moves: a row is copied at its first update; a
+the pivot of its least column (its least key, as no code reads the order
+of a row's keys) for as long as that column has one, and then becomes the
+pivot of the column where it stops, or is dropped when it reduces to
+zero.  No row moves: a row is copied at its first update; a
 pivot is kept as it is, and the ``{pivot column: row}`` echelon is sorted
 by column at the end.  Fraction-free elimination is exact for any choice
 of pivot row, and the rank, the free columns, the reduced echelon kernel
@@ -93,33 +96,34 @@ _EXACT = {Fraction, int}
 _INT = {int}
 
 
-def integer_cells(values: Sequence[RationalLike]) -> tuple[int, list[int], list[int]]:
-    """``(L, index, ints)``: the positions of the nonzero values, and those
-    values times the lcm ``L`` of their denominators.
+def integer_cells(values: Sequence[RationalLike] | Mapping) -> tuple[int, dict]:
+    """``(L, cells)``: the nonzero values, by position for a sequence and by
+    key for a mapping, times the lcm ``L`` of their denominators, as a
+    ``{key: int}`` dict in the order of the input.
 
     A ``ZERO`` cell is skipped by identity, and only the other cells are
     type-checked.  Cells that are all ints are their own integer form;
     otherwise each cell is read once, through ``as_integer_ratio()``, and
     dropped when its numerator is 0.
     """
-    index = [j for j, x in enumerate(values) if x is not ZERO]
-    cells = [values[j] for j in index]
-    types = set(map(type, cells))
+    if type(values) is dict or isinstance(values, Mapping):
+        cells = {k: x for k, x in values.items() if x is not ZERO}
+    else:
+        cells = {j: x for j, x in enumerate(values) if x is not ZERO}
+    types = set(map(type, cells.values()))
     if types <= _INT:
-        if not all(cells):
-            index = [j for j, a in zip(index, cells) if a]
-            cells = [a for a in cells if a]
-        return 1, index, cells
+        if not all(cells.values()):
+            cells = {k: a for k, a in cells.items() if a}
+        return 1, cells
     if not types <= _EXACT:
-        cells = list(map(rat, cells))
-    ratios = [x.as_integer_ratio() for x in cells]
-    if not all([n for n, _ in ratios]):
-        index = [j for j, (n, _) in zip(index, ratios) if n]
-        ratios = [r for r in ratios if r[0]]
-    scale = lcm(*[d for _, d in ratios])
+        cells = {k: rat(x) for k, x in cells.items()}
+    ratios = {k: x.as_integer_ratio() for k, x in cells.items()}
+    if not all([n for n, _ in ratios.values()]):
+        ratios = {k: r for k, r in ratios.items() if r[0]}
+    scale = lcm(*[d for _, d in ratios.values()])
     if scale == 1:
-        return 1, index, [n for n, _ in ratios]
-    return scale, index, [n * (scale // d) for n, d in ratios]
+        return 1, {k: n for k, (n, _) in ratios.items()}
+    return scale, {k: n * (scale // d) for k, (n, d) in ratios.items()}
 
 
 def _fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
@@ -139,12 +143,13 @@ class Matrix:
     Each row is a sequence of cells or a ``{column: value}`` mapping of its
     cells; ``cols`` gives the width, and is needed when no row is a
     sequence.  ``_scaled`` (per-row denominators and the nonzero cells of
-    each row scaled by its denominator, as ``{column: int}`` dicts in
-    column order) is built with the matrix; it is canonical, so equality
-    compares it and ``cols``.  ``_columns`` (the lcm of the row
-    denominators, and the nonzero cells of each column over it, as rows
-    and values) and ``_echelon`` (the ``{pivot column: row}`` dict of the
-    forward elimination) are filled on first use.
+    each row scaled by its denominator, as ``{column: int}`` dicts in the
+    key order the row came in) is built with the matrix, one
+    ``integer_cells`` call per row; dict equality ignores key order, so it
+    is canonical, and equality compares it and ``cols``.  ``_columns``
+    (the lcm of the row denominators, and the nonzero cells of each column
+    over it, as rows and values) and ``_echelon`` (the ``{pivot column:
+    row}`` dict of the forward elimination) are filled on first use.
     """
 
     __slots__ = ("rows", "cols", "_scaled", "_columns", "_echelon")
@@ -159,24 +164,17 @@ class Matrix:
             if type(row) is dict or isinstance(row, Mapping):
                 if cols is None:
                     raise ValueError("a row given as a mapping needs cols")
-                keys = sorted(row)
-                if keys and not (0 <= keys[0] and keys[-1] < cols):
+                if row and not (0 <= min(row) and max(row) < cols):
                     raise ValueError("mapping row has a column outside the matrix")
-                values = [row[k] for k in keys]
-                if set(map(type, values)) <= _INT and all(values):
-                    den, index, ints = 1, keys, values
-                else:
-                    den, index, ints = integer_cells(values)
-                    index = [keys[k] for k in index]
             else:
-                values = tuple(row)
+                row = tuple(row)
                 if cols is None:
-                    cols = len(values)
-                elif len(values) != cols:
+                    cols = len(row)
+                elif len(row) != cols:
                     raise ValueError("ragged rows in matrix")
-                den, index, ints = integer_cells(values)
+            den, cells = integer_cells(row)
             dens.append(den)
-            sparse.append(dict(zip(index, ints)))
+            sparse.append(cells)
         object.__setattr__(self, "rows", len(dens))
         object.__setattr__(self, "cols", cols or 0)
         object.__setattr__(self, "_scaled", (tuple(dens), tuple(sparse)))
@@ -230,10 +228,10 @@ class Matrix:
         v = tuple(x)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        scale, index, ints = integer_cells(v)
+        scale, cells = integer_cells(v)
         row_scale, columns = self._column_index()
         acc = [0] * self.rows
-        for j, a in zip(index, ints):
+        for j, a in cells.items():
             rows, values = columns[j]
             for i, b in zip(rows, values):
                 acc[i] += a * b
@@ -260,15 +258,15 @@ class Matrix:
         made: dict[tuple[int, int], Fraction] = {}
         out = []
         for u in us:
-            u_scale, u_index, u_ints = integer_cells(u)
+            u_scale, u_cells = integer_cells(u)
             w = [0] * self.cols
-            for i, a in zip(u_index, u_ints):
+            for i, a in u_cells.items():
                 k = a * (row_scale // dens[i])
                 for j, b in sparse[i].items():
                     w[j] += k * b
             row = []
-            for v_scale, v_index, v_ints in scaled_vs:
-                t = sum(map(mul, map(w.__getitem__, v_index), v_ints))
+            for v_scale, v_cells in scaled_vs:
+                t = sum(map(mul, map(w.__getitem__, v_cells), v_cells.values()))
                 if t:
                     den = u_scale * row_scale * v_scale
                     g = gcd(t, den)
@@ -284,32 +282,31 @@ class Matrix:
 
 
 def _forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward elimination of ``{column: int}`` rows, each in column order.
+    """Forward elimination of ``{column: int}`` rows, in any key order.
 
     Returns the echelon as a ``{pivot column: row}`` dict in column order;
     the rows that eliminate to zero are dropped.  One pass takes the rows
     in the order given and moves none: a row is reduced by the pivot of its
-    least column (its first key) while that column has one, and then
-    becomes the pivot of the column where it stops.  So a row is updated
-    only by pivots of earlier rows, in increasing column order, as in a
-    column sweep that pivots each column on the first row, not yet a
+    least column (its least key, ``min(row)``) while that column has one,
+    and then becomes the pivot of the column where it stops.  So a row is
+    updated only by pivots of earlier rows, in increasing column order, as
+    in a column sweep that pivots each column on the first row, not yet a
     pivot, with a nonzero cell there.  With k the pivot row's content (gcd
     of the entries) and p its cell in c, a row cur with m in c becomes
     a*cur - b*pivot/k, for g0 = gcd(p/k, m), a = p/(k*g0) and b = m/g0,
     divided by its content: as that is (p*cur - m*pivot)/(k*g0) with
     k*g0 > 0, the echelon is the cross-multiplied one.
 
-    What is read: each pivot row's cells once, for its content k, on the
-    pivot's first use; a pivot that updates no row is never read.  Each
-    row it updates is read at c and at the pivot's columns, and then at
-    every cell for its content (the gcd of all its cells).  With a == 1
-    the row changes in place at the pivot's columns; a != 1 rewrites every
-    cell, and so does a content above 1.  A row is copied at its first
-    update, so the rows given are never changed, and a pivot is kept as
-    the dict it is: an updated pivot's keys need not run in column order,
-    but no cell lies left of its pivot column.  A row that no pivot
-    updates (in the D certificate, every two-cell step row) is returned
-    as it came.
+    What is read: each row's keys once, for its least column; each pivot
+    row's cells once, for its content k, on the pivot's first use; a
+    pivot that updates no row is never read.  Each row it updates is read
+    at c and at the pivot's columns, and then at every cell for its
+    content (the gcd of all its cells).  With a == 1 the row changes in
+    place at the pivot's columns; a != 1 rewrites every cell, and so does
+    a content above 1.  A row is copied at its first update, so the rows
+    given are never changed, and a pivot is kept as the dict it is, with
+    no cell left of its pivot column.  A row that no pivot updates (in
+    the D certificate, every two-cell step row) is returned as it came.
     """
     echelon: dict[int, dict[int, int]] = {}
     # each used pivot's cell in its column and its other cells (the cell in
@@ -319,7 +316,7 @@ def _forward_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]
         if not row:
             continue
         cur = row
-        c = next(iter(row))
+        c = min(row)
         while c in echelon:
             reducer = reducers.get(c)
             if reducer is None:
@@ -414,11 +411,11 @@ def combine(terms: Iterable[tuple[RationalLike, Sequence[Fraction]]]) -> tuple[F
     if any(len(v) != width for _, v in terms):
         raise ValueError("vectors of different lengths in combine")
     scaled = [(c, *integer_cells(v)) for c, v in terms]
-    den = lcm(*(c.denominator * scale for c, scale, _, _ in scaled))
+    den = lcm(*(c.denominator * scale for c, scale, _ in scaled))
     acc = [0] * width
-    for c, scale, index, ints in scaled:
+    for c, scale, cells in scaled:
         k = c.numerator * (den // (c.denominator * scale))
-        for j, b in zip(index, ints):
+        for j, b in cells.items():
             acc[j] += k * b
     return _fractions(acc, den)
 

@@ -57,8 +57,8 @@ class QuadSpace:
         self.labels = labels
         self.squares = squares
         self.name = name
-        scale, _, ints = integer_cells(squares)
-        self._scaled_squares = scale, tuple(ints)
+        scale, ints = integer_cells(squares)
+        self._scaled_squares = scale, tuple(ints.values())
 
     @property
     def dim(self) -> int:
@@ -124,9 +124,8 @@ class Sym2Vector:
     ) -> "Sym2Vector":
         if any(i > j for i, j in coeffs):
             raise ValueError("monomial indices must satisfy i <= j")
-        keys = list(coeffs)
-        scale, index, ints = integer_cells(tuple(coeffs.values()))
-        return Sym2Vector(space, {keys[k]: a for k, a in zip(index, ints)}, scale)
+        scale, cells = integer_cells(coeffs)
+        return Sym2Vector(space, cells, scale)
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -171,15 +170,16 @@ def sym2_sum(
 
 def sym2_product(
     space: QuadSpace,
-    u: Sequence[RationalLike],
-    v: Sequence[RationalLike],
+    u: Sequence[RationalLike] | Mapping[int, RationalLike],
+    v: Sequence[RationalLike] | Mapping[int, RationalLike],
 ) -> Sym2Vector:
-    """The product of two degree-1 vectors as a Sym^2 class."""
-    u_scale, u_index, u_ints = integer_cells(tuple(u))
-    v_scale, v_index, v_ints = integer_cells(tuple(v))
+    """The product of two degree-1 vectors as a Sym^2 class; a vector is
+    given by its cells or as a ``{position: value}`` mapping of them."""
+    u_scale, u_cells = integer_cells(u)
+    v_scale, v_cells = integer_cells(v)
     acc: dict[tuple[int, int], int] = {}
-    for i, a in zip(u_index, u_ints):
-        for j, b in zip(v_index, v_ints):
+    for i, a in u_cells.items():
+        for j, b in v_cells.items():
             key = (i, j) if i <= j else (j, i)
             acc[key] = acc.get(key, 0) + a * b
     return Sym2Vector(space, acc, u_scale * v_scale)

@@ -43,7 +43,6 @@ from .linalg import (
     Matrix,
     RationalLike,
     combine,
-    integer_cells,
     rat,
     solve_linear,
 )
@@ -250,22 +249,16 @@ def restriction_images(model: WModel) -> tuple[tuple[Fraction, ...], ...]:
 def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     """q_W(images) = factor * q_X on every pair of basis vectors.
 
-    The squares and each image are scaled to integers once; a pair of
-    distinct images must pair to 0, and only the seven squares are
-    ``Fraction``s.
+    The fourfold's diagonal Gram pairs the seven images with each other
+    through ``Matrix.pairings``; a pair of distinct images must pair to 0.
     """
-    q_scale, _, q = integer_cells(model.space.squares)
-    images = [integer_cells(u) for u in restriction_images(model)]
-    for i, (u_scale, u_index, u_ints) in enumerate(images):
-        weighted = {a: c * q[a] for a, c in zip(u_index, u_ints)}
-        for j, (v_scale, v_index, v_ints) in enumerate(images):
-            total = sum([weighted[a] * c for a, c in zip(v_index, v_ints) if a in weighted])
-            if i != j:
-                if total:
-                    return False
-            elif Fraction(total, u_scale * v_scale * q_scale) != model.factor * ambient.squares[i]:
-                return False
-    return True
+    gram = Matrix([{k: q} for k, q in enumerate(model.space.squares)], model.space.dim)
+    images = restriction_images(model)
+    want = tuple(
+        tuple(model.factor * square if i == j else ZERO for j in range(len(images)))
+        for i, square in enumerate(ambient.squares)
+    )
+    return gram.pairings(images, images) == want
 
 
 class QbarRestriction(NamedTuple):
@@ -497,14 +490,9 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     sum by sum s^2.
     """
     sp = model.space
-    # s' = 4s - delta with int cells and ZERO elsewhere, so the integer form
-    # of a factor is its two cells as they are
+    # s' = 4s - delta as its two cells
     delta = sp.index("delta")
-    svecs = []
-    for label in S_LABELS:
-        cells = [ZERO] * sp.dim
-        cells[sp.index(label)], cells[delta] = 4, -1
-        svecs.append(tuple(cells))
+    svecs = [{sp.index(label): 4, delta: -1} for label in S_LABELS]
     n = len(svecs)
     products = {
         (i, j): sym2_product(sp, svecs[i], svecs[j]) for i in range(n) for j in range(i, n)

@@ -142,9 +142,9 @@ RAISES = {
     ("linalg", "mat_vec", "vector length does not match column count"):
         Guard(LINALG + "test_transpose_and_mat_vec"),
     ("linalg", "pairings", "vector length does not match matrix shape"):
-        Guard(LINALG + "test_pair_is_the_bilinear_form"),
+        Guard(LINALG + "test_pairings_are_the_bilinear_form"),
     ("linalg", "combine", "vectors of different lengths"):
-        Guard(LINALG + "test_pair_is_the_bilinear_form"),
+        Guard(LINALG + "test_pairings_are_the_bilinear_form"),
     ("linalg", "solve_linear", "right-hand side length does not match"):
         Guard(LINALG + "test_solve_reports_inconsistent_and_underdetermined"),
     ("linalg", "solve_linear", "inconsistent system"):

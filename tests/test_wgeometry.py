@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 
@@ -528,21 +529,31 @@ def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
 
 
 def test_d_gram_certificate_scans_only_the_vectors_it_multiplies(monkeypatch):
-    # M and the relations are built from their nonzero integer cells, so
-    # the only cells scanned for their integer form are those of the 15
-    # relation vectors handed to mat_vec: 15 * 256, where dense rows scan
-    # 73,216
-    scanned = []
-    true_cells = linalg.integer_cells
+    # M and the relations are written as mappings of their nonzero integer
+    # cells, so each row scans only the cells it stores.  The sequences
+    # scanned are the 15 relation vectors handed to mat_vec (15 * 256,
+    # where dense rows of M would scan 73,216), the 16 block values of
+    # each of the 15 kernel vectors, and the three constants.
+    sequence_cells, mapping_cells, built = [], [], []
+    true_cells, true_matrix = linalg.integer_cells, kummer.Matrix
 
     def counted_cells(values):
-        scanned.append(len(values))
+        (mapping_cells if isinstance(values, Mapping) else sequence_cells).append(len(values))
         return true_cells(values)
 
+    def recorded_matrix(*args):
+        built.append(true_matrix(*args))
+        return built[-1]
+
     monkeypatch.setattr(linalg, "integer_cells", counted_cells)
+    monkeypatch.setattr(kummer, "integer_cells", counted_cells)
+    monkeypatch.setattr(kummer, "Matrix", recorded_matrix)
     cert = kummer.d_gram_certificate(Fraction(-52), Fraction(12), 16, 16)
     assert (cert.rank, cert.difference_relations_in_kernel) == (241, True)
-    assert sum(scanned) <= 3840
+    assert sum(sequence_cells) == 15 * 256 + 15 * 16 + 3
+    stored = [row for m in built for row in m._scaled[1]]
+    assert len(mapping_cells) == len(stored) == 256 + 15
+    assert sum(mapping_cells) == sum(map(len, stored)) == 1696
 
 
 def test_verify_all_builds_each_sprime_product_once(monkeypatch):
