@@ -16,14 +16,16 @@ Row = tuple[int, ...]
 
 
 class HodgeDiamond:
-    """Rows by weight; rows[w][q] is the (w - q, q) Hodge number."""
+    """Rows by weight; rows[w][q] is the (w - q, q) Hodge number, and
+    bettis[w] is the Betti number, the sum of row w."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "bettis")
 
     def __init__(self, rows: tuple[Row, ...]):
         if any(x < 0 for row in rows for x in row):
             raise ValueError("Hodge numbers are nonnegative")
         self.rows = rows
+        self.bettis = tuple(sum(row) for row in rows)
 
     def h(self, p: int, q: int) -> int:
         return self.rows[p + q][q]
@@ -31,20 +33,21 @@ class HodgeDiamond:
     def row(self, w: int) -> Row:
         return self.rows[w]
 
-    def betti(self, w: int) -> int:
-        return sum(self.rows[w])
-
     @property
     def euler(self) -> int:
-        return sum((-1) ** w * self.betti(w) for w in range(len(self.rows)))
+        return self.even_total - self.odd_total
 
     @property
     def even_total(self) -> int:
-        return sum(self.betti(w) for w in range(0, len(self.rows), 2))
+        return sum(self.bettis[::2])
 
     @property
     def odd_total(self) -> int:
-        return sum(self.betti(w) for w in range(1, len(self.rows), 2))
+        return sum(self.bettis[1::2])
+
+    @property
+    def total(self) -> int:
+        return sum(self.bettis)
 
 
 def diamond_from_half(half: Mapping[tuple[int, int], int], dim: int) -> HodgeDiamond:
@@ -183,13 +186,9 @@ def invariant_weight6(
     leftover must be exhausted by the cubic, exterior, mixed and point
     pieces generated by weight 2, so the final multiplicity is zero.
     """
-    n = sixfold.betti(2)
-    known = (
-        abelian.betti(1) * sixfold.betti(5)
-        + abelian.betti(2) * weight4_fixed_rank
-        + abelian.betti(3) * sixfold.betti(3)
-        + abelian.betti(4) * n
-    )
+    a, b = abelian.bettis, sixfold.bettis
+    n = b[2]
+    known = a[1] * b[5] + a[2] * weight4_fixed_rank + a[3] * b[3] + a[4] * n
     invariant = b6_length4 - known
     if invariant < 0:
         raise ValueError("known weight-6 summands exceed the total")
@@ -271,8 +270,7 @@ def build_rank_table(base_rank: int, spin_rank: int, odd_rank: int) -> RankTable
 def rank_table_matches_diamond(table: RankTable, diamond: HodgeDiamond) -> bool:
     """Betti numbers of the diamond against the representation gradings."""
     return (
-        table.degree_totals
-        == tuple(diamond.betti(2 * k) for k in range(len(table.degree_totals)))
+        table.degree_totals == diamond.bettis[::2]
         and table.even_total == diamond.even_total
         and table.odd == diamond.odd_total
     )

@@ -29,6 +29,8 @@ from .bookkeeping import (
     diamond_from_half,
     invariant_weight4,
     invariant_weight6,
+    rank_table_matches_diamond,
+    rep_dims,
     trace_averages,
     weight4_kuenneth_total,
 )
@@ -46,8 +48,10 @@ from .fujiki import (
     auxiliary_values,
     deg8,
     derive_z_relations,
+    evaluate_fujiki,
     express_w_v,
     multiply,
+    qbar_factor,
 )
 from .kummer import (
     LABEL_COUNT,
@@ -60,7 +64,7 @@ from .kummer import (
     deg4_independence_certificate,
     qbar_injectivity_certificate,
 )
-from .linalg import Matrix
+from .linalg import Matrix, rank
 from .quadspace import QuadSpace
 from .wgeometry import (
     DPairings,
@@ -75,9 +79,11 @@ from .wgeometry import (
     build_w_model,
     d_self_pairings,
     derive_restriction_factor,
+    expected_w_other,
     restrict_qbar,
     restrict_w_other,
     restrict_w_self,
+    restriction_is_similitude,
     s_prime_vectors,
     v_restriction_data,
 )
@@ -133,6 +139,25 @@ class Engine:
     def relations(self) -> ZRelations:
         return derive_z_relations(self.table)
 
+    @stage
+    def dual_factor4(self) -> Fraction:
+        return qbar_factor(self.table, 4)
+
+    @stage
+    def dual_factor8(self) -> Fraction:
+        return qbar_factor(self.table, 8)
+
+    @stage
+    def evaluations(self) -> tuple[Fraction, Fraction]:
+        table = self.table
+        return evaluate_fujiki(table["C(1)"], 0, 2), evaluate_fujiki(table["C(qbar)"], 4, 3)
+
+    @stage
+    def configured(self) -> dict[str, Fraction]:
+        # geometric entries that checks hold against their derivations
+        keys = ("c4_component_pairing", "surface_delta_square", "restricted_c2_degree")
+        return {key: self.doc.value(f"geometry_pack.{key}") for key in keys}
+
     # -- the fixed fourfold and its nineteen invariant classes --------------
 
     @stage
@@ -151,12 +176,26 @@ class Engine:
         return build_gram19(self.w_model)
 
     @stage
+    def gram19_rank(self) -> int:
+        return rank(self.gram19)
+
+    @stage
     def ambient(self) -> QuadSpace:
         return QuadSpace(H2_LABELS, self.doc.h2_squares, "ambient")
 
     @stage
+    def similitude(self) -> bool:
+        return restriction_is_similitude(self.w_model, self.ambient)
+
+    @stage
     def qbar_restriction(self) -> QbarRestriction:
         return restrict_qbar(self.w_model, self.ambient)
+
+    @stage
+    def dual_square(self) -> Fraction:
+        # the restricted ambient dual squared through the nineteen classes
+        gram, coeffs = self.gram19, self.qbar_restriction.coeffs
+        return gram.pairings([coeffs], [coeffs])[0][0]
 
     @stage
     def v_data(self) -> VRestrictionData:
@@ -177,6 +216,11 @@ class Engine:
             restrict_w_other(model, gram, ratio, theta, deg_c2_v, deg_c2_nvw)
             for theta in THETAS
         )
+
+    @stage
+    def w_other_uniform(self) -> bool:
+        # each shift against the printed pattern, so a fault shared by all shifts shows
+        return all(o.coeffs == expected_w_other(o.theta) for o in self.w_other_all)
 
     @stage
     def sprime(self) -> SPrimeVectors:
@@ -306,10 +350,19 @@ class Engine:
     @stage
     def rank_table(self) -> RankTable:
         return build_rank_table(
-            base_rank=self.sixfold_diamond.betti(2),
+            base_rank=self.sixfold_diamond.bettis[2],
             spin_rank=self.doc.integer("hodge_pack.spin rank"),
             odd_rank=self.doc.integer("hodge_pack.odd rank"),
         )
+
+    @stage
+    def rank_table_matches(self) -> bool:
+        return rank_table_matches_diamond(self.rank_table, self.sixfold_diamond)
+
+    @stage
+    def h2_powers(self) -> tuple[tuple[int, int], ...]:
+        # symmetric and exterior square and cube of the rank-7 second cohomology
+        return rep_dims(7, 2), rep_dims(7, 3)
 
     @stage
     def canonical(self) -> bool:

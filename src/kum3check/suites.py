@@ -3,14 +3,13 @@
 Each suite compares derived quantities against hard-coded expected values,
 so a mutated configuration entry always surfaces as a failing check.  The
 checks are data: ``SUITES`` maps each suite, in report order, to its rows
-``(id, ref, expected, value[, trail])``.  The ``value`` and ``trail``
-columns are each one of three things:
-
-* a path ``"stage.field..."``, read off the engine attribute by attribute,
-  so a row names the stage it reads without a run;
-* a tuple of such paths, read into a tuple;
-* a function of the engine, for the checks that compute something
-  (``rank(e.gram19)``, ``e.table[key]``).
+``(id, ref, expected, value[, trail])``.  The ``value`` is a path
+``"stage.step..."`` or a tuple of paths, read into a tuple; the ``trail``
+is a path or a tuple of paths, whose trails are joined.  A path starts at
+an engine stage, so a row names the stage it reads without a run, and
+each later step reads an attribute, a ``dict`` key (``"table.C(c6)"``) or
+a plain-tuple position (``"w_other_all.0.coeffs"``).  Every number a row
+prints is computed by a stage; the rows only read.
 
 ``expected`` is a value, or a function of the engine when it depends on
 the document.  A row whose reads raise becomes a failing error check
@@ -18,13 +17,11 @@ instead of aborting the suite.
 """
 
 from fractions import Fraction
-from functools import reduce
 
 from . import SUITE_NAMES
-from .bookkeeping import rank_table_matches_diamond, rep_dims
 from .engine import Engine
-from .fujiki import evaluate_fujiki, qbar_factor
 from .kummer import THETAS
+# rank is unread here; the bench's test_restores_every_wrapped_function wraps suites.rank
 from .linalg import Matrix, rank
 from .report import Check, SuiteReport, error_check, make_check
 from .wgeometry import (
@@ -36,7 +33,7 @@ from .wgeometry import (
     SPRIME_SQUARE_SUM,
     class_coeffs,
     expected_gram19,
-    restriction_is_similitude,
+    expected_w_other,
 )
 
 EXPECTED_CONSTANTS = {
@@ -77,20 +74,14 @@ REF_BLOWUP = "blowup comparison"
 REF_CONFIG = "configured geometric input"
 
 
-def _other_pattern(theta) -> tuple[Fraction, ...]:
-    return class_coeffs(
-        {QBAR: Fraction(2, 5), S_SQ: Fraction(1, 4), MIXED[theta]: Fraction(-1, 4)}
-    )
-
-
 SUITES = {
     "fujiki-table": (
         *(
-            (f"constant {key}", REF_TABLE, value, lambda e, key=key: e.table[key])
+            (f"constant {key}", REF_TABLE, value, f"table.{key}")
             for key, value in EXPECTED_CONSTANTS.items()
         ),
-        ("dual factor degree 4", REF_FACTORS, 3, lambda e: qbar_factor(e.table, 4)),
-        ("dual factor degree 8", REF_FACTORS, 7, lambda e: qbar_factor(e.table, 8)),
+        ("dual factor degree 4", REF_FACTORS, 3, "dual_factor4"),
+        ("dual factor degree 8", REF_FACTORS, 7, "dual_factor8"),
         ("chern to dual ratio", REF_Z, Fraction(24, 11), "relations.ratio"),
         (
             "auxiliary class vanishing",
@@ -101,18 +92,8 @@ SUITES = {
         ("auxiliary square constant", REF_Z, Fraction(384, 11), "relations.c_z2"),
         ("auxiliary square against dual", REF_Z, Fraction(2688, 11), "relations.top_qbar_z2"),
         ("z3 derivation", REF_Z, Fraction(-22016, 121), "relations.z3", "relations.trail"),
-        (
-            "evaluate at degree zero",
-            REF_EVAL,
-            480,
-            lambda e: evaluate_fujiki(e.table["C(1)"], 0, 2),
-        ),
-        (
-            "evaluate at degree four",
-            REF_EVAL,
-            1188,
-            lambda e: evaluate_fujiki(e.table["C(qbar)"], 4, 3),
-        ),
+        ("evaluate at degree zero", REF_EVAL, 480, "evaluations.0"),
+        ("evaluate at degree four", REF_EVAL, 1188, "evaluations.1"),
     ),
     "basis-lemma": (
         ("square constant", REF_EXPANSION, Fraction(384, 11), "relations.c_z2"),
@@ -181,12 +162,7 @@ SUITES = {
         ),
         ("pair constant from surface", REF_SURF, 4, "v_data.c_v_pair"),
         ("euler class against component", REF_AUX, 408, "aux.c4_w_component"),
-        (
-            "euler pairing configured",
-            REF_CONFIG,
-            408,
-            lambda e: e.doc.value("geometry_pack.c4_component_pairing"),
-        ),
+        ("euler pairing configured", REF_CONFIG, 408, "configured.c4_component_pairing"),
         ("dual against component square", REF_AUX, 84, "aux.qbar_w_sq"),
         ("dual against component pair", REF_AUX, 28, "aux.qbar_w_pair"),
     ),
@@ -222,7 +198,7 @@ SUITES = {
             ),
             "gram19",
         ),
-        ("intersection matrix rank", REF_G19, 19, lambda e: rank(e.gram19)),
+        ("intersection matrix rank", REF_G19, 19, "gram19_rank"),
         (
             "restriction scaling factor",
             REF_SCALE,
@@ -236,12 +212,7 @@ SUITES = {
             -16,
             "restriction_factor.xi_restriction_square",
         ),
-        (
-            "ambient restriction is a similitude",
-            REF_SCALE,
-            True,
-            lambda e: restriction_is_similitude(e.w_model, e.ambient),
-        ),
+        ("ambient restriction is a similitude", REF_SCALE, True, "similitude"),
         ("shifted divisor sum expansion", REF_G19, SPRIME_SQUARE_SUM, "sprime.sum_squares"),
         ("shifted divisor identity per coset", REF_G19, True, "sprime.identity_holds"),
     ),
@@ -259,17 +230,13 @@ SUITES = {
         (
             "second fourfold expansion",
             REF_REST,
-            _other_pattern(THETAS[0]),
-            lambda e: e.w_other_all[0].coeffs,
-            lambda e: e.v_data.trail + e.w_other_all[0].trail,
+            expected_w_other(THETAS[0]),
+            "w_other_all.0.coeffs",
+            ("v_data.trail", "w_other_all.0.trail"),
         ),
-        (
-            "second fourfold pattern uniform",
-            REF_REST,
-            True,
-            lambda e: all(o.coeffs == _other_pattern(o.theta) for o in e.w_other_all),
-        ),
-        ("second fourfold flat pairing", REF_REST, 30, lambda e: e.w_other_all[0].rhs[QBAR]),
+        ("second fourfold pattern uniform", REF_REST, True, "w_other_uniform"),
+        # rhs position 0 is QBAR, the pairing with the dual class
+        ("second fourfold flat pairing", REF_REST, 30, "w_other_all.0.rhs.0"),
         (
             "self expansion",
             REF_REST,
@@ -298,12 +265,7 @@ SUITES = {
         ("round trip ambient dual", REF_REST, 84, "w_self.ambient_dual_pairing"),
         ("shift coefficient uniformity", REF_REST, True, "w_self.shift_uniformity_ok"),
         ("surface diagonal square", REF_SURF, -4, "v_data.delta_sq", "v_data.trail"),
-        (
-            "surface diagonal configured",
-            REF_CONFIG,
-            -4,
-            lambda e: e.doc.value("geometry_pack.surface_delta_square"),
-        ),
+        ("surface diagonal configured", REF_CONFIG, -4, "configured.surface_delta_square"),
         (
             "surface mixed pairings",
             REF_SURF,
@@ -312,22 +274,10 @@ SUITES = {
         ),
         ("surface half-diagonal square", REF_SURF, -32, "v_data.xi_sq"),
         ("surface chern degree", REF_SURF, 48, "v_data.c2_restriction_degree"),
-        (
-            "surface chern degree configured",
-            REF_CONFIG,
-            48,
-            lambda e: e.doc.value("geometry_pack.restricted_c2_degree"),
-        ),
+        ("surface chern degree configured", REF_CONFIG, 48, "configured.restricted_c2_degree"),
         ("surface compositions agree", REF_SURF, True, "v_data.compositions_agree"),
         ("dual square via sum class", REF_REST, 252, "fixed_intersections.qbar2_w"),
-        (
-            "dual square via nineteen classes",
-            REF_REST,
-            252,
-            lambda e: e.gram19.pairings(
-                [e.qbar_restriction.coeffs], [e.qbar_restriction.coeffs]
-            )[0][0],
-        ),
+        ("dual square via nineteen classes", REF_REST, 252, "dual_square"),
     ),
     "d-classes": (
         ("push-forward diagonal", REF_DCLS, -52, "d_pairings.diagonal", "d_pairings.trail"),
@@ -353,24 +303,14 @@ SUITES = {
             "betti numbers",
             REF_HODGE,
             (1, 0, 7, 8, 51, 56, 458, 56, 51, 8, 7, 0, 1),
-            lambda e: tuple(e.sixfold_diamond.betti(w) for w in range(13)),
+            "sixfold_diamond.bettis",
         ),
         ("euler number", REF_HODGE, 448, "sixfold_diamond.euler"),
-        ("euler matches chern degree", REF_HODGE, 448, lambda e: e.table["C(c6)"]),
+        ("euler matches chern degree", REF_HODGE, 448, "table.C(c6)"),
         ("even cohomology dimension", REF_HODGE, 576, "sixfold_diamond.even_total"),
         ("odd cohomology dimension", REF_HODGE, 128, "sixfold_diamond.odd_total"),
-        (
-            "total cohomology dimension",
-            REF_HODGE,
-            704,
-            lambda e: e.sixfold_diamond.even_total + e.sixfold_diamond.odd_total,
-        ),
-        (
-            "abelian betti numbers",
-            REF_HODGE,
-            (1, 4, 6, 4, 1),
-            lambda e: tuple(e.abelian_diamond.betti(w) for w in range(5)),
-        ),
+        ("total cohomology dimension", REF_HODGE, 704, "sixfold_diamond.total"),
+        ("abelian betti numbers", REF_HODGE, (1, 4, 6, 4, 1), "abelian_diamond.bettis"),
         (
             "invariant weight 4",
             REF_HODGE,
@@ -423,14 +363,9 @@ SUITES = {
             "rank_table.degree_totals",
         ),
         ("rank table even total", REF_REPS, 576, "rank_table.even_total"),
-        (
-            "rank table matches cohomology",
-            REF_REPS,
-            True,
-            lambda e: rank_table_matches_diamond(e.rank_table, e.sixfold_diamond),
-        ),
-        ("symmetric square and exterior square", REF_REPS, (28, 21), lambda e: rep_dims(7, 2)),
-        ("symmetric cube", REF_REPS, (84, 35), lambda e: rep_dims(7, 3)),
+        ("rank table matches cohomology", REF_REPS, True, "rank_table_matches"),
+        ("symmetric square and exterior square", REF_REPS, (28, 21), "h2_powers.0"),
+        ("symmetric cube", REF_REPS, (84, 35), "h2_powers.1"),
         (
             "canonical span dimensions",
             REF_REPS,
@@ -459,13 +394,17 @@ SUITES = {
     ),
 }
 
-def _read(e: Engine, value):
-    """A row's value or trail column read off the engine."""
-    if isinstance(value, str):
-        return reduce(getattr, value.split("."), e)
-    if isinstance(value, tuple):
-        return tuple(_read(e, path) for path in value)
-    return value(e)
+def _read(e: Engine, path: str):
+    """The value at ``path``: an attribute, a dict key or a plain-tuple position per step."""
+    value = e
+    for step in path.split("."):
+        if type(value) is dict:
+            value = value[step]
+        elif type(value) is tuple:
+            value = value[int(step)]
+        else:
+            value = getattr(value, step)
+    return value
 
 
 def _check(e: Engine, check_id: str, ref: str, expected, value, trail=()) -> Check:
@@ -473,8 +412,12 @@ def _check(e: Engine, check_id: str, ref: str, expected, value, trail=()) -> Che
     try:
         if callable(expected):
             expected = expected(e)
-        computed = _read(e, value)
-        trail_values = tuple(_read(e, trail))
+        if isinstance(value, str):
+            computed = _read(e, value)
+        else:
+            computed = tuple(_read(e, path) for path in value)
+        paths = (trail,) if isinstance(trail, str) else trail
+        trail_values = tuple(line for path in paths for line in _read(e, path))
     except Exception as exc:
         return error_check(check_id, ref, exc)
     return make_check(check_id, ref, expected, computed, trail_values)

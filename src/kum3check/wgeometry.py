@@ -198,6 +198,13 @@ def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
     return Matrix(rows)
 
 
+def expected_w_other(theta: Pt) -> tuple[Fraction, ...]:
+    """The printed expansion of the second fourfold of shift ``theta``."""
+    return class_coeffs(
+        {QBAR: Fraction(2, 5), S_SQ: Fraction(1, 4), MIXED[theta]: Fraction(-1, 4)}
+    )
+
+
 def build_gram19(model: WModel) -> Matrix:
     return sym2_gram(model.basis)
 

@@ -97,8 +97,8 @@ def _attribute_reads(node: ast.AST, owner: str | None) -> Counter:
 def row_paths(tree: ast.Module):
     """(node, path) for each path string in the ``value`` and ``trail``
     columns of the module's ``SUITES = {suite: (row, ...)}``, whose rows are
-    ``(id, ref, expected, value[, trail])`` and whose columns hold a path, a
-    tuple of paths or a function."""
+    ``(id, ref, expected, value[, trail])`` and whose columns hold a path or
+    a tuple of paths."""
     for node in tree.body:
         if not (
             isinstance(node, ast.Assign)

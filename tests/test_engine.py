@@ -85,4 +85,4 @@ def test_stages_are_non_function_descriptors_on_the_class():
     ]
     assert "d_gram" in names and "restriction_factor" in names
     assert all(isinstance(vars(Engine)[name], stage) for name in names)
-    assert len(names) == 27
+    assert len(names) == 37

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kum3check import suites
+from kum3check import engine as engine_module
 from kum3check.config import FUJIKI_KEYS, default_config
 from kum3check.engine import Engine
 from kum3check.fujiki import (
@@ -20,6 +20,7 @@ from kum3check.fujiki import (
     multiply,
     qbar_factor,
 )
+from kum3check.suites import run_suite
 
 EXPECTED = {
     "C(1)": 60,
@@ -154,15 +155,15 @@ def test_evaluate_fujiki(monkeypatch):
     for degree, power in ((0, 3), (4, 2), (8, 1), (12, 0)):
         for c, q in ((60, 2), (132, -3), (Fraction(-7, 3), Fraction(5, 2))):
             assert evaluate_fujiki(c, degree, q) == Fraction(c) * Fraction(q) ** power
-    # the suites evaluate only in that domain: multiples of 4 up to 12
+    # the engine evaluates only in that domain: multiples of 4 up to 12
     degrees = []
 
     def recorded(c_omega, deg_omega, q_gamma):
         degrees.append(deg_omega)
         return evaluate_fujiki(c_omega, deg_omega, q_gamma)
 
-    monkeypatch.setattr(suites, "evaluate_fujiki", recorded)
-    assert suites.run_suite(Engine(default_config()), "fujiki-table").status == "pass"
+    monkeypatch.setattr(engine_module, "evaluate_fujiki", recorded)
+    assert run_suite(Engine(default_config()), "fujiki-table").status == "pass"
     assert degrees and set(degrees) <= {0, 4, 8, 12}
 
 

@@ -1,12 +1,18 @@
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from kum3check.bookkeeping import rank_table_matches_diamond, rep_dims
 from kum3check.config import default_config_text, parse_config
 from kum3check.engine import Engine, stage
+from kum3check.fujiki import evaluate_fujiki, qbar_factor
+from kum3check.linalg import Matrix, rank
 from kum3check.report import emit_json, emit_markdown
 from kum3check.suites import EXPECTED_CONSTANTS, SUITE_NAMES, SUITES, run_suite
+from kum3check.wgeometry import restriction_is_similitude
 
 EXPECTED_COUNTS = {
     "fujiki-table": 23,
@@ -31,19 +37,53 @@ def test_suite_names():
 
 
 def test_rows_name_their_stage_without_a_run():
-    # Each path in a value or trail column starts at an engine stage, so
-    # the table alone tells which stage a row reads.
+    # Every value and trail column is a path or a tuple of paths, never a
+    # function, and each path starts at an engine stage, so the table alone
+    # tells which stages a row reads.
     assert tuple(SUITES) == SUITE_NAMES[:-1]
     rows = [row for suite in SUITES.values() for row in suite]
-    assert sum(not callable(row[3]) for row in rows) >= 100
-    paths = [
-        path
-        for row in rows
-        for column in row[3:]
-        for path in (column if isinstance(column, tuple) else (column,))
-        if isinstance(path, str)
-    ]
+    assert len(rows) == sum(EXPECTED_COUNTS.values()) == 134
+    columns = [column for row in rows for column in row[3:]]
+    assert [c for c in columns if callable(c)] == []
+    paths = [path for column in columns for path in (column if isinstance(column, tuple) else (column,))]
+    assert [p for p in paths if not isinstance(p, str)] == []
     assert [p for p in paths if not isinstance(Engine.__dict__.get(p.split(".")[0]), stage)] == []
+
+
+def _calls(run, functions) -> Counter:
+    """How often ``run()`` enters each of ``functions``, by qualified name."""
+    names = {f.__code__: f.__qualname__ for f in functions}
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_a_warm_engine_computes_nothing_for_the_rows(doc):
+    # each computation a check prints belongs to a stage, so a second run
+    # on the same engine reads memos only
+    computations = (
+        rank,
+        qbar_factor,
+        evaluate_fujiki,
+        restriction_is_similitude,
+        Matrix.pairings,
+        rank_table_matches_diamond,
+        rep_dims,
+    )
+    engine = Engine(doc)
+    first = _calls(lambda: run_suite(engine, "all"), computations)
+    assert set(first) == {f.__qualname__ for f in computations}
+    assert _calls(lambda: run_suite(engine, "all"), computations) == Counter()
 
 
 def test_every_suite_passes(engine):
