@@ -18,26 +18,33 @@ The three certificate builders establish that {c2, the sixteen W
 classes} are independent in degree 4, that multiplication by qbar is
 injective on their span, and that the 256 D classes span a
 241-dimensional space.  None builds its pairing matrix A: each eliminates
-M = P*A, for P a row permutation times a unit lower-bidiagonal matrix.
-det P = +-1, so M has the rank, pivot columns, reduced echelon kernel
-basis and kernel of A.  The rows of M are differences of rows of A,
-written from their nonzero cells: for the independence (17x138) and
-injectivity (17x17) matrices, the c2 row, W_0, then W_t - W_{t-1}; for
+M = P*A for an invertible P, so M has the rank, pivot columns, reduced
+echelon kernel basis and kernel of A.  The rows of M are combinations of
+rows of A, written from their nonzero cells.  For the independence
+(17x138) and injectivity (17x17) matrices they are the c2 row, W_0, then
+W_t - W_{t-1}: P is a unit lower-bidiagonal matrix and det P = 1.  For
 the D-class Gram G, which takes one value on the diagonal, one inside a
-block and one across blocks, G_i - G_{i-1} (two nonzero cells inside a
-block, at most 2*block_size at a boundary), then G_0.  M = P*A holds by
-how the rows are written, so no builder checks it at run time;
+block and one across blocks, they are G_i - G_{i-1} for the i inside a
+block (two nonzero cells), then for each block b > 0 the sum of block b's
+rows less the sum of block b-1's, then G_0; det P = -16^15 for 16 blocks
+of 16.  A block sum is diagonal + (block_size-1)*same_block at its own
+block's columns and block_size*cross_block at the others, and
+``cross_block`` is forced to make these equal, so every block row is 0
+and the matrix stores none of its cells.  M = P*A holds by how the rows
+are written, so no builder checks it at run time;
 ``tests/test_rank_witnesses.py`` checks it against the dense matrices.
 
 The order of M's rows sets the cost of the elimination, which takes the
 rows in order and reduces each by the pivots of the rows before it.  The
-D step rows come in pivot order: the inside rows, then the boundary rows,
-then G_0.  So each column that an inside row leads is pivoted by that
-two-cell row, whose pivot cell is 1 once its content is divided out, and
-each of the elimination's 465 row updates keeps its multiplier 1 and
-changes in place: none rescales a whole row.  In the order i = 1, ..., n-1
-a reduced boundary row would pivot the next block's columns, and its pivot
-cell would rescale every row it reduces.
+inside rows pivot every column but the last of each block, each with a
+two-cell row whose pivot cell is 1 once its content is divided out; the
+block rows are empty, and G_0 is reduced by block 0's inside rows.  So
+the elimination makes 15 row updates, each with multiplier 1 and in
+place; none rescales a whole row.  Boundary differences G_{16b} -
+G_{16b-1} in place of the block rows would cost 465 updates, 450 of which
+only rediscover that ``cross_block`` is forced.  The fifteen difference
+relations come as block b-1 less block b, so each leads in a column of
+its own and their elimination makes no update.
 """
 
 from fractions import Fraction
@@ -266,19 +273,20 @@ def d_gram_certificate(
     The Gram G (``diagonal`` on the diagonal, ``same_block`` inside a
     block, ``cross_block`` elsewhere) is never built.  Rank, kernel and the
     difference-relation check run on M = P*G, whose rows are G_i - G_{i-1}
-    for the i inside a block, then for the i at a block boundary, then
-    G_0, each written from the three constants.  det P = +-1, so M has the
-    rank, pivot columns, reduced echelon kernel basis and kernel of G; the
-    module docstring says why the rows come in this order.  M and the
+    for the i inside a block, then the block-sum differences, then G_0,
+    each written from the three constants (the module docstring says why,
+    and in this order).  det P = -16^15 is not 0, so M has the rank, pivot
+    columns, reduced echelon kernel basis and kernel of G.  M and the
     difference relations are written from their nonzero cells, as
     ``{column: value}`` rows of integers, so no zero cell of either is
     scaled and no cell is converted; only the last row of M is dense.  M
     is written over the lcm L of the three constants' denominators, so it
     is L*P*G, which has the rank and kernel of G.  ``mat_vec`` multiplies
-    the relation matrix's own ``entries``, and ``rank`` eliminates that
-    same matrix.  The kernel vectors and the products are compared cell by
-    cell through object identity: ``linalg`` builds one ``Fraction`` per
-    distinct value of a result and gives every zero as ``ZERO``.
+    each relation as the ``{column: +-1}`` map it is written as, and
+    ``rank`` eliminates the matrix of the same maps.  The kernel vectors
+    and the products are compared cell by cell through object identity:
+    ``linalg`` builds one ``Fraction`` per distinct value of a result and
+    gives every zero as ``ZERO``.
     """
     row_total = diagonal + (block_size - 1) * same_block
     cross_block = Fraction(row_total, block_size)
@@ -292,15 +300,16 @@ def d_gram_certificate(
     _, ints = integer_cells((diagonal, same_block, cross_block))
     diag, same, cross = (ints.get(k, 0) for k in range(3))
     inside = diag - same  # G_i - G_{i-1} at i, inside a block
-    boundary = diag - cross  # the same at a block boundary
-    spread = same - cross  # rest of the block of i at a boundary
+    # a block's rows sum to diag + (block_size-1)*same at the block's own
+    # columns and to block_size*cross at the others; cross_block is forced
+    # to make the difference 0
+    block_total = diag + (block_size - 1) * same - block_size * cross
 
-    def boundary_row(i: int) -> dict[int, int]:
-        """The cells of G_i - G_{i-1} for i at a block boundary; the block
-        of i-1 holds the negated values."""
-        row = dict.fromkeys(range(i - block_size, i), -spread)
-        row.update(dict.fromkeys(range(i, i + block_size), spread))
-        row[i - 1], row[i] = -boundary, boundary
+    def block_row(b: int) -> dict[int, int]:
+        """The cells of the block-b sum of rows of G less the block-(b-1)
+        sum: -block_total on block b-1, +block_total on block b."""
+        row = dict.fromkeys(range((b - 1) * block_size, b * block_size), -block_total)
+        row.update(dict.fromkeys(range(b * block_size, (b + 1) * block_size), block_total))
         return row
 
     first_row = dict.fromkeys(range(block_size), same)
@@ -308,7 +317,7 @@ def d_gram_certificate(
     first_row[0] = diag
     steps = Matrix([
         *({i - 1: -inside, i: inside} for i in range(1, m) if i % block_size),
-        *map(boundary_row, range(block_size, m, block_size)),
+        *map(block_row, range(1, blocks)),
         first_row,
     ], m)
 
@@ -328,17 +337,16 @@ def d_gram_certificate(
             block_structured = False
             break
 
-    # the fifteen relations, block 0 sum minus block b sum
-    relation_matrix = Matrix([
-        dict.fromkeys(range(block_size), 1)
+    # the fifteen relations, block b-1 sum minus block b sum: each leads in
+    # a column of its own, so they are in echelon form as written
+    relations = [
+        dict.fromkeys(range((b - 1) * block_size, b * block_size), 1)
         | dict.fromkeys(range(b * block_size, (b + 1) * block_size), -1)
         for b in range(1, blocks)
-    ], m)
+    ]
     # a list, so that every relation is multiplied even after one fails
-    in_kernel = all([
-        steps.mat_vec(vec).count(ZERO) == m for vec in relation_matrix.entries
-    ])
-    diff_rank = rank(relation_matrix)
+    in_kernel = all([steps.mat_vec(vec).count(ZERO) == m for vec in relations])
+    diff_rank = rank(Matrix(relations, m))
 
     block_square = block_size * row_total
     trail.append(

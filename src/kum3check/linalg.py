@@ -34,8 +34,9 @@ object and callers compare cells by identity (``is ZERO``, ``list.count``)
 without calling into ``Fraction``.
 ``mat_vec`` is a product by columns over a column index built on first
 use, with its cells scaled then to the lcm of the row denominators: the
-vector is scaled to integers once, each of its nonzero cells adds into the
-rows that meet its column, and a zero cell costs nothing.
+vector, a sequence of cells or a ``{column: value}`` mapping of them, is
+scaled to integers once, each of its nonzero cells adds into the rows that
+meet its column, and a zero cell costs nothing.
 ``pairings`` gives u^T M v for two families of vectors: it scales each
 vector once and forms the integer row combination u^T M once per u.
 ``combine`` sums c * v over one common denominator.
@@ -101,11 +102,14 @@ def integer_cells(values: Sequence[RationalLike] | Mapping) -> tuple[int, dict]:
     key for a mapping, times the lcm ``L`` of their denominators, as a
     ``{key: int}`` dict in the order of the input.
 
-    A ``ZERO`` cell is skipped by identity, and only the other cells are
+    A dict of nonzero ints is copied as it is.  Otherwise a ``ZERO``
+    cell is skipped by identity, and only the other cells are
     type-checked.  Cells that are all ints are their own integer form;
     otherwise each cell is read once, through ``as_integer_ratio()``, and
     dropped when its numerator is 0.
     """
+    if type(values) is dict and set(map(type, values.values())) <= _INT and all(values.values()):
+        return 1, dict(values)
     if type(values) is dict or isinstance(values, Mapping):
         cells = {k: x for k, x in values.items() if x is not ZERO}
     else:
@@ -186,7 +190,8 @@ class Matrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as ``Fraction`` cells; every zero cell is ``ZERO``."""
+        """The rows as ``Fraction`` cells; every zero cell is ``ZERO``.
+        Only ``report.render_value`` and the tests read it."""
         data = []
         for den, cells in zip(*self._scaled):
             made = {a: Fraction(a, den) for a in set(cells.values())}
@@ -223,12 +228,20 @@ class Matrix:
             object.__setattr__(self, "_echelon", _forward_echelon(self._scaled[1]))
         return self._echelon
 
-    def mat_vec(self, x: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """M x, summed by columns over the nonzero cells of x."""
-        v = tuple(x)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        scale, cells = integer_cells(v)
+    def mat_vec(
+        self, x: Sequence[RationalLike] | Mapping[int, RationalLike]
+    ) -> tuple[Fraction, ...]:
+        """M x, summed by columns over the nonzero cells of x, which is a
+        sequence of ``cols`` cells or a ``{column: value}`` mapping of its
+        cells; a mapping is read only at its keys."""
+        if type(x) is dict or isinstance(x, Mapping):
+            if x and not (0 <= min(x) and max(x) < self.cols):
+                raise ValueError("mapping vector has a column outside the matrix")
+        else:
+            x = tuple(x)
+            if len(x) != self.cols:
+                raise ValueError("vector length does not match column count")
+        scale, cells = integer_cells(x)
         row_scale, columns = self._column_index()
         acc = [0] * self.rows
         for j, a in cells.items():

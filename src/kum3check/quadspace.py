@@ -22,9 +22,12 @@ classes) accumulate integers over one common denominator; a coefficient
 or factor cell is read once, through ``as_integer_ratio()``.  The pairing
 reads the squares scaled the same way, looks the shared monomials up in
 the dicts and builds one ``Fraction`` per nonzero value; a zero pairing
-is the shared ``linalg.ZERO``.  The ``Fraction`` coefficients
-(``coeffs``) are a view in monomial order, built at each read; only
-rendering a class and restricting an ambient class read it.
+is the shared ``linalg.ZERO``.  A class's trace is summed once, on the
+first pairing that needs it, and kept with the class (``_trace``), as
+one class may pair with many (the self-restriction with all 136
+products s'_a * s'_b).  The ``Fraction`` coefficients (``coeffs``) are a
+view in monomial order, built at each read; only rendering a class and
+restricting an ambient class read it.
 """
 
 from fractions import Fraction
@@ -98,10 +101,12 @@ class Sym2Vector:
     ``scale``, with scale > 0 and gcd(scale, *cells.values()) == 1, so equal
     fields on one space object mean equal classes, whatever the order of
     the monomials.  ``coeffs`` is the ``(key, Fraction)`` view in key
-    order, built at each read.
+    order, built at each read.  ``_trace`` is the trace sum x_aa q_a
+    times ``scale`` and the lcm of the squares' denominators, an int that
+    ``sym2_pair`` fills on first use.
     """
 
-    __slots__ = ("space", "scale", "cells")
+    __slots__ = ("space", "scale", "cells", "_trace")
 
     def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
         cells = {k: a for k, a in acc.items() if a}
@@ -112,6 +117,7 @@ class Sym2Vector:
         self.space = space
         self.scale = den
         self.cells = cells
+        self._trace = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sym2Vector) and (self.space, self.scale, self.cells) == (
@@ -195,7 +201,8 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
     term per monomial that both classes carry.  The shorter class is
     scanned once, each of its monomials is looked up in the longer class's
     cells, and the longer class's trace is summed only when the shorter
-    one's is not 0.  A zero pairing is ``ZERO``.
+    one's is not 0, and then once per class: it is kept in the class's
+    ``_trace``.  A zero pairing is ``ZERO``.
     """
     if x.space is not y.space:
         raise ValueError("cannot pair Sym2 vectors from different spaces")
@@ -211,7 +218,9 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
         if d:
             shared += c * d * q[a] * q[b] * (2 if a == b else 1)
     if trace:
-        trace *= sum([c * q[a] for (a, b), c in long_cells.items() if a == b])
+        if long._trace is None:
+            long._trace = sum([c * q[a] for (a, b), c in long_cells.items() if a == b])
+        trace *= long._trace
     total = trace + shared
     if not total:
         return ZERO

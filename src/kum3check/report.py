@@ -10,12 +10,15 @@ lists of them; a record or a string is not a value.  Reports sort their
 checks by identifier so the output is byte-identical however the checks
 were produced.  The json report is the text ``json.dumps(obj, indent=2)``
 gives for the report object; ``emit_json`` writes that fixed layout
-itself and encodes only the strings with ``json.dumps``, which runs the
-C encoder (an indent makes ``json.dumps`` run the pure-Python one).
+itself and encodes only the strings, with
+``json.encoder.encode_basestring_ascii``: the C encoder that
+``json.dumps(s)`` calls for a string ``s`` under its default arguments,
+so each string's bytes are those ``json.dumps`` gives (an indent makes
+``json.dumps`` run the pure-Python encoder).
 """
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .linalg import ZERO, Matrix
@@ -115,23 +118,23 @@ def emit_json(report: SuiteReport) -> str:
     """``json.dumps(obj, indent=2) + "\n"`` for the object ``{"suite",
     "status", "checks"}`` whose checks are ``Check._asdict()``, with the
     trail as an array; the layout is written here and only the strings
-    go through ``json.dumps``."""
-    dumps = json.dumps
+    go through the encoder that ``json.dumps`` calls for a string."""
+    encode = encode_basestring_ascii
     checks = [
         "{\n"
-        f'      "id": {dumps(c.id)},\n'
-        f'      "ref": {dumps(c.ref)},\n'
-        f'      "expected": {dumps(c.expected)},\n'
-        f'      "computed": {dumps(c.computed)},\n'
-        f'      "status": {dumps(c.status)},\n'
-        f'      "trail": {_json_array(list(map(dumps, c.trail)), "      ")}\n'
+        f'      "id": {encode(c.id)},\n'
+        f'      "ref": {encode(c.ref)},\n'
+        f'      "expected": {encode(c.expected)},\n'
+        f'      "computed": {encode(c.computed)},\n'
+        f'      "status": {encode(c.status)},\n'
+        f'      "trail": {_json_array(list(map(encode, c.trail)), "      ")}\n'
         "    }"
         for c in report.checks
     ]
     return (
         "{\n"
-        f'  "suite": {dumps(report.suite)},\n'
-        f'  "status": {dumps(report.status)},\n'
+        f'  "suite": {encode(report.suite)},\n'
+        f'  "status": {encode(report.status)},\n'
         f'  "checks": {_json_array(checks, "  ")}\n'
         "}\n"
     )

@@ -131,6 +131,9 @@ class WModel(NamedTuple):
     space: QuadSpace
     factor: Fraction
     basis: tuple[Sym2Vector, ...]
+    # each basis class's least monomial and its integer cell, which
+    # ``expand_in_basis`` reads
+    leads: tuple[tuple[tuple[int, int], int], ...]
 
 
 PLUS_LABELS = ("lp1", "lp2", "lp3")
@@ -167,10 +170,12 @@ def build_w_model(factor: Fraction) -> WModel:
         coeffs = {(s_idx[i], s_idx[j]): 2 for i, j in COSETS[theta]}
         vectors[MIXED[theta]] = Sym2Vector.from_map(space, coeffs)
 
+    basis = tuple(vectors[k] for k in range(CLASS_COUNT))
     return WModel(
         space=space,
         factor=factor,
-        basis=tuple(vectors[k] for k in range(CLASS_COUNT)),
+        basis=basis,
+        leads=tuple(min(v.cells.items()) for v in basis),
     )
 
 
@@ -224,12 +229,11 @@ def expand_in_basis(model: WModel, x: Sym2Vector) -> tuple[Fraction, ...]:
     in the span.
     """
     qbar_w = model.basis[QBAR]
-    first, q0 = min(qbar_w.cells.items())
+    first, q0 = model.leads[QBAR]
     # a = an / ad, over x's and qbar_W's scales
     an, ad = x.cells.get(first, 0) * qbar_w.scale, x.scale * q0
     coeffs = []
-    for v in model.basis:
-        key, v0 = min(v.cells.items())
+    for v, (key, v0) in zip(model.basis, model.leads):
         # (x - a*qbar_W) at key, over x.scale * ad * qbar_W.scale
         rest = x.cells.get(key, 0) * ad * qbar_w.scale - an * qbar_w.cells.get(key, 0) * x.scale
         coeffs.append(

@@ -63,6 +63,29 @@ def test_transpose_and_mat_vec():
         m.mat_vec([1, 2])
 
 
+def test_mat_vec_of_a_mapping_is_mat_vec_of_its_dense_vector():
+    m = Matrix(_sample())
+    for cells in (
+        {},
+        {2: Fraction(3, 4)},
+        {1: Fraction(-1, 2), 0: 5},
+        {1: 2, 0: -1},
+        {0: 0, 1: 2},
+        {0: 0, 2: ZERO, 1: Fraction(2, 3)},
+    ):
+        dense = [cells.get(j, 0) for j in range(m.cols)]
+        assert m.mat_vec(cells) == m.mat_vec(dense) == _ref_mat_vec(_sample(), dense)
+    assert all(x is ZERO for x in m.mat_vec({}))
+    for stray in ({3: 1}, {-1: 1}, {0: 1, 3: 0}):
+        with pytest.raises(ValueError):
+            m.mat_vec(stray)
+    # a row of nonzero ints is stored as a copy, not as the dict given
+    row = {1: 2, 0: -1}
+    single = Matrix([row], 2)
+    row[0] = 7
+    assert single == Matrix([[-1, 2]])
+
+
 def test_entries_render_in_the_wire_format():
     # A matrix goes on the wire as its entries, row by row, each cell in the
     # wire format of a single value.

@@ -232,6 +232,24 @@ def test_pairing_of_classes_sharing_a_square_and_a_mixed_monomial():
     assert sym2_pair(x, y) == sym2_pair(y, x) == _ref_sym2_pair(x, y) == 24
 
 
+def test_a_long_class_paired_repeatedly_matches_the_three_matching_rule():
+    # the longer class's trace is summed on its first pairing and kept with
+    # the class; later pairings, either way round, and a class summed from
+    # it after its trace was kept, still follow the rule
+    n = AMBIENT.dim
+    long = Sym2Vector.from_map(
+        AMBIENT, {(i, j): Fraction(i + 2 * j + 1, 3) for i in range(n) for j in range(i, n)}
+    )
+    shorts = [
+        Sym2Vector.from_map(AMBIENT, {(k, k): Fraction(k - 2, 5), (0, k): 1}) for k in range(n)
+    ]
+    square = Sym2Vector.from_map(AMBIENT, {(1, 1): 1})
+    for x in (long, sym2_sum(AMBIENT, [(2, long), (Fraction(-7, 2), square)])):
+        for y in shorts * 2:
+            assert sym2_pair(x, y) == sym2_pair(y, x) == _ref_sym2_pair(x, y)
+        assert x._trace is not None
+
+
 def test_pair_checks_vector_length():
     with pytest.raises(ValueError):
         AMBIENT.pair((1, 0), AMBIENT.basis_vector("y1"))

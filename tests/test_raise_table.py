@@ -141,6 +141,8 @@ RAISES = {
         Guard(LINALG + "test_matrix_shape_and_immutability"),
     ("linalg", "mat_vec", "vector length does not match column count"):
         Guard(LINALG + "test_transpose_and_mat_vec"),
+    ("linalg", "mat_vec", "mapping vector has a column outside the matrix"):
+        Guard(LINALG + "test_mat_vec_of_a_mapping_is_mat_vec_of_its_dense_vector"),
     ("linalg", "pairings", "vector length does not match matrix shape"):
         Guard(LINALG + "test_pairings_are_the_bilinear_form"),
     ("linalg", "combine", "vectors of different lengths"):

@@ -10,13 +10,14 @@
   free columns of the others.
 
 For the D classes the witness eliminates the Gram G itself, written from
-its three constants, not the row-difference form M the engine eliminates,
-so it also checks that M has the rank and kernel of G.  The independence
-and injectivity matrices are written densely from the fixed intersections
-too: each engine matrix must be their row-difference form P*A, and A
-itself has rank 17 mod p.  G is scaled by the
-lcm of the constants' denominators and each vector by the lcm of its own,
-so the 256-cell products run on integers.
+its three constants, not the form M = P*G the engine eliminates, so it
+also checks that M has the rank and kernel of G; a further test checks
+that the engine's M is P*G for its stated P, and that P has full rank.
+The independence and injectivity matrices are written densely from the
+fixed intersections too: each engine matrix must be their row-difference
+form P*A, and A itself has rank 17 mod p.  G is scaled by the lcm of the
+constants' denominators and each vector by the lcm of its own, so the
+256-cell products run on integers.
 """
 
 from fractions import Fraction
@@ -74,12 +75,13 @@ def _free_columns(vectors):
 @pytest.fixture(scope="module")
 def d_classes(doc):
     """A fresh engine's D certificate, the kernel basis and relation matrix
-    it computed, and the dense Gram G written from its three constants,
-    scaled to integers."""
-    kernels, ranked = [], []
+    it computed, the dense Gram G written from its three constants, scaled
+    to integers, and the step matrix M whose kernel it took."""
+    kernels, ranked, stepped = [], [], []
     true_kernel_basis, true_rank = kummer.kernel_basis, kummer.rank
 
     def recording_kernel_basis(m):
+        stepped.append(m)
         kernels.append(true_kernel_basis(m))
         return kernels[-1]
 
@@ -99,12 +101,12 @@ def d_classes(doc):
         [a if i == j else b if i // size == j // size else c for j in range(n)]
         for i in range(n)
     ]
-    (kernel,) = kernels
-    return cert, kernel, ranked[-1], gram
+    (kernel,), (steps,) = kernels, stepped
+    return cert, kernel, ranked[-1], gram, steps
 
 
 def test_d_gram_rank_and_kernel_witness(d_classes):
-    cert, kernel, _, gram = d_classes
+    cert, kernel, _, gram, _ = d_classes
     # rank mod p <= rank over Q <= n - (independent kernel vectors)
     assert all(_annihilates(gram, v) for v in kernel)
     free = _free_columns(kernel)
@@ -112,12 +114,34 @@ def test_d_gram_rank_and_kernel_witness(d_classes):
     assert (cert.rank, cert.nullity) == (len(gram) - len(free), len(free)) == (241, 15)
 
 
+def test_d_step_matrix_is_the_gram_under_a_full_rank_row_transform(d_classes):
+    # M = P*G for P: the inside differences e_i - e_{i-1}, then each block
+    # sum less the one before, then e_0; P has full rank mod p, so over Q
+    cert, _, _, gram, steps = d_classes
+    size, n = cert.block_size, len(gram)
+    p_rows = [{i: 1, i - 1: -1} for i in range(1, n) if i % size]
+    p_rows += [
+        dict.fromkeys(range((b - 1) * size, b * size), -1)
+        | dict.fromkeys(range(b * size, (b + 1) * size), 1)
+        for b in range(1, cert.blocks)
+    ]
+    p_rows.append({0: 1})
+    product = [
+        tuple(Fraction(sum(c * gram[k][j] for k, c in row.items())) for j in range(n))
+        for row in p_rows
+    ]
+    assert steps.entries == tuple(product)
+    dense_p = [[Fraction(row.get(j, 0)) for j in range(n)] for row in p_rows]
+    assert _rank_mod_p(dense_p) == len(dense_p) == n == 256
+
+
 def test_difference_relations_rank_witness(d_classes):
-    cert, _, relations, gram = d_classes
+    cert, _, relations, gram, _ = d_classes
     size, n = cert.block_size, len(gram)
     one, zero = Fraction(1), Fraction(0)
+    # block k-1 less block k
     rows = [
-        [one if j < size else -one if j // size == k else zero for j in range(n)]
+        [one if j // size == k - 1 else -one if j // size == k else zero for j in range(n)]
         for k in range(1, cert.blocks)
     ]
     assert relations.entries == tuple(map(tuple, rows))

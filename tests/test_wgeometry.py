@@ -199,6 +199,8 @@ def test_expansion_premise_holds_for_every_factor(factor):
     assert len(others) == 18 and all(others)
     assert all(not keys & lambda_squares for keys in others)
     assert sum(map(len, others)) == len(set().union(*others))
+    # the least monomial of each class, which expand_in_basis reads
+    assert model.leads == tuple(min(v.cells.items()) for v in model.basis)
 
 
 def test_expand_in_basis_rejects_outside_span(model):
@@ -529,11 +531,13 @@ def test_surface_constants_are_derived_once_per_verify_all(monkeypatch):
 
 
 def test_d_gram_certificate_scans_only_the_vectors_it_multiplies(monkeypatch):
-    # M and the relations are written as mappings of their nonzero integer
-    # cells, so each row scans only the cells it stores.  The sequences
-    # scanned are the 15 relation vectors handed to mat_vec (15 * 256,
-    # where dense rows of M would scan 73,216), the 16 block values of
-    # each of the 15 kernel vectors, and the three constants.
+    # M and the relations are written as mappings of their integer cells:
+    # M's 240 two-cell inside rows, its 15 block rows of 32 cells (all 0,
+    # so none is stored) and G_0, then the 15 relations of 32 cells, each
+    # multiplied by mat_vec as a mapping and stored once in the relation
+    # matrix.  The only sequences scanned are the 16 block values of each
+    # of the 15 kernel vectors and the three constants.  Dense rows of M
+    # and of the relations, with dense relation vectors, would scan 73,216.
     sequence_cells, mapping_cells, built = [], [], []
     true_cells, true_matrix = linalg.integer_cells, kummer.Matrix
 
@@ -550,10 +554,10 @@ def test_d_gram_certificate_scans_only_the_vectors_it_multiplies(monkeypatch):
     monkeypatch.setattr(kummer, "Matrix", recorded_matrix)
     cert = kummer.d_gram_certificate(Fraction(-52), Fraction(12), 16, 16)
     assert (cert.rank, cert.difference_relations_in_kernel) == (241, True)
-    assert sum(sequence_cells) == 15 * 256 + 15 * 16 + 3
+    assert sum(sequence_cells) == 15 * 16 + 3
+    assert mapping_cells == [2] * 240 + [32] * 15 + [256] + [32] * 15 * 2
     stored = [row for m in built for row in m._scaled[1]]
-    assert len(mapping_cells) == len(stored) == 256 + 15
-    assert sum(mapping_cells) == sum(map(len, stored)) == 1696
+    assert list(map(len, stored)) == [2] * 240 + [0] * 15 + [256] + [32] * 15
 
 
 def test_verify_all_builds_each_sprime_product_once(monkeypatch):
