@@ -325,15 +325,16 @@ def d_gram_certificate(
     kernel = kernel_basis(steps)
     nullity = len(kernel)
 
-    # equal cells of a chunk are one object, so ``count`` compares them by
-    # identity; the chunk values are summed over one common denominator
+    # constant on each block: the cells at each offset o of the blocks equal
+    # those at offset 0 (equal cells are one object, so the tuples compare
+    # them by identity); the block values are summed over one denominator
     block_structured = True
     for vec in kernel:
-        chunks = [vec[b * block_size : (b + 1) * block_size] for b in range(blocks)]
-        if any(chunk.count(chunk[0]) != block_size for chunk in chunks):
+        firsts = vec[::block_size]
+        if any(vec[o::block_size] != firsts for o in range(1, block_size)):
             block_structured = False
             break
-        if sum(integer_cells([chunk[0] for chunk in chunks])[1].values()):
+        if sum(integer_cells(firsts)[1].values()):
             block_structured = False
             break
 

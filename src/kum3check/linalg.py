@@ -23,9 +23,9 @@ of its cells, with ``cols`` giving the width; both go through
 mapping row keeps its key order.  A mapping is never scanned beyond its
 cells, so a sparse row costs what its support costs.  Two matrices are
 equal when their widths and stored rows are, whatever the key order.  The
-dense ``Fraction`` rows (``entries``) are a view, built from the sparse
-rows at each read; their zero cells are ``ZERO`` itself, and equal cells
-of one row are one object.  A matrix is not hashable.
+cells are read out as their wire strings (``cell_texts``), written from the
+sparse rows at each read with no ``Fraction`` built.  A matrix is not
+hashable.
 
 Every zero cell of a result is ``ZERO``, and ``kernel_basis``,
 ``solve_linear``, ``combine``, ``pairings`` and ``mat_vec`` build one
@@ -37,9 +37,10 @@ use, with its cells scaled then to the lcm of the row denominators: the
 vector, a sequence of cells or a ``{column: value}`` mapping of them, is
 scaled to integers once, each of its nonzero cells adds into the rows that
 meet its column, and a zero cell costs nothing.
-``pairings`` gives u^T M v for two families of vectors: it scales each
-vector once and forms the integer row combination u^T M once per u.
-``combine`` sums c * v over one common denominator.
+``pairings`` gives u^T M v for two families of vectors (or the triangle
+of one family): it scales each vector object once and forms the integer
+row combination u^T M once per u.  ``combine`` sums c * v over one
+common denominator.
 
 Row reduction is done fraction-free (Bareiss 1968, Math. Comp. 22) on the
 same row dicts, one row at a time in the order given: a row is reduced by
@@ -58,7 +59,9 @@ columns, and then every cell of it for its content.  A matrix is
 eliminated at most once: the echelon is memoised on the matrix and shared
 by ``rank`` and ``kernel_basis``.  Back substitution visits bottom-up only
 the rows that a vector reaches through its nonzero coordinates, and keeps
-one common denominator, so it stays in integers too.  ``solve_linear``
+one common denominator, so it stays in integers too; the vector is the
+sparse ``{column: int}`` dict of its nonzero cells, and each row is summed
+over the shorter of the row and that dict.  ``solve_linear``
 returns the unique solution of a system and raises ``ValueError`` when
 there is none or more than one; it eliminates the integer rows of [A | b]
 that an augmented ``Matrix`` would hold, without building one.  The unit
@@ -97,37 +100,40 @@ _EXACT = {Fraction, int}
 _INT = {int}
 
 
+def _is_mapping(values) -> bool:
+    """Whether ``values`` is a ``{key: value}`` mapping rather than a
+    sequence; a tuple or a list is told by its type, before the slower
+    ``Mapping`` check."""
+    kind = type(values)
+    return kind is dict or kind not in (tuple, list) and isinstance(values, Mapping)
+
+
 def integer_cells(values: Sequence[RationalLike] | Mapping) -> tuple[int, dict]:
     """``(L, cells)``: the nonzero values, by position for a sequence and by
     key for a mapping, times the lcm ``L`` of their denominators, as a
     ``{key: int}`` dict in the order of the input.
 
-    A dict of nonzero ints is copied as it is.  Otherwise a ``ZERO``
-    cell is skipped by identity, and only the other cells are
-    type-checked.  Cells that are all ints are their own integer form;
-    otherwise each cell is read once, through ``as_integer_ratio()``, and
-    dropped when its numerator is 0.
+    A dict of nonzero ints is copied as it is.  Otherwise one pass skips
+    a ``ZERO`` cell by identity and reads every other cell once, through
+    ``as_integer_ratio()`` (after ``rat`` for a type other than ``int``
+    and ``Fraction``), dropping it when its numerator is 0.
     """
-    if type(values) is dict and set(map(type, values.values())) <= _INT and all(values.values()):
-        return 1, dict(values)
-    if type(values) is dict or isinstance(values, Mapping):
-        cells = {k: x for k, x in values.items() if x is not ZERO}
-    else:
-        cells = {j: x for j, x in enumerate(values) if x is not ZERO}
-    types = set(map(type, cells.values()))
-    if types <= _INT:
-        if not all(cells.values()):
-            cells = {k: a for k, a in cells.items() if a}
+    if type(values) is dict and _INT.issuperset(map(type, values.values())):
+        if all(values.values()):
+            return 1, dict(values)
+    # the numerators, and the denominators other than 1, by key
+    cells, dens = {}, {}
+    for k, x in values.items() if _is_mapping(values) else enumerate(values):
+        if x is not ZERO:
+            n, d = (x if type(x) in _EXACT else rat(x)).as_integer_ratio()
+            if n:
+                cells[k] = n
+                if d != 1:
+                    dens[k] = d
+    if not dens:
         return 1, cells
-    if not types <= _EXACT:
-        cells = {k: rat(x) for k, x in cells.items()}
-    ratios = {k: x.as_integer_ratio() for k, x in cells.items()}
-    if not all([n for n, _ in ratios.values()]):
-        ratios = {k: r for k, r in ratios.items() if r[0]}
-    scale = lcm(*[d for _, d in ratios.values()])
-    if scale == 1:
-        return 1, {k: n for k, (n, _) in ratios.items()}
-    return scale, {k: n * (scale // d) for k, (n, d) in ratios.items()}
+    scale = lcm(*dens.values())
+    return scale, {k: n * (scale // dens.get(k, 1)) for k, n in cells.items()}
 
 
 def _fractions(ints: Iterable[int], den: int) -> tuple[Fraction, ...]:
@@ -152,7 +158,7 @@ class Matrix:
     ``integer_cells`` call per row; dict equality ignores key order, so it
     is canonical, and equality compares it and ``cols``.  ``_columns``
     (the lcm of the row denominators, and the nonzero cells of each column
-    over it, as rows and values) and ``_echelon`` (the ``{pivot column:
+    over it, as (row, value) pairs) and ``_echelon`` (the ``{pivot column:
     row}`` dict of the forward elimination) are filled on first use.
     """
 
@@ -164,11 +170,13 @@ class Matrix:
         cols: int | None = None,
     ):
         dens, sparse = [], []
+        columns = None  # the set of column indices, once a mapping row needs it
         for row in entries:
-            if type(row) is dict or isinstance(row, Mapping):
+            if type(row) is dict or _is_mapping(row):
                 if cols is None:
                     raise ValueError("a row given as a mapping needs cols")
-                if row and not (0 <= min(row) and max(row) < cols):
+                columns = columns or set(range(cols))
+                if not columns.issuperset(row):
                     raise ValueError("mapping row has a column outside the matrix")
             else:
                 row = tuple(row)
@@ -188,38 +196,40 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as ``Fraction`` cells; every zero cell is ``ZERO``.
-        Only ``report.render_value`` and the tests read it."""
-        data = []
+    def cell_texts(self) -> tuple[tuple[str, ...], ...]:
+        """The rows as the wire strings of their cells, ``"0"`` for a zero
+        cell; written from the stored rows with no ``Fraction`` built, one
+        string per distinct value of a row.  ``report.render_value`` and
+        the tests read it."""
+        out = []
         for den, cells in zip(*self._scaled):
-            made = {a: Fraction(a, den) for a in set(cells.values())}
-            row = [ZERO] * self.cols
+            texts = {}
+            for a in set(cells.values()):
+                g = gcd(a, den)
+                texts[a] = str(a // g) if g == den else f"{a // g}/{den // g}"
+            row = ["0"] * self.cols
             for j, a in cells.items():
-                row[j] = made[a]
-            data.append(tuple(row))
-        return tuple(data)
+                row[j] = texts[a]
+            out.append(tuple(row))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and (self.cols, self._scaled) == (
             other.cols, other._scaled
         )
 
-    def _column_index(self) -> tuple[int, list[tuple[list[int], list[int]]]]:
-        """The lcm L of the row denominators and, for each column, the rows
-        of its nonzero cells and their values times L, as integers."""
+    def _column_index(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The lcm L of the row denominators and, for each column, its
+        nonzero cells as (row, value times L) pairs of integers."""
         if self._columns is None:
             dens, sparse = self._scaled
             scale = lcm(*dens)
-            rows = [[] for _ in range(self.cols)]
-            values = [[] for _ in range(self.cols)]
+            columns = [[] for _ in range(self.cols)]
             for i, (den, cells) in enumerate(zip(dens, sparse)):
                 k = scale // den
                 for j, a in cells.items():
-                    rows[j].append(i)
-                    values[j].append(k * a)
-            object.__setattr__(self, "_columns", (scale, list(zip(rows, values))))
+                    columns[j].append((i, k * a))
+            object.__setattr__(self, "_columns", (scale, columns))
         return self._columns
 
     def _echelon_form(self) -> dict[int, dict[int, int]]:
@@ -234,7 +244,7 @@ class Matrix:
         """M x, summed by columns over the nonzero cells of x, which is a
         sequence of ``cols`` cells or a ``{column: value}`` mapping of its
         cells; a mapping is read only at its keys."""
-        if type(x) is dict or isinstance(x, Mapping):
+        if _is_mapping(x):
             if x and not (0 <= min(x) and max(x) < self.cols):
                 raise ValueError("mapping vector has a column outside the matrix")
         else:
@@ -245,43 +255,53 @@ class Matrix:
         row_scale, columns = self._column_index()
         acc = [0] * self.rows
         for j, a in cells.items():
-            rows, values = columns[j]
-            for i, b in zip(rows, values):
+            for i, b in columns[j]:
                 acc[i] += a * b
         return _fractions(acc, row_scale * scale)
 
     def pairings(
-        self, us: Iterable[Sequence[RationalLike]], vs: Iterable[Sequence[RationalLike]]
+        self,
+        us: Iterable[Sequence[RationalLike]],
+        vs: Iterable[Sequence[RationalLike]],
+        upper: bool = False,
     ) -> tuple[tuple[Fraction, ...], ...]:
-        """The bilinear forms u^T M v, one row per u and one cell per v.
+        """The bilinear forms u^T M v, one row per u and one cell per v;
+        with ``upper``, row a holds only the cells of ``vs[a:]``, the
+        triangle on and above the diagonal when a family pairs with itself.
 
-        Every vector is scaled to integers once, and the integer row
-        combination u^T M is formed once per u, over the lcm of all row
-        denominators.  Equal nonzero results are one ``Fraction`` object,
-        and zero results are ``ZERO``.
+        Every vector object is scaled to integers once, one given on both
+        sides too, and the integer row combination u^T M is formed once per
+        u, over the lcm of all row denominators.  Equal nonzero results are
+        one ``Fraction`` object, and zero results are ``ZERO``.
         """
-        us, vs = [tuple(u) for u in us], [tuple(v) for v in vs]
+        us = [u if type(u) is tuple else tuple(u) for u in us]
+        vs = [v if type(v) is tuple else tuple(v) for v in vs]
         if any(len(u) != self.rows for u in us) or any(len(v) != self.cols for v in vs):
             raise ValueError("vector length does not match matrix shape")
         dens, sparse = self._scaled
         row_scale = lcm(*dens)
-        scaled_vs = [integer_cells(v) for v in vs]
+        scaled: dict[int, tuple[int, dict]] = {}
+        for v in (*us, *vs):
+            if id(v) not in scaled:
+                scaled[id(v)] = integer_cells(v)
+        scaled_vs = [scaled[id(v)] for v in vs]
         # one Fraction per distinct value (keyed by its reduced numerator
         # and denominator), so that equal pairings are one object
         made: dict[tuple[int, int], Fraction] = {}
         out = []
-        for u in us:
-            u_scale, u_cells = integer_cells(u)
+        for a, u in enumerate(us):
+            u_scale, u_cells = scaled[id(u)]
             w = [0] * self.cols
-            for i, a in u_cells.items():
-                k = a * (row_scale // dens[i])
+            for i, c in u_cells.items():
+                k = c * (row_scale // dens[i])
                 for j, b in sparse[i].items():
                     w[j] += k * b
+            u_den = u_scale * row_scale
             row = []
-            for v_scale, v_cells in scaled_vs:
+            for v_scale, v_cells in scaled_vs[a:] if upper else scaled_vs:
                 t = sum(map(mul, map(w.__getitem__, v_cells), v_cells.values()))
                 if t:
-                    den = u_scale * row_scale * v_scale
+                    den = u_den * v_scale
                     g = gcd(t, den)
                     key = t // g, den // g
                     cell = made.get(key)
@@ -372,13 +392,15 @@ def _back_substitute(
     column indexes the rows that meet it other than at their pivot.  The
     pivot entries are solved from the bottom row up over one common
     denominator, which grows only when a new entry needs it, so the full
-    vector satisfies every echelon row.  A min-heap of row positions,
-    counted from the bottom, holds the rows that meet a nonzero coordinate
-    of the start or a pivot solved nonzero (rows above it); a row never
-    reached, or whose other cells sum to 0, is skipped with no gcd and no
-    rescale, as 0 is its solution.  A row is reached once, while its pivot
-    coordinate is still 0, so the sum over its other cells is the sum over
-    all its cells.
+    vector satisfies every echelon row.  x is kept sparse, as the
+    ``{column: int}`` dict of its nonzero cells: a reached row is summed
+    over whichever is shorter, the row or x, and a rescale touches only
+    x's cells.  A min-heap of row positions, counted from the bottom,
+    holds the rows that meet a nonzero coordinate of the start or a pivot
+    solved nonzero (rows above it); a row never reached, or whose other
+    cells sum to 0, is skipped with no gcd and no rescale, as 0 is its
+    solution.  A row is reached once, while its pivot coordinate is still
+    0, so the sum over its other cells is the sum over all its cells.
     """
     rows = list(echelon.items())[::-1]
     meets: dict[int, list[int]] = {}
@@ -388,21 +410,27 @@ def _back_substitute(
                 meets.setdefault(j, []).append(pos)
     solutions = []
     for start in starts:
-        x = [0] * width
-        for j, a in start.items():
-            x[j] = a
+        x = dict(start)
         den = 1
         queued = {pos for j in start for pos in meets.get(j, ())}
         heap = sorted(queued)
         while heap:
             c, row = rows[heappop(heap)]
-            acc = sum(map(mul, row.values(), map(x.__getitem__, row)))
+            # the sum over the shorter of the row and x
+            if len(row) <= len(x):
+                short, long = row, x
+            else:
+                short, long = x, row
+            acc = 0
+            for j, a in short.items():
+                if j in long:
+                    acc += a * long[j]
             if not acc:
                 continue
             p = row[c]
             s = abs(p) // gcd(acc, p)
             if s > 1:
-                x = [a * s for a in x]
+                x = {j: a * s for j, a in x.items()}
                 den *= s
                 acc *= s
             x[c] = -(acc // p)
@@ -410,7 +438,11 @@ def _back_substitute(
                 if pos not in queued:
                     queued.add(pos)
                     heappush(heap, pos)
-        solutions.append(_fractions(x, den))
+        made = {a: Fraction(a, den) for a in set(x.values())}
+        out = [ZERO] * width
+        for j, a in x.items():
+            out[j] = made[a]
+        solutions.append(tuple(out))
     return solutions
 
 

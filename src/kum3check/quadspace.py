@@ -27,7 +27,9 @@ first pairing that needs it, and kept with the class (``_trace``), as
 one class may pair with many (the self-restriction with all 136
 products s'_a * s'_b).  The ``Fraction`` coefficients (``coeffs``) are a
 view in monomial order, built at each read; only rendering a class and
-restricting an ambient class read it.
+restricting an ambient class read it.  ``QuadSpace.pair`` of two degree-1
+vectors runs in integers too, over the scaled squares and the vectors'
+``integer_cells``.
 """
 
 from fractions import Fraction
@@ -84,12 +86,15 @@ class QuadSpace:
         return self.vector({label: 1})
 
     def pair(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
-        """q(u, v) = sum_a u_a q_a v_a; vectors must have length ``dim``."""
+        """q(u, v) = sum_a u_a q_a v_a, in integers over the cells both
+        vectors carry; vectors must have length ``dim``."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector length does not match the space")
-        return sum(
-            (rat(a) * q * rat(b) for a, q, b in zip(u, self.squares, v) if a and b), ZERO
-        )
+        q_scale, q = self._scaled_squares
+        u_scale, u_cells = integer_cells(u)
+        v_scale, v_cells = integer_cells(v)
+        total = sum([a * q[j] * v_cells[j] for j, a in u_cells.items() if j in v_cells])
+        return Fraction(total, u_scale * v_scale * q_scale) if total else ZERO
 
 
 class Sym2Vector:
@@ -97,7 +102,8 @@ class Sym2Vector:
 
     ``Sym2Vector(space, acc, den)`` is the class with coefficient
     ``acc[k] / den`` (den > 0) at each monomial k = (i, j), i <= j.  It
-    keeps the nonzero ones as ``cells``, a ``{monomial: int}`` dict over
+    keeps the nonzero ones as ``cells`` (``acc`` itself when it is a dict
+    with no zero value), a ``{monomial: int}`` dict over
     ``scale``, with scale > 0 and gcd(scale, *cells.values()) == 1, so equal
     fields on one space object mean equal classes, whatever the order of
     the monomials.  ``coeffs`` is the ``(key, Fraction)`` view in key
@@ -109,7 +115,8 @@ class Sym2Vector:
     __slots__ = ("space", "scale", "cells", "_trace")
 
     def __init__(self, space: QuadSpace, acc: Mapping[tuple[int, int], int], den: int):
-        cells = {k: a for k, a in acc.items() if a}
+        keep = type(acc) is dict and all(acc.values())
+        cells = acc if keep else {k: a for k, a in acc.items() if a}
         g = gcd(den, *cells.values())
         if g > 1:
             den //= g
@@ -156,16 +163,15 @@ def sym2_sum(
     with one ``Fraction`` per monomial.
     """
     parts = []
-    den = 1
     for c, x in terms:
         if x.space is not space:
             raise ValueError("cannot add Sym2 vectors from different spaces")
-        num, d = (c if type(c) is Fraction or type(c) is int else rat(c)).as_integer_ratio()
-        if not num or not x.cells:
+        if c is ZERO or not x.cells:
             continue
-        d *= x.scale
-        parts.append((num, d, x.cells))
-        den = lcm(den, d)
+        num, d = (c if type(c) is Fraction or type(c) is int else rat(c)).as_integer_ratio()
+        if num:
+            parts.append((num, d * x.scale, x.cells))
+    den = lcm(*[d for _, d, _ in parts])
     acc: dict[tuple[int, int], int] = {}
     for num, d, cells in parts:
         f = num * (den // d)
@@ -228,15 +234,16 @@ def sym2_pair(x: Sym2Vector, y: Sym2Vector) -> Fraction:
 
 
 def sym2_gram(vectors: Sequence[Sym2Vector]) -> Matrix:
-    """Gram matrix of a family of Sym^2 classes under the three-matching pairing."""
+    """Gram matrix of a family of Sym^2 classes under the three-matching
+    pairing, written from its nonzero cells; each pair is paired once."""
     n = len(vectors)
-    rows = [[ZERO] * n for _ in range(n)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             value = sym2_pair(vectors[i], vectors[j])
-            rows[i][j] = value
-            rows[j][i] = value
-    return Matrix(rows)
+            if value is not ZERO:
+                rows[i][j] = rows[j][i] = value
+    return Matrix(rows, n)
 
 
 def qbar_dual(space: QuadSpace) -> Sym2Vector:

@@ -32,18 +32,18 @@ _NUMBERS = {int, Fraction}
 
 def render_value(value) -> str:
     """Deterministic exact rendering for report fields."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, Matrix):
-        return render_value(value.entries)
     if type(value) in (tuple, list):
         if set(map(type, value)) <= _NUMBERS:
             cells = ["0" if x is ZERO else str(x) for x in value]
         else:
             cells = map(render_value, value)
         return "[" + ", ".join(cells) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, Matrix):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in value.cell_texts()) + "]"
     raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 
@@ -62,12 +62,7 @@ def make_check(check_id: str, ref: str, expected, computed, trail=()) -> Check:
         raise ValueError(f"{check_id}: reference string must be nonempty")
     status = "pass" if expected == computed else "fail"
     return Check(
-        id=check_id,
-        ref=ref,
-        expected=render_value(expected),
-        computed=render_value(computed),
-        status=status,
-        trail=tuple(trail),
+        check_id, ref, render_value(expected), render_value(computed), status, tuple(trail)
     )
 
 

@@ -34,10 +34,11 @@ monomials, so ``expand_in_basis`` needs no value of the restriction factor.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .kummer import ALPHAS, COSETS, ORIGIN, SHIFTED, THETAS, Pt
+from .kummer import ALPHAS, COSETS, SHIFTED, THETAS, Pt
 from .linalg import (
     ZERO,
     Matrix,
@@ -197,10 +198,10 @@ def expected_gram19(qbar_square: Fraction, qbar_fujiki: Fraction) -> Matrix:
         (DELTA_S, DELTA_S): 64,
         **{(k, k): 128 for k in MIXED.values()},
     }
-    rows = [[ZERO] * CLASS_COUNT for _ in range(CLASS_COUNT)]
+    rows: list[dict[int, RationalLike]] = [{} for _ in range(CLASS_COUNT)]
     for (i, j), value in cells.items():
-        rows[i][j] = rows[j][i] = rat(value)
-    return Matrix(rows)
+        rows[i][j] = rows[j][i] = value
+    return Matrix(rows, CLASS_COUNT)
 
 
 def expected_w_other(theta: Pt) -> tuple[Fraction, ...]:
@@ -261,15 +262,17 @@ def restriction_is_similitude(model: WModel, ambient: QuadSpace) -> bool:
     """q_W(images) = factor * q_X on every pair of basis vectors.
 
     The fourfold's diagonal Gram pairs the seven images with each other
-    through ``Matrix.pairings``; a pair of distinct images must pair to 0.
+    through ``Matrix.pairings``, each pair once (the triangle on and above
+    the diagonal, as the Gram is symmetric); a pair of distinct images
+    must pair to 0.
     """
     gram = Matrix([{k: q} for k, q in enumerate(model.space.squares)], model.space.dim)
     images = restriction_images(model)
     want = tuple(
-        tuple(model.factor * square if i == j else ZERO for j in range(len(images)))
+        (model.factor * square, *repeat(ZERO, len(images) - 1 - i))
         for i, square in enumerate(ambient.squares)
     )
-    return gram.pairings(images, images) == want
+    return gram.pairings(images, images, upper=True) == want
 
 
 class QbarRestriction(NamedTuple):
@@ -498,7 +501,9 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
     here and the divisor pairings (``d_self_pairings``) read.  For every
     shift, sum_a s'_a s'_(a+shift) must equal 16*delta^2 + 16*(mixed s sum
     at that shift) - 8*delta*sum(s); the shift-0 case replaces the mixed
-    sum by sum s^2.
+    sum by sum s^2.  A nonzero shift's sum is taken over its eight cosets
+    {a, a + shift} (``COSETS``), each product with coefficient 2, as a and
+    a + shift give the same product.
     """
     sp = model.space
     # s' = 4s - delta as its two cells
@@ -509,17 +514,12 @@ def s_prime_vectors(model: WModel) -> SPrimeVectors:
         (i, j): sym2_product(sp, svecs[i], svecs[j]) for i in range(n) for j in range(i, n)
     }
 
-    def sprime_sum(theta: Pt) -> Sym2Vector:
-        return sym2_sum(
-            sp, ((1, products[min(i, j), max(i, j)]) for i, j in enumerate(SHIFTED[theta]))
-        )
-
-    sum_sq = expand_in_basis(model, sprime_sum(ORIGIN))
+    sum_sq = expand_in_basis(model, sym2_sum(sp, ((1, products[i, i]) for i in range(n))))
     identity = sum_sq == SPRIME_SQUARE_SUM
 
     per_theta = []
     for theta in THETAS:
-        coeffs = expand_in_basis(model, sprime_sum(theta))
+        coeffs = expand_in_basis(model, sym2_sum(sp, ((2, products[c]) for c in COSETS[theta])))
         want = class_coeffs({DELTA_SQ: 16, MIXED[theta]: 16, DELTA_S: -8})
         identity &= coeffs == want
         per_theta.append(coeffs)
@@ -605,9 +605,10 @@ def restrict_w_self(
     *with_others, qbar_pairing, self_square, ambient_dual = gram.pairings(
         [final], [*other_vecs, e_qbar, final, g1]
     )[0]
-    among = gram.pairings(other_vecs, other_vecs)
-    self_other_values = [row[a] for a, row in enumerate(among)]
-    cross_values = [x for a, row in enumerate(among) for x in row[a + 1 :]]
+    # row a: other restriction a against itself and each later one
+    among = gram.pairings(other_vecs, other_vecs, upper=True)
+    self_other_values = [row[0] for row in among]
+    cross_values = [x for row in among for x in row[1:]]
     # each value is compared with the first of its kind, not hashed
     uniform_ok &= all(
         vals.count(vals[0]) == len(vals)

@@ -20,9 +20,17 @@ first and times ``runs`` (default 40) in-process runs of the default
 document (``run_suite(doc, "all")`` and ``emit_json``) and one pass over
 the corpus (parse, ``all``, emit) per tree.  For each workload it prints
 each tree's min, quartiles and median, and the rounds each tree won on
-its round median.  A run takes about half a minute with the defaults.
-The module imports only the standard library, and pytest does not
-collect it.
+its round median.
+
+Last, it prints each tree's per-stage minima over the same rounds and
+runs: every ``Engine`` stage that ``verify all`` reads, forced on a fresh
+engine over the default document in first-return order (a stage is
+listed after every stage it reads, as ``bench/tracer.stage_order`` lists
+them), so each stage is timed with its inputs already computed; then
+``report rows`` (``run_suite(engine, "all")`` with every stage computed)
+and ``emit_json`` (the writer alone).  A run takes about a minute with
+the defaults.  The module imports only the standard library, and pytest
+does not collect it.
 """
 
 import importlib
@@ -59,6 +67,40 @@ def serve(pkg, text: str) -> tuple[str, str]:
         return "rejected", str(exc)
     report = cli.run_suite(doc, "all")
     return report.status, cli.emit_json(report)
+
+
+def stage_order(pkg) -> list[str]:
+    """The engine stages that ``verify all`` on the default document reads,
+    in the order their first reads return: each after every stage it reads."""
+    cli, config = pkg
+    engine = importlib.import_module(f"{cli.__package__}.engine")
+    suites = importlib.import_module(f"{cli.__package__}.suites")
+    stages = {k for k, v in vars(engine.Engine).items() if isinstance(v, engine.stage)}
+    order: list[str] = []
+
+    class Probe(engine.Engine):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            if name in stages and name not in order:
+                order.append(name)
+            return value
+
+    suites.run_suite(Probe(config.default_config()), "all")
+    return order
+
+
+def stage_times(pkg, order: list[str]) -> dict[str, float]:
+    """Milliseconds per stage, forced in ``order`` on a fresh engine, then
+    the report rows and the JSON writer."""
+    cli, config = pkg
+    engine = importlib.import_module(f"{cli.__package__}.engine")
+    suites = importlib.import_module(f"{cli.__package__}.suites")
+    fresh = engine.Engine(config.default_config())
+    out = {name: timed(lambda: getattr(fresh, name)) for name in order}
+    report = []
+    out["report rows"] = timed(lambda: report.append(suites.run_suite(fresh, "all")))
+    out["emit_json"] = timed(lambda: cli.emit_json(report[0]))
+    return out
 
 
 def timed(work) -> float:
@@ -111,6 +153,8 @@ def main(argv: list[str]) -> int:
             ),
         }
         sides = {"A": a, "B": b}
+        orders = {s: stage_order(pkg) for s, pkg in sides.items()}
+        minima: dict[str, dict[str, float]] = {s: {} for s in sides}
         times = {(w, s): [] for w in workloads for s in sides}
         won = {(w, s): 0 for w in workloads for s in sides}
         for r in range(rounds):
@@ -124,10 +168,20 @@ def main(argv: list[str]) -> int:
                     medians[s] = statistics.median(batch)
                 if medians["A"] != medians["B"]:
                     won[w, min(medians, key=medians.get)] += 1
+            for s in order:
+                for _ in range(runs):
+                    for name, ms in stage_times(sides[s], orders[s]).items():
+                        minima[s][name] = min(ms, minima[s].get(name, ms))
         for w in workloads:
             print(w)
             for s in sides:
                 print(summary(s, times[w, s], won[w, s]))
+        print(f"stage minima (ms, {rounds} rounds x {runs} fresh engines), A's largest first")
+        names = minima["A"].keys() | minima["B"].keys()
+        names = sorted(names, key=lambda n: -minima["A"].get(n, 0))
+        for name in names:
+            cells = [f"{minima[s][name]:9.3f}" if name in minima[s] else " " * 9 for s in sides]
+            print(f"  {name:<22}  A {cells[0]}  B {cells[1]}")
     return 0
 
 

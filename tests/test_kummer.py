@@ -43,6 +43,7 @@ from label_group import (
     translation_subgroup,
     triple_value,
 )
+from matrix_entries import entries
 
 group_elements = st.sampled_from(full_group())
 
@@ -333,7 +334,7 @@ small_fractions = st.fractions(-60, 60, max_denominator=12)
 def test_gap_check_matches_the_pairwise_loop(intersections, r, t, delta):
     # M is written from the gap, so the identity holds on every document;
     # the loop still flags a copy of M with one square cell moved
-    rows = [list(row) for row in deg4_independence_certificate(intersections).matrix.entries]
+    rows = [list(row) for row in entries(deg4_independence_certificate(intersections).matrix)]
     gap = intersections.w_cube - intersections.w_sq_w_other
     assert _ref_gap_failure(rows, gap, 16) is None
     rows[r][2 + t] += delta

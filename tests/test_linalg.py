@@ -19,6 +19,7 @@ from kum3check.linalg import (
     solve_linear,
 )
 from kum3check.report import render_value
+from matrix_entries import entries as dense_rows
 
 
 def test_rat_accepts_ints_and_fractions_only():
@@ -36,7 +37,7 @@ def test_str_round_trips_the_wire_format():
 def test_matrix_shape_and_immutability():
     m = Matrix([[1, 2], [3, 4], [5, 6]])
     assert (m.rows, m.cols) == (3, 2)
-    assert m.entries[1] == (Fraction(3), Fraction(4))
+    assert dense_rows(m)[1] == (Fraction(3), Fraction(4))
     with pytest.raises(AttributeError):
         m.rows = 5
     with pytest.raises(ValueError):
@@ -52,7 +53,7 @@ def test_matrix_shape_and_immutability():
 
 
 def _transpose(m):
-    return Matrix(zip(*m.entries)) if m.rows else Matrix([])
+    return Matrix(zip(*dense_rows(m))) if m.rows else Matrix([])
 
 
 def test_transpose_and_mat_vec():
@@ -90,8 +91,12 @@ def test_entries_render_in_the_wire_format():
     # A matrix goes on the wire as its entries, row by row, each cell in the
     # wire format of a single value.
     m = Matrix([[Fraction(1, 2), 3]])
-    assert [[render_value(x) for x in row] for row in m.entries] == [["1/2", "3"]]
+    assert m.cell_texts() == (("1/2", "3"),)
+    assert [[render_value(x) for x in row] for row in dense_rows(m)] == [["1/2", "3"]]
     assert render_value(m) == "[[1/2, 3]]"
+    assert render_value(Matrix([{1: Fraction(-6, 4)}, {}], 3)) == "[[0, -3/2, 0], [0, 0, 0]]"
+    assert render_value(Matrix([])) == "[]"
+    assert render_value(Matrix([[], []])) == "[[], []]"
 
 
 def test_solve_restriction_system_exactly():
@@ -457,16 +462,63 @@ def test_sparse_back_substitution_matches_fraction_formulas_on_banded_matrices()
     assert kernel_basis(Matrix([[1, 1, 1], [0, 1, 1]])) == [(0, -1, 1)]
 
 
+def _block_chain(blocks, size, inside, dense):
+    """Rows shaped like the D certificate's step matrix: for each i inside
+    a block of ``size`` columns the two-cell row {i-1: -inside, i: inside},
+    then the one dense row ``dense``, as dense ``Fraction`` rows."""
+    n = blocks * size
+    chain = [[Fraction(0)] * n for i in range(1, n) if i % size]
+    for row, i in zip(chain, (i for i in range(1, n) if i % size)):
+        row[i - 1], row[i] = -inside, inside
+    return [*chain, [Fraction(x) for x in dense]], n
+
+
+def test_sparse_back_substitution_on_block_chains():
+    # each start walks the chain rows of its block and then the dense row,
+    # which pivots in block 0 and sends x down block 0's chain
+    h = Fraction(1, 2)
+    cases = [
+        # a dense row whose pivot does not divide its sums: every start
+        # rescales x (s > 1), so the kernel has a non-integer cell
+        (2, 16, Fraction(3), [5] + [1] * 15 + [2] * 16, True),
+        (8, 32, h, [Fraction(7, 3)] + [h] * 31 + [Fraction(-5, 4)] * 224, True),
+        # +c and -c in turn on the other blocks: the dense row is reached
+        # from every start, but its cells sum to 0 there, so it is skipped
+        # and block 0 stays 0
+        (4, 16, Fraction(-2), [3] + [1] * 15 + [4, -4] * 24, False),
+    ]
+    for blocks, size, inside, dense, rescaled in cases:
+        entries, n = _block_chain(blocks, size, inside, dense)
+        mat = Matrix(entries)
+        got = (rank(mat), kernel_basis(mat))
+        assert got == _ref_rank_and_kernel(entries, n)
+        assert got[0] == n - blocks + 1 and len(got[1]) == blocks - 1
+        for v in got[1]:
+            assert _shares_cells(v)
+            assert all(x is ZERO for x in mat.mat_vec(v))
+        fractional = any(x.denominator > 1 for v in got[1] for x in v)
+        assert fractional == rescaled
+        if not rescaled:
+            assert all(x is ZERO for v in got[1] for x in v[:size])
+    # one block of 32 and one of 256 columns: the chain and the dense row
+    # are square and of full rank, and a rational right-hand side rescales x
+    for size, dense in ((32, [9] + [Fraction(-1, 3)] * 31), (256, [4] + [h] * 255)):
+        entries, n = _block_chain(1, size, Fraction(5, 2), dense)
+        b = [Fraction((3 * j) % 7 - 3, 1 + j % 4) for j in range(n)]
+        assert _solve_against_oracle(entries, b, n) == "unique"
+        assert any(x.denominator > 1 for x in solve_linear(Matrix(entries), b))
+
+
 def test_matrix_coerces_only_rows_that_need_it():
     m = Matrix(
         [[Fraction(1, 2), Fraction(3)], [1, Fraction(3, 4)], (x for x in (True, Fraction(-1, 3)))]
     )
-    assert m.entries == (
+    assert dense_rows(m) == (
         (Fraction(1, 2), Fraction(3)),
         (Fraction(1), Fraction(3, 4)),
         (Fraction(1), Fraction(-1, 3)),
     )
-    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert m.cell_texts() == (("1/2", "3"), ("1", "3/4"), ("1", "-1/3"))
     with pytest.raises(TypeError):
         Matrix([[Fraction(1), 0.5]])
     with pytest.raises(TypeError):
@@ -514,7 +566,7 @@ def test_memoised_matrix_equals_a_fresh_one():
     with pytest.raises(AttributeError):
         memo._echelon = None
     with pytest.raises(AttributeError):
-        memo.entries = ()
+        memo.cell_texts = ()
 
 
 def test_equality_reads_the_width_and_the_stored_rows():
@@ -535,9 +587,15 @@ def test_equality_reads_the_width_and_the_stored_rows():
 def test_pairings_are_the_bilinear_form():
     m = Matrix([[Fraction(1, 2), 3], [3, Fraction(-2, 5)]])
     u, v = (Fraction(2, 3), -1), (5, Fraction(1, 4))
-    want = sum(u[i] * m.entries[i][j] * v[j] for i in range(2) for j in range(2))
+    want = sum(u[i] * dense_rows(m)[i][j] * v[j] for i in range(2) for j in range(2))
     assert m.pairings([u], [v]) == ((want,),)
     assert Matrix([[1, 2, 3]]).pairings([(2,)], [(1, 0, -1)]) == ((-4,),)
+    # one family on both sides, each vector object scaled once, and its
+    # triangle on and above the diagonal
+    family = [u, [1, Fraction(1, 3)]]
+    full = m.pairings(family, family)
+    assert full == _ref_pairings(dense_rows(m), family, family)
+    assert m.pairings(family, family, upper=True) == (full[0], full[1][1:])
     with pytest.raises(ValueError):
         m.pairings([(1,)], [(1, 2)])
     with pytest.raises(ValueError):
@@ -593,6 +651,8 @@ def test_combine_and_pairings_match_fraction_formulas(family):
     assert combined == _ref_combine(terms)
     paired = Matrix(entries, m).pairings(us, vs)
     assert paired == _ref_pairings(entries, us, vs)
+    upper = Matrix(entries, m).pairings(us, vs, upper=True)
+    assert upper == tuple(row[a:] for a, row in enumerate(paired))
     # every zero result is the shared ZERO, and equal results are one object
     assert all(x is ZERO for x in (*combined, *(x for row in paired for x in row)) if not x)
     assert _shares_cells(combined) and _shares_cells([x for row in paired for x in row])
@@ -656,9 +716,9 @@ def test_integer_form_skips_zeros_but_matches_the_reference_scaling(n, m, data):
     mapped = _reversed_keys(entries, m)
     assert mapped._scaled == mat._scaled
     assert mapped == mat
-    assert mapped.entries == tuple(map(tuple, entries))
-    assert all(x is ZERO for row in mapped.entries for x in row if x == 0)
-    assert all(_shares_cells(row) for row in mapped.entries)
+    assert dense_rows(mapped) == tuple(map(tuple, entries))
+    # each cell's text is the wire format of its value
+    assert mapped.cell_texts() == tuple(tuple(str(rat(x)) for x in row) for row in entries)
     assert (rank(mapped), kernel_basis(mapped)) == (rank(mat), kernel_basis(mat))
     if n == m and rank(mat) == m:
         assert solve_linear(mapped, v) == solve_linear(mat, v)

@@ -16,6 +16,8 @@ from kum3check.quadspace import (
     sym2_sum,
 )
 
+from matrix_entries import entries
+
 AMBIENT = QuadSpace(
     labels=("y1", "y2", "y3", "z1", "z2", "z3", "xi"),
     squares=(2, 2, 2, -2, -2, -2, -8),
@@ -115,8 +117,8 @@ def test_sym2_gram_is_symmetric():
         qbar_dual(AMBIENT),
     ]
     g = sym2_gram(vectors)
-    assert g == Matrix(zip(*g.entries))
-    assert g.entries[0][0] == sym2_pair(vectors[0], vectors[0])
+    assert g == Matrix(zip(*entries(g)))
+    assert entries(g)[0][0] == sym2_pair(vectors[0], vectors[0])
 
 
 coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)

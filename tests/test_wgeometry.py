@@ -47,6 +47,7 @@ from kum3check.wgeometry import (
 )
 
 from label_group import add
+from matrix_entries import entries
 
 FUJIKI_CONSTANT = Fraction(3)
 QBAR_FUJIKI = Fraction(25)
@@ -159,11 +160,12 @@ def test_w_model_shape(model):
 
 def test_gram19_matches_reference(model, gram):
     assert gram == expected_gram19(QBAR_SQUARE, QBAR_FUJIKI)
-    head = [[gram.entries[i][j] for j in range(3)] for i in range(3)]
+    cells = entries(gram)
+    head = [[cells[i][j] for j in range(3)] for i in range(3)]
     assert head == [[575, -50, -800], [-50, 12, 64], [-800, 64, 1152]]
     for k in range(3, 18):
-        assert gram.entries[k][k] == 128
-    assert gram.entries[18][18] == 64
+        assert cells[k][k] == 128
+    assert cells[18][18] == 64
 
 
 def test_expand_in_basis_round_trips(model):
@@ -354,6 +356,17 @@ def test_s_prime_vectors(model):
     assert all(sp.sum_mixed_all[k] == 16 for k in range(3, 18))
 
 
+def test_coset_pair_sums_are_the_sixteen_term_sums(model, sprime):
+    # sum_a s'_a * s'_(a+theta) over all sixteen a, each term a unit
+    # coefficient on the product table, against the coset sums with 2
+    def unit_sum(theta):
+        terms = ((1, sprime.products[min(i, j), max(i, j)]) for i, j in enumerate(SHIFTED[theta]))
+        return expand_in_basis(model, sym2_sum(model.space, terms))
+
+    assert sprime.sum_squares == unit_sum(ORIGIN)
+    assert sprime.per_theta == tuple(map(unit_sum, THETAS))
+
+
 def test_s_prime_vectors_run_once_per_verify_all(monkeypatch):
     calls = []
 
@@ -373,7 +386,7 @@ def test_w_self_restriction(w_self):
         Fraction(9, 640),
         Fraction(1, 640),
     )
-    sys_rows = [[w_self.system.entries[i][j] for j in range(3)] for i in range(3)]
+    sys_rows = [list(row) for row in entries(w_self.system)]
     assert sys_rows == [
         [350, -13600, -12000],
         [420, -8640, -22080],
